@@ -130,8 +130,20 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _out_of_range(case, n: int) -> int:
+    lo, hi = case.n_range
+    return _usage_error(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
+
+
 def cmd_region(args) -> int:
     case = case_by_id(args.case)
+    if not case.admits(args.n):
+        return _out_of_range(case, args.n)
     region = case.region(args.n)
     if args.json:
         print(json.dumps(region.to_json_dict(), indent=2, sort_keys=True))
@@ -142,6 +154,8 @@ def cmd_region(args) -> int:
 
 def cmd_codim(args) -> int:
     case = case_by_id(args.case)
+    if not case.admits(args.n):
+        return _out_of_range(case, args.n)
     print(case.codim(args.n))
     return 0
 
@@ -149,6 +163,8 @@ def cmd_codim(args) -> int:
 def cmd_check(args) -> int:
     case = case_by_id(args.case)
     n = args.n if args.n is not None else case.n_range[0]
+    if not case.admits(n):
+        return _out_of_range(case, n)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         m = parse_matrix_file(fh.read())
     report = check_case(m, case, n, budget=args.budget, seed=args.seed)
@@ -228,6 +244,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_section(args) -> int:
+    if args.cubic and args.point is None:
+        return _usage_error("section --cubic needs --point a,b,c")
+    if args.quartic and args.span is None:
+        return _usage_error("section --quartic needs --span 'L1;L2'")
     f = parse_poly(args.f)
     if args.cubic:
         point = [Fraction(x) for x in args.point.split(",")]

@@ -1,0 +1,103 @@
+"""Exact linear algebra over the rationals on integer rows.
+
+One fraction-free kernel serves every rank and kernel computation in the
+package.  Each input row (ints or Fractions) is scaled to integers on its
+own, which changes neither the row space nor the kernel, and is inserted
+into an echelon basis: the row is reduced against the existing pivots by
+integer cross-multiplication and divided by its content, so entries stay
+small and no Fraction appears inside the loop.  Insertion stops as soon as
+the rank reaches the width.  Kernel vectors come from back-substitution to
+the reduced row echelon form, which is unique, so the basis does not depend
+on the order or the scaling of the rows.
+"""
+
+from __future__ import annotations
+
+from bisect import insort
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Sequence
+
+__all__ = ["right_kernel", "rank"]
+
+Row = Sequence[int | Fraction]
+
+
+def _integer_row(row: Row) -> list[int]:
+    den = lcm(*(x.denominator for x in row))
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return v if g == 1 else [x // g for x in v]
+
+
+def _eliminate(v: list[int], b: list[int], p: int) -> list[int]:
+    """An integer multiple of v minus one of b with a zero in column p,
+    where b[p] is nonzero."""
+    a, lead = v[p], b[p]
+    g = gcd(a, lead)
+    return [lead // g * x - a // g * y for x, y in zip(v, b)]
+
+
+def _echelon(rows: Iterable[Row], width: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Pivot columns (ascending) and their primitive integer rows.
+
+    Every basis row has its first nonzero entry in its pivot column and a
+    zero in each earlier pivot column.  Stops early at full rank.
+    """
+    pivots: list[int] = []
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        v = _integer_row(row)
+        if not any(v):
+            continue
+        for p in pivots:
+            if v[p]:
+                v = _eliminate(v, basis[p], p)
+        lead_col = next((c for c, x in enumerate(v) if x), None)
+        if lead_col is None:
+            continue
+        basis[lead_col] = _primitive(v)
+        insort(pivots, lead_col)
+        if len(pivots) == width:
+            break
+    return pivots, basis
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Rank over the rationals of a list of equal-length rows."""
+    width = len(rows[0]) if rows else 0
+    return len(_echelon(rows, width)[0])
+
+
+def right_kernel(rows: Iterable[Row], width: int) -> list[list[Fraction]]:
+    """Canonical basis of {k : row . k = 0 for every row}.
+
+    One vector per free column, in ascending order: a 1 in the free slot,
+    -a/b in each pivot slot where a/b is the reduced row echelon entry, and
+    0 elsewhere.  Empty when the rows have full rank ``width``.
+    """
+    pivots, basis = _echelon(rows, width)
+    if len(pivots) == width:
+        return []
+    # back-substitution: clear every later pivot column from each pivot row
+    for idx in range(len(pivots) - 2, -1, -1):
+        v = basis[pivots[idx]]
+        for q in pivots[idx + 1:]:
+            if v[q]:
+                v = _eliminate(v, basis[q], q)
+        basis[pivots[idx]] = _primitive(v)
+    out = []
+    for fc in range(width):
+        if fc in basis:
+            continue
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for p in pivots:
+            vec[p] = Fraction(-basis[p][fc], basis[p][p])
+        out.append(vec)
+    return out

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bundles import MorphismType, parse_resolution_spec, format_resolution_spec
+from .linalg import rank
 
 __all__ = [
     "HomogeneousPoly",
@@ -464,8 +465,8 @@ def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
     memo: dict[int, HomogeneousPoly] = {}
 
     def rec(row: int, colmask: int) -> HomogeneousPoly:
-        if row == n:
-            return HomogeneousPoly.constant(1)
+        if row == n - 1:  # one column left: the entry itself
+            return grid[row][colmask.bit_length() - 1]
         if colmask in memo:
             return memo[colmask]
         acc = HomogeneousPoly.zero()
@@ -550,31 +551,8 @@ def linearly_independent(forms: Sequence[HomogeneousPoly]) -> tuple[bool, int]:
     if not degs:
         return (len(list(forms)) == 0, 0)
     d = degs.pop()
-    rows = [list(f.coefficient_vector(d)) for f in forms]
-    rank = _rank(rows)
-    return rank == len(rows), rank
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    r = rank([f.coefficient_vector(d) for f in forms])
+    return r == len(forms), r
 
 
 def _dual_order(b) -> list[int]:
@@ -648,7 +626,7 @@ def adapt_to_point(point, f: HomogeneousPoly) -> HomogeneousPoly:
     cols = [pt]
     for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
         trial = cols + [list(map(Fraction, e))]
-        if _rank([list(v) for v in trial]) == len(trial):
+        if rank(trial) == len(trial):
             cols.append(list(map(Fraction, e)))
         if len(cols) == 3:
             break
@@ -765,7 +743,7 @@ def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:
     for e in range(3):
         v = [Fraction(0)] * 3
         v[e] = Fraction(1)
-        if _rank(rows + [v]) == 3:
+        if rank(rows + [v]) == 3:
             rows.append(v)
             break
     inv = _invert3(rows)

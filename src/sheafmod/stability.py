@@ -6,20 +6,23 @@ blocks over a two-column type) with a seeded randomized pass that samples
 constant row subspaces, takes exact column kernels against them, and
 verifies any hit exactly.  Verdicts are three-valued: a verified witness
 gives Destabilized, a complete exact decision of every destabilizing shape
-gives CertifiedSemistable, anything else stays Undetermined.
+gives CertifiedSemistable, anything else stays Undetermined.  Each search
+reads the matrix and its transpose once into integer coefficient views; all
+rank and kernel work goes through :mod:`sheafmod.linalg`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import gcd as _int_gcd
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .bundles import MorphismType
+from .linalg import rank, right_kernel
 from .polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
@@ -27,7 +30,9 @@ from .polymatrix import (
     linearly_independent,
     maximal_minors,
     poly_gcd_list,
-    _rank,
+    transpose_dual,
+    _det_grid,
+    _dual_order,
 )
 from .regions import Polarization, Shape, classify_shapes, enumerate_shapes
 from .registry import CaseSpec
@@ -94,79 +99,48 @@ def _positions(b) -> list[list[int]]:
     return out
 
 
-def _stack_for_cols(
-    m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]
-) -> list[list[Fraction]]:
-    """Linear system rows for 'sum_c k_c m[r][c] = 0 for r in rows'."""
-    monos_per_row = {}
-    for r in rows:
-        monos = set()
-        for c in cols:
-            monos.update(m.entries[r][c].as_dict())
-        monos_per_row[r] = sorted(monos)
-    out = []
-    for r in rows:
-        for mono in monos_per_row[r]:
-            out.append(
-                [m.entries[r][c].as_dict().get(mono, Fraction(0)) for c in cols]
-            )
-    return out
+class _CoefficientView:
+    """Integer coefficient slices of one matrix, built once per search.
 
-
-def _right_kernel(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the given matrix (width columns).
-
-    Rows are scaled to integers and reduced with gcd control, which keeps
-    the elimination fast at desk scale while staying exact.
+    ``slices[r][i]`` lists, per monomial of the block of row r's type and
+    source type i (sorted), the coefficients of row r's entries in the
+    columns of type i.  Each entry is read once through ``as_dict``; one
+    scale per block clears its denominators, so a combination of rows within
+    a type is the same combination of their slices.  Column kernels of
+    literal row subsets are memoized by (rows, source type).
     """
-    _gcd = _int_gcd
-    big = 1 << 256  # reduce rows by their gcd only once entries get large
-    mat: list[list[int]] = []
-    for r in rows:
-        if any(isinstance(x, Fraction) and x.denominator != 1 for x in r):
-            dens = 1
-            for x in r:
-                d = x.denominator
-                dens = dens * d // _gcd(dens, d)
-            iv = [int(x * dens) for x in r]
-        else:
-            iv = [int(x) for x in r]
-        if any(iv):
-            mat.append(iv)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                new = [pv * a - f * b for a, b in zip(mat[r], mat[rank])]
-                if any(abs(x) > big for x in new):
-                    g = 0
-                    for x in new:
-                        g = _gcd(g, x)
-                    if g > 1:
-                        new = [x // g for x in new]
-                mat[r] = new
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(width) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-mat[i][fc], mat[i][pc])
-        basis.append(vec)
-    return basis
+
+    def __init__(self, m: PolyMatrix):
+        self.m = m
+        self.row_groups = _positions(m.type.target)
+        self.col_groups = _positions(m.type.source)
+        coeffs = [[e.as_dict() for e in row] for row in m.entries]
+        self.slices: list[list[list[list[int]]]] = [[] for _ in range(m.nrows)]
+        for g in self.row_groups:
+            for cols in self.col_groups:
+                block = [coeffs[r][c] for r in g for c in cols]
+                monos = sorted({mono for d in block for mono in d})
+                scale = lcm(*(v.denominator for d in block for v in d.values()))
+                for r in g:
+                    ints = [
+                        {t: v.numerator * (scale // v.denominator) for t, v in d.items()}
+                        for d in (coeffs[r][c] for c in cols)
+                    ]
+                    self.slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
+        self._kernels: dict[tuple[tuple[int, ...], int], list[list[Fraction]]] = {}
+
+    def kernel(self, rows: tuple[int, ...], i: int) -> list[list[Fraction]]:
+        """Constant combinations of the type-i columns that vanish on ``rows``.
+
+        The returned basis is shared by every caller with the same key and
+        must not be mutated.
+        """
+        key = (rows, i)
+        if key not in self._kernels:
+            self._kernels[key] = right_kernel(
+                (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
+            )
+        return self._kernels[key]
 
 
 def zero_block_exists_col1(
@@ -179,21 +153,18 @@ def zero_block_exists_col1(
     kernel of the stacked coefficient slices, so the decision is a rank
     computation over the rationals.
     """
-    col_groups = _positions(m.type.source)
-    types = [src_type] if src_type is not None else range(len(col_groups))
-    row_groups = _positions(m.type.target)
+    view = _CoefficientView(m)
+    types = [src_type] if src_type is not None else range(len(view.col_groups))
     for i in types:
-        cols = col_groups[i]
+        cols = view.col_groups[i]
         for rows in itertools.combinations(range(m.nrows), p):
-            stack = _stack_for_cols(m, rows, cols)
-            kernel = _right_kernel(stack, len(cols))
-            kernel = [k for k in kernel if any(x != 0 for x in k)]
+            kernel = view.kernel(rows, i)
             if kernel:
                 combo = [Fraction(0)] * m.ncols
                 for c, v in zip(cols, kernel[0]):
                     combo[c] = v
-                shape = _shape_of(m.type, rows, {i: 1}, row_groups)
-                return Witness(shape, tuple(rows), (tuple(combo),))
+                shape = _shape_of(m.type, rows, {i: 1}, view.row_groups)
+                return Witness(shape, rows, (tuple(combo),))
     return None
 
 
@@ -203,27 +174,20 @@ def zero_block_exists_row1(
     """Exact decision for a zero block of one row combination by q columns.
 
     Dual of :func:`zero_block_exists_col1`: the row-combination space is the
-    left kernel of the coefficient stack restricted to each q-subset of
-    columns.
+    column kernel of the transposed matrix against the q-subset of columns,
+    which become rows there.
     """
     row_groups = _positions(m.type.target)
     col_groups = _positions(m.type.source)
     types = [tgt_type] if tgt_type is not None else range(len(row_groups))
+    # row tr of the transpose is column col_order[tr] of m; its source type
+    # ntypes - 1 - l is target type l of m, in the same order
+    tview = _CoefficientView(transpose_dual(m))
+    trow = {c: tr for tr, c in enumerate(_dual_order(m.type.source))}
     for l in types:
         rows = row_groups[l]
         for cols in itertools.combinations(range(m.ncols), q):
-            # left kernel: transpose the role of rows and columns
-            monos = sorted(
-                {mono for r in rows for c in cols for mono in m.entries[r][c].as_dict()}
-            )
-            stack = []
-            for c in cols:
-                for mono in monos:
-                    stack.append(
-                        [m.entries[r][c].as_dict().get(mono, Fraction(0)) for r in rows]
-                    )
-            kernel = _right_kernel(stack, len(rows))
-            kernel = [k for k in kernel if any(x != 0 for x in k)]
+            kernel = tview.kernel(tuple(trow[c] for c in cols), len(row_groups) - 1 - l)
             if kernel:
                 col_shape: dict[int, int] = {}
                 for c in cols:
@@ -272,26 +236,20 @@ def _literal_witness(m: PolyMatrix, shape: Shape) -> Witness | None:
         total *= len(it)
     if total > _SUBSET_CAP:
         return None
-    zero_mask = [
-        {c for c in range(m.ncols) if m.entries[r][c].is_zero}
-        for r in range(m.nrows)
+    # bit c of zero_bits[r] is set when entry (r, c) vanishes
+    zero_bits = [
+        sum(1 << c for c, e in enumerate(row) if e.is_zero) for row in m.entries
     ]
     for chosen in itertools.product(*col_subset_iters):
         cols = [c for group in chosen for c in group]
-        ok_rows = []
-        counts = [0] * len(row_groups)
-        for l, g in enumerate(row_groups):
-            for r in g:
-                if all(c in zero_mask[r] for c in cols):
-                    counts[l] += 1
-                    ok_rows.append((l, r))
-        if all(cnt >= b for cnt, b in zip(counts, shape.rows)):
-            rows = []
-            need = list(shape.rows)
-            for l, r in ok_rows:
-                if need[l] > 0:
-                    rows.append(r)
-                    need[l] -= 1
+        mask = sum(1 << c for c in cols)
+        rows = []
+        for g, b in zip(row_groups, shape.rows):
+            ok = [r for r in g if zero_bits[r] & mask == mask]
+            if len(ok) < b:
+                break
+            rows.extend(ok[:b])
+        else:
             combos = []
             for c in cols:
                 vec = [Fraction(0)] * m.ncols
@@ -302,34 +260,35 @@ def _literal_witness(m: PolyMatrix, shape: Shape) -> Witness | None:
 
 
 def _kernel_witness_for_rows(
-    m: PolyMatrix, shape: Shape, rows: Sequence[int]
+    view: _CoefficientView, shape: Shape, rows: tuple[int, ...]
 ) -> Witness | None:
     """Column-kernel check against a fixed set of literal rows."""
-    col_groups = _positions(m.type.source)
+    m = view.m
     combos: list[tuple[Fraction, ...]] = []
     for i, a in enumerate(shape.cols):
         if a == 0:
             continue
-        stack = _stack_for_cols(m, rows, col_groups[i])
-        kernel = _right_kernel(stack, len(col_groups[i]))
+        kernel = view.kernel(rows, i)
         if len(kernel) < a:
             return None
         for k in kernel[:a]:
             vec = [Fraction(0)] * m.ncols
-            for c, v in zip(col_groups[i], k):
+            for c, v in zip(view.col_groups[i], k):
                 vec[c] = v
             combos.append(tuple(vec))
-    return Witness(shape, tuple(rows), tuple(combos))
+    return Witness(shape, rows, tuple(combos))
 
 
-def _row_subset_sweep(m: PolyMatrix, shape: Shape) -> tuple[Witness | None, bool]:
+def _row_subset_sweep(
+    view: _CoefficientView, shape: Shape
+) -> tuple[Witness | None, bool]:
     """Search literal row subsets with exact column kernels.
 
     Returns (witness, decided): the search is a complete decision when every
     row count is all-or-nothing for its type, since taking all rows of a type
     is invariant under row combinations within the type.
     """
-    row_groups = _positions(m.type.target)
+    row_groups = view.row_groups
     decided = all(
         b == 0 or b == len(g) for b, g in zip(shape.rows, row_groups)
     )
@@ -342,14 +301,16 @@ def _row_subset_sweep(m: PolyMatrix, shape: Shape) -> tuple[Witness | None, bool
     if total > _SUBSET_CAP:
         return None, False
     for chosen in itertools.product(*subset_iters):
-        rows = [r for group in chosen for r in group]
-        w = _kernel_witness_for_rows(m, shape, rows)
+        rows = tuple(r for group in chosen for r in group)
+        w = _kernel_witness_for_rows(view, shape, rows)
         if w is not None:
             return w, decided
     return None, decided
 
 
-def _pencil_decides(m: PolyMatrix, shape: Shape) -> tuple[Witness | None, bool, str]:
+def _pencil_decides(
+    view: _CoefficientView, shape: Shape
+) -> tuple[Witness | None, bool, str]:
     """Exact decision for one-column blocks over a source type of width <= 2.
 
     Width one is a pure rank computation.  Width two gives a matrix pencil in
@@ -362,84 +323,43 @@ def _pencil_decides(m: PolyMatrix, shape: Shape) -> tuple[Witness | None, bool, 
     if sum(shape.cols) != 1:
         return None, False, ""
     i = next(i for i, a in enumerate(shape.cols) if a == 1)
-    col_groups = _positions(m.type.source)
-    cols = col_groups[i]
-    if len(cols) > 2:
+    width = len(view.col_groups[i])
+    if width > 2:
         return None, False, ""
-    if len(cols) == 1:
-        vec = [Fraction(0)] * m.ncols
-        vec[cols[0]] = Fraction(1)
-        w = _witness_with_row_combos(m, shape, (tuple(vec),))
-        return w, True, ""
-    row_groups = _positions(m.type.target)
+    if width == 1:
+        return _witness_with_row_combos(view, shape, i, (1,)), True, ""
     forms: list[HomogeneousPoly] = []
     for l, b in enumerate(shape.rows):
         if b == 0:
             continue
-        g = row_groups[l]
-        drop = len(g) - b
-        monos_all = sorted(
-            {
-                mono
-                for r in g
-                for mono in set(m.entries[r][cols[0]].as_dict())
-                | set(m.entries[r][cols[1]].as_dict())
-            }
-        )
-        # coefficient stack of m.k restricted to this row type: entries are
-        # linear forms in (k1, k2), encoded as binary forms in (X, Y)
+        g = view.row_groups[l]
+        size = len(g) - b + 1
+        # coefficient slices of m.k restricted to this row type: entries are
+        # linear forms in (k1, k2), encoded as binary forms in (X, Y); the
+        # block scale of the slices leaves the gcd of the minors unchanged
         stack = [
             [
-                HomogeneousPoly(
-                    {
-                        (1, 0, 0): m.entries[r][cols[0]].as_dict().get(mono, Fraction(0)),
-                        (0, 1, 0): m.entries[r][cols[1]].as_dict().get(mono, Fraction(0)),
-                    }
-                )
-                for mono in monos_all
+                HomogeneousPoly({(1, 0, 0): k1, (0, 1, 0): k2})
+                for k1, k2 in view.slices[r][i]
             ]
             for r in g
         ]
-        size = drop + 1
-        if size > len(g) or size > len(monos_all):
+        nmono = len(stack[0])
+        if size > len(g) or size > nmono:
             continue
         for rsel in itertools.combinations(range(len(g)), size):
-            for csel in itertools.combinations(range(len(monos_all)), size):
-                grid = [[stack[r][c] for c in csel] for r in rsel]
-                forms.append(_det_small(grid))
+            for csel in itertools.combinations(range(nmono), size):
+                forms.append(_det_grid([[stack[r][c] for c in csel] for r in rsel]))
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
-        vec = [Fraction(0)] * m.ncols
-        vec[cols[0]] = Fraction(1)
-        w = _witness_with_row_combos(m, shape, (tuple(vec),))
-        return w, True, ""
+        return _witness_with_row_combos(view, shape, i, (1, 0)), True, ""
     g = poly_gcd_list(nonzero)
     if g.degree == 0:
         return None, True, ""
     root = _rational_root_binary(g)
     if root is None:
         return None, True, "destabilizer exists over the closure; no rational witness"
-    k1, k2 = root
-    vec = [Fraction(0)] * m.ncols
-    vec[cols[0]], vec[cols[1]] = k1, k2
-    w = _witness_with_row_combos(m, shape, (tuple(vec),))
-    if w is None:
-        return None, True, ""
-    return w, True, ""
-
-
-def _det_small(grid) -> HomogeneousPoly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    acc = HomogeneousPoly.zero()
-    for c in range(n):
-        sub = [[grid[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = grid[0][c] * _det_small(sub)
-        acc = acc + term if c % 2 == 0 else acc - term
-    return acc
+    return _witness_with_row_combos(view, shape, i, root), True, ""
 
 
 def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | None:
@@ -454,59 +374,51 @@ def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | Non
         return (Fraction(1), Fraction(0))
     if 0 not in coeffs:  # X divides g -> root (0 : 1)
         return (Fraction(0), Fraction(1))
-    # rational roots of the dehomogenization g(t, 1)
-    lead = coeffs[deg]
-    const = coeffs[0]
-    for p in _divisors(const.numerator * const.denominator):
-        for q in _divisors(lead.numerator * lead.denominator):
+    # a rational root p/q of g(t, 1) in lowest terms has p dividing the
+    # constant and q the leading coefficient of the primitive integer form
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    content = gcd(*(v.numerator for v in coeffs.values()))
+    ints = {
+        e: v.numerator * (den // v.denominator) // content for e, v in coeffs.items()
+    }
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[deg]):
             for sign in (1, -1):
                 t = Fraction(sign * p, q)
-                val = sum(v * t**e for e, v in coeffs.items())
-                if val == 0:
+                if sum(v * t**e for e, v in ints.items()) == 0:
                     return (t, Fraction(1))
     return None
 
 
 def _divisors(x: int) -> list[int]:
+    """All positive divisors of a nonzero integer, ascending."""
     x = abs(x)
-    if x == 0:
-        return [1]
-    out = [d for d in range(1, min(x, 2000) + 1) if x % d == 0]
-    if x not in out:
-        out.append(x)
-    return out
+    small = [d for d in range(1, isqrt(x) + 1) if x % d == 0]
+    return small + [x // d for d in reversed(small) if d * d != x]
 
 
 def _witness_with_row_combos(
-    m: PolyMatrix, shape: Shape, col_combos: tuple[tuple[Fraction, ...], ...]
+    view: _CoefficientView, shape: Shape, i: int, weights: Sequence
 ) -> Witness | None:
-    """Complete fixed column combinations to a witness by solving for the
-    row-combination kernel per target type (exact)."""
-    row_groups = _positions(m.type.target)
-    virtual = []
-    for combo in col_combos:
-        virtual.append(
-            [
-                sum(
-                    (m.entries[r][c].scale(v) for c, v in enumerate(combo) if v != 0),
-                    HomogeneousPoly.zero(),
-                )
-                for r in range(m.nrows)
-            ]
-        )
+    """Complete one column combination (weights on the columns of source
+    type i) to a witness by solving for the row-combination kernel per
+    target type (exact)."""
+    m = view.m
+    combo = [Fraction(0)] * m.ncols
+    for c, v in zip(view.col_groups[i], weights):
+        combo[c] = Fraction(v)
     row_combos: list[tuple[Fraction, ...]] = []
     for l, b in enumerate(shape.rows):
         if b == 0:
             continue
-        g = row_groups[l]
-        monos = sorted(
-            {mono for col in virtual for r in g for mono in col[r].as_dict()}
-        )
-        stack = []
-        for col in virtual:
-            for mono in monos:
-                stack.append([col[r].as_dict().get(mono, Fraction(0)) for r in g])
-        kernel = _right_kernel(stack, len(g))
+        g = view.row_groups[l]
+        # one kernel equation per monomial: the combined column's coefficient
+        # there, as a function of the row weights
+        combined = [
+            [sum(v * x for v, x in zip(weights, row)) for row in view.slices[r][i]]
+            for r in g
+        ]
+        kernel = right_kernel(zip(*combined), len(g))
         if len(kernel) < b:
             return None
         for k in kernel[:b]:
@@ -514,90 +426,35 @@ def _witness_with_row_combos(
             for r, v in zip(g, k):
                 rc[r] = v
             row_combos.append(tuple(rc))
-    return Witness(shape, (), col_combos, row_combos=tuple(row_combos))
-
-
-class _SearchContext:
-    """Precomputed integer coefficient tensors for fast randomized trials.
-
-    For each (target type l, source type i) the tensor holds, per row of the
-    type, the integer coefficient vectors of its entries over the monomial
-    basis of the block degree.  A sampled row combination then reduces to
-    integer dot products.
-    """
-
-    def __init__(self, m: PolyMatrix):
-        self.m = m
-        self.row_groups = _positions(m.type.target)
-        self.col_groups = _positions(m.type.source)
-        self.tensor: dict[tuple[int, int], tuple[list, int]] = {}
-        for l, g in enumerate(self.row_groups):
-            for i, cols in enumerate(self.col_groups):
-                monos = sorted(
-                    {
-                        mono
-                        for r in g
-                        for c in cols
-                        for mono in m.entries[r][c].as_dict()
-                    }
-                )
-                scale = 1
-                for r in g:
-                    for c in cols:
-                        for v in m.entries[r][c].as_dict().values():
-                            d = v.denominator
-                            scale = scale * d // _int_gcd(scale, d)
-                per_row = []
-                for r in g:
-                    per_row.append(
-                        [
-                            [
-                                int(m.entries[r][c].as_dict().get(mono, Fraction(0)) * scale)
-                                for mono in monos
-                            ]
-                            for c in cols
-                        ]
-                    )
-                self.tensor[(l, i)] = (per_row, len(monos))
+    return Witness(shape, (), (tuple(combo),), row_combos=tuple(row_combos))
 
 
 def _random_subspace_witness(
-    ctx: _SearchContext, shape: Shape, rng: random.Random
+    view: _CoefficientView, shape: Shape, rng: random.Random
 ) -> Witness | None:
     """One randomized trial: sample constant row combinations per type and
     take exact column kernels against the sampled virtual rows."""
-    m = ctx.m
+    m = view.m
     samples: list[tuple[int, list[int]]] = []
-    row_combos = []
     for l, b in enumerate(shape.rows):
-        g = ctx.row_groups[l]
+        g = view.row_groups[l]
         for _ in range(b):
             coeffs = [rng.randint(-3, 3) for _ in g]
             if not any(coeffs):
                 coeffs[rng.randrange(len(g))] = 1
-            combo = [Fraction(0)] * m.nrows
-            for r, v in zip(g, coeffs):
-                combo[r] = Fraction(v)
-            row_combos.append(tuple(combo))
             samples.append((l, coeffs))
     combos = []
     for i, a in enumerate(shape.cols):
         if a == 0:
             continue
-        cols = ctx.col_groups[i]
-        stack: list[list[Fraction]] = []
-        for l, coeffs in samples:
-            per_row, nmono = ctx.tensor[(l, i)]
-            for mi in range(nmono):
-                row = []
-                for ci in range(len(cols)):
-                    acc = 0
-                    for w, rowvecs in zip(coeffs, per_row):
-                        if w:
-                            acc += w * rowvecs[ci][mi]
-                    row.append(Fraction(acc))
-                stack.append(row)
-        kernel = _right_kernel(stack, len(cols))
+        cols = view.col_groups[i]
+        # per sample and monomial: the virtual row's coefficient per column
+        stack = (
+            [sum(w * x for w, x in zip(coeffs, col)) for col in zip(*mono_rows)]
+            for l, coeffs in samples
+            for mono_rows in zip(*(view.slices[r][i] for r in view.row_groups[l]))
+        )
+        kernel = right_kernel(stack, len(cols))
         if len(kernel) < a:
             return None
         for k in kernel[:a]:
@@ -605,6 +462,12 @@ def _random_subspace_witness(
             for c, v in zip(cols, k):
                 vec[c] = v
             combos.append(tuple(vec))
+    row_combos = []
+    for l, coeffs in samples:
+        combo = [Fraction(0)] * m.nrows
+        for r, v in zip(view.row_groups[l], coeffs):
+            combo[r] = Fraction(v)
+        row_combos.append(tuple(combo))
     return Witness(shape, (), tuple(combos), row_combos=tuple(row_combos))
 
 
@@ -621,7 +484,7 @@ def _complete_basis(vectors: list[list[Fraction]], dim: int) -> list[list[Fracti
     rows = [list(v) for v in vectors]
     for e in range(dim):
         cand = [Fraction(int(j == e)) for j in range(dim)]
-        if _rank(rows + [cand]) > _rank(rows):
+        if rank(rows + [cand]) > rank(rows):
             rows.append(cand)
         if len(rows) == dim:
             break
@@ -734,8 +597,6 @@ def _pull_back_transpose_witness(
     Row data of the transpose becomes column data and vice versa; the
     permutations are undone through the dual position orders.
     """
-    from .polymatrix import _dual_order
-
     col_order = _dual_order(m.type.source)
     row_order = _dual_order(m.type.target)
     # column combinations of m from the transpose's row data
@@ -769,8 +630,6 @@ def search_destabilizer(
     CertifiedSemistable requires every destabilizing shape to have been
     decided exactly.
     """
-    from .polymatrix import transpose_dual
-
     p.validate_for(m.type)
     labels = classify_shapes(m.type, p)
     destab = [s for s in enumerate_shapes(m.type) if labels[s]]
@@ -778,16 +637,16 @@ def search_destabilizer(
     used = 0
     note = ""
     rng = random.Random(seed)
-    mt = transpose_dual(m)
+    view, tview = _CoefficientView(m), _CoefficientView(transpose_dual(m))
     for shape in destab:
         w = _literal_witness(m, shape)
         if w is not None and verify_witness(m, w):
             return Verdict(VerdictKind.DESTABILIZED, w, used)
-        w, decided = _row_subset_sweep(m, shape)
+        w, decided = _row_subset_sweep(view, shape)
         if w is not None and verify_witness(m, w):
             return Verdict(VerdictKind.DESTABILIZED, w, used)
         tshape = _dual_shape(m.type, shape)
-        wt, tdecided = _row_subset_sweep(mt, tshape)
+        wt, tdecided = _row_subset_sweep(tview, tshape)
         if wt is not None:
             w = _pull_back_transpose_witness(m, shape, wt)
             if w is not None and verify_witness(m, w):
@@ -796,13 +655,13 @@ def search_destabilizer(
             continue
         pdecided = False
         if sum(shape.cols) == 1:
-            w, pdecided, pnote = _pencil_decides(m, shape)
+            w, pdecided, pnote = _pencil_decides(view, shape)
             if w is not None and verify_witness(m, w):
                 return Verdict(VerdictKind.DESTABILIZED, w, used)
             if pdecided and pnote:
                 return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
         if not pdecided and sum(shape.rows) == 1:
-            wt, pdecided, pnote = _pencil_decides(mt, tshape)
+            wt, pdecided, pnote = _pencil_decides(tview, tshape)
             if wt is not None:
                 w = _pull_back_transpose_witness(m, shape, wt)
                 if w is not None and verify_witness(m, w):
@@ -813,14 +672,13 @@ def search_destabilizer(
             continue
         undecided.append(shape)
     if undecided and budget > 0:
-        ctx = _SearchContext(m)
         per_shape = max(1, budget // len(undecided))
         for shape in undecided:
             for _ in range(per_shape):
                 if used >= budget:
                     break
                 used += 1
-                w = _random_subspace_witness(ctx, shape, rng)
+                w = _random_subspace_witness(view, shape, rng)
                 if w is not None and verify_witness(m, w):
                     return Verdict(
                         VerdictKind.DESTABILIZED, w, used, tuple(undecided)
@@ -905,8 +763,7 @@ def _span_rank(forms: Sequence[HomogeneousPoly]) -> int:
     if not nz:
         return 0
     deg = nz[0].degree
-    rows = [list(f.coefficient_vector(deg)) for f in nz]
-    return _rank(rows)
+    return rank([f.coefficient_vector(deg) for f in nz])
 
 
 @dataclass

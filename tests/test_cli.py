@@ -214,3 +214,41 @@ def test_witness_out_has_literal_block(tmp_path, capsys):
     m = parse_matrix_file(text)
     assert any(e.is_zero for row in m.entries for e in row)
     assert "# row transform:" in text and "# column transform:" in text
+
+
+@pytest.mark.parametrize(
+    "args, covered",
+    [
+        (["region", "--case", "M(n+2,n):omega1", "--n", "99"], "3..6"),
+        (["region", "--case", "M(n+2,n):omega1", "--n", "2", "--json"], "3..6"),
+        (["codim", "--case", "M(n+2,n):omega1", "--n", "7"], "3..6"),
+        (["codim", "--case", "M(4,1):h1=1", "--n", "0"], "1..1"),
+    ],
+)
+def test_out_of_range_n_is_a_usage_error(args, covered, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and covered in err
+
+
+def test_check_out_of_range_n(tmp_path, capsys):
+    f = tmp_path / "m.mat"
+    f.write_text("type: src=(-2)x1,(-1)x2 tgt=(0)x3\nX^2 | X | X\nY^2 | Y | Y\nZ^2 | Z | Z\n")
+    code, out, err = run_cli(
+        ["check", "--case", "M(n+1,n):h0m1=0", "--n", "40", str(f)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, needed",
+    [
+        (["section", "--cubic", "--f", "X^2*Z"], "--point"),
+        (["section", "--quartic", "--f", "X^4"], "--span"),
+    ],
+)
+def test_section_missing_argument(args, needed, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needed in err

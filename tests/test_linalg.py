@@ -1,0 +1,147 @@
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sheafmod.linalg import rank, right_kernel
+
+
+def reference_rref(rows, width):
+    """Plain Fraction Gauss-Jordan: (reduced rows, pivot columns)."""
+    mat = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        piv = next((r for r in range(len(pivots), len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[piv] = mat[piv], mat[top]
+        mat[top] = [x / mat[top][col] for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def reference_kernel(rows, width):
+    mat, pivots = reference_rref(rows, width)
+    out = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        vec = [F(0)] * width
+        vec[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        out.append(vec)
+    return out
+
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([0, 0, 0]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_width=6):
+    width = draw(st.integers(0, max_width))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=max_rows))
+    if len(rows) >= 2 and draw(st.booleans()):
+        # a dependent row: an integer combination of the first two
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return rows, width
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_right_kernel_matches_reference(case):
+    rows, width = case
+    got = right_kernel(rows, width)
+    assert got == reference_kernel(rows, width)
+    assert all(type(x) is F for v in got for x in v)
+    for v in got:
+        for r in rows:
+            assert sum(F(a) * b for a, b in zip(r, v)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_matches_reference(case):
+    rows, width = case
+    expected = len(reference_rref(rows, width)[1]) if rows else 0
+    assert rank(rows) == expected
+    assert rank(rows) + len(right_kernel(rows, width)) == width
+
+
+def test_kernel_is_invariant_under_row_order_and_scaling(rnd):
+    for _ in range(200):
+        width = rnd.randint(1, 5)
+        rows = [[rnd.randint(-3, 3) for _ in range(width)] for _ in range(rnd.randint(0, 5))]
+        shuffled = []
+        for r in rows:
+            factor = F(rnd.choice([1, -2, 3]), rnd.choice([1, 5]))
+            shuffled.append([factor * x for x in r])
+        rnd.shuffle(shuffled)
+        assert right_kernel(shuffled, width) == right_kernel(rows, width)
+
+
+def test_edge_cases():
+    # no rows: every column is free
+    assert right_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert rank([]) == 0
+    # all-zero input and zero rows
+    assert right_kernel([[0, 0], [0, F(0)]], 2) == [[1, 0], [0, 1]]
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert right_kernel([[0, 0], [1, 2], [0, 0]], 2) == [[-2, 1]]
+    # width 0 and 1
+    assert right_kernel([], 0) == []
+    assert right_kernel([[], []], 0) == []
+    assert right_kernel([[0]], 1) == [[1]]
+    assert right_kernel([[F(-1, 3)]], 1) == []
+    assert rank([[F(2, 7)]]) == 1
+    # fractions with a shared denominator reduce like their numerators
+    assert right_kernel([[F(1, 2), F(1, 3)]], 2) == [[F(-2, 3), 1]]
+
+
+def test_tall_matrices_stop_at_full_rank():
+    # rows beyond full rank are never read: a generator that would fail
+    # past the third row shows the early exit
+    def rows():
+        yield [1, 0, 0]
+        yield [1, 1, 0]
+        yield [0, 1, 1]
+        raise AssertionError("read past full rank")
+
+    assert right_kernel(rows(), 3) == []
+    tall = [[1, 2], [3, 4]] + [[5, 6]] * 40
+    assert right_kernel(tall, 2) == [] and rank(tall) == 2
+    # a tall matrix of rank one keeps a kernel
+    assert right_kernel([[2, 4]] * 30 + [[F(1, 2), 1]], 2) == [[-2, 1]]
+
+
+def test_large_entries_stay_exact():
+    big = 10**40 + 7
+    rows = [[big, 1, 0], [0, big, 1], [big, 1 + big, 1]]  # third = first + second
+    assert rank(rows) == 2
+    (v,) = right_kernel(rows, 3)
+    assert v == [F(1, big * big), F(-1, big), 1]
+
+
+def test_sympy_differential(rnd):
+    sympy = pytest.importorskip("sympy")
+    for _ in range(150):
+        h, width = rnd.randint(1, 6), rnd.randint(1, 6)
+        rows = [
+            [F(rnd.randint(-3, 3), rnd.choice([1, 1, 2, 3])) * rnd.choice([0, 1, 1]) for _ in range(width)]
+            for _ in range(h)
+        ]
+        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+        expected = [[F(int(x.p), int(x.q)) for x in v] for v in mat.nullspace()]
+        assert right_kernel(rows, width) == expected
+        assert rank(rows) == mat.rank()

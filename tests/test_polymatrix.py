@@ -98,7 +98,7 @@ def test_maximal_minors_examples():
 def kernel_oracle(m: PolyMatrix, max_degree: int = 12):
     """Brute-force minimal-degree kernel vector: solve the linear system on
     the coefficients of the unknown polynomial entries, degree by degree."""
-    from sheafmod.stability import _right_kernel
+    from sheafmod.linalg import right_kernel
 
     d = next(e.degree for row in m.entries for e in row if not e.is_zero)
     for beta_deg in range(0, max_degree + 1):
@@ -116,7 +116,7 @@ def kernel_oracle(m: PolyMatrix, max_degree: int = 12):
                             coeff = m.entries[r][c].coefficient(target)
                         row.append(coeff)
                 rows.append(row)
-        for vec in _right_kernel(rows, nvars):
+        for vec in right_kernel(rows, nvars):
             beta = []
             for c in range(m.ncols):
                 terms = {

@@ -385,3 +385,54 @@ def test_quartic_section_lands_in_koszul_family(rnd):
         report = check_case(sigma, case, 4, budget=30, seed=1)
         assert report.flags["scalars_zero"]
         assert report.flags["phi22_koszul"]
+
+
+def test_pencil_finds_non_integer_rational_root():
+    # the pencil gcd is X + 1/2*Y: its root (-1/2 : 1) shows up among the
+    # divisor ratios only once the form is cleared to 2*X + Y
+    from sheafmod.polymatrix import parse_matrix_file
+
+    m = parse_matrix_file(
+        "type: src=(-1)x2 tgt=(0)x3\n"
+        "3*X + 2*Y | X + Y\n"
+        "X + 2*Y + 6*Z | Y + 3*Z\n"
+        "-X + 2*Z | -X + Z\n"
+    )
+    v = search_destabilizer(m, Polarization([F(1, 2)], [F(1, 3)]), 0)
+    assert v.kind is VerdictKind.DESTABILIZED
+    assert v.witness is not None and verify_witness(m, v.witness)
+    assert v.note == ""
+    (combo,) = v.witness.col_combos
+    assert combo[0] == -combo[1] / 2
+
+
+def test_search_repeats_on_same_and_rebuilt_matrix(rnd):
+    """Nothing computed for one call leaks into the next: the same matrix
+    object and a freshly built equal one give equal verdicts."""
+    from sheafmod.stability import apply_transforms
+
+    # a 2x2 zero block hidden by row and column mixing: only the random
+    # pass finds it, after some trials
+    grid = [[random_poly(rnd, 1) for _ in range(3)] for _ in range(3)]
+    grid[0][0] = grid[0][1] = grid[1][0] = grid[1][1] = zero
+    G = [[F(1), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]]
+    H = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(1), F(0), F(1)]]
+    hidden = apply_transforms(PolyMatrix(T33, grid), G, H)
+    t = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
+    cases = [
+        (hidden, Polarization([F(1, 3)], [F(1, 3)]), 400),
+        (_five_by_five(), Polarization([F(1, 10), F(9, 40)], [F(1, 5)]), 300),
+        (PolyMatrix(t, [[zero, X, Y], [X * Y, Z, zero], [-(X * X), zero, Z]]),
+         sample_polarization_42(3), 200),
+    ]
+    verdicts = []
+    for m, p, budget in cases:
+        rebuilt = PolyMatrix(
+            m.type, [[HomogeneousPoly(dict(e.terms)) for e in row] for row in m.entries]
+        )
+        first = search_destabilizer(m, p, budget, seed=7)
+        assert search_destabilizer(m, p, budget, seed=7) == first
+        assert search_destabilizer(rebuilt, p, budget, seed=7) == first
+        verdicts.append(first)
+    assert verdicts[0].kind is VerdictKind.DESTABILIZED
+    assert 0 < verdicts[0].budget_used < 400 and verify_witness(hidden, verdicts[0].witness)
