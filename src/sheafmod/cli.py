@@ -69,6 +69,8 @@ def cmd_table(args) -> int:
         cases = tuple(c for c in cases if c.id == args.case)
         if not cases:
             raise KeyError(f"no case {args.case!r}")
+        if args.n is not None and not cases[0].admits(args.n):
+            raise _out_of_range(cases[0], args.n)
     if args.n is not None and not args.case:
         cases = tuple(c for c in cases if c.admits(args.n))
     out_rows = []
@@ -77,8 +79,6 @@ def cmd_table(args) -> int:
         ns = [args.n] if args.n is not None else list(case.ns())
         rows = []
         for n in ns:
-            if not case.admits(n):
-                raise ValueError(f"case {case.id} does not admit n={n}")
             codim = case.codim(n)
             region = case.region(n)
             verts = tuple(tuple(v) for v in region.vertices)
@@ -130,20 +130,33 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class UsageError(Exception):
+    """Malformed command-line input: one ``error:`` line and exit code 2."""
 
 
-def _out_of_range(case, n: int) -> int:
+def _parse_polarization(text: str) -> Polarization:
+    """A polarization given as ``lambdas;mus``, each a comma-separated list."""
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise UsageError(
+            f"--polarization needs 'lambdas;mus', e.g. 1/6,5/12;1/3, not {text!r}"
+        )
+    lam, mu = parts
+    return Polarization(
+        [Fraction(x) for x in lam.split(",")],
+        [Fraction(x) for x in mu.split(",")],
+    )
+
+
+def _out_of_range(case, n: int) -> UsageError:
     lo, hi = case.n_range
-    return _usage_error(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
+    return UsageError(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
 
 
 def cmd_region(args) -> int:
     case = case_by_id(args.case)
     if not case.admits(args.n):
-        return _out_of_range(case, args.n)
+        raise _out_of_range(case, args.n)
     region = case.region(args.n)
     if args.json:
         print(json.dumps(region.to_json_dict(), indent=2, sort_keys=True))
@@ -155,7 +168,7 @@ def cmd_region(args) -> int:
 def cmd_codim(args) -> int:
     case = case_by_id(args.case)
     if not case.admits(args.n):
-        return _out_of_range(case, args.n)
+        raise _out_of_range(case, args.n)
     print(case.codim(args.n))
     return 0
 
@@ -164,7 +177,7 @@ def cmd_check(args) -> int:
     case = case_by_id(args.case)
     n = args.n if args.n is not None else case.n_range[0]
     if not case.admits(n):
-        return _out_of_range(case, n)
+        raise _out_of_range(case, n)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         m = parse_matrix_file(fh.read())
     report = check_case(m, case, n, budget=args.budget, seed=args.seed)
@@ -202,6 +215,19 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    # parse every argument before anything is printed
+    if args.polarization:
+        p = _parse_polarization(args.polarization)
+    if args.table:
+        try:
+            vals = [int(x) for x in args.table.split(",")]
+        except ValueError:
+            vals = []
+        if len(vals) != 8:
+            raise UsageError(
+                "--table needs 8 comma-separated integers "
+                f"r,chi,h0m1,h1m1,h0,h1,h0om,h1om, not {args.table!r}"
+            )
     did = 0
     if args.type:
         t, _ = parse_resolution_spec(args.type)
@@ -211,11 +237,6 @@ def cmd_dual(args) -> int:
         if not args.type:
             raise ValueError("--polarization needs --type for the arity")
         t, _ = parse_resolution_spec(args.type)
-        lam, mu = args.polarization.split(";")
-        p = Polarization(
-            [Fraction(x) for x in lam.split(",")],
-            [Fraction(x) for x in mu.split(",")],
-        )
         q = dual_polarization(p, t)
         print(
             ",".join(str(x) for x in q.lambdas)
@@ -229,9 +250,7 @@ def cmd_dual(args) -> int:
         sys.stdout.write(format_matrix_file(transpose_dual(m)))
         did += 1
     if args.table:
-        vals = args.table.split(",")
-        r, chi = int(vals[0]), int(vals[1])
-        hs = [int(x) for x in vals[2:]]
+        r, chi, *hs = vals
         t = CohomologyTable(LinearClass(r, chi), *hs)
         d = serre_dual_table(t)
         print(f"class: r={d.klass.r}, chi={d.klass.chi}")
@@ -245,9 +264,9 @@ def cmd_dual(args) -> int:
 
 def cmd_section(args) -> int:
     if args.cubic and args.point is None:
-        return _usage_error("section --cubic needs --point a,b,c")
-    if args.quartic and args.span is None:
-        return _usage_error("section --quartic needs --span 'L1;L2'")
+        raise UsageError("section --cubic needs --point a,b,c")
+    if args.quartic and (args.span is None or args.span.count(";") != 1):
+        raise UsageError("section --quartic needs --span 'L1;L2'")
     f = parse_poly(args.f)
     if args.cubic:
         point = [Fraction(x) for x in args.point.split(",")]
@@ -277,11 +296,7 @@ def cmd_classify(args) -> int:
     n = args.n
     t = case.resolution(n)
     if args.polarization:
-        lam, mu = args.polarization.split(";")
-        p = Polarization(
-            [Fraction(x) for x in lam.split(",")],
-            [Fraction(x) for x in mu.split(",")],
-        )
+        p = _parse_polarization(args.polarization)
     else:
         p = case.sample_polarization(n)
     labels = classify_shapes(t, p)
@@ -369,6 +384,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, TypeError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

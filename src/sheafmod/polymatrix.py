@@ -5,6 +5,9 @@ k x (k+1) matrix, multivariate gcd by subresultant remainder sequences,
 linear-independence tests on coefficient matrices, duality by transposition,
 and the explicit section constructions used to split cubic and quartic
 pencils.  The bit-exact file format for matrices lives here as well.
+
+A form is stored as a rational content times a primitive integer coefficient
+map, so all polynomial arithmetic runs on integers.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .bundles import MorphismType, parse_resolution_spec, format_resolution_spec
@@ -43,25 +47,29 @@ __all__ = [
 ]
 
 Term = tuple[int, int, int]
-Coeffs = dict[Term, Fraction]
+Coeffs = dict[Term, int]
 
 _VARS = ("X", "Y", "Z")
+_ONE: Term = (0, 0, 0)
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# Raw sparse polynomial helpers (dict of exponent triple -> coefficient)
+# Raw sparse polynomial helpers (dict of exponent triple -> nonzero int).
+# Every map here is homogeneous, so the lexicographic order of exponent
+# triples is the graded-lex order.
 # ---------------------------------------------------------------------------
-
-
-def _clean(d: Coeffs) -> Coeffs:
-    return {k: v for k, v in d.items() if v != 0}
 
 
 def _add(a: Coeffs, b: Coeffs) -> Coeffs:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return _clean(out)
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 def _neg(a: Coeffs) -> Coeffs:
@@ -70,44 +78,55 @@ def _neg(a: Coeffs) -> Coeffs:
 
 def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     out: Coeffs = {}
+    get = out.get
     for (i1, j1, k1), v1 in a.items():
         for (i2, j2, k2), v2 in b.items():
             key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, Fraction(0)) + v1 * v2
-    return _clean(out)
+            out[key] = get(key, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
 
 
-def _scale(a: Coeffs, c: Fraction) -> Coeffs:
+def _scale(a: Coeffs, c: int) -> Coeffs:
     if c == 0:
         return {}
     return {k: v * c for k, v in a.items()}
 
 
-def _grlex_key(t: Term) -> tuple:
-    return (sum(t), t)
-
-
-def _leading_term(a: Coeffs) -> tuple[Term, Fraction]:
-    t = max(a, key=_grlex_key)
-    return t, a[t]
+def _primitive(a: Coeffs) -> tuple[Coeffs, int]:
+    """Split a nonzero map as k * p with p primitive and its leading
+    coefficient positive; returns (p, k)."""
+    k = gcd(*a.values())
+    if a[max(a)] < 0:
+        k = -k
+    if k == 1:
+        return a, 1
+    return {t: v // k for t, v in a.items()}, k
 
 
 def _divexact(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Exact division a / b; raises when b does not divide a."""
+    """Exact division a / b over the integers; raises when b does not divide a."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
+    bt = max(b)
+    bc = b[bt]
+    rest = [(t, v) for t, v in b.items() if t != bt]
     out: Coeffs = {}
     rem = dict(a)
-    bt, bc = _leading_term(b)
     while rem:
-        rt, rc = _leading_term(rem)
-        q = tuple(x - y for x, y in zip(rt, bt))
-        if any(e < 0 for e in q):
+        rt = max(rem)
+        q0, q1, q2 = rt[0] - bt[0], rt[1] - bt[1], rt[2] - bt[2]
+        qc, r = divmod(rem.pop(rt), bc)
+        if r or q0 < 0 or q1 < 0 or q2 < 0:
             raise ValueError("inexact polynomial division")
-        qc = rc / bc
-        out[q] = out.get(q, Fraction(0)) + qc
-        rem = _add(rem, _neg(_mul({q: qc}, b)))
-    return _clean(out)
+        out[(q0, q1, q2)] = qc
+        for (i, j, k), v in rest:
+            key = (q0 + i, q1 + j, q2 + k)
+            s = rem.get(key, 0) - qc * v
+            if s:
+                rem[key] = s
+            else:
+                del rem[key]
+    return out
 
 
 def _degree_in(a: Coeffs, var: int) -> int:
@@ -134,56 +153,56 @@ def _shift_var(a: Coeffs, var: int, e: int) -> Coeffs:
     return out
 
 
+def _pow(a: Coeffs, e: int) -> Coeffs:
+    out: Coeffs = {_ONE: 1}
+    for _ in range(e):
+        out = _mul(out, a)
+    return out
+
+
 def _pseudo_rem(a: Coeffs, b: Coeffs, var: int) -> Coeffs:
-    """Pseudo-remainder of a by b with respect to the chosen variable."""
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b along one variable."""
     da, db = _degree_in(a, var), _degree_in(b, var)
     if db < 0:
         raise ZeroDivisionError
     lc_b = _coeff_of(b, var, db)
-    rem = dict(a)
-    while True:
+    rem = a
+    steps = da - db + 1
+    while rem:
         dr = _degree_in(rem, var)
-        if dr < db or not rem:
-            return rem
+        if dr < db:
+            break
         lc_r = _coeff_of(rem, var, dr)
-        rem = _add(
-            _mul(rem, lc_b),
-            _neg(_mul(_shift_var(_mul(lc_r, b), var, dr - db), {(0, 0, 0): Fraction(1)})),
-        )
-        # the subtraction above cancels the leading var-term exactly
-        rem = _clean(rem)
+        # the subtraction cancels the leading var-term exactly
+        rem = _add(_mul(rem, lc_b), _neg(_shift_var(_mul(lc_r, b), var, dr - db)))
+        steps -= 1
+    if rem and steps > 0:
+        rem = _mul(rem, _pow(lc_b, steps))
+    return rem
 
 
 def _content_pp(a: Coeffs, var: int) -> tuple[Coeffs, Coeffs]:
     """Content (gcd of var-coefficients) and primitive part along one variable."""
-    coeffs = [
-        _coeff_of(a, var, e)
-        for e in range(_degree_in(a, var) + 1)
-        if _coeff_of(a, var, e)
-    ]
+    slices: dict[int, Coeffs] = {}
+    for t, v in a.items():
+        key = list(t)
+        key[var] = 0
+        slices.setdefault(t[var], {})[tuple(key)] = v
     cont: Coeffs = {}
-    for c in coeffs:
-        cont = _gcd(cont, c)
-        if cont == {(0, 0, 0): Fraction(1)}:
-            break
-    pp = _divexact(a, cont)
-    return cont, pp
-
-
-def _normalize_unit(a: Coeffs) -> Coeffs:
-    """Scale so the graded-lex leading coefficient is 1."""
-    if not a:
-        return a
-    _, lc = _leading_term(a)
-    return _scale(a, 1 / lc)
+    for e in sorted(slices):
+        cont = _gcd(cont, slices[e])
+        if cont == {_ONE: 1}:
+            return cont, a
+    return cont, _divexact(a, cont)
 
 
 def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """gcd in Q[X,Y,Z], monic under graded lex (X > Y > Z)."""
+    """gcd in Z[X,Y,Z] up to sign: primitive, with a positive graded-lex
+    leading coefficient (X > Y > Z); empty when both maps are."""
     if not a:
-        return _normalize_unit(b)
+        return _primitive(b)[0] if b else {}
     if not b:
-        return _normalize_unit(a)
+        return _primitive(a)[0]
     # choose the last variable actually present; recurse on fewer variables
     var = None
     for v in (2, 1, 0):
@@ -191,7 +210,7 @@ def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
             var = v
             break
     if var is None:
-        return {(0, 0, 0): Fraction(1)}
+        return {_ONE: 1}
     cont_a, pp_a = _content_pp(a, var)
     cont_b, pp_b = _content_pp(b, var)
     cont = _gcd(cont_a, cont_b)
@@ -199,16 +218,16 @@ def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     f, g = pp_a, pp_b
     if _degree_in(f, var) < _degree_in(g, var):
         f, g = g, f
-    h_prev: Coeffs = {(0, 0, 0): Fraction(1)}
-    g_prev: Coeffs = {(0, 0, 0): Fraction(1)}
+    h_prev: Coeffs = {_ONE: 1}
+    g_prev: Coeffs = {_ONE: 1}
     while True:
         d = _degree_in(f, var) - _degree_in(g, var)
         rem = _pseudo_rem(f, g, var)
         if not rem:
             _, pp_g = _content_pp(g, var)
-            return _normalize_unit(_mul(cont, pp_g))
+            return _primitive(_mul(cont, pp_g))[0]
         if _degree_in(rem, var) == 0:
-            return _normalize_unit(cont)
+            return cont
         divisor = _mul(g_prev, _pow(h_prev, d))
         f, g = g, _divexact(rem, divisor)
         g_prev = _coeff_of(f, var, _degree_in(f, var))
@@ -221,114 +240,169 @@ def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
             h_prev = _divexact(_pow(g_prev, d), _pow(h_prev, d - 1))
 
 
-def _pow(a: Coeffs, e: int) -> Coeffs:
-    out: Coeffs = {(0, 0, 0): Fraction(1)}
-    for _ in range(e):
-        out = _mul(out, a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Public polynomial type
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HomogeneousPoly:
-    """Homogeneous polynomial in X, Y, Z with nonzero rational coefficients.
+    """Homogeneous polynomial in X, Y, Z with rational coefficients.
 
-    The zero polynomial is the empty term map with ``degree`` None.
+    The form is ``content * coeffs``: ``coeffs`` is a primitive integer map
+    from exponent triples to nonzero coefficients whose graded-lex leading
+    coefficient is positive, and the rational ``content`` carries the sign.
+    Both are shared between forms and must not be mutated.  The zero
+    polynomial has the empty map, content 0 and ``degree`` None.
     """
 
-    terms: tuple[tuple[Term, Fraction], ...]
+    __slots__ = ("coeffs", "content")
 
     def __init__(self, terms) -> None:
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        d = {tuple(t): Fraction(c) for t, c in items if c != 0}
+        items = terms.items() if isinstance(terms, dict) else terms
+        d = {tuple(t): Fraction(c) for t, c in items}
+        d = {t: c for t, c in d.items() if c}
         degs = {sum(t) for t in d}
         if len(degs) > 1:
             raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        object.__setattr__(
-            self, "terms", tuple(sorted(d.items(), key=lambda kv: _grlex_key(kv[0])))
+        if not d:
+            self.coeffs, self.content = {}, _ZERO
+            return
+        den = lcm(*(c.denominator for c in d.values()))
+        self.coeffs, k = _primitive(
+            {t: c.numerator * (den // c.denominator) for t, c in d.items()}
         )
+        self.content = Fraction(k, den)
+
+    @classmethod
+    def _make(cls, coeffs: Coeffs, content: Fraction) -> "HomogeneousPoly":
+        """Wrap a primitive map with positive leading coefficient, unchecked."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        p.content = content
+        return p
 
     @classmethod
     def zero(cls) -> "HomogeneousPoly":
-        return cls({})
+        return cls._make({}, _ZERO)
 
     @classmethod
     def constant(cls, c) -> "HomogeneousPoly":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({_ONE: c})
 
     @classmethod
     def variable(cls, i: int) -> "HomogeneousPoly":
         t = [0, 0, 0]
         t[i] = 1
-        return cls({tuple(t): Fraction(1)})
+        return cls._make({tuple(t): 1}, Fraction(1))
 
-    def as_dict(self) -> Coeffs:
-        return dict(self.terms)
+    @property
+    def terms(self) -> tuple[tuple[Term, Fraction], ...]:
+        """(exponent triple, coefficient) pairs in increasing graded-lex order."""
+        c = self.content
+        return tuple((t, c * v) for t, v in sorted(self.coeffs.items()))
+
+    def as_dict(self) -> dict[Term, Fraction]:
+        c = self.content
+        return {t: c * v for t, v in self.coeffs.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     @property
     def degree(self) -> int | None:
-        return sum(self.terms[0][0]) if self.terms else None
+        for t in self.coeffs:
+            return sum(t)
+        return None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.content == other.content and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.content, frozenset(self.coeffs.items())))
+
+    def __repr__(self) -> str:
+        return f"HomogeneousPoly(terms={self.terms!r})"
+
+    def _combine(self, other: "HomogeneousPoly", sign: int) -> "HomogeneousPoly":
+        """self + sign * other on the integer maps."""
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return HomogeneousPoly._make(other.coeffs, sign * other.content)
+        c1, c2 = self.content, other.content
+        d1, d2 = c1.denominator, c2.denominator
+        g = gcd(d1, d2)
+        m1, m2 = c1.numerator * (d2 // g), sign * c2.numerator * (d1 // g)
+        k = gcd(m1, m2)
+        out = _add(_scale(self.coeffs, m1 // k), _scale(other.coeffs, m2 // k))
+        if not out:
+            return HomogeneousPoly._make({}, _ZERO)
+        p, s = _primitive(out)
+        return HomogeneousPoly._make(p, Fraction(s * k, d1 // g * d2))
 
     def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return HomogeneousPoly(_add(self.as_dict(), other.as_dict()))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return HomogeneousPoly(_add(self.as_dict(), _neg(other.as_dict())))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "HomogeneousPoly":
-        return HomogeneousPoly(_neg(self.as_dict()))
+        return HomogeneousPoly._make(self.coeffs, -self.content)
 
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return HomogeneousPoly(_mul(self.as_dict(), other.as_dict()))
+        # Gauss's lemma: the product of primitive maps is primitive
+        if not self.coeffs or not other.coeffs:
+            return HomogeneousPoly._make({}, _ZERO)
+        return HomogeneousPoly._make(
+            _mul(self.coeffs, other.coeffs), self.content * other.content
+        )
 
     def scale(self, c) -> "HomogeneousPoly":
-        return HomogeneousPoly(_scale(self.as_dict(), Fraction(c)))
+        c = Fraction(c)
+        if c == 0 or not self.coeffs:
+            return HomogeneousPoly._make({}, _ZERO)
+        return HomogeneousPoly._make(self.coeffs, self.content * c)
 
     def divexact(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return HomogeneousPoly(_divexact(self.as_dict(), other.as_dict()))
+        # a primitive divisor of a primitive map leaves a primitive quotient
+        q = _divexact(self.coeffs, other.coeffs)
+        if not q:
+            return HomogeneousPoly._make({}, _ZERO)
+        return HomogeneousPoly._make(q, self.content / other.content)
 
     def coefficient(self, t: Term) -> Fraction:
-        return dict(self.terms).get(tuple(t), Fraction(0))
+        return self.content * self.coeffs.get(tuple(t), 0)
 
     def coefficient_vector(self, degree: int) -> tuple[Fraction, ...]:
         """Coefficients over the monomial basis of the given degree, grlex order."""
-        basis = monomial_basis(degree)
-        d = self.as_dict()
-        return tuple(d.get(t, Fraction(0)) for t in basis)
+        c, d = self.content, self.coeffs
+        return tuple(c * d.get(t, 0) for t in monomial_basis(degree))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
-        for (a, b, c), v in self.terms:
+        for (a, b, c), v in self.coeffs.items():
             total += v * point[0] ** a * point[1] ** b * point[2] ** c
-        return total
+        return self.content * total
 
     def substitute(self, images: Sequence["HomogeneousPoly"]) -> "HomogeneousPoly":
         """Substitute each variable by the given form (linear change of frame)."""
-        acc: Coeffs = {}
-        for (a, b, c), v in self.terms:
-            term: Coeffs = {(0, 0, 0): v}
-            for img, e in zip(images, (a, b, c)):
+        acc = HomogeneousPoly.zero()
+        for t, v in self.coeffs.items():
+            term = HomogeneousPoly._make({_ONE: 1}, Fraction(v))
+            for img, e in zip(images, t):
                 for _ in range(e):
-                    term = _mul(term, img.as_dict())
-            acc = _add(acc, term)
-        return HomogeneousPoly(acc)
+                    term = term * img
+            acc = acc + term
+        return acc.scale(self.content)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
-        for t, c in sorted(self.terms, key=lambda kv: _grlex_key(kv[0]), reverse=True):
+        for t, c in reversed(self.terms):
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(_VARS, t)
@@ -364,23 +438,28 @@ def monomial_basis(degree: int) -> list[Term]:
     return out
 
 
+def _monic(g: Coeffs) -> HomogeneousPoly:
+    """The form g scaled to graded-lex leading coefficient 1."""
+    return HomogeneousPoly._make(g, Fraction(1, g[max(g)]))
+
+
 def poly_gcd(a: HomogeneousPoly, b: HomogeneousPoly) -> HomogeneousPoly:
     """Monic gcd (graded-lex leading coefficient 1); both arguments zero is an error."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    return HomogeneousPoly(_gcd(a.as_dict(), b.as_dict()))
+    return _monic(_gcd(a.coeffs, b.coeffs))
 
 
 def poly_gcd_list(polys: Iterable[HomogeneousPoly]) -> HomogeneousPoly:
-    one = (((0, 0, 0), Fraction(1)),)
-    acc = HomogeneousPoly.zero()
+    one = {_ONE: 1}
+    acc: Coeffs = {}
     for p in polys:
-        acc = HomogeneousPoly(_gcd(acc.as_dict(), p.as_dict()))
-        if acc.terms == one:
+        acc = _gcd(acc, p.coeffs)
+        if acc == one:
             break
-    if acc.is_zero:
+    if not acc:
         raise ValueError("gcd of an all-zero family")
-    return acc
+    return _monic(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +511,6 @@ class PolyMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row_twists(self) -> list[int]:
-        return [
-            self.type.target.summands[t][0] for t in _positions(self.type.target)
-        ]
-
-    def col_twists(self) -> list[int]:
-        return [
-            self.type.source.summands[t][0] for t in _positions(self.type.source)
-        ]
-
     def entry(self, r: int, c: int) -> HomogeneousPoly:
         return self.entries[r][c]
 
@@ -457,11 +526,15 @@ def _positions(b) -> list[int]:
     return out
 
 
-def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
-    """Determinant by column expansion with memoization on column subsets."""
+def _minors(
+    grid: Sequence[Sequence[HomogeneousPoly]], keeps: Iterable[Sequence[int]]
+) -> list[HomogeneousPoly]:
+    """Determinant of the square submatrix on each column list in ``keeps``.
+
+    Expansion along the rows; sub-determinants are memoized on column subsets
+    and shared between the submatrices.
+    """
     n = len(grid)
-    if n == 0:
-        return HomogeneousPoly.constant(1)
     memo: dict[int, HomogeneousPoly] = {}
 
     def rec(row: int, colmask: int) -> HomogeneousPoly:
@@ -471,7 +544,7 @@ def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
             return memo[colmask]
         acc = HomogeneousPoly.zero()
         sign = 1
-        for c in range(n):
+        for c in range(colmask.bit_length()):
             if not (colmask >> c) & 1:
                 continue
             e = grid[row][c]
@@ -483,7 +556,14 @@ def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
         memo[colmask] = acc
         return acc
 
-    return rec(0, (1 << n) - 1)
+    if n == 0:
+        return [HomogeneousPoly.constant(1) for _ in keeps]
+    return [rec(0, sum(1 << c for c in keep)) for keep in keeps]
+
+
+def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
+    """Determinant of a square grid of forms."""
+    return _minors(grid, [range(len(grid))])[0]
 
 
 def determinant(m: PolyMatrix) -> HomogeneousPoly:
@@ -501,17 +581,14 @@ def maximal_minors(m: PolyMatrix) -> list[HomogeneousPoly]:
     order, for a tall matrix the omitted row sets in decreasing order.
     """
     r, c = m.nrows, m.ncols
-    out = []
-    if c >= r:
-        for omit in itertools.combinations(range(c), c - r):
-            keep = [j for j in range(c) if j not in omit]
-            out.append(_det_grid(m.submatrix(range(r), keep)))
+    grid = m.entries
+    if c < r:  # minors of a tall matrix are those of its transpose
+        grid = [list(col) for col in zip(*grid)]
+        r, c = c, r
+        omits = sorted(itertools.combinations(range(c), c - r), reverse=True)
     else:
-        omits = sorted(itertools.combinations(range(r), r - c), reverse=True)
-        for omit in omits:
-            keep = [i for i in range(r) if i not in omit]
-            out.append(_det_grid(m.submatrix(keep, range(c))))
-    return out
+        omits = itertools.combinations(range(c), c - r)
+    return _minors(grid, [[j for j in range(c) if j not in omit] for omit in omits])
 
 
 def kernel_line(m: PolyMatrix) -> tuple[list[HomogeneousPoly], int] | None:
@@ -596,8 +673,8 @@ def cubic_section(
     f = adapt_to_point(point, f)
     if f.coefficient((0, 0, 3)) != 0:
         raise ValueError("form does not vanish at the point")
-    y_part: Coeffs = {}
-    rest: Coeffs = {}
+    y_part: dict[Term, Fraction] = {}
+    rest: dict[Term, Fraction] = {}
     for t, c in f.terms:
         if t[1] > 0:
             y_part[(t[0], t[1] - 1, t[2])] = c
@@ -664,8 +741,8 @@ def quartic_section(
     f = adapt_to_span(span, f)
     if f.coefficient((0, 0, 4)) != 0:
         raise ValueError("form is not in the ideal of the span")
-    y_part: Coeffs = {}
-    rest: Coeffs = {}
+    y_part: dict[Term, Fraction] = {}
+    rest: dict[Term, Fraction] = {}
     for t, c in f.terms:
         if t[1] > 0:
             y_part[(t[0], t[1] - 1, t[2])] = c
@@ -707,16 +784,16 @@ def _split_zyx(f: HomogeneousPoly) -> tuple[HomogeneousPoly, ...]:
     if f.is_zero:
         zero = HomogeneousPoly.zero()
         return zero, zero, zero
-    z_part: Coeffs = {}
-    rem: Coeffs = {}
+    z_part: dict[Term, Fraction] = {}
+    rem: dict[Term, Fraction] = {}
     for t, c in f.terms:
         if t[2] > 0:
             z_part[(t[0], t[1], t[2] - 1)] = c
         else:
             rem[t] = c
     q1 = HomogeneousPoly(z_part)
-    y_part: Coeffs = {}
-    rem2: Coeffs = {}
+    y_part: dict[Term, Fraction] = {}
+    rem2: dict[Term, Fraction] = {}
     for t, c in rem.items():
         if t[1] > 0:
             y_part[(t[0], t[1] - 1, t[2])] = c
@@ -805,22 +882,21 @@ def parse_poly(text: str) -> HomogeneousPoly:
         else:
             buf += ch
     chunks.append((sign, buf))
-    acc: Coeffs = {}
+    acc: dict[Term, Fraction] = {}
     for sgn, chunk in chunks:
         m = _TERM_RE.match(chunk)
         if m is None or not chunk.strip():
             raise ValueError(f"bad polynomial term {chunk!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {chunk!r}") from None
         exps = [0, 0, 0]
         for fac in re.finditer(r"([XYZ])(?:\^(\d+))?", m.group("mono") or ""):
             exps[_VARS.index(fac.group(1))] += int(fac.group(2) or 1)
         key = tuple(exps)
         acc[key] = acc.get(key, Fraction(0)) + sgn * coef
     return HomogeneousPoly(acc)
-
-
-def format_poly(p: HomogeneousPoly) -> str:
-    return str(p)
 
 
 def parse_matrix_file(text: str) -> PolyMatrix:

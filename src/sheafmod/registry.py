@@ -334,7 +334,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _parse_case(block: list[str]) -> CaseSpec:
     fields: dict[str, str] = {}
     header = block[0]
-    assert header.startswith("[case ") and header.endswith("]")
+    if not (header.startswith("[case ") and header.endswith("]")):
+        raise ValueError(f"registry block must start with '[case <id>]', not {header!r}")
     case_id = header[len("[case "):-1]
     for line in block[1:]:
         key, _, value = line.partition("=")

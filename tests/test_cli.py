@@ -183,6 +183,15 @@ def test_registry_env_override(tmp_path, monkeypatch):
         registry.load_registry.cache_clear()
 
 
+def test_registry_bad_header_is_a_value_error(tmp_path):
+    import sheafmod.registry as registry
+
+    path = tmp_path / "reg.txt"
+    path.write_text("r = 2\nchi = 1\n")
+    with pytest.raises(ValueError, match="case"):
+        registry.load_registry(str(path))
+
+
 def test_matrix_parse_error_carries_position(tmp_path, capsys):
     f = tmp_path / "bad.mat"
     f.write_text("type: src=(-1)x2 tgt=(0)x1\nX | Y +\n")
@@ -223,6 +232,7 @@ def test_witness_out_has_literal_block(tmp_path, capsys):
         (["region", "--case", "M(n+2,n):omega1", "--n", "2", "--json"], "3..6"),
         (["codim", "--case", "M(n+2,n):omega1", "--n", "7"], "3..6"),
         (["codim", "--case", "M(4,1):h1=1", "--n", "0"], "1..1"),
+        (["table", "--case", "M(n+2,n):omega1", "--n", "99"], "3..6"),
     ],
 )
 def test_out_of_range_n_is_a_usage_error(args, covered, capsys):
@@ -249,6 +259,37 @@ def test_check_out_of_range_n(tmp_path, capsys):
     ],
 )
 def test_section_missing_argument(args, needed, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needed in err
+
+
+def test_matrix_zero_denominator(tmp_path, capsys):
+    f = tmp_path / "zero.mat"
+    f.write_text("type: src=(-1)x2 tgt=(0)x1\n1/0*X | Y\n")
+    code, out, err = run_cli(["kernel", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: line 2, entry 1: zero denominator in '1/0*X'\n"
+
+
+@pytest.mark.parametrize(
+    "args, needed",
+    [
+        (["section", "--quartic", "--span", "X", "--f", "X^4"], "--span"),
+        (["section", "--quartic", "--span", "X;Y;Z", "--f", "X^4"], "--span"),
+        (
+            ["dual", "--type", "src=(-2)x1,(-1)x2 tgt=(0)x3",
+             "--polarization", "1/6,5/12"],
+            "--polarization",
+        ),
+        (["dual", "--table", "4,1"], "--table"),
+        (["dual", "--table", "4,1,0,3,1,0,0,2,7"], "--table"),
+        (["dual", "--table", "4,1,x,3,1,0,0,2"], "--table"),
+        (["classify", "--case", "M(4,2):omega1", "--n", "2", "--polarization", "1/2"],
+         "--polarization"),
+    ],
+)
+def test_malformed_argument_is_a_usage_error(args, needed, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and needed in err

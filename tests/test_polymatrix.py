@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -251,6 +252,14 @@ def test_gcd_divides_and_coprime_quotients(data):
     assert g.degree >= 1  # the planted factor survives
 
 
+def test_gcd_when_a_remainder_step_drops_two_degrees():
+    # the pseudo-remainder must carry the full power of the leading
+    # coefficient, or the next subresultant division is inexact
+    a = parse_poly("-6*X*Z^4 + 9*Y*Z^4")
+    b = parse_poly("-6*X^2*Z^3 + 4*X*Y^3*Z + 5*X*Y*Z^3 - 6*Y^4*Z + 6*Y^2*Z^3")
+    assert str(poly_gcd(a, b)) == "X*Z - 3/2*Y*Z"
+
+
 def test_gcd_rejects_double_zero():
     with pytest.raises(ValueError):
         poly_gcd(zero, zero)
@@ -416,3 +425,157 @@ def test_polymatrix_validates_degrees_and_zeroes():
     tz = MorphismType.make([(-1, 1)], [(-1, 1)], zeroed=[(0, 0)])
     with pytest.raises(ValueError):
         PolyMatrix(tz, [[HomogeneousPoly.constant(1)]])
+
+
+# ---------------------------------------------------------------------------
+# integer core against a Fraction-dict reference
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for t, v in b.items():
+        out[t] = out.get(t, F(0)) + sign * v
+    return {t: v for t, v in out.items() if v}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ta, va in a.items():
+        for tb, vb in b.items():
+            t = tuple(x + y for x, y in zip(ta, tb))
+            out[t] = out.get(t, F(0)) + va * vb
+    return {t: v for t, v in out.items() if v}
+
+
+def ref_divexact(a, b):
+    """Long division by graded-lex leading terms; None when inexact."""
+    grlex = lambda t: (sum(t), t)  # noqa: E731
+    bt = max(b, key=grlex)
+    out, rem = {}, dict(a)
+    while rem:
+        rt = max(rem, key=grlex)
+        q = tuple(x - y for x, y in zip(rt, bt))
+        if min(q) < 0:
+            return None
+        out[q] = rem[rt] / b[bt]
+        rem = ref_add(rem, ref_mul({q: out[q]}, b), -1)
+    return out
+
+
+def assert_canonical(p):
+    """The stored form: content times a primitive integer map with a positive
+    graded-lex leading coefficient; terms in increasing graded-lex order."""
+    keys = [t for t, _ in p.terms]
+    assert keys == sorted(keys, key=lambda t: (sum(t), t))
+    if p.is_zero:
+        assert p.coeffs == {} and p.content == 0
+        return
+    assert all(type(v) is int and v != 0 for v in p.coeffs.values())
+    assert math.gcd(*p.coeffs.values()) == 1
+    assert p.coeffs[max(p.coeffs, key=lambda t: (sum(t), t))] > 0
+    assert dict(p.terms) == {t: p.content * v for t, v in p.coeffs.items()}
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def forms(draw, degree=None):
+    d = draw(st.integers(0, 3)) if degree is None else degree
+    monos = st.sampled_from(monomial_basis(d))
+    terms = draw(st.dictionaries(monos, rationals, max_size=6))
+    return HomogeneousPoly(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_form_arithmetic_matches_fraction_reference(data):
+    d = data.draw(st.integers(0, 3))
+    p, q = data.draw(forms(d)), data.draw(forms(d))
+    r = data.draw(forms())
+    c = data.draw(rationals)
+    a, b, e = dict(p.terms), dict(q.terms), dict(r.terms)
+    for got, want in [
+        (p + q, ref_add(a, b)),
+        (p - q, ref_add(a, b, -1)),
+        (-p, {t: -v for t, v in a.items()}),
+        (p * r, ref_mul(a, e)),
+        (p.scale(c), {t: v * c for t, v in a.items() if v * c}),
+    ]:
+        assert_canonical(got)
+        assert dict(got.terms) == want
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert HomogeneousPoly(a) == p and (p - p).is_zero
+    if not r.is_zero:
+        prod = p * r
+        assert prod.divexact(r) == p
+        assert dict(prod.divexact(r).terms) == ref_divexact(dict(prod.terms), e)
+        if not p.is_zero and r.degree > 0 and ref_divexact(a, e) is None:
+            with pytest.raises(ValueError):
+                p.divexact(r)
+    assert parse_poly(str(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# sympy differential checks
+
+
+def to_sympy(p, sp):
+    x, y, z = sp.symbols("X Y Z")
+    return sum(
+        (sp.Rational(v.numerator, v.denominator) * x**i * y**j * z**k
+         for (i, j, k), v in p.terms),
+        sp.Integer(0),
+    )
+
+
+def test_gcd_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    rnd = random.Random(77)
+    for _ in range(12):
+        c = random_nonzero_poly(rnd, rnd.randint(0, 2))
+        a = random_nonzero_poly(rnd, rnd.randint(1, 2)) * c
+        b = random_nonzero_poly(rnd, rnd.randint(1, 2)) * c.scale(F(-2, 3))
+        want = sp.gcd(to_sympy(a, sp), to_sympy(b, sp))
+        ratio = sp.cancel(want / to_sympy(poly_gcd(a, b), sp))
+        assert ratio.is_number and ratio != 0  # equal up to a unit
+
+
+def test_minors_match_sympy():
+    sp = pytest.importorskip("sympy")
+    rnd = random.Random(78)
+    for rows, cols in [(2, 2), (3, 3), (4, 4), (2, 3), (3, 4), (3, 2)]:
+        m = uniform_matrix(rnd, rows, cols, 1)
+        sm = sp.Matrix([[to_sympy(e, sp) for e in row] for row in m.entries])
+        if rows == cols:
+            assert sp.expand(sm.det() - to_sympy(determinant(m), sp)) == 0
+        k = min(rows, cols)
+        if cols >= rows:
+            subs = [sm.extract(list(range(rows)), [j for j in range(cols) if j not in o])
+                    for o in itertools.combinations(range(cols), cols - k)]
+        else:
+            omits = sorted(itertools.combinations(range(rows), rows - k), reverse=True)
+            subs = [sm.extract([i for i in range(rows) if i not in o], list(range(cols)))
+                    for o in omits]
+        got = maximal_minors(m)
+        assert len(got) == len(subs)
+        for g, s in zip(got, subs):
+            assert sp.expand(s.det() - to_sympy(g, sp)) == 0
+
+
+def test_kernel_line_matches_sympy():
+    """sympy confirms m . beta = 0, that m has rank k at a random point (so
+    beta spans the kernel over the fraction field) and that beta's entries
+    have no common factor."""
+    sp = pytest.importorskip("sympy")
+    rnd = random.Random(79)
+    for k, deg in [(1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]:
+        m = uniform_matrix(rnd, k, k + 1, deg)
+        beta, d = kernel_line(m)
+        sm = sp.Matrix([[to_sympy(e, sp) for e in row] for row in m.entries])
+        sb = sp.Matrix([to_sympy(b, sp) for b in beta])
+        assert sp.expand(sm * sb) == sp.zeros(k, 1)
+        point = dict(zip(sp.symbols("X Y Z"), (rnd.randint(-9, 9) for _ in range(3))))
+        assert sm.subs(point).rank() == k
+        assert sp.gcd_list(list(sb)).is_number
+        assert all(b.is_zero or b.degree == d for b in beta)
