@@ -534,31 +534,32 @@ def _minors(
     Expansion along the rows; sub-determinants are memoized on column subsets
     and shared between the submatrices.
     """
-    n = len(grid)
-    memo: dict[int, HomogeneousPoly] = {}
-
-    def rec(row: int, colmask: int) -> HomogeneousPoly:
-        if row == n - 1:  # one column left: the entry itself
-            return grid[row][colmask.bit_length() - 1]
-        if colmask in memo:
-            return memo[colmask]
-        acc = HomogeneousPoly.zero()
-        sign = 1
-        for c in range(colmask.bit_length()):
-            if not (colmask >> c) & 1:
-                continue
-            e = grid[row][c]
-            if not e.is_zero:
-                sub = rec(row + 1, colmask & ~(1 << c))
-                contrib = e * sub
-                acc = acc + (contrib if sign > 0 else -contrib)
-            sign = -sign
-        memo[colmask] = acc
-        return acc
-
-    if n == 0:
+    if not grid:
         return [HomogeneousPoly.constant(1) for _ in keeps]
-    return [rec(0, sum(1 << c for c in keep)) for keep in keeps]
+    memo: dict[int, HomogeneousPoly] = {}
+    return [_expand(grid, memo, 0, sum(1 << c for c in keep)) for keep in keeps]
+
+
+def _expand(grid, memo: dict, row: int, colmask: int) -> HomogeneousPoly:
+    """Determinant of the rows from ``row`` on, restricted to the columns in
+    ``colmask``.  A module-level function rather than a closure, so that no
+    reference cycle keeps the memo alive after the call."""
+    if row == len(grid) - 1:  # one column left: the entry itself
+        return grid[row][colmask.bit_length() - 1]
+    if colmask in memo:
+        return memo[colmask]
+    acc = HomogeneousPoly.zero()
+    sign = 1
+    for c in range(colmask.bit_length()):
+        if not (colmask >> c) & 1:
+            continue
+        e = grid[row][c]
+        if not e.is_zero:
+            contrib = e * _expand(grid, memo, row + 1, colmask & ~(1 << c))
+            acc = acc + (contrib if sign > 0 else -contrib)
+        sign = -sign
+    memo[colmask] = acc
+    return acc
 
 
 def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
