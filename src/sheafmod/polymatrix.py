@@ -16,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -95,7 +96,9 @@ def _scale(a: Coeffs, c: int) -> Coeffs:
 def _primitive(a: Coeffs) -> tuple[Coeffs, int]:
     """Split a nonzero map as k * p with p primitive and its leading
     coefficient positive; returns (p, k)."""
-    k = gcd(*a.values())
+    # reduce builds no argument tuple: CPython 3.11 keeps freed 20-tuples on
+    # a free list it never reuses, which grows a long run's memory
+    k = reduce(gcd, a.values(), 0)
     if a[max(a)] < 0:
         k = -k
     if k == 1:
@@ -267,7 +270,7 @@ class HomogeneousPoly:
         if not d:
             self.coeffs, self.content = {}, _ZERO
             return
-        den = lcm(*(c.denominator for c in d.values()))
+        den = reduce(lcm, (c.denominator for c in d.values()))
         self.coeffs, k = _primitive(
             {t: c.numerator * (den // c.denominator) for t, c in d.items()}
         )
@@ -299,7 +302,9 @@ class HomogeneousPoly:
     def terms(self) -> tuple[tuple[Term, Fraction], ...]:
         """(exponent triple, coefficient) pairs in increasing graded-lex order."""
         c = self.content
-        return tuple((t, c * v) for t, v in sorted(self.coeffs.items()))
+        # from a list: a tuple grown from a generator is freed to another
+        # size's free list than it came from
+        return tuple([(t, c * v) for t, v in sorted(self.coeffs.items())])
 
     def as_dict(self) -> dict[Term, Fraction]:
         c = self.content
