@@ -519,9 +519,6 @@ class PolyMatrix:
     def entry(self, r: int, c: int) -> HomogeneousPoly:
         return self.entries[r][c]
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[HomogeneousPoly]]:
-        return [[self.entries[r][c] for c in cols] for r in rows]
-
 
 def _positions(b) -> list[int]:
     """Type index of each global row/column position."""
