@@ -58,9 +58,6 @@ class BundleSum:
     def rank(self) -> int:
         return sum(m for _, m in self.summands)
 
-    def twists(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.summands)
-
     def mults(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.summands)
 
@@ -101,20 +98,6 @@ class MorphismType:
         zeroed: Iterable[tuple[int, int]] = (),
     ) -> "MorphismType":
         return cls(BundleSum(source), BundleSum(target), frozenset(zeroed))
-
-    @classmethod
-    def with_scalar_blocks_zeroed(
-        cls, source: Sequence[tuple[int, int]], target: Sequence[tuple[int, int]]
-    ) -> "MorphismType":
-        """Zero every block whose source and target twists agree."""
-        src, tgt = BundleSum(source), BundleSum(target)
-        zeroed = frozenset(
-            (i, l)
-            for i, (d, _) in enumerate(src.summands)
-            for l, (e, _) in enumerate(tgt.summands)
-            if d == e
-        )
-        return cls(src, tgt, zeroed)
 
     def is_zeroed(self, i: int, l: int) -> bool:
         return (i, l) in self.zeroed

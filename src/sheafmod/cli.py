@@ -294,6 +294,8 @@ def cmd_section(args) -> int:
 def cmd_classify(args) -> int:
     case = case_by_id(args.case)
     n = args.n
+    if not case.admits(n):
+        raise _out_of_range(case, n)
     t = case.resolution(n)
     if args.polarization:
         p = _parse_polarization(args.polarization)

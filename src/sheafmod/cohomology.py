@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .bundles import BundleSum, MorphismType
+from .bundles import BundleSum
 from .hilbert import HilbertPolynomial, LinearClass, hilbert_of_twist
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "euler_consistency",
     "serre_dual_table",
     "dual_stratum",
-    "dual_type",
 ]
 
 FIELDS = ("h0m1", "h1m1", "h0", "h1", "h0om", "h1om")
@@ -157,8 +156,3 @@ def dual_stratum(conds: tuple[int, int, int]) -> tuple[str, tuple[int, int, int]
     (a, b, c) on the dual space.  Involution by construction."""
     a, b, c = conds
     return ("h1(F)=%d, h1(F(-1))=%d, h1(F.Omega1(1))=%d" % (a, b, c), (a, b, c))
-
-
-def dual_type(t: MorphismType) -> MorphismType:
-    """Swap source and target, map each twist d -> -d-2, transport zeroed blocks."""
-    return t.dual()

@@ -94,9 +94,6 @@ class HilbertPolynomial:
         k = _as_fraction(k)
         return HilbertPolynomial(k * c for c in self.coeffs)
 
-    def is_integer_valued(self, lo: int = -10, hi: int = 10) -> bool:
-        return all(self(t).denominator == 1 for t in range(lo, hi + 1))
-
     def binomial_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients a_i in the expansion sum_i a_i * C(t+i-1, i).
 
@@ -147,9 +144,6 @@ class LinearClass:
 
     def polynomial(self) -> HilbertPolynomial:
         return HilbertPolynomial.linear(self.r, self.chi)
-
-    def slope(self) -> Fraction:
-        return Fraction(self.chi, self.r)
 
     def dual(self) -> "LinearClass":
         return LinearClass(self.r, self.r - self.chi)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-__all__ = ["right_kernel", "rank"]
+__all__ = ["right_kernel", "rank", "complete_basis"]
 
 Row = Sequence[int | Fraction]
 
@@ -72,6 +72,19 @@ def rank(rows: Sequence[Row]) -> int:
     """Rank over the rationals of a list of equal-length rows."""
     width = len(rows[0]) if rows else 0
     return len(_echelon(rows, width)[0])
+
+
+def complete_basis(vectors: Sequence[Row], dim: int) -> list[list[Fraction]]:
+    """Extend independent vectors to a basis of dim-space by appending, in
+    order, each standard basis vector that raises the rank."""
+    rows = [list(v) for v in vectors]
+    for e in range(dim):
+        cand = [Fraction(int(j == e)) for j in range(dim)]
+        if rank(rows + [cand]) > rank(rows):
+            rows.append(cand)
+        if len(rows) == dim:
+            break
+    return rows
 
 
 def right_kernel(rows: Iterable[Row], width: int) -> list[list[Fraction]]:

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .bundles import MorphismType, parse_resolution_spec, format_resolution_spec
-from .linalg import rank
+from .linalg import complete_basis, rank
 
 __all__ = [
     "HomogeneousPoly",
@@ -490,8 +490,8 @@ class PolyMatrix:
         for row in rows:
             if len(row) != type.source.rank:
                 raise ValueError("column count does not match the source rank")
-        col_types = _positions(type.source)
-        row_types = _positions(type.target)
+        col_types = [i for i, g in enumerate(_positions(type.source)) for _ in g]
+        row_types = [l for l, g in enumerate(_positions(type.target)) for _ in g]
         for r, row in enumerate(rows):
             e_twist = type.target.summands[row_types[r]][0]
             for c, entry in enumerate(row):
@@ -520,11 +520,12 @@ class PolyMatrix:
         return self.entries[r][c]
 
 
-def _positions(b) -> list[int]:
-    """Type index of each global row/column position."""
-    out = []
-    for t, (_, m) in enumerate(b.summands):
-        out.extend([t] * m)
+def _positions(b) -> list[list[int]]:
+    """Global row/column positions of each summand type, in order."""
+    out, k = [], 0
+    for _, m in b.summands:
+        out.append(list(range(k, k + m)))
+        k += m
     return out
 
 
@@ -638,12 +639,7 @@ def linearly_independent(forms: Sequence[HomogeneousPoly]) -> tuple[bool, int]:
 def _dual_order(b) -> list[int]:
     """Global positions listed with the summand groups reversed (twist
     negation reverses the group order) and the order inside each group kept."""
-    groups = []
-    k = 0
-    for _, m in b.summands:
-        groups.append(list(range(k, k + m)))
-        k += m
-    return [i for g in reversed(groups) for i in g]
+    return [i for g in reversed(_positions(b)) for i in g]
 
 
 def transpose_dual(m: PolyMatrix) -> PolyMatrix:
@@ -703,13 +699,7 @@ def adapt_to_point(point, f: HomogeneousPoly) -> HomogeneousPoly:
     if pt == [0, 0, 1]:
         return f
     # complete the point to a basis; columns of the change send e3 to the point
-    cols = [pt]
-    for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
-        trial = cols + [list(map(Fraction, e))]
-        if rank(trial) == len(trial):
-            cols.append(list(map(Fraction, e)))
-        if len(cols) == 3:
-            break
+    cols = complete_basis([pt], 3)
     basis = [cols[1], cols[2], cols[0]]  # point goes last
     images = []
     for var in range(3):
@@ -819,13 +809,7 @@ def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:
     if x1.terms == X.terms and x2.terms == Y.terms:
         return f
     # pick a third form completing the basis, then substitute the dual basis
-    rows = [list(x1.coefficient_vector(1)), list(x2.coefficient_vector(1))]
-    for e in range(3):
-        v = [Fraction(0)] * 3
-        v[e] = Fraction(1)
-        if rank(rows + [v]) == 3:
-            rows.append(v)
-            break
+    rows = complete_basis([x1.coefficient_vector(1), x2.coefficient_vector(1)], 3)
     inv = _invert3(rows)
     images = [
         HomogeneousPoly(

@@ -24,7 +24,7 @@ from .bundles import (
     parse_resolution_spec,
     stabilizer_dim,
 )
-from .cohomology import CohomologyTable, beilinson_terms, complete_table
+from .cohomology import CohomologyTable, complete_table
 from .hilbert import LinearClass
 from .regions import Polarization, Region, Shape, admissible_region, _AffineSpace
 
@@ -71,7 +71,6 @@ class CaseSpec:
     stabilizer: StabilizerRule
     extra_constraints: int
     region_ref: str
-    codim_expr: str
     quotient: tuple[tuple[str, str], ...]
     checks: tuple[str, ...]
     note: str
@@ -92,10 +91,6 @@ class CaseSpec:
     def cohomology_table(self, n: int) -> CohomologyTable:
         known = {k: _ev(v, n) for k, v in self.table_known.items()}
         return complete_table(self.moduli(n), known)
-
-    def beilinson_type(self, n: int) -> tuple:
-        """The four complex terms determined by the case's cohomology table."""
-        return beilinson_terms(self.cohomology_table(n))
 
     def region_system(self, n: int) -> RegionSystem:
         return REGION_SYSTEMS[self.region_ref](n)
@@ -368,7 +363,6 @@ def _parse_case(block: list[str]) -> CaseSpec:
         stabilizer=StabilizerRule(fields["stabilizer"]),
         extra_constraints=int(fields["extra_constraints"]),
         region_ref=fields["region"],
-        codim_expr=fields["codim"],
         quotient=tuple(quotient),
         checks=tuple(
             c.strip() for c in fields.get("checks", "").split(",") if c.strip()

@@ -6,23 +6,28 @@ blocks over a two-column type) with a seeded randomized pass that samples
 constant row subspaces, takes exact column kernels against them, and
 verifies any hit exactly.  Verdicts are three-valued: a verified witness
 gives Destabilized, a complete exact decision of every destabilizing shape
-gives CertifiedSemistable, anything else stays Undetermined.  Each search
-reads the matrix and its transpose once into integer coefficient views; all
-rank and kernel work goes through :mod:`sheafmod.linalg`.
+gives CertifiedSemistable, anything else stays Undetermined.
+
+The criterion is invariant under duality, so the sweep and the pencil are
+written once and run on the matrix and on its dual transpose; a witness
+found on the transpose is pulled back in one place.  Each search reads both
+sides once into integer coefficient views; all rank and kernel work goes
+through :mod:`sheafmod.linalg`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from .bundles import MorphismType
-from .linalg import rank, right_kernel
+from .linalg import complete_basis, right_kernel
 from .polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
@@ -33,6 +38,7 @@ from .polymatrix import (
     transpose_dual,
     _det_grid,
     _dual_order,
+    _positions,
 )
 from .regions import Polarization, Shape, classify_shapes, enumerate_shapes
 from .registry import CaseSpec
@@ -91,12 +97,21 @@ class Verdict:
         return out
 
 
-def _positions(b) -> list[list[int]]:
-    out, k = [], 0
-    for _, m in b.summands:
-        out.append(list(range(k, k + m)))
-        k += m
-    return out
+def _embed(positions, values, width: int) -> tuple[Fraction, ...]:
+    """The zero vector of the given width with the values at the positions."""
+    vec = [Fraction(0)] * width
+    for p, v in zip(positions, values):
+        vec[p] = Fraction(v)
+    return tuple(vec)
+
+
+def _subsets(groups, counts):
+    """Every choice of counts[t] positions from each groups[t], flattened into
+    one tuple per choice in product order; None past ``_SUBSET_CAP`` choices."""
+    if prod(comb(len(g), b) for g, b in zip(groups, counts)) > _SUBSET_CAP:
+        return None
+    per_type = [itertools.combinations(g, b) for g, b in zip(groups, counts)]
+    return map(tuple, map(itertools.chain.from_iterable, itertools.product(*per_type)))
 
 
 class _CoefficientView:
@@ -143,6 +158,21 @@ class _CoefficientView:
         return self._kernels[key]
 
 
+def _col1_witness(view: _CoefficientView, row_subsets, i: int) -> Witness | None:
+    """The first literal row subset, in the given order, whose type-i column
+    kernel is nonzero, with one combination from that kernel."""
+    for rows in row_subsets:
+        kernel = view.kernel(rows, i)
+        if kernel:
+            shape = Shape(
+                tuple(sum(r in g for r in rows) for g in view.row_groups),
+                tuple(int(j == i) for j in range(len(view.col_groups))),
+            )
+            combo = _embed(view.col_groups[i], kernel[0], view.m.ncols)
+            return Witness(shape, rows, (combo,))
+    return None
+
+
 def zero_block_exists_col1(
     m: PolyMatrix, p: int, src_type: int | None = None
 ) -> Witness | None:
@@ -156,15 +186,9 @@ def zero_block_exists_col1(
     view = _CoefficientView(m)
     types = [src_type] if src_type is not None else range(len(view.col_groups))
     for i in types:
-        cols = view.col_groups[i]
-        for rows in itertools.combinations(range(m.nrows), p):
-            kernel = view.kernel(rows, i)
-            if kernel:
-                combo = [Fraction(0)] * m.ncols
-                for c, v in zip(cols, kernel[0]):
-                    combo[c] = v
-                shape = _shape_of(m.type, rows, {i: 1}, view.row_groups)
-                return Witness(shape, rows, (tuple(combo),))
+        w = _col1_witness(view, itertools.combinations(range(m.nrows), p), i)
+        if w is not None:
+            return w
     return None
 
 
@@ -173,50 +197,22 @@ def zero_block_exists_row1(
 ) -> Witness | None:
     """Exact decision for a zero block of one row combination by q columns.
 
-    Dual of :func:`zero_block_exists_col1`: the row-combination space is the
-    column kernel of the transposed matrix against the q-subset of columns,
-    which become rows there.
+    The column decision on the transpose, pulled back: the q-subsets of
+    ``m``'s columns, taken in ``m``'s order, are rows of the transpose, and
+    target type l of ``m`` is its source type ntypes - 1 - l.
     """
-    row_groups = _positions(m.type.target)
-    col_groups = _positions(m.type.source)
-    types = [tgt_type] if tgt_type is not None else range(len(row_groups))
-    # row tr of the transpose is column col_order[tr] of m; its source type
-    # ntypes - 1 - l is target type l of m, in the same order
     tview = _CoefficientView(transpose_dual(m))
     trow = {c: tr for tr, c in enumerate(_dual_order(m.type.source))}
-    for l in types:
-        rows = row_groups[l]
-        for cols in itertools.combinations(range(m.ncols), q):
-            kernel = tview.kernel(tuple(trow[c] for c in cols), len(row_groups) - 1 - l)
-            if kernel:
-                col_shape: dict[int, int] = {}
-                for c in cols:
-                    ci = next(i for i, g in enumerate(col_groups) if c in g)
-                    col_shape[ci] = col_shape.get(ci, 0) + 1
-                rows_count = [0] * len(row_groups)
-                rows_count[l] = 1
-                cols_count = [col_shape.get(i, 0) for i in range(len(col_groups))]
-                shape = Shape(tuple(rows_count), tuple(cols_count))
-                combos = []
-                for c in cols:
-                    vec = [Fraction(0)] * m.ncols
-                    vec[c] = Fraction(1)
-                    combos.append(tuple(vec))
-                rc = [Fraction(0)] * m.nrows
-                for r, v in zip(rows, kernel[0]):
-                    rc[r] = v
-                return Witness(shape, (), tuple(combos), row_combos=(tuple(rc),))
+    ntypes = len(tview.col_groups)
+    for l in [tgt_type] if tgt_type is not None else range(ntypes):
+        subsets = (
+            tuple(trow[c] for c in cols)
+            for cols in itertools.combinations(range(m.ncols), q)
+        )
+        wt = _col1_witness(tview, subsets, ntypes - 1 - l)
+        if wt is not None:
+            return _pull_back_transpose_witness(m, wt)
     return None
-
-
-def _shape_of(t, rows, col_counts: dict[int, int], row_groups) -> Shape:
-    rows_count = [0] * len(row_groups)
-    for r in rows:
-        for l, g in enumerate(row_groups):
-            if r in g:
-                rows_count[l] += 1
-    cols_count = [col_counts.get(i, 0) for i in range(t.source.ntypes)]
-    return Shape(tuple(rows_count), tuple(cols_count))
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +222,15 @@ def _shape_of(t, rows, col_counts: dict[int, int], row_groups) -> Shape:
 
 def _literal_witness(m: PolyMatrix, shape: Shape) -> Witness | None:
     """Zero block made of literal rows and columns, if one exists."""
-    col_groups = _positions(m.type.source)
     row_groups = _positions(m.type.target)
-    col_subset_iters = []
-    for i, a in enumerate(shape.cols):
-        col_subset_iters.append(list(itertools.combinations(col_groups[i], a)))
-    total = 1
-    for it in col_subset_iters:
-        total *= len(it)
-    if total > _SUBSET_CAP:
+    col_subsets = _subsets(_positions(m.type.source), shape.cols)
+    if col_subsets is None:
         return None
     # bit c of zero_bits[r] is set when entry (r, c) vanishes
     zero_bits = [
         sum(1 << c for c, e in enumerate(row) if e.is_zero) for row in m.entries
     ]
-    for chosen in itertools.product(*col_subset_iters):
-        cols = [c for group in chosen for c in group]
+    for cols in col_subsets:
         mask = sum(1 << c for c in cols)
         rows = []
         for g, b in zip(row_groups, shape.rows):
@@ -250,12 +239,8 @@ def _literal_witness(m: PolyMatrix, shape: Shape) -> Witness | None:
                 break
             rows.extend(ok[:b])
         else:
-            combos = []
-            for c in cols:
-                vec = [Fraction(0)] * m.ncols
-                vec[c] = Fraction(1)
-                combos.append(tuple(vec))
-            return Witness(shape, tuple(sorted(rows)), tuple(combos))
+            combos = tuple(_embed((c,), (1,), m.ncols) for c in cols)
+            return Witness(shape, tuple(sorted(rows)), combos)
     return None
 
 
@@ -263,7 +248,6 @@ def _kernel_witness_for_rows(
     view: _CoefficientView, shape: Shape, rows: tuple[int, ...]
 ) -> Witness | None:
     """Column-kernel check against a fixed set of literal rows."""
-    m = view.m
     combos: list[tuple[Fraction, ...]] = []
     for i, a in enumerate(shape.cols):
         if a == 0:
@@ -271,11 +255,7 @@ def _kernel_witness_for_rows(
         kernel = view.kernel(rows, i)
         if len(kernel) < a:
             return None
-        for k in kernel[:a]:
-            vec = [Fraction(0)] * m.ncols
-            for c, v in zip(view.col_groups[i], k):
-                vec[c] = v
-            combos.append(tuple(vec))
+        combos.extend(_embed(view.col_groups[i], k, view.m.ncols) for k in kernel[:a])
     return Witness(shape, rows, tuple(combos))
 
 
@@ -292,16 +272,10 @@ def _row_subset_sweep(
     decided = all(
         b == 0 or b == len(g) for b, g in zip(shape.rows, row_groups)
     )
-    subset_iters = [
-        list(itertools.combinations(g, b)) for b, g in zip(shape.rows, row_groups)
-    ]
-    total = 1
-    for it in subset_iters:
-        total *= len(it)
-    if total > _SUBSET_CAP:
+    row_subsets = _subsets(row_groups, shape.rows)
+    if row_subsets is None:
         return None, False
-    for chosen in itertools.product(*subset_iters):
-        rows = tuple(r for group in chosen for r in group)
+    for rows in row_subsets:
         w = _kernel_witness_for_rows(view, shape, rows)
         if w is not None:
             return w, decided
@@ -404,9 +378,6 @@ def _witness_with_row_combos(
     type i) to a witness by solving for the row-combination kernel per
     target type (exact)."""
     m = view.m
-    combo = [Fraction(0)] * m.ncols
-    for c, v in zip(view.col_groups[i], weights):
-        combo[c] = Fraction(v)
     row_combos: list[tuple[Fraction, ...]] = []
     for l, b in enumerate(shape.rows):
         if b == 0:
@@ -421,12 +392,9 @@ def _witness_with_row_combos(
         kernel = right_kernel(zip(*combined), len(g))
         if len(kernel) < b:
             return None
-        for k in kernel[:b]:
-            rc = [Fraction(0)] * m.nrows
-            for r, v in zip(g, k):
-                rc[r] = v
-            row_combos.append(tuple(rc))
-    return Witness(shape, (), (tuple(combo),), row_combos=tuple(row_combos))
+        row_combos.extend(_embed(g, k, m.nrows) for k in kernel[:b])
+    combo = _embed(view.col_groups[i], weights, m.ncols)
+    return Witness(shape, (), (combo,), row_combos=tuple(row_combos))
 
 
 def _random_subspace_witness(
@@ -457,17 +425,8 @@ def _random_subspace_witness(
         kernel = right_kernel(stack, len(cols))
         if len(kernel) < a:
             return None
-        for k in kernel[:a]:
-            vec = [Fraction(0)] * m.ncols
-            for c, v in zip(cols, k):
-                vec[c] = v
-            combos.append(tuple(vec))
-    row_combos = []
-    for l, coeffs in samples:
-        combo = [Fraction(0)] * m.nrows
-        for r, v in zip(view.row_groups[l], coeffs):
-            combo[r] = Fraction(v)
-        row_combos.append(tuple(combo))
+        combos.extend(_embed(cols, k, m.ncols) for k in kernel[:a])
+    row_combos = [_embed(view.row_groups[l], coeffs, m.nrows) for l, coeffs in samples]
     return Witness(shape, (), tuple(combos), row_combos=tuple(row_combos))
 
 
@@ -479,16 +438,20 @@ def _combine_rows(m, rows, coeffs, c) -> HomogeneousPoly:
     return acc
 
 
-def _complete_basis(vectors: list[list[Fraction]], dim: int) -> list[list[Fraction]]:
-    """Extend the given independent vectors to an invertible dim x dim matrix."""
-    rows = [list(v) for v in vectors]
-    for e in range(dim):
-        cand = [Fraction(int(j == e)) for j in range(dim)]
-        if rank(rows + [cand]) > rank(rows):
-            rows.append(cand)
-        if len(rows) == dim:
-            break
-    return rows
+def _type_blocks(groups: list[list[int]], combos, size: int) -> list[list[Fraction]]:
+    """Block-diagonal transform whose rows, within each type, are that type's
+    combinations first, completed to a basis; identity on other types."""
+    out = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    per_type: dict[int, list[list[Fraction]]] = {}
+    for vec in combos:
+        t = next(t for t, g in enumerate(groups) if any(vec[p] != 0 for p in g))
+        per_type.setdefault(t, []).append([vec[p] for p in groups[t]])
+    for t, vecs in per_type.items():
+        g = groups[t]
+        for bi, row in enumerate(complete_basis(vecs, len(g))):
+            for bj, v in enumerate(row):
+                out[g[bi]][g[bj]] = v
+    return out
 
 
 def realize_witness(
@@ -499,48 +462,17 @@ def realize_witness(
     Returns (G, H, G.m.H).  Both transforms are block matrices mixing only
     rows/columns of one summand type; within each type the witness
     combinations come first, so the zero block occupies the leading rows and
-    columns of the types the shape names.
+    columns of the types the shape names.  Literal rows count as unit row
+    combinations.
     """
-    row_groups = _positions(m.type.target)
-    col_groups = _positions(m.type.source)
-    G = [[Fraction(int(i == j)) for j in range(m.nrows)] for i in range(m.nrows)]
-    H = [[Fraction(int(i == j)) for j in range(m.ncols)] for i in range(m.ncols)]
-    if w.row_combos is not None:
-        per_type: dict[int, list[list[Fraction]]] = {}
-        for rc in w.row_combos:
-            l = next(
-                l for l, g in enumerate(row_groups) if any(rc[r] != 0 for r in g)
-            )
-            per_type.setdefault(l, []).append([rc[r] for r in row_groups[l]])
-        for l, combos in per_type.items():
-            g = row_groups[l]
-            block = _complete_basis(combos, len(g))
-            for bi, row in enumerate(block):
-                for bj, v in enumerate(row):
-                    G[g[bi]][g[bj]] = v
-    else:
-        for l, g in enumerate(row_groups):
-            chosen = [r for r in w.rows if r in g]
-            rest = [r for r in g if r not in chosen]
-            for bi, r in enumerate(chosen + rest):
-                for bj in range(len(g)):
-                    G[g[bi]][g[bj]] = Fraction(int(g[bj] == r))
-    per_type_cols: dict[int, list[list[Fraction]]] = {}
-    for cc in w.col_combos:
-        i = next(
-            i for i, g in enumerate(col_groups) if any(cc[c] != 0 for c in g)
-        )
-        per_type_cols.setdefault(i, []).append([cc[c] for c in col_groups[i]])
-    for i, combos in per_type_cols.items():
-        g = col_groups[i]
-        block = _complete_basis(combos, len(g))
-        # combinations become the leading columns: H restricted to the type
-        # is the transpose of the completed basis
-        for bj, vec in enumerate(block):
-            for bi, v in enumerate(vec):
-                H[g[bi]][g[bj]] = v
-    transformed = apply_transforms(m, G, H)
-    return G, H, transformed
+    row_combos = w.row_combos
+    if row_combos is None:
+        row_combos = [_embed((r,), (1,), m.nrows) for r in w.rows]
+    G = _type_blocks(_positions(m.type.target), row_combos, m.nrows)
+    # the column combinations become the leading columns of H
+    H_rows = _type_blocks(_positions(m.type.source), w.col_combos, m.ncols)
+    H = [list(col) for col in zip(*H_rows)]
+    return G, H, apply_transforms(m, G, H)
 
 
 def apply_transforms(
@@ -585,40 +517,25 @@ def verify_witness(m: PolyMatrix, w: Witness) -> bool:
     return True
 
 
-def _dual_shape(t: MorphismType, shape: Shape) -> Shape:
+def _dual_shape(shape: Shape) -> Shape:
+    """The shape on the transpose; an involution."""
     return Shape(tuple(reversed(shape.cols)), tuple(reversed(shape.rows)))
 
 
-def _pull_back_transpose_witness(
-    m: PolyMatrix, shape: Shape, wt: Witness
-) -> Witness | None:
-    """Translate a witness found on the transposed matrix back to ``m``.
+def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
+    """Translate a witness found on ``transpose_dual(m)`` back to ``m``.
 
     Row data of the transpose becomes column data and vice versa; the
     permutations are undone through the dual position orders.
     """
     col_order = _dual_order(m.type.source)
     row_order = _dual_order(m.type.target)
-    # column combinations of m from the transpose's row data
-    col_combos: list[tuple[Fraction, ...]] = []
     if wt.row_combos is not None:
-        for rc in wt.row_combos:
-            vec = [Fraction(0)] * m.ncols
-            for tr, v in enumerate(rc):
-                vec[col_order[tr]] = v
-            col_combos.append(tuple(vec))
+        col_combos = tuple(_embed(col_order, rc, m.ncols) for rc in wt.row_combos)
     else:
-        for tr in wt.rows:
-            vec = [Fraction(0)] * m.ncols
-            vec[col_order[tr]] = Fraction(1)
-            col_combos.append(tuple(vec))
-    row_combos: list[tuple[Fraction, ...]] = []
-    for cc in wt.col_combos:
-        vec = [Fraction(0)] * m.nrows
-        for tc, v in enumerate(cc):
-            vec[row_order[tc]] = v
-        row_combos.append(tuple(vec))
-    return Witness(shape, (), tuple(col_combos), row_combos=tuple(row_combos))
+        col_combos = tuple(_embed((col_order[tr],), (1,), m.ncols) for tr in wt.rows)
+    row_combos = tuple(_embed(row_order, cc, m.nrows) for cc in wt.col_combos)
+    return Witness(_dual_shape(wt.shape), (), col_combos, row_combos=row_combos)
 
 
 def search_destabilizer(
@@ -635,42 +552,36 @@ def search_destabilizer(
     destab = [s for s in enumerate_shapes(m.type) if labels[s]]
     undecided: list[Shape] = []
     used = 0
-    note = ""
     rng = random.Random(seed)
-    view, tview = _CoefficientView(m), _CoefficientView(transpose_dual(m))
+    view = _CoefficientView(m)
+    tview = _CoefficientView(transpose_dual(m))
+    pull_back = functools.partial(_pull_back_transpose_witness, m)
     for shape in destab:
         w = _literal_witness(m, shape)
         if w is not None and verify_witness(m, w):
             return Verdict(VerdictKind.DESTABILIZED, w, used)
-        w, decided = _row_subset_sweep(view, shape)
-        if w is not None and verify_witness(m, w):
-            return Verdict(VerdictKind.DESTABILIZED, w, used)
-        tshape = _dual_shape(m.type, shape)
-        wt, tdecided = _row_subset_sweep(tview, tshape)
-        if wt is not None:
-            w = _pull_back_transpose_witness(m, shape, wt)
-            if w is not None and verify_witness(m, w):
+        # every exact pass runs on m and on its transpose, where a zero block
+        # of shape (rows, cols) is one of the dual shape
+        sides = ((view, shape, lambda w: w), (tview, _dual_shape(shape), pull_back))
+        decided = False
+        for side, s, back in sides:
+            w, d = _row_subset_sweep(side, s)
+            if w is not None and verify_witness(m, w := back(w)):
                 return Verdict(VerdictKind.DESTABILIZED, w, used)
-        if decided or tdecided:
+            decided = decided or d
+        if decided:
             continue
-        pdecided = False
-        if sum(shape.cols) == 1:
-            w, pdecided, pnote = _pencil_decides(view, shape)
-            if w is not None and verify_witness(m, w):
+        # pencils decide one-column shapes; the first side that decides wins
+        for side, s, back in sides:
+            w, decided, pnote = _pencil_decides(side, s)
+            if w is not None and verify_witness(m, w := back(w)):
                 return Verdict(VerdictKind.DESTABILIZED, w, used)
-            if pdecided and pnote:
+            if pnote:
                 return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
-        if not pdecided and sum(shape.rows) == 1:
-            wt, pdecided, pnote = _pencil_decides(tview, tshape)
-            if wt is not None:
-                w = _pull_back_transpose_witness(m, shape, wt)
-                if w is not None and verify_witness(m, w):
-                    return Verdict(VerdictKind.DESTABILIZED, w, used)
-            if pdecided and pnote:
-                return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
-        if pdecided:
-            continue
-        undecided.append(shape)
+            if decided:
+                break
+        else:
+            undecided.append(shape)
     if undecided and budget > 0:
         per_shape = max(1, budget // len(undecided))
         for shape in undecided:
@@ -684,10 +595,8 @@ def search_destabilizer(
                         VerdictKind.DESTABILIZED, w, used, tuple(undecided)
                     )
     if not undecided:
-        return Verdict(VerdictKind.CERTIFIED_SEMISTABLE, None, used, note=note)
-    return Verdict(
-        VerdictKind.UNDETERMINED, None, used, tuple(undecided), note=note
-    )
+        return Verdict(VerdictKind.CERTIFIED_SEMISTABLE, None, used)
+    return Verdict(VerdictKind.UNDETERMINED, None, used, tuple(undecided))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +640,7 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
     if kernel is None:
         return KoszulClass.OTHER
     degree = {k.degree for k in kernel if not k.is_zero}
-    if degree == {1} and _span_rank(kernel) == 3:
+    if degree == {1} and linearly_independent(kernel)[1] == 3:
         return KoszulClass.KOSZUL
     return KoszulClass.OTHER
 
@@ -756,14 +665,6 @@ def _adjugate_kernel(m: PolyMatrix) -> list[HomogeneousPoly] | None:
                 HomogeneousPoly.zero() if e.is_zero else e.divexact(g) for e in col
             ]
     return None
-
-
-def _span_rank(forms: Sequence[HomogeneousPoly]) -> int:
-    nz = [f for f in forms if not f.is_zero]
-    if not nz:
-        return 0
-    deg = nz[0].degree
-    return rank([f.coefficient_vector(deg) for f in nz])
 
 
 @dataclass

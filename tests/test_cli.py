@@ -233,6 +233,7 @@ def test_witness_out_has_literal_block(tmp_path, capsys):
         (["codim", "--case", "M(n+2,n):omega1", "--n", "7"], "3..6"),
         (["codim", "--case", "M(4,1):h1=1", "--n", "0"], "1..1"),
         (["table", "--case", "M(n+2,n):omega1", "--n", "99"], "3..6"),
+        (["classify", "--case", "M(4,2):omega0", "--n", "99"], "2..2"),
     ],
 )
 def test_out_of_range_n_is_a_usage_error(args, covered, capsys):

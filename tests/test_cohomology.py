@@ -8,7 +8,6 @@ from sheafmod.cohomology import (
     beilinson_terms,
     complete_table,
     dual_stratum,
-    dual_type,
     euler_consistency,
     serre_dual_table,
 )
@@ -105,14 +104,14 @@ def test_dual_stratum():
 
 def test_dual_type_examples():
     t = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
-    d = dual_type(t)
+    d = t.dual()
     assert d.source.summands == ((-2, 3),)
     assert d.target.summands == ((-1, 2), (0, 1))
     t = MorphismType.make([(-2, 4)], [(-1, 3), (1, 1)])
-    d = dual_type(t)
+    d = t.dual()
     assert d.source.summands == ((-3, 1), (-1, 3))
     assert d.target.summands == ((0, 4),)
-    assert dual_type(d) == t
+    assert d.dual() == t
 
 
 def random_type(rnd: random.Random) -> MorphismType:
@@ -134,7 +133,7 @@ def random_type(rnd: random.Random) -> MorphismType:
 def test_dual_type_involution_random(rnd):
     for _ in range(500):
         t = random_type(rnd)
-        assert dual_type(dual_type(t)) == t
+        assert t.dual().dual() == t
 
 
 def test_dual_klass_rule(rnd):

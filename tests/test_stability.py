@@ -53,6 +53,19 @@ def test_row1_koszul_matrix_has_none():
     assert zero_block_exists_row1(PSI1, 2) is None
 
 
+def test_row1_multi_type_source_keeps_column_order():
+    # the q-subsets of columns run in the matrix's own order, not in the
+    # order of the dual type, so the degree-2 column is found first
+    from sheafmod.polymatrix import parse_matrix_file
+
+    m = parse_matrix_file("type: src=(-2)x1,(-1)x1 tgt=(0)x2\nX^2 | X\nX^2 | X\n")
+    w = zero_block_exists_row1(m, 1)
+    assert w.shape.rows == (1,) and w.shape.cols == (1, 0)
+    assert w.rows == () and w.col_combos == ((F(1), F(0)),)
+    assert w.row_combos == ((F(-1), F(1)),)
+    assert verify_witness(m, w)
+
+
 # ---------------------------------------------------------------------------
 # koszul classification
 
@@ -436,3 +449,42 @@ def test_search_repeats_on_same_and_rebuilt_matrix(rnd):
         verdicts.append(first)
     assert verdicts[0].kind is VerdictKind.DESTABILIZED
     assert 0 < verdicts[0].budget_used < 400 and verify_witness(hidden, verdicts[0].witness)
+
+
+@pytest.mark.parametrize(
+    "rows, kind, witness, note",
+    [
+        # no one-row pencil drops rank anywhere
+        ("X | Y | Z\nY | Z | X\n", VerdictKind.CERTIFIED_SEMISTABLE, None, ""),
+        # the pencil on the transpose decides a one-row, two-column block
+        (
+            "X | Y | X + Y\nY | X | X + Y\n",
+            VerdictKind.DESTABILIZED,
+            ((F(1), F(1)),),
+            "",
+        ),
+        # the transposed pencil's gcd X^2 + Y^2 has no rational root
+        (
+            "X | Y | 0\n-Y | X | 0\n",
+            VerdictKind.DESTABILIZED,
+            None,
+            "destabilizer exists over the closure; no rational witness",
+        ),
+    ],
+)
+def test_transposed_pencil_decides_one_row_shapes(rows, kind, witness, note):
+    from sheafmod.polymatrix import parse_matrix_file
+
+    m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\n" + rows)
+    v = search_destabilizer(m, Polarization([F(1, 3)], [F(1, 2)]), 0)
+    assert (v.kind, v.budget_used, v.undecided, v.note) == (kind, 0, (), note)
+    if witness is None:
+        assert v.witness is None
+    else:
+        assert v.witness.shape.rows == (1,) and v.witness.shape.cols == (2,)
+        assert v.witness.row_combos == witness
+        assert v.witness.col_combos == (
+            (F(-1), F(1), F(0)),
+            (F(-2), F(0), F(1)),
+        )
+        assert verify_witness(m, v.witness)
