@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals on integer rows.
 
-One fraction-free kernel serves every rank and kernel computation in the
-package.  Each input row (ints or Fractions) is scaled to integers on its
-own, which changes neither the row space nor the kernel, and is inserted
+One fraction-free kernel serves every rank, kernel and inverse computation
+in the package.  Each input row (ints or Fractions) is scaled to integers on
+its own, which changes neither the row space nor the kernel, and is inserted
 into an echelon basis: the row is reduced against the existing pivots by
 integer cross-multiplication and divided by its content, so entries stay
 small and no Fraction appears inside the loop.  Insertion stops as soon as
-the rank reaches the width.  Kernel vectors come from back-substitution to
-the reduced row echelon form, which is unique, so the basis does not depend
-on the order or the scaling of the rows.
+the rank reaches the width.  Kernel vectors and inverses come from
+back-substitution to the reduced row echelon form, which is unique, so the
+result does not depend on the order or the scaling of the rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-__all__ = ["right_kernel", "rank", "complete_basis"]
+__all__ = ["right_kernel", "rank", "inverse", "complete_basis"]
 
 Row = Sequence[int | Fraction]
 
@@ -68,6 +68,17 @@ def _echelon(rows: Iterable[Row], width: int) -> tuple[list[int], dict[int, list
     return pivots, basis
 
 
+def _back_substitute(pivots: list[int], basis: dict[int, list[int]]) -> None:
+    """Clear every later pivot column from each pivot row, in place, so each
+    row becomes a primitive integer multiple of its reduced row echelon row."""
+    for idx in range(len(pivots) - 2, -1, -1):
+        v = basis[pivots[idx]]
+        for q in pivots[idx + 1:]:
+            if v[q]:
+                v = _eliminate(v, basis[q], q)
+        basis[pivots[idx]] = _primitive(v)
+
+
 def rank(rows: Sequence[Row]) -> int:
     """Rank over the rationals of a list of equal-length rows."""
     width = len(rows[0]) if rows else 0
@@ -97,13 +108,7 @@ def right_kernel(rows: Iterable[Row], width: int) -> list[list[Fraction]]:
     pivots, basis = _echelon(rows, width)
     if len(pivots) == width:
         return []
-    # back-substitution: clear every later pivot column from each pivot row
-    for idx in range(len(pivots) - 2, -1, -1):
-        v = basis[pivots[idx]]
-        for q in pivots[idx + 1:]:
-            if v[q]:
-                v = _eliminate(v, basis[q], q)
-        basis[pivots[idx]] = _primitive(v)
+    _back_substitute(pivots, basis)
     out = []
     for fc in range(width):
         if fc in basis:
@@ -114,3 +119,18 @@ def right_kernel(rows: Iterable[Row], width: int) -> list[list[Fraction]]:
             vec[p] = Fraction(-basis[p][fc], basis[p][p])
         out.append(vec)
     return out
+
+
+def inverse(rows: Sequence[Row]) -> list[list[Fraction]]:
+    """Inverse of a square matrix, by elimination on [A | I]; ValueError
+    when the matrix is not square or is singular."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    aug = ([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
+    pivots, basis = _echelon(aug, 2 * n)
+    # A is invertible exactly when every pivot of [A | I] lies in A
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    _back_substitute(pivots, basis)
+    return [[Fraction(x, basis[i][i]) for x in basis[i][n:]] for i in range(n)]

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .bundles import MorphismType, parse_resolution_spec, format_resolution_spec
-from .linalg import complete_basis, rank
+from .linalg import complete_basis, inverse, rank
 
 __all__ = [
     "HomogeneousPoly",
@@ -810,7 +810,7 @@ def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:
         return f
     # pick a third form completing the basis, then substitute the dual basis
     rows = complete_basis([x1.coefficient_vector(1), x2.coefficient_vector(1)], 3)
-    inv = _invert3(rows)
+    inv = inverse(rows)
     images = [
         HomogeneousPoly(
             {
@@ -823,21 +823,6 @@ def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:
     ]
     # writing old variables in terms of (X1, X2, X3) presents f in the new frame
     return f.substitute(images)
-
-
-def _invert3(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = 3
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .bundles import MorphismType
+from .linalg import inverse, rank, right_kernel
 
 __all__ = [
     "Polarization",
@@ -196,17 +198,17 @@ def dual_polarization(p: Polarization, t: MorphismType) -> Polarization:
 class Facet:
     """Affine inequality sum(coeffs * x) + const >= 0 (or > 0 when strict)."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    const: int | Fraction
     strict: bool
 
     def normalized(self) -> "Facet":
-        nums = [c.numerator for c in self.coeffs] + [self.const.numerator]
-        dens = [c.denominator for c in self.coeffs] + [self.const.denominator]
-        scale = Fraction(_lcm_list(dens), gcd(*(abs(x) for x in nums)) or 1)
-        return Facet(
-            tuple(c * scale for c in self.coeffs), self.const * scale, self.strict
-        )
+        """The same half-space with primitive integer coefficients."""
+        vals = (*self.coeffs, self.const)
+        den = lcm(*(x.denominator for x in vals))
+        ints = [x.numerator * (den // x.denominator) for x in vals]
+        g = gcd(*ints) or 1
+        return Facet(tuple(x // g for x in ints[:-1]), ints[-1] // g, self.strict)
 
     def value(self, pt: Sequence[Fraction]) -> Fraction:
         return sum(c * x for c, x in zip(self.coeffs, pt)) + self.const
@@ -215,20 +217,10 @@ class Facet:
         v = self.value(pt)
         return v > 0 if self.strict else v >= 0
 
-    def admits_weakly(self, pt: Sequence[Fraction]) -> bool:
-        return self.value(pt) >= 0
-
     def expr(self, names: Sequence[str]) -> str:
         parts = [f"{c}*{n}" for c, n in zip(self.coeffs, names)]
         parts.append(str(self.const))
         return " + ".join(parts)
-
-
-def _lcm_list(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // gcd(out, x)
-    return out
 
 
 @dataclass
@@ -270,135 +262,94 @@ class Region:
 
 def _dedupe_facets(facets: list[Facet]) -> list[Facet]:
     seen: dict[tuple, Facet] = {}
-    for f in facets:
-        f = f.normalized()
-        key = (f.coeffs, f.const)
-        if key in seen:
-            if f.strict and not seen[key].strict:
-                seen[key] = f
-        else:
-            seen[key] = f
+    for f in map(Facet.normalized, facets):
+        if f.strict or (f.coeffs, f.const) not in seen:  # the strict copy wins
+            seen[f.coeffs, f.const] = f
     return list(seen.values())
 
 
-def _solve_interval(names, facets) -> Region:
-    lo: tuple[Fraction, bool] | None = None
-    hi: tuple[Fraction, bool] | None = None
-    for f in facets:
-        (a,), c = f.coeffs, f.const
-        if a == 0:
-            if (c > 0) or (c == 0 and not f.strict):
-                continue
-            return Region(names, tuple(facets), (), -1, empty=True)
-        bound = -c / a
-        if a > 0:  # x >= bound
-            if lo is None or bound > lo[0] or (bound == lo[0] and f.strict):
-                lo = (bound, f.strict)
-        else:  # x <= bound
-            if hi is None or bound < hi[0] or (bound == hi[0] and f.strict):
-                hi = (bound, f.strict)
-    if lo is None or hi is None:
-        raise ValueError("unbounded region; the constraint system is incomplete")
-    if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
-        return Region(names, tuple(facets), (), -1, empty=True)
-    if lo[0] == hi[0]:
-        return Region(names, tuple(facets), ((lo[0],),), 0)
-    verts = tuple(sorted([(lo[0],), (hi[0],)]))
-    return Region(names, tuple(facets), verts, 1)
-
-
-def _line_intersection(f1: Facet, f2: Facet) -> tuple[Fraction, Fraction] | None:
-    a1, b1 = f1.coeffs
-    a2, b2 = f2.coeffs
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    x = (-f1.const * b2 + f2.const * b1) / det
-    y = (-a1 * f2.const + a2 * f1.const) / det
-    return (x, y)
-
-
-def _recession_direction(facets) -> tuple[Fraction, Fraction] | None:
-    """A nonzero direction along which every half-plane is unbounded, if any."""
-    candidates = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-                  (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))]
-    for f in facets:
-        a, b = f.coeffs
-        candidates.extend([(b, -a), (-b, a)])
-    for d in candidates:
-        if d == (0, 0):
-            continue
-        if all(f.coeffs[0] * d[0] + f.coeffs[1] * d[1] >= 0 for f in facets):
-            return d
+def _recession_direction(facets: list[Facet], d: int) -> tuple[Fraction, ...] | None:
+    """A nonzero direction along which every half-space is unbounded, if any.
+    With normals of rank d these directions form a pointed cone, and each
+    extreme ray spans the kernel of d - 1 of the normals."""
+    for combo in itertools.combinations(facets, d - 1):
+        for k in right_kernel([f.coeffs for f in combo], d):
+            for direction in (k, [-x for x in k]):
+                if all(sum(a * x for a, x in zip(f.coeffs, direction)) >= 0 for f in facets):
+                    return tuple(direction)
     return None
 
 
-def _solve_polygon(names, facets) -> Region:
-    candidates: set[tuple[Fraction, Fraction]] = set()
-    for f1, f2 in itertools.combinations(facets, 2):
-        pt = _line_intersection(f1, f2)
-        if pt is not None and all(f.admits_weakly(pt) for f in facets):
-            candidates.add(pt)
-    verts = sorted(candidates)
-    if verts and _recession_direction(facets) is not None:
-        raise ValueError("unbounded region; the constraint system is incomplete")
+def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
+    """Intersect half-spaces exactly in 0, 1 or 2 free variables.
+
+    The vertices of the closure are the points where d facets are tight and
+    every facet holds weakly.  A nonempty closure whose normals have rank d
+    has a vertex, so a system without one is empty when its normals have
+    rank d, and unbounded otherwise.  A failing constant facet empties it.
+    """
+    names = tuple(names)
+    d = len(names)
+    if d > 2:
+        raise ValueError("only 0, 1 or 2 free variables are supported")
+    fs = _dedupe_facets(list(facets))
+    empty = Region(names, tuple(fs), (), -1, empty=True)
+    if not all(any(f.coeffs) or f.admits(()) for f in fs):
+        return empty
+    rows = [(*f.coeffs, f.const) for f in fs]
+    # each tight point x with an integer multiple (q * x, q), q > 0, of (x, 1),
+    # so that a facet's sign there is an integer dot product with its row
+    tight: dict[tuple[Fraction, ...], list[int]] = {}
+    for combo in itertools.combinations(rows, d):
+        k = right_kernel(combo, d + 1)
+        # one tight point exactly when the kernel is a line with a nonzero
+        # last entry; that entry sits in the free slot, so it is 1
+        if len(k) == 1 and k[0][d] and (pt := tuple(k[0][:d])) not in tight:
+            q = lcm(*(x.denominator for x in pt))
+            tight[pt] = [*(x.numerator * (q // x.denominator) for x in pt), q]
+    homog = {
+        pt: h for pt, h in tight.items() if all(sum(map(mul, r, h)) >= 0 for r in rows)
+    }
+    verts = sorted(homog)
     if not verts:
-        return Region(names, tuple(facets), (), -1, empty=True)
-    if len(verts) == 1:
-        dim = 0
-    else:
-        v0 = verts[0]
-        dirs = [(v[0] - v0[0], v[1] - v0[1]) for v in verts[1:]]
-        d0 = dirs[0]
-        collinear = all(d[0] * d0[1] - d[1] * d0[0] == 0 for d in dirs)
-        dim = 1 if collinear else 2
+        if rank([f.coeffs for f in fs]) < d:
+            raise ValueError("unbounded region; the constraint system is incomplete")
+        return empty
+    if d and _recession_direction(fs, d) is not None:
+        raise ValueError("unbounded region; the constraint system is incomplete")
+    dim = rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]])
     if dim == 1:
         # keep only the two extreme points along the common line
         verts = [verts[0], verts[-1]]
-    region = Region(names, tuple(facets), tuple(verts), dim)
+    # drop half-spaces whose boundary misses the closure
+    active = [
+        f for f, r in zip(fs, rows) if any(not sum(map(mul, r, homog[v])) for v in verts)
+    ]
+    active.sort(key=lambda f: (f.coeffs, f.const, f.strict))
+    region = Region(names, tuple(active), tuple(verts), dim)
     # homogeneous strictness check: the barycenter must satisfy all strict facets
     center = region.interior_point()
-    for f in facets:
-        if f.strict and not f.admits(center):
-            return Region(names, tuple(facets), (), -1, empty=True)
+    if any(f.strict and not f.admits(center) for f in fs):
+        return empty
     return region
-
-
-def _active_facets(facets: list[Facet], verts) -> list[Facet]:
-    """Drop half-planes whose boundary line misses the closure."""
-    out = []
-    for f in facets:
-        if any(f.value(v) == 0 for v in verts):
-            out.append(f)
-    return out
-
-
-def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
-    """Intersect half-planes/half-lines exactly; dimensions 0, 1 and 2."""
-    names = tuple(names)
-    fs = _dedupe_facets(list(facets))
-    if len(names) == 0:
-        return Region(names, (), ((),), 0)
-    if len(names) == 1:
-        region = _solve_interval(names, fs)
-    elif len(names) == 2:
-        region = _solve_polygon(names, fs)
-    else:
-        raise ValueError("only 0, 1 or 2 free variables are supported")
-    if region.empty:
-        return region
-    active = _active_facets(list(region.facets), region.vertices)
-    return Region(
-        names,
-        tuple(sorted(active, key=lambda f: (f.coeffs, f.const, f.strict))),
-        region.vertices,
-        region.affine_dim,
-    )
 
 
 # ---------------------------------------------------------------------------
 # From shape catalogs to regions
 # ---------------------------------------------------------------------------
+
+Form = tuple[tuple[int | Fraction, ...], int | Fraction]  # (coeffs, const)
+
+
+def _affine_sum(const, terms: Iterable[tuple[int | Fraction, Form]], dim: int) -> Form:
+    """The affine form const + sum(w * form) over the (w, form) in ``terms``."""
+    vec = [0] * dim
+    for w, (coeffs, c) in terms:
+        if w:
+            for j, x in enumerate(coeffs):
+                vec[j] += w * x
+            const += w * c
+    return tuple(vec), const
 
 
 class _AffineSpace:
@@ -417,81 +368,21 @@ class _AffineSpace:
             + [f"m{l + 1}" for l in range(len(tm) - 1)]
         )
         self.dim = len(self.var_names)
+        units = [(tuple(int(i == j) for j in range(self.dim)), 0) for i in range(self.dim)]
+
+        def last(mults, free: list[Form]) -> Form:  # from sum(mults * weights) = 1
+            minus = [Fraction(-m, mults[-1]) for m in mults[:-1]]
+            return _affine_sum(Fraction(1, mults[-1]), zip(minus, free), self.dim)
+
+        # each weight as an affine form over the free variables
         nsrc = len(sm) - 1
-        # each weight as (coeff vector over free vars, constant)
-        self.lambda_forms: list[tuple[tuple[Fraction, ...], Fraction]] = []
-        self.mu_forms: list[tuple[tuple[Fraction, ...], Fraction]] = []
-        for i in range(len(sm)):
-            if i < nsrc:
-                vec = tuple(
-                    Fraction(1) if j == i else Fraction(0) for j in range(self.dim)
-                )
-                self.lambda_forms.append((vec, Fraction(0)))
-            else:
-                vec = tuple(
-                    Fraction(-sm[j], sm[-1]) if j < nsrc else Fraction(0)
-                    for j in range(self.dim)
-                )
-                self.lambda_forms.append((vec, Fraction(1, sm[-1])))
-        for l in range(len(tm)):
-            if l < len(tm) - 1:
-                vec = tuple(
-                    Fraction(1) if j == nsrc + l else Fraction(0)
-                    for j in range(self.dim)
-                )
-                self.mu_forms.append((vec, Fraction(0)))
-            else:
-                vec = tuple(
-                    Fraction(-tm[j - nsrc], tm[-1]) if j >= nsrc else Fraction(0)
-                    for j in range(self.dim)
-                )
-                self.mu_forms.append((vec, Fraction(1, tm[-1])))
-
-    def constraint_facet(self, c: Constraint) -> Facet:
-        """rhs - lhs >= 0 (or > 0) as a facet over the free variables."""
-        vec = [Fraction(0)] * self.dim
-        const = Fraction(0)
-        for coeff, (fvec, fconst) in zip(c.lambda_coeffs, self.lambda_forms):
-            for j in range(self.dim):
-                vec[j] += coeff * fvec[j]
-            const += coeff * fconst
-        for coeff, (fvec, fconst) in zip(c.mu_coeffs, self.mu_forms):
-            for j in range(self.dim):
-                vec[j] -= coeff * fvec[j]
-            const -= coeff * fconst
-        return Facet(tuple(vec), const, c.strict)
-
-    def positivity_facets(self) -> list[Facet]:
-        out = []
-        for fvec, fconst in self.lambda_forms + self.mu_forms:
-            out.append(Facet(fvec, fconst, strict=True))
-        return out
+        self.lambda_forms = units[:nsrc] + [last(sm, units[:nsrc])]
+        self.mu_forms = units[nsrc:] + [last(tm, units[nsrc:])]
 
     def polarization_at(self, pt: Sequence[Fraction]) -> Polarization:
         lam = [sum(c * x for c, x in zip(vec, pt)) + k for vec, k in self.lambda_forms]
         mu = [sum(c * x for c, x in zip(vec, pt)) + k for vec, k in self.mu_forms]
         return Polarization(lam, mu)
-
-
-def _invert_affine(
-    forms: Sequence[tuple[tuple[Fraction, ...], Fraction]]
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Invert y = A x + b for square A of size <= 2: returns (A^-1, -A^-1 b)."""
-    k = len(forms)
-    if k == 0:
-        return [], []
-    if k == 1:
-        ((a,), b) = forms[0]
-        if a == 0:
-            raise ValueError("plot transform is not invertible")
-        return [[1 / a]], [-b / a]
-    ((a11, a12), b1), ((a21, a22), b2) = forms
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        raise ValueError("plot transform is not invertible")
-    inv = [[a22 / det, -a12 / det], [-a21 / det, a11 / det]]
-    shift = [-(inv[0][0] * b1 + inv[0][1] * b2), -(inv[1][0] * b1 + inv[1][1] * b2)]
-    return inv, shift
 
 
 def admissible_region(
@@ -514,50 +405,38 @@ def admissible_region(
     coordinates via an invertible affine change of the free variables.
     """
     space = _AffineSpace(t)
+    dim = space.dim
+
+    def facet(const, lambda_ws, mu_ws, strict: bool) -> Facet:  # const + sum(w * weight)
+        terms = [*zip(lambda_ws, space.lambda_forms), *zip(mu_ws, space.mu_forms)]
+        return Facet(*_affine_sum(const, terms, dim), strict)
+
     facets: list[Facet] = []
-    for s in forbidden:
+    for s in forbidden:  # rhs - lhs > 0
         c = shape_inequality(s, t, strict=True)
-        facets.append(space.constraint_facet(c))
-    for s in allowed:
+        facets.append(facet(0, c.lambda_coeffs, [-b for b in c.mu_coeffs], True))
+    for s in allowed:  # lhs - rhs >= 0
         c = shape_inequality(s, t, strict=False)
-        f = space.constraint_facet(c)
-        facets.append(Facet(tuple(-x for x in f.coeffs), -f.const, strict=False))
-    for rows, bound, strict in extra_facets:
-        # bound - sum(rows * mu) REL 0
-        vec = [Fraction(0)] * space.dim
-        const = Fraction(bound)
-        for coeff, (fvec, fconst) in zip(rows, space.mu_forms):
-            for j in range(space.dim):
-                vec[j] -= coeff * fvec[j]
-            const -= coeff * fconst
-        facets.append(Facet(tuple(vec), const, strict))
+        facets.append(facet(0, [-a for a in c.lambda_coeffs], c.mu_coeffs, False))
+    for rows, bound, strict in extra_facets:  # bound - sum(rows * mu) REL 0
+        facets.append(facet(bound, (), [-b for b in rows], strict))
     if clip_positivity:
-        facets.extend(space.positivity_facets())
+        facets.extend(Facet(*form, True) for form in space.lambda_forms + space.mu_forms)
 
     names = space.var_names
-    if plot is not None and space.dim == 0:
-        # nothing to invert: the plot forms are constants pinned by the
-        # normalization, and the region is that single point
-        plot_names = tuple(name for name, _, _ in plot)
-        point = tuple(_frac(const) for _, _, const in plot)
-        return Region(plot_names, (), (point,), 0)
     if plot is not None:
-        plot_names = tuple(name for name, _, _ in plot)
-        forms = []
-        for _, coeffs, const in plot:
-            vec = tuple(_frac(coeffs.get(v, 0)) for v in names)
-            forms.append((vec, _frac(const)))
-        inv, shift = _invert_affine(forms)
-        # substitute free = inv * plot + shift into each facet
-        new_facets = []
-        for f in facets:
-            vec = [Fraction(0)] * len(plot_names)
-            const = f.const
-            for j, c in enumerate(f.coeffs):
-                for k in range(len(plot_names)):
-                    vec[k] += c * inv[j][k]
-                const += c * shift[j]
-            new_facets.append(Facet(tuple(vec), const, f.strict))
-        facets = new_facets
-        names = plot_names
+        names = tuple(name for name, _, _ in plot)
+        if dim == 0:
+            # nothing to invert: the plot forms are constants pinned by the
+            # normalization, and the region is that single point
+            return Region(names, (), (tuple(_frac(c) for _, _, c in plot),), 0)
+        # plot coordinate k is y_k = P[k] . x + p_k, so each free variable is
+        # x_j = sum_k inv(P)[j][k] * (y_k - p_k), an affine form in the y
+        try:
+            inv = inverse([[cs.get(v, 0) for v in space.var_names] for _, cs, _ in plot])
+        except ValueError:
+            raise ValueError("plot transform is not invertible") from None
+        xs = [(row, -sum(a * p for a, (_, _, p) in zip(row, plot))) for row in inv]
+        k = len(plot)
+        facets = [Facet(*_affine_sum(f.const, zip(f.coeffs, xs), k), f.strict) for f in facets]
     return solve_halfplanes(names, facets)

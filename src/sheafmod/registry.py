@@ -9,7 +9,9 @@ in ``data/registry.txt``; the shape catalogs are registered here by name.
 
 from __future__ import annotations
 
+import operator
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,8 +52,55 @@ class RegionSystem:
     plot: tuple[tuple[str, Mapping[str, Fraction], Fraction], ...] | None = None
 
 
+_TOKEN = re.compile(r"\d+|n|//|[=!<>]=|[-+*%()<>]|\S", re.ASCII)
+_SUM = {"+": operator.add, "-": operator.sub}
+_PRODUCT = {"*": operator.mul, "//": operator.floordiv, "%": operator.mod}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _ev(expr: str, n: int) -> int:
-    value = eval(expr, {"__builtins__": {}}, {"n": n})  # registry-controlled input
+    """Value of a registry expression at n, by recursive descent: ``n``,
+    integers, unary ``-``, ``+ - * // %`` with Python's precedence,
+    parentheses, and at most one comparison on top (valued 1 or 0).
+    Anything else raises ValueError."""
+    tokens = _TOKEN.findall(expr) + [""]  # "" marks the end
+    pos = 0
+
+    def chain(ops, operand) -> int:
+        nonlocal pos
+        value = operand()
+        while tokens[pos] in ops:
+            pos += 1
+            value = ops[tokens[pos - 1]](value, operand())
+        return value
+
+    def total() -> int:
+        return chain(_SUM, lambda: chain(_PRODUCT, factor))
+
+    def factor() -> int:
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok == "-":
+            return -factor()
+        if tok == "n":
+            return n
+        if tok.isascii() and tok.isdigit():
+            return int(tok)
+        if tok == "(":
+            value = total()
+            if tokens[pos] == ")":
+                pos += 1
+                return value
+        raise ValueError(f"bad registry expression {expr!r}")
+
+    value = total()
+    if tokens[pos] in _COMPARE:
+        pos += 1
+        value = _COMPARE[tokens[pos - 1]](value, total())
+    if tokens[pos]:
+        raise ValueError(f"bad registry expression {expr!r}")
     return int(value)
 
 
@@ -111,7 +160,7 @@ class CaseSpec:
 
     def quotient_kind(self, n: int) -> str:
         for kind, cond in self.quotient:
-            if cond == "" or eval(cond, {"__builtins__": {}}, {"n": n}):
+            if cond == "" or _ev(cond, n):
                 return kind
         raise ValueError(f"no quotient entry applies at n={n}")
 
@@ -131,17 +180,7 @@ class CaseSpec:
 
 def _instantiate(spec: str, n: int) -> str:
     """Replace [expr] placeholders by their integer values."""
-    out = []
-    i = 0
-    while i < len(spec):
-        if spec[i] == "[":
-            j = spec.index("]", i)
-            out.append(str(_ev(spec[i + 1 : j], n)))
-            i = j + 1
-        else:
-            out.append(spec[i])
-            i += 1
-    return "".join(out)
+    return re.sub(r"\[([^]]*)\]", lambda m: str(_ev(m[1], n)), spec)
 
 
 def stratum_codim(case: CaseSpec, n: int) -> int:

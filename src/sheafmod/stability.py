@@ -27,7 +27,7 @@ from math import comb, gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from .bundles import MorphismType
-from .linalg import complete_basis, right_kernel
+from .linalg import complete_basis, rank, right_kernel
 from .polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
@@ -497,8 +497,14 @@ def apply_transforms(
 
 
 def verify_witness(m: PolyMatrix, w: Witness) -> bool:
-    """Recompute the claimed block exactly: every (row, column combination)
-    pairing must vanish identically."""
+    """Recompute the claimed block exactly: the row combinations (literal
+    rows as unit ones) and the column combinations must each be independent,
+    which is independence within each type as the types have disjoint
+    supports, and every (row, column combination) pairing must vanish."""
+    units = [[int(r == i) for i in range(m.nrows)] for r in w.rows]
+    for combos in (units if w.row_combos is None else w.row_combos, w.col_combos):
+        if rank(combos) < len(combos):
+            return False
     if w.row_combos is not None:
         rows = [
             [_combine_rows(m, range(m.nrows), rc, c) for c in range(m.ncols)]
@@ -714,8 +720,8 @@ def check_case(
             flags[tag] = linearly_independent(entries)[0]
         elif tag == "phi11_span2":
             entries = [e for row in _block(m, 0, 0) for e in row]
-            _, rank = linearly_independent([e for e in entries if not e.is_zero])
-            flags[tag] = rank >= 2
+            _, span = linearly_independent([e for e in entries if not e.is_zero])
+            flags[tag] = span >= 2
         elif tag == "phi11_stable2x3":
             grid = _block(m, 0, 0)
             sub = PolyMatrix(

@@ -183,6 +183,58 @@ def test_registry_env_override(tmp_path, monkeypatch):
         registry.load_registry.cache_clear()
 
 
+def test_registry_rejects_expressions_outside_the_grammar(tmp_path, monkeypatch, capsys):
+    import sheafmod.registry as registry
+
+    path = tmp_path / "reg.txt"
+    path.write_text(
+        "[case M(2,1):tiny]\n"
+        "r = ().__class__\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
+        "table = h0m1=0, h1=0, h1om=0\n"
+        "resolution = src=(-2)x1 tgt=(0)x1\n"
+        "stabilizer = trivial\nextra_constraints = 0\nregion = pt_half\n"
+        "quotient = geometric\nchecks = det_nonzero\n"
+    )
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(["table"], capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "().__class__" in err
+
+
+from hypothesis import given, settings, strategies as st
+
+_arith = st.recursive(
+    st.one_of(st.just("n"), st.integers(0, 20).map(str)),
+    lambda inner: st.one_of(
+        inner.map(lambda e: "-" + e),
+        inner.map(lambda e: "(" + e + ")"),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "//", "%"]), inner).map(" ".join),
+    ),
+    max_leaves=8,
+)
+_compare = st.tuples(_arith, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), _arith)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_arith, _compare.map("".join)), st.integers(-3, 12))
+def test_registry_expressions_match_python(expr, n):
+    from sheafmod.registry import _ev
+
+    def outcome(f):
+        try:
+            return f()
+        except ZeroDivisionError:
+            return "division by zero"
+
+    want = outcome(lambda: int(eval(expr, {"__builtins__": {}}, {"n": n})))
+    assert outcome(lambda: _ev(expr, n)) == want
+
+
 def test_registry_bad_header_is_a_value_error(tmp_path):
     import sheafmod.registry as registry
 

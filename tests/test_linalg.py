@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafmod.linalg import rank, right_kernel
+from sheafmod.linalg import inverse, rank, right_kernel
 
 
 def reference_rref(rows, width):
@@ -24,6 +24,16 @@ def reference_rref(rows, width):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[top])]
         pivots.append(col)
     return mat, pivots
+
+
+def reference_inverse(rows):
+    """Fraction Gauss-Jordan on [A | I]; None when A is singular."""
+    n = len(rows)
+    aug = [[F(x) for x in r] + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    mat, pivots = reference_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in mat[:n]]
 
 
 def reference_kernel(rows, width):
@@ -145,3 +155,59 @@ def test_sympy_differential(rnd):
         expected = [[F(int(x.p), int(x.q)) for x in v] for v in mat.nullspace()]
         assert right_kernel(rows, width) == expected
         assert rank(rows) == mat.rank()
+
+
+@st.composite
+def square_matrices(draw, max_size=4):
+    n = draw(st.integers(0, max_size))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        # a singular matrix: the last row combines the first two
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_reference(rows):
+    expected = reference_inverse(rows)
+    if expected is None:
+        with pytest.raises(ValueError):
+            inverse(rows)
+        return
+    got = inverse(rows)
+    assert got == expected
+    assert all(type(x) is F for r in got for x in r)
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            assert sum(F(rows[i][k]) * got[k][j] for k in range(n)) == int(i == j)
+
+
+def test_inverse_edge_cases():
+    assert inverse([]) == []
+    assert inverse([[F(-2, 3)]]) == [[F(-3, 2)]]
+    assert inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(singular)
+    with pytest.raises(ValueError, match="square"):
+        inverse([[1, 2]])
+
+
+def test_inverse_sympy_differential(rnd):
+    sympy = pytest.importorskip("sympy")
+    for _ in range(100):
+        n = rnd.randint(1, 4)
+        rows = [
+            [F(rnd.randint(-3, 3), rnd.choice([1, 1, 2, 3])) * rnd.choice([0, 1, 1]) for _ in range(n)]
+            for _ in range(n)
+        ]
+        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+        if mat.det() == 0:
+            with pytest.raises(ValueError):
+                inverse(rows)
+            continue
+        expected = [[F(int(x.p), int(x.q)) for x in mat.inv().row(i)] for i in range(n)]
+        assert inverse(rows) == expected

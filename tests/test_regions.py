@@ -227,8 +227,16 @@ def test_empty_region_flag():
 
 
 def test_solver_rejects_unbounded():
-    with pytest.raises(ValueError):
-        solve_halfplanes(("x",), [Facet((F(1),), F(0), True)])
+    cases = [
+        (("x",), [Facet((F(1),), F(0), True)]),
+        # systems with no vertex whose normals have rank below two
+        (("x", "y"), [Facet((F(1), F(0)), F(0), False), Facet((F(-1), F(0)), F(1), False)]),
+        (("x", "y"), [Facet((F(1), F(-2)), F(3), True)]),
+        (("x", "y"), []),
+    ]
+    for names, facets in cases:
+        with pytest.raises(ValueError, match="unbounded"):
+            solve_halfplanes(names, facets)
 
 
 def test_dual_region_of_linear_family():
@@ -258,38 +266,57 @@ from hypothesis import given, settings, strategies as st
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_solver_random_bounded_systems(data):
-    """Random bounded half-plane systems: vertices satisfy every weak facet,
-    a nonempty region's barycenter satisfies strict facets strictly, and the
-    answer is invariant under facet order."""
+    """Random bounded systems in one and two variables inside the box
+    [0, 3]^d: vertices satisfy every weak facet and are tight on d facets
+    with independent normals, a nonempty region's barycenter satisfies strict
+    facets strictly, the reported facets cut out the same set as the input on
+    a denominator-6 grid of the box, and the answer is invariant under facet
+    order."""
+    import itertools
     import random as _random
 
     from sheafmod.regions import Facet, solve_halfplanes
 
     rnd = _random.Random(data.draw(st.integers(0, 10**6)))
-    facets = [
-        Facet((F(1), F(0)), F(0), False),
-        Facet((F(-1), F(0)), F(3), False),
-        Facet((F(0), F(1)), F(0), False),
-        Facet((F(0), F(-1)), F(3), False),
-    ]
+    d = data.draw(st.sampled_from([1, 2]))
+    names = ("x", "y")[:d]
+    facets = []
+    for j in range(d):
+        unit = tuple(F(int(i == j)) for i in range(d))
+        facets.append(Facet(unit, F(0), False))
+        facets.append(Facet(tuple(-x for x in unit), F(3), False))
     for _ in range(rnd.randint(1, 5)):
-        a, b = rnd.randint(-3, 3), rnd.randint(-3, 3)
-        if (a, b) == (0, 0):
-            a = 1
+        coeffs = [rnd.randint(-3, 3) for _ in range(d)]
+        if not any(coeffs):
+            coeffs[0] = 1
         c = F(rnd.randint(-2, 4))
-        facets.append(Facet((F(a), F(b)), c, rnd.random() < 0.5))
-    region = solve_halfplanes(("x", "y"), facets)
+        facets.append(Facet(tuple(F(a) for a in coeffs), c, rnd.random() < 0.5))
+    region = solve_halfplanes(names, facets)
+
+    def admits_all(fs, pt):
+        return all(f.admits(pt) for f in fs)
+
+    grid = list(itertools.product([F(k, 6) for k in range(19)], repeat=d))
     if region.empty:
+        assert not any(admits_all(facets, pt) for pt in grid)
         return
+    for pt in grid:
+        assert admits_all(facets, pt) == admits_all(region.facets, pt)
+
+    def det(rows):
+        return rows[0][0] if d == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+
     for v in region.vertices:
         for f in facets:
             assert f.value(v) >= 0
+        tight = [f.coeffs for f in facets if f.value(v) == 0]
+        assert any(det(rows) != 0 for rows in itertools.combinations(tight, d))
     center = region.interior_point()
     for f in facets:
         if f.strict:
             assert f.value(center) > 0
     shuffled = list(facets)
     rnd.shuffle(shuffled)
-    again = solve_halfplanes(("x", "y"), shuffled)
+    again = solve_halfplanes(names, shuffled)
     assert again.vertices == region.vertices
     assert again.affine_dim == region.affine_dim

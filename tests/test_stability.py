@@ -337,6 +337,31 @@ def test_realize_witness_yields_literal_block(rnd):
         found += 1
 
 
+def test_verify_witness_rejects_dependent_combinations():
+    # rows 0 and 1 sum to zero on columns 0 and 1, so one row combination
+    # kills two columns; repeating it does not make a 2x2 block, and
+    # rows(1,)xcols(2,) does not destabilize at this polarization
+    from sheafmod.polymatrix import parse_matrix_file
+    from sheafmod.regions import Shape
+    from sheafmod.stability import Witness
+
+    m = parse_matrix_file(
+        "type: src=(-1)x3 tgt=(0)x3\n"
+        "-Y+Z | -2*X-2*Y+2*Z | -2*X+2*Z\n"
+        "Y-Z | 2*X+2*Y-2*Z | -2*X+2*Y-Z\n"
+        "-2*X-2*Y+Z | X-2*Y-Z | -2*X+2*Y+Z\n"
+    )
+    shape = Shape((2,), (2,))
+    cols = ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
+    combo = (F(-3), F(-3), F(0))
+    assert not verify_witness(m, Witness(shape, (), cols, row_combos=(combo, combo)))
+    assert not verify_witness(m, Witness(Shape((1,), (2,)), (0,), (cols[0], cols[0])))
+    assert not verify_witness(m, Witness(shape, (0, 0), cols))
+    assert verify_witness(m, Witness(Shape((1,), (2,)), (), cols, row_combos=(combo,)))
+    v = search_destabilizer(m, Polarization([F(1, 3)], [F(1, 3)]), 300, seed=0)
+    assert (v.kind, v.budget_used, v.undecided) == (VerdictKind.UNDETERMINED, 300, (shape,))
+
+
 def test_budget_zero_with_undecided_is_undetermined():
     t = MorphismType.make([(-2, 1), (-1, 4)], [(0, 5)])
     m = _five_by_five()
