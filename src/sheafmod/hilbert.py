@@ -207,9 +207,8 @@ def line_bundle_degree(r: int, chi: int) -> int:
     smooth degree-r curve (Riemann-Roch)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    num = r * (r - 3)
-    assert num % 2 == 0
-    return num // 2 + chi
+    # one of r and r - 3 is even, so r(r - 3) is
+    return r * (r - 3) // 2 + chi
 
 
 def slope_violates(sub: LinearClass, parent: LinearClass, strict: bool) -> bool:

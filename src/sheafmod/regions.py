@@ -176,10 +176,15 @@ def classify_shapes(t: MorphismType, p: Polarization) -> dict[Shape, bool]:
     row weights strictly exceed the complementary column weights.
     """
     p.validate_for(t)
-    out: dict[Shape, bool] = {}
-    for s in enumerate_shapes(t):
-        out[s] = not shape_inequality(s, t, strict=False).holds(p)
-    return out
+    # the weights scaled to integers by one common denominator; the source
+    # weights then total that denominator, by the normalization
+    scale = lcm(*(x.denominator for x in (*p.lambdas, *p.mus)))
+    lambdas = [x.numerator * (scale // x.denominator) for x in p.lambdas]
+    mus = [x.numerator * (scale // x.denominator) for x in p.mus]
+    return {
+        s: sum(map(mul, s.rows, mus)) > scale - sum(map(mul, s.cols, lambdas))
+        for s in enumerate_shapes(t)
+    }
 
 
 def dual_polarization(p: Polarization, t: MorphismType) -> Polarization:
@@ -286,7 +291,9 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     The vertices of the closure are the points where d facets are tight and
     every facet holds weakly.  A nonempty closure whose normals have rank d
     has a vertex, so a system without one is empty when its normals have
-    rank d, and unbounded otherwise.  A failing constant facet empties it.
+    rank d.  With two variables and parallel normals it is empty exactly when
+    the 1-variable problem along the common normal is; otherwise it is
+    unbounded.  A failing constant facet empties it.
     """
     names = tuple(names)
     d = len(names)
@@ -312,9 +319,23 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     }
     verts = sorted(homog)
     if not verts:
-        if rank([f.coeffs for f in fs]) < d:
-            raise ValueError("unbounded region; the constraint system is incomplete")
-        return empty
+        normals = [f.coeffs for f in fs if any(f.coeffs)]
+        if rank(normals) == d:
+            return empty
+        if normals and d == 2:
+            # every normal is a multiple of one primitive n, so the system is
+            # the 1-variable one in t = n . x, and empty exactly when that is
+            n = normals[0]
+            j = 0 if n[0] else 1
+            along = [
+                Facet((Fraction(f.coeffs[j], n[j]),), f.const, f.strict) for f in fs
+            ]
+            try:
+                if solve_halfplanes(("t",), along).empty:
+                    return empty
+            except ValueError:
+                pass
+        raise ValueError("unbounded region; the constraint system is incomplete")
     if d and _recession_direction(fs, d) is not None:
         raise ValueError("unbounded region; the constraint system is incomplete")
     dim = rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -123,6 +123,10 @@ class CaseSpec:
     quotient: tuple[tuple[str, str], ...]
     checks: tuple[str, ...]
     note: str
+    # sample_polarization per n, kept for the life of this spec
+    _polarizations: dict[int, Polarization] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def admits(self, n: int) -> bool:
         return self.n_range[0] <= n <= self.n_range[1]
@@ -165,17 +169,20 @@ class CaseSpec:
         raise ValueError(f"no quotient entry applies at n={n}")
 
     def sample_polarization(self, n: int) -> Polarization:
-        """An interior admissible polarization with all weights positive."""
-        t = self.resolution(n)
-        sys = self.region_system(n)
-        clipped = admissible_region(
-            t, sys.forbidden, sys.allowed,
-            extra_facets=sys.extra_facets, clip_positivity=True,
-        )
-        if clipped.empty:
-            raise ValueError(f"case {self.id} has no positive admissible weights")
-        pt = clipped.interior_point()
-        return _AffineSpace(t).polarization_at(pt)
+        """An interior admissible polarization with all weights positive;
+        solved once per n for this spec."""
+        if n not in self._polarizations:
+            t = self.resolution(n)
+            sys = self.region_system(n)
+            clipped = admissible_region(
+                t, sys.forbidden, sys.allowed,
+                extra_facets=sys.extra_facets, clip_positivity=True,
+            )
+            if clipped.empty:
+                raise ValueError(f"case {self.id} has no positive admissible weights")
+            pt = clipped.interior_point()
+            self._polarizations[n] = _AffineSpace(t).polarization_at(pt)
+        return self._polarizations[n]
 
 
 def _instantiate(spec: str, n: int) -> str:

@@ -13,6 +13,17 @@ written once and run on the matrix and on its dual transpose; a witness
 found on the transpose is pulled back in one place.  Each search reads both
 sides once into integer coefficient views; all rank and kernel work goes
 through :mod:`sheafmod.linalg`.
+
+"Absent" propagates upward through the shape lattice: a zero block of shape
+(b, a) contains one of every smaller nonempty shape, so once some T <= S is
+proven to have no block, neither has S.  Each destabilizing shape S tries
+only the largest lower shapes an exact pass decides, whether or not they
+destabilize: all rows of the types S fills against S's columns, and its
+transposed twin (one kernel sweep each, right after the literal scan); then,
+if S's own passes leave it open, S's rows against one column of a source
+type of width at most two, and one row of a target type of width at most
+two against S's columns (the pencil on each side).  Decisions are memoized
+per search.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .polymatrix import (
     _dual_order,
     _positions,
 )
-from .regions import Polarization, Shape, classify_shapes, enumerate_shapes
+from .regions import Polarization, Shape, classify_shapes
 from .registry import CaseSpec
 
 __all__ = [
@@ -122,7 +133,8 @@ class _CoefficientView:
     columns of type i.  Each entry is read once through ``as_dict``; one
     scale per block clears its denominators, so a combination of rows within
     a type is the same combination of their slices.  Column kernels of
-    literal row subsets are memoized by (rows, source type).
+    literal row subsets are memoized by (rows, source type); ``zero_bits``
+    marks each row's vanishing entries for the literal scan.
     """
 
     def __init__(self, m: PolyMatrix):
@@ -130,6 +142,10 @@ class _CoefficientView:
         self.row_groups = _positions(m.type.target)
         self.col_groups = _positions(m.type.source)
         coeffs = [[e.as_dict() for e in row] for row in m.entries]
+        # bit c of zero_bits[r] is set when entry (r, c) vanishes
+        self.zero_bits = [
+            sum(1 << c for c, d in enumerate(row) if not d) for row in coeffs
+        ]
         self.slices: list[list[list[list[int]]]] = [[] for _ in range(m.nrows)]
         for g in self.row_groups:
             for cols in self.col_groups:
@@ -220,26 +236,21 @@ def zero_block_exists_row1(
 # ---------------------------------------------------------------------------
 
 
-def _literal_witness(m: PolyMatrix, shape: Shape) -> Witness | None:
+def _literal_witness(view: _CoefficientView, shape: Shape) -> Witness | None:
     """Zero block made of literal rows and columns, if one exists."""
-    row_groups = _positions(m.type.target)
-    col_subsets = _subsets(_positions(m.type.source), shape.cols)
+    col_subsets = _subsets(view.col_groups, shape.cols)
     if col_subsets is None:
         return None
-    # bit c of zero_bits[r] is set when entry (r, c) vanishes
-    zero_bits = [
-        sum(1 << c for c, e in enumerate(row) if e.is_zero) for row in m.entries
-    ]
     for cols in col_subsets:
         mask = sum(1 << c for c in cols)
         rows = []
-        for g, b in zip(row_groups, shape.rows):
-            ok = [r for r in g if zero_bits[r] & mask == mask]
+        for g, b in zip(view.row_groups, shape.rows):
+            ok = [r for r in g if view.zero_bits[r] & mask == mask]
             if len(ok) < b:
                 break
             rows.extend(ok[:b])
         else:
-            combos = tuple(_embed((c,), (1,), m.ncols) for c in cols)
+            combos = tuple(_embed((c,), (1,), view.m.ncols) for c in cols)
             return Witness(shape, tuple(sorted(rows)), combos)
     return None
 
@@ -544,6 +555,56 @@ def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
     return Witness(_dual_shape(wt.shape), (), col_combos, row_combos=row_combos)
 
 
+def _sweep_absent(view: _CoefficientView, shape: Shape) -> bool:
+    w, decided = _row_subset_sweep(view, shape)
+    return decided and w is None
+
+
+def _pencil_absent(view: _CoefficientView, shape: Shape) -> bool:
+    w, decided, note = _pencil_decides(view, shape)
+    return decided and w is None and not note
+
+
+def _kernel_shapes_below(
+    view: _CoefficientView, shape: Shape
+) -> list[tuple[Shape, int]]:
+    """The largest shapes below ``shape`` that one kernel sweep decides, each
+    with its side (0: the matrix, 1: its transpose): all rows of the types the
+    shape fills against its columns, and the shape's rows against all columns
+    of the types it fills."""
+    full_rows = tuple(b * (b == len(g)) for b, g in zip(shape.rows, view.row_groups))
+    full_cols = tuple(a * (a == len(g)) for a, g in zip(shape.cols, view.col_groups))
+    below = (((full_rows, shape.cols), 0), ((shape.rows, full_cols), 1))
+    return [
+        (Shape(rows, cols), side)
+        for (rows, cols), side in below
+        if any(rows) and any(cols) and (rows, cols) != (shape.rows, shape.cols)
+    ]
+
+
+def _pencil_shapes_below(
+    view: _CoefficientView, shape: Shape
+) -> list[tuple[Shape, int]]:
+    """The largest shapes below ``shape`` that a pencil decides, each with its
+    side: the shape's rows against one column of a source type of width at
+    most two, and one row of a target type of width at most two against the
+    shape's columns."""
+    def unit(k: int, size: int) -> tuple[int, ...]:
+        return tuple(int(j == k) for j in range(size))
+
+    below = [
+        (Shape(shape.rows, unit(i, len(shape.cols))), 0)
+        for i, a in enumerate(shape.cols)
+        if a and len(view.col_groups[i]) <= 2
+    ]
+    below += [
+        (Shape(unit(l, len(shape.rows)), shape.cols), 1)
+        for l, b in enumerate(shape.rows)
+        if b and len(view.row_groups[l]) <= 2
+    ]
+    return [(t, side) for t, side in below if t != shape]
+
+
 def search_destabilizer(
     m: PolyMatrix, p: Polarization, budget: int, seed: int = 0
 ) -> Verdict:
@@ -551,42 +612,59 @@ def search_destabilizer(
 
     Shapes are processed in canonical order; the first verified witness wins.
     CertifiedSemistable requires every destabilizing shape to have been
-    decided exactly.
+    decided exactly, by its own passes or by a lower shape proven absent.
     """
     p.validate_for(m.type)
-    labels = classify_shapes(m.type, p)
-    destab = [s for s in enumerate_shapes(m.type) if labels[s]]
+    destab = [s for s, d in classify_shapes(m.type, p).items() if d]
     undecided: list[Shape] = []
     used = 0
     rng = random.Random(seed)
     view = _CoefficientView(m)
     tview = _CoefficientView(transpose_dual(m))
     pull_back = functools.partial(_pull_back_transpose_witness, m)
+    # every exact pass runs on m and on its transpose, where a zero block of
+    # shape (rows, cols) is one of the dual shape
+    sides = ((view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
+    # per shape decided so far: True when proven to have no block; False when
+    # a block exists or the shape stayed open
+    absent: dict[Shape, bool] = {}
+
+    def absent_below(below, test) -> bool:
+        for t, k in below:
+            if t not in absent:
+                side, on_side, _ = sides[k]
+                absent[t] = test(side, on_side(t))
+            if absent[t]:
+                return True
+        return False
+
     for shape in destab:
-        w = _literal_witness(m, shape)
+        w = _literal_witness(view, shape)
         if w is not None and verify_witness(m, w):
             return Verdict(VerdictKind.DESTABILIZED, w, used)
-        # every exact pass runs on m and on its transpose, where a zero block
-        # of shape (rows, cols) is one of the dual shape
-        sides = ((view, shape, lambda w: w), (tview, _dual_shape(shape), pull_back))
+        if absent_below(_kernel_shapes_below(view, shape), _sweep_absent):
+            absent[shape] = True
+            continue
         decided = False
-        for side, s, back in sides:
-            w, d = _row_subset_sweep(side, s)
+        for side, on_side, back in sides:
+            w, d = _row_subset_sweep(side, on_side(shape))
             if w is not None and verify_witness(m, w := back(w)):
                 return Verdict(VerdictKind.DESTABILIZED, w, used)
             decided = decided or d
-        if decided:
-            continue
-        # pencils decide one-column shapes; the first side that decides wins
-        for side, s, back in sides:
-            w, decided, pnote = _pencil_decides(side, s)
-            if w is not None and verify_witness(m, w := back(w)):
-                return Verdict(VerdictKind.DESTABILIZED, w, used)
-            if pnote:
-                return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
-            if decided:
-                break
-        else:
+        if not decided:
+            # pencils decide one-column shapes; the first side that decides wins
+            for side, on_side, back in sides:
+                w, decided, pnote = _pencil_decides(side, on_side(shape))
+                if w is not None and verify_witness(m, w := back(w)):
+                    return Verdict(VerdictKind.DESTABILIZED, w, used)
+                if pnote:
+                    return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
+                if decided:
+                    break
+        if not decided:
+            decided = absent_below(_pencil_shapes_below(view, shape), _pencil_absent)
+        absent[shape] = decided
+        if not decided:
             undecided.append(shape)
     if undecided and budget > 0:
         per_shape = max(1, budget // len(undecided))
@@ -638,9 +716,9 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
         return KoszulClass.DEGENERATE
     if zero_block_exists_row1(m, 3) is not None:
         return KoszulClass.DEGENERATE
+    view = _CoefficientView(m)
     for shape in (Shape((2,), (2,)), Shape((1,), (2,)), Shape((2,), (1,))):
-        w = _literal_witness(m, shape)
-        if w is not None:
+        if _literal_witness(view, shape) is not None:
             return KoszulClass.DEGENERATE
     kernel = _adjugate_kernel(m)
     if kernel is None:

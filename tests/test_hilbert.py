@@ -75,6 +75,16 @@ def test_line_bundle_degree():
     assert line_bundle_degree(6, 3) == 12
 
 
+@given(st.integers(-50, 10**6), st.integers(-10**6, 10**6))
+def test_line_bundle_degree_is_riemann_roch_or_a_value_error(r, chi):
+    # r(r - 3) is even for every integer r, so the only failure is r < 1
+    if r < 1:
+        with pytest.raises(ValueError):
+            line_bundle_degree(r, chi)
+    else:
+        assert line_bundle_degree(r, chi) == F(r * (r - 3), 2) + chi
+
+
 def test_slope_violates():
     assert slope_violates(LinearClass(3, 3), LinearClass(4, 3), strict=True)
     assert not slope_violates(LinearClass(2, 1), LinearClass(4, 2), strict=True)

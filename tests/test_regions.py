@@ -61,6 +61,21 @@ def test_classify_endpoint_flip():
         assert not shape_inequality(Shape((m,), (1, n - 1 - m)), t, True).holds(p)
 
 
+def test_classify_matches_the_shape_inequality():
+    # classify_shapes compares integer-scaled weights; Constraint.holds is
+    # the Fraction reference, also at a polarization on shapes' boundaries
+    t3 = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
+    cases = [(t3, Polarization([F(1, 3), F(1, 3)], [F(1, 3)]))]
+    for case in load_registry():
+        for n in case.ns():
+            cases.append((case.resolution(n), case.sample_polarization(n)))
+    for t, p in cases:
+        labels = classify_shapes(t, p)
+        assert list(labels) == enumerate_shapes(t)
+        for s, destabilizing in labels.items():
+            assert destabilizing == (not shape_inequality(s, t, strict=False).holds(p))
+
+
 def test_region_golden_442():
     case = case_by_id("M(4,2):omega1")
     r = case.region(2)
@@ -237,6 +252,32 @@ def test_solver_rejects_unbounded():
     for names, facets in cases:
         with pytest.raises(ValueError, match="unbounded"):
             solve_halfplanes(names, facets)
+
+
+def test_solver_parallel_normals_without_a_point_is_empty():
+    # every normal is parallel to one direction and no point satisfies the
+    # system: the 1-variable problem along that normal decides it is empty
+    cases = [
+        # x >= 1 and x <= 0
+        [Facet((F(1), F(0)), F(-1), False), Facet((F(-1), F(0)), F(0), False)],
+        # x - 2y > 0 and 2x - 4y <= 0
+        [Facet((F(1), F(-2)), F(0), True), Facet((F(-2), F(4)), F(0), False)],
+        # y > 0, y < 0 and a constant facet that holds
+        [
+            Facet((F(0), F(1)), F(0), True),
+            Facet((F(0), F(-1)), F(0), True),
+            Facet((F(0), F(0)), F(1), False),
+        ],
+    ]
+    for facets in cases:
+        r = solve_halfplanes(("x", "y"), facets)
+        assert r.empty and r.vertices == () and r.affine_dim == -1
+    # the same normals with room between them still make a strip
+    with pytest.raises(ValueError, match="unbounded"):
+        solve_halfplanes(
+            ("x", "y"),
+            [Facet((F(1), F(-2)), F(0), False), Facet((F(-2), F(4)), F(1), True)],
+        )
 
 
 def test_dual_region_of_linear_family():

@@ -1,0 +1,346 @@
+"""The destabilizer search against a brute-force shape oracle, and the
+shape-lattice pruning pinned on the registry and acceptance inputs.
+
+A zero block of shape (b, a) contains one of every smaller shape, so the
+search closes a shape once a lower one is proven absent.  The oracle here
+enumerates row and column subspaces spanned by vectors with entries in
+[-2, 2] on tiny types and checks that no shape the search reports absent has
+a block among them.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+from math import gcd
+
+from sheafmod.bundles import MorphismType
+from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, X, Y, Z, _positions
+from sheafmod.regions import Polarization, Shape, classify_shapes
+from sheafmod.registry import load_registry
+from sheafmod.stability import (
+    VerdictKind,
+    Witness,
+    check_case,
+    search_destabilizer,
+    verify_witness,
+)
+from conftest import random_poly
+
+zero = HomogeneousPoly.zero()
+
+# tiny types: at most 3 rows and 3 columns, linear or quadratic entries
+TINY_TYPES = [
+    MorphismType.make([(-1, 3)], [(0, 3)]),
+    MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)]),
+    MorphismType.make([(-1, 2)], [(0, 1), (1, 2)]),
+    MorphismType.make([(-2, 1), (-1, 1)], [(0, 2)]),
+    MorphismType.make([(-1, 2), (0, 1)], [(1, 3)]),
+    MorphismType.make([(-1, 3)], [(0, 1), (1, 1)]),
+]
+
+
+def _rank(vectors) -> int:
+    """Rank by Fraction elimination, independent of sheafmod.linalg."""
+    rows = [[F(x) for x in v] for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _grid_lines(n: int) -> list[tuple[int, ...]]:
+    """One vector per line through the origin that meets [-2, 2]^n outside
+    0: the primitive ones whose first nonzero entry is positive."""
+    out = []
+    for v in itertools.product(range(-2, 3), repeat=n):
+        lead = next((x for x in v if x), 0)
+        if lead > 0 and not all(x % 2 == 0 for x in v):
+            out.append(v)
+    return out
+
+
+class BruteForce:
+    """Zero blocks of a matrix whose row and column subspaces are spanned by
+    grid vectors, found by enumeration.  The zero condition is bilinear, so a
+    row subspace and a column subspace span a block exactly when every
+    spanning row vector kills every spanning column vector."""
+
+    def __init__(self, m: PolyMatrix):
+        self.rgroups = _positions(m.type.target)
+        self.cgroups = _positions(m.type.source)
+        self.rlines = [_grid_lines(len(g)) for g in self.rgroups]
+        self.clines = [_grid_lines(len(g)) for g in self.cgroups]
+        # kills[l][i][u] has bit j set when row vector u of type l times the
+        # matrix times column vector j of type i is the zero form
+        self.kills = []
+        for g, us in zip(self.rgroups, self.rlines):
+            per_src = []
+            for h, ws in zip(self.cgroups, self.clines):
+                blocks = [[dict(m.entries[r][c].terms) for c in h] for r in g]
+                monos = {t for row in blocks for d in row for t in d}
+                masks = []
+                for u in us:
+                    # per monomial, the row combination's coefficient per column
+                    combined = [
+                        [sum(x * blocks[k][c].get(t, 0) for k, x in enumerate(u)) for c in range(len(h))]
+                        for t in monos
+                    ]
+                    masks.append(sum(
+                        1 << j
+                        for j, w in enumerate(ws)
+                        if all(sum(a * b for a, b in zip(row, w)) == 0 for row in combined)
+                    ))
+                per_src.append(masks)
+            self.kills.append(per_src)
+        self._ranks: dict[tuple[int, int], int] = {}
+        self._span_memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def _spans(self, l: int, b: int) -> list[tuple[int, ...]]:
+        """Index tuples of grid lines of target type l, one per distinct
+        b-dimensional span (types have at most three rows)."""
+        lines = self.rlines[l]
+        n = len(lines[0])
+        if b == 0:
+            return [()]
+        if b == n:
+            return [tuple(lines.index(tuple(int(i == j) for i in range(n))) for j in range(n))]
+        if b == 1:
+            return [(k,) for k in range(len(lines))]
+        # a plane in 3-space is fixed by its normal, the primitive cross product
+        planes: dict[tuple[int, ...], tuple[int, int]] = {}
+        for j, k in itertools.combinations(range(len(lines)), 2):
+            (a1, a2, a3), (b1, b2, b3) = lines[j], lines[k]
+            normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+            g = gcd(*normal)
+            if g:
+                sign = 1 if next(x for x in normal if x) > 0 else -1
+                planes.setdefault(tuple(sign * x // g for x in normal), (j, k))
+        return list(planes.values())
+
+    def _rank_of(self, i: int, mask: int) -> int:
+        if (i, mask) not in self._ranks:
+            vecs = [w for j, w in enumerate(self.clines[i]) if mask >> j & 1]
+            self._ranks[i, mask] = _rank(vecs) if vecs else 0
+        return self._ranks[i, mask]
+
+    def has_block(self, shape: Shape) -> bool:
+        spans = []
+        for l, b in enumerate(shape.rows):
+            if (l, b) not in self._span_memo:
+                self._span_memo[l, b] = self._spans(l, b)
+            spans.append(self._span_memo[l, b])
+        for choice in itertools.product(*spans):
+            ok = True
+            for i, a in enumerate(shape.cols):
+                if a == 0:
+                    continue
+                mask = (1 << len(self.clines[i])) - 1
+                for l, idx in enumerate(choice):
+                    for k in idx:
+                        mask &= self.kills[l][i][k]
+                if self._rank_of(i, mask) < a:
+                    ok = False
+                    break
+            if ok:
+                return True
+        return False
+
+
+def _own_passes_decide(t: MorphismType, s: Shape) -> bool:
+    """Whether the shape's own exact passes decide it, without a lower shape."""
+    rows = [m for _, m in t.target.summands]
+    cols = [m for _, m in t.source.summands]
+    return (
+        all(b in (0, n) for b, n in zip(s.rows, rows))
+        or all(a in (0, n) for a, n in zip(s.cols, cols))
+        or (sum(s.cols) == 1 and cols[s.cols.index(1)] <= 2)
+        or (sum(s.rows) == 1 and rows[s.rows.index(1)] <= 2)
+    )
+
+
+def _random_polarization(rnd: random.Random, t: MorphismType) -> Polarization:
+    def weights(summands):
+        xs = [rnd.randint(1, 6) for _ in summands]
+        total = sum(m * x for (_, m), x in zip(summands, xs))
+        return [F(x, total) for x in xs]
+
+    return Polarization(weights(t.source.summands), weights(t.target.summands))
+
+
+def _elementary(rnd: random.Random, groups, size: int) -> list[list[int]]:
+    """A product of two unimodular within-type shears, entries in [-2, 2]."""
+    out = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(2):
+        g = rnd.choice([g for g in groups if len(g) > 1] or [None])
+        if g is None:
+            break
+        j, k = rnd.sample(g, 2)
+        s = rnd.choice((-1, 1))
+        out = [
+            [out[r][c] + s * (r == j) * out[k][c] for c in range(size)]
+            for r in range(size)
+        ]
+    return out
+
+
+def _matrix(rnd: random.Random, t: MorphismType, plant: Shape | None) -> PolyMatrix:
+    """Random small-integer entries, some zero; with a literal zero block of
+    the planted shape hidden by random within-type row and column shears."""
+    rgroups, cgroups = _positions(t.target), _positions(t.source)
+    degs = [e for e, n in t.target.summands for _ in range(n)]
+    srcs = [d for d, n in t.source.summands for _ in range(n)]
+    grid = [
+        [random_poly(rnd, e - d, -2, 2) if rnd.random() < 0.8 else zero for d in srcs]
+        for e in degs
+    ]
+    if plant is None:
+        return PolyMatrix(t, grid)
+    rows = [r for g, b in zip(rgroups, plant.rows) for r in rnd.sample(g, b)]
+    cols = [c for g, a in zip(cgroups, plant.cols) for c in rnd.sample(g, a)]
+    for r in rows:
+        for c in cols:
+            grid[r][c] = zero
+    G = _elementary(rnd, rgroups, len(degs))
+    H = _elementary(rnd, cgroups, len(srcs))
+    mixed = [
+        [
+            sum(
+                (grid[i][j].scale(G[r][i] * H[j][c]) for i in range(len(degs)) for j in range(len(srcs))
+                 if G[r][i] and H[j][c]),
+                zero,
+            )
+            for c in range(len(srcs))
+        ]
+        for r in range(len(degs))
+    ]
+    return PolyMatrix(t, mixed)
+
+
+def test_no_shape_reported_absent_has_a_grid_block():
+    rnd = random.Random(6060)
+    checked = pruned = 0
+    for t in TINY_TYPES:
+        for k in range(25):
+            p = _random_polarization(rnd, t)
+            shapes = list(classify_shapes(t, p))
+            plant = rnd.choice(shapes) if k % 3 == 0 else None
+            m = _matrix(rnd, t, plant)
+            v = search_destabilizer(m, p, 20, seed=k)
+            if v.witness is not None:
+                assert verify_witness(m, v.witness)
+            if v.kind is VerdictKind.DESTABILIZED and v.budget_used == 0:
+                continue  # an exact witness ends the search before every shape is seen
+            oracle = BruteForce(m)
+            labels = classify_shapes(t, p)
+            for s in shapes:
+                if labels[s] and s not in v.undecided:
+                    assert not oracle.has_block(s), (t, p, s, m.entries)
+                    checked += 1
+                    pruned += not _own_passes_decide(t, s)
+    # the sample reaches shapes that only a lower shape can close
+    assert checked > 300 and pruned > 20
+
+
+def test_planted_destabilizing_blocks_are_never_certified():
+    rnd = random.Random(7070)
+    for t in TINY_TYPES:
+        for k in range(8):
+            p = _random_polarization(rnd, t)
+            labels = classify_shapes(t, p)
+            plant = rnd.choice([s for s, d in labels.items() if d])
+            m = _matrix(rnd, t, plant)
+            v = search_destabilizer(m, p, 0)
+            assert v.kind is not VerdictKind.CERTIFIED_SEMISTABLE, (t, p, plant)
+            if v.witness is not None:
+                assert verify_witness(m, v.witness)
+            else:
+                assert v.kind is VerdictKind.UNDETERMINED or v.note
+
+
+def test_brute_force_oracle_finds_hidden_blocks():
+    # the oracle itself must see a block that shears hide
+    rnd = random.Random(8080)
+    t = TINY_TYPES[1]
+    for shape in (Shape((2,), (1, 1)), Shape((1,), (0, 2)), Shape((3,), (1, 0))):
+        m = _matrix(rnd, t, shape)
+        assert BruteForce(m).has_block(shape)
+
+
+def test_three_by_three_acceptance_matrix_is_certified_exactly():
+    # its one open shape rows(2,)xcols(1,1) lies above rows(2,)xcols(1,0),
+    # which has no zero block
+    t = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
+    m = PolyMatrix(t, [[zero, X, Y], [X * Y, Z, zero], [-(X * X), zero, Z]])
+    p = Polarization([F(1, 6), F(5, 12)], [F(1, 3)])
+    v = search_destabilizer(m, p, 0)
+    assert (v.kind, v.budget_used, v.undecided) == (VerdictKind.CERTIFIED_SEMISTABLE, 0, ())
+    assert search_destabilizer(m, p, 10**4, seed=11) == v
+
+
+# verdicts at budget 0 on one random_verdicts.py matrix per registry case at
+# its smallest n (seed 0); the first four were decided before the lattice
+# pruning, the other six are decided by it
+DECIDED_REGISTRY_VERDICTS = {
+    "M(n+1,n):h0m1=0": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(4,2):omega0": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(4,2):omega1": VerdictKind.DESTABILIZED,
+    "M(4,1):h1=1": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(n+2,n):omega0": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(n+2,n):omega1": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(n+3,n):omega1": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(6,3):omega1": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(6,3):omega2": VerdictKind.CERTIFIED_SEMISTABLE,
+    "M(5,2):h1=1": VerdictKind.CERTIFIED_SEMISTABLE,
+}
+FOUR_TWO_OMEGA1_WITNESS = Witness(Shape((1, 0), (0, 1)), (0,), ((F(0), F(0), F(1)),))
+
+
+def _random_verdicts_matrix(rnd: random.Random, t: MorphismType) -> PolyMatrix:
+    """The matrix scripts/random_verdicts.py draws for the type."""
+    rows = []
+    for l, (e, nl) in enumerate(t.target.summands):
+        for _ in range(nl):
+            rows.append([
+                zero if t.is_zeroed(i, l) or e < d else random_poly(rnd, e - d, -2, 2)
+                for i, (d, mi) in enumerate(t.source.summands)
+                for _ in range(mi)
+            ])
+    return PolyMatrix(t, rows)
+
+
+def test_registry_verdicts_keep_their_decisions():
+    seen = set()
+    for case in load_registry():
+        n = case.ns()[0]
+        m = _random_verdicts_matrix(random.Random(0), case.resolution(n))
+        v = check_case(m, case, n, budget=0).verdict
+        if v.witness is not None:
+            assert verify_witness(m, v.witness)
+        if case.id in DECIDED_REGISTRY_VERDICTS:
+            seen.add(case.id)
+            assert (v.kind, v.budget_used) == (DECIDED_REGISTRY_VERDICTS[case.id], 0), case.id
+            if v.kind is VerdictKind.DESTABILIZED:
+                assert v.witness == FOUR_TWO_OMEGA1_WITNESS
+    assert seen == set(DECIDED_REGISTRY_VERDICTS)
+
+
+def test_a_block_over_the_closure_closes_nothing():
+    # the transposed pencil decides rows(1,)xcols(2,) here: its gcd
+    # X^2 + Y^2 has no rational root, so the block exists over the closure
+    from sheafmod.polymatrix import parse_matrix_file, transpose_dual
+    from sheafmod.stability import _CoefficientView, _dual_shape, _pencil_absent, _pencil_decides
+
+    m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\nX | Y | 0\n-Y | X | 0\n")
+    tview = _CoefficientView(transpose_dual(m))
+    shape = _dual_shape(Shape((1,), (2,)))
+    w, decided, note = _pencil_decides(tview, shape)
+    assert (w, decided) == (None, True) and note
+    assert not _pencil_absent(tview, shape)
