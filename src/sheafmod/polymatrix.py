@@ -8,6 +8,14 @@ pencils.  The bit-exact file format for matrices lives here as well.
 
 A form is stored as a rational content times a primitive integer coefficient
 map, so all polynomial arithmetic runs on integers.
+
+The gcd first tries a coprimality certificate: restrict both forms to a fixed
+line, reduce mod a prime and run Euclid there.  A common factor of positive
+degree would make both restrictions vanish, or leave them a common root over
+the closure of the prime field, at infinity on the line or at a finite
+point.  So nonzero restrictions, a nonzero leading coefficient and a constant
+gcd mod the prime prove the gcd is 1; otherwise the subresultant remainder
+sequence decides.
 """
 
 from __future__ import annotations
@@ -199,6 +207,67 @@ def _content_pp(a: Coeffs, var: int) -> tuple[Coeffs, Coeffs]:
     return cont, _divexact(a, cont)
 
 
+# The coprimality certificate restricts to the line Z = 3X + 5Y, parametrized
+# as (X, Y, Z) = (u, 1, 3u + 5), and works modulo the prime 2^31 - 1.
+_P = 2**31 - 1
+_LINE = (3, 5)
+
+
+def _restrict_mod_p(a: Coeffs, d: int) -> list[int]:
+    """Coefficients mod _P of a(u, 1, 3u + 5), lowest power of u first, of
+    formal degree d, the total degree of a (trailing zeros kept)."""
+    s, t = _LINE
+    powers = [[1]]  # powers[k]: the coefficients of (s*u + t)^k mod _P
+    for _ in range(d):
+        q = powers[-1]
+        powers.append(
+            [t * q[0] % _P]
+            + [(t * q[m] + s * q[m - 1]) % _P for m in range(1, len(q))]
+            + [s * q[-1] % _P]
+        )
+    out = [0] * (d + 1)
+    for (i, _, k), c in a.items():
+        for m, w in enumerate(powers[k]):
+            out[i + m] += c * w
+    return [v % _P for v in out]
+
+
+def _coprime_on_line(a: Coeffs, b: Coeffs) -> bool:
+    """True only when the nonzero maps a and b share no factor of positive
+    degree; False means nothing.
+
+    Sound for any line and prime: a common factor h of degree e > 0 restricts
+    to a binary form of formal degree e dividing both restrictions over Z,
+    hence mod _P.  Either h's restriction vanishes mod _P, and so do both of
+    a's and b's; or it has a root on P^1 over the closure of F_P: at infinity,
+    where both u^d coefficients vanish, or at a finite u, where the gcd of the
+    restrictions over F_P has positive degree.  Each case is refused.
+    """
+    da, db = max(map(sum, a)), max(map(sum, b))
+    if max(da, db) > len(a) + len(b):
+        # dense restrictions of sparse maps of high degree cost more than the PRS
+        return False
+    f, g = _restrict_mod_p(a, da), _restrict_mod_p(b, db)
+    if not (f[-1] or g[-1]):
+        return False
+    for p in (f, g):
+        while p and not p[-1]:
+            p.pop()
+    if not f or not g:
+        return False
+    while len(g) > 1:  # Euclid over F_P on lists of coefficients
+        inv = pow(g[-1], -1, _P)
+        while len(f) >= len(g):
+            q, shift = f[-1] * inv % _P, len(f) - len(g)
+            for m in range(len(g) - 1):
+                f[shift + m] = (f[shift + m] - q * g[m]) % _P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(g) == 1
+
+
 def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     """gcd in Z[X,Y,Z] up to sign: primitive, with a positive graded-lex
     leading coefficient (X > Y > Z); empty when both maps are."""
@@ -212,7 +281,7 @@ def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
         if _degree_in(a, v) > 0 or _degree_in(b, v) > 0:
             var = v
             break
-    if var is None:
+    if var is None or _coprime_on_line(a, b):
         return {_ONE: 1}
     cont_a, pp_a = _content_pp(a, var)
     cont_b, pp_b = _content_pp(b, var)
@@ -608,16 +677,15 @@ def kernel_line(m: PolyMatrix) -> tuple[list[HomogeneousPoly], int] | None:
     if all(p.is_zero for p in minors):
         return None
     g = poly_gcd_list(p for p in minors if not p.is_zero)
-    beta = []
-    for i, p in enumerate(minors):
-        q = HomogeneousPoly.zero() if p.is_zero else p.divexact(g)
-        beta.append(q if i % 2 == 0 else -q)
+    if g.degree != 0:  # a constant gcd is 1, and beta is the minors themselves
+        minors = [p if p.is_zero else p.divexact(g) for p in minors]
+    beta = [p if i % 2 == 0 else -p for i, p in enumerate(minors)]
     for r in range(m.nrows):
         acc = HomogeneousPoly.zero()
         for c in range(m.ncols):
             acc = acc + m.entry(r, c) * beta[c]
         if not acc.is_zero:
-            raise AssertionError("kernel relation failed; inconsistent twists")
+            raise ValueError("kernel relation failed; inconsistent twists")
     degrees = {b.degree for b in beta if not b.is_zero}
     if len(degrees) != 1:
         raise ValueError("kernel entries have mixed degrees")

@@ -125,6 +125,9 @@ def _subsets(groups, counts):
     return map(tuple, map(itertools.chain.from_iterable, itertools.product(*per_type)))
 
 
+_ColumnMask = tuple[tuple[int, ...], int]  # literal columns and their bitmask
+
+
 class _CoefficientView:
     """Integer coefficient slices of one matrix, built once per search.
 
@@ -134,7 +137,8 @@ class _CoefficientView:
     scale per block clears its denominators, so a combination of rows within
     a type is the same combination of their slices.  Column kernels of
     literal row subsets are memoized by (rows, source type); ``zero_bits``
-    marks each row's vanishing entries for the literal scan.
+    marks each row's vanishing entries for the literal scan, and the scan's
+    column subsets with their bitmasks are memoized by the shape's columns.
     """
 
     def __init__(self, m: PolyMatrix):
@@ -159,6 +163,7 @@ class _CoefficientView:
                     ]
                     self.slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
         self._kernels: dict[tuple[tuple[int, ...], int], list[list[Fraction]]] = {}
+        self._col_masks: dict[tuple[int, ...], list[_ColumnMask] | None] = {}
 
     def kernel(self, rows: tuple[int, ...], i: int) -> list[list[Fraction]]:
         """Constant combinations of the type-i columns that vanish on ``rows``.
@@ -172,6 +177,16 @@ class _CoefficientView:
                 (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
             )
         return self._kernels[key]
+
+    def column_masks(self, cols: tuple[int, ...]) -> list[_ColumnMask] | None:
+        """Every literal column subset with ``cols[i]`` columns of source type
+        i, in ``_subsets`` order, with its bitmask; None past the cap."""
+        if cols not in self._col_masks:
+            subsets = _subsets(self.col_groups, cols)
+            self._col_masks[cols] = None if subsets is None else [
+                (c, sum(1 << x for x in c)) for c in subsets
+            ]
+        return self._col_masks[cols]
 
 
 def _col1_witness(view: _CoefficientView, row_subsets, i: int) -> Witness | None:
@@ -238,11 +253,10 @@ def zero_block_exists_row1(
 
 def _literal_witness(view: _CoefficientView, shape: Shape) -> Witness | None:
     """Zero block made of literal rows and columns, if one exists."""
-    col_subsets = _subsets(view.col_groups, shape.cols)
-    if col_subsets is None:
+    col_masks = view.column_masks(shape.cols)
+    if col_masks is None:
         return None
-    for cols in col_subsets:
-        mask = sum(1 << c for c in cols)
+    for cols, mask in col_masks:
         rows = []
         for g, b in zip(view.row_groups, shape.rows):
             ok = [r for r in g if view.zero_bits[r] & mask == mask]

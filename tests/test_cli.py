@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,7 @@ import sys
 import pytest
 
 from sheafmod.cli import main
+from sheafmod.polymatrix import monomial_basis, parse_poly
 
 
 def run_cli(args, capsys):
@@ -346,3 +349,86 @@ def test_malformed_argument_is_a_usage_error(args, needed, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and needed in err
+
+
+def test_kernel_relation_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    import sheafmod.polymatrix as polymatrix
+
+    text = "type: src=(-1)x2 tgt=(0)x1\nX | Y\n"
+    # wrong minors: X*X - Y*X is no syzygy of (X, Y)
+    monkeypatch.setattr(polymatrix, "maximal_minors", lambda m: [polymatrix.X] * 2)
+    with pytest.raises(ValueError, match="kernel relation failed"):
+        polymatrix.kernel_line(polymatrix.parse_matrix_file(text))
+    f = tmp_path / "m.mat"
+    f.write_text(text)
+    code, out, err = run_cli(["kernel", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: kernel relation failed; inconsistent twists\n"
+
+
+# Hypothesis over the kernel command: matrix-file text in, exit 0, 1 or 2 out,
+# at most one line on stderr and never a traceback.
+
+
+def _monomial_text(t):
+    return "*".join(f"{v}^{e}" for v, e in zip("XYZ", t) if e) or "1"
+
+
+_FILE_CHARS = "XYZ^*+-/0123456789 |\n#:()x=,"
+
+
+@st.composite
+def _well_formed_kernel_file(draw):
+    k = draw(st.integers(1, 3))
+    deg = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(k):
+        cells = []
+        for _ in range(k + 1):
+            terms = "".join(
+                f" {'-' if c < 0 else '+'} {abs(c)}*{_monomial_text(t)}"
+                for t in monomial_basis(deg)
+                if (c := draw(st.integers(-3, 3)))
+            )
+            cells.append(terms[1:].removeprefix("+ ") or "0")
+        rows.append(" | ".join(cells))
+    return f"type: src=({-deg})x{k + 1} tgt=(0)x{k}\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def _malformed_kernel_file(draw):
+    text = draw(_well_formed_kernel_file())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.text(_FILE_CHARS + "srctgk", max_size=4)) + text[j:]
+    return text
+
+
+def _run_kernel_file(path, text):
+    for line in text.splitlines()[1:]:
+        for cell in line.split("|"):
+            try:
+                parse_poly(cell)
+            except ValueError:
+                pass
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["kernel", str(path)])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and err.count("\n") == (code != 0)
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(_well_formed_kernel_file())
+def test_kernel_cli_fuzz_well_formed(tmp_path_factory, text):
+    assert _run_kernel_file(tmp_path_factory.getbasetemp() / "fuzz.mat", text) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_malformed_kernel_file(), st.text(_FILE_CHARS, max_size=60)))
+def test_kernel_cli_fuzz_malformed(tmp_path_factory, text):
+    _run_kernel_file(tmp_path_factory.getbasetemp() / "fuzz.mat", text)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafmod import polymatrix
 from sheafmod.bundles import MorphismType
 from sheafmod.polymatrix import (
     HomogeneousPoly,
@@ -263,6 +264,87 @@ def test_gcd_when_a_remainder_step_drops_two_degrees():
 def test_gcd_rejects_double_zero():
     with pytest.raises(ValueError):
         poly_gcd(zero, zero)
+
+
+# ---------------------------------------------------------------------------
+# modular coprimality certificate in front of the subresultant gcd
+
+
+def prs_gcd(a, b):
+    """``_gcd`` on integer maps with the certificate switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polymatrix, "_coprime_on_line", lambda a, b: False)
+        return polymatrix._gcd(a, b)
+
+
+def planted_pairs(seed, count):
+    """Pairs of forms sharing a planted factor of degree 0, 1 or 2, in turn."""
+    rnd = random.Random(seed)
+    for i in range(count):
+        c = random_nonzero_poly(rnd, i % 3)
+        a = random_nonzero_poly(rnd, rnd.randint(1, 3)) * c
+        b = random_nonzero_poly(rnd, rnd.randint(1, 3)) * c
+        yield a, b, c
+
+
+def test_certificate_agrees_with_the_prs():
+    certified = 0
+    for a, b, c in planted_pairs(11, 36):
+        got = polymatrix._gcd(a.coeffs, b.coeffs)
+        assert got == prs_gcd(a.coeffs, b.coeffs)
+        if polymatrix._coprime_on_line(a.coeffs, b.coeffs):
+            assert c.degree == 0 and got == {(0, 0, 0): 1}
+            certified += 1
+    assert certified >= 6  # most coprime pairs are certified, not refused
+
+
+def test_certificate_gcd_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    for a, b, _ in planted_pairs(12, 15):
+        want = sp.gcd(to_sympy(a, sp), to_sympy(b, sp))
+        ratio = sp.cancel(want / to_sympy(poly_gcd(a, b), sp))
+        assert ratio.is_number and ratio != 0  # equal up to a unit
+
+
+_P = polymatrix._P
+_ON_LINE = Z - X.scale(3) - Y.scale(5)  # vanishes on the certificate's line
+
+
+def _times_p(p):
+    return {t: _P * v for t, v in p.coeffs.items()}
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        # both restrictions vanish identically
+        ((_ON_LINE * (X + Y)).coeffs, (_ON_LINE * (X - Z.scale(2))).coeffs, _ON_LINE),
+        # one restriction vanishes identically
+        ((_ON_LINE * (X + Y)).coeffs, (X * X + Y * Z).coeffs, None),
+        # every coefficient is a multiple of P
+        (_times_p((X + Y) * (X - Z)), _times_p((X + Y) * Y), X + Y),
+        (_times_p(X * Y + Z * Z), _times_p(X - Y), None),
+        # the restrictions agree mod P, the forms are coprime
+        ((X).coeffs, (X + Y.scale(_P)).coeffs, None),
+        # both u^d coefficients vanish: a common factor can hide at infinity
+        ((X * Y).coeffs, (Y * Z).coeffs, Y),
+        ((Y).coeffs, (Z - X.scale(3)).coeffs, None),
+    ],
+    ids=["both-on-line", "one-on-line", "p-multiples", "p-multiples-coprime",
+         "agree-mod-p", "common-factor-at-infinity", "both-vanish-at-infinity"],
+)
+def test_certificate_refuses_adversarial_pairs(a, b, want):
+    assert not polymatrix._coprime_on_line(a, b)
+    want = {(0, 0, 0): 1} if want is None else want.coeffs
+    assert polymatrix._gcd(a, b) == want == prs_gcd(a, b)
+
+
+def test_certificate_leaves_sparse_high_degree_maps_to_the_prs():
+    # dense restrictions would cost about d^2 steps for two monomials
+    n = 1000
+    a, b = parse_poly(f"X^{n}"), parse_poly(f"Y^{n}")
+    assert not polymatrix._coprime_on_line(a.coeffs, b.coeffs)
+    assert str(poly_gcd(a, b)) == "1"
 
 
 # ---------------------------------------------------------------------------
