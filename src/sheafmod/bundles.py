@@ -73,7 +73,8 @@ class BundleSum:
 class MorphismType:
     """Source and target bundle sums plus blocks forced identically zero.
 
-    ``zeroed`` holds 0-based pairs (source type index, target type index).
+    ``zeroed`` holds 0-based pairs (source type index, target type index);
+    messages and specs name them 1-based.
     Scalar blocks (equal twists) are the ones zeroed in every registry case.
     """
 
@@ -84,10 +85,10 @@ class MorphismType:
     def __post_init__(self) -> None:
         for i, l in self.zeroed:
             if not (0 <= i < self.source.ntypes and 0 <= l < self.target.ntypes):
-                raise ValueError(f"zeroed block ({i},{l}) out of range")
+                raise ValueError(f"zeroed block ({i + 1},{l + 1}) out of range")
             if self.target.summands[l][0] < self.source.summands[i][0]:
                 raise ValueError(
-                    f"block ({i},{l}) is already impossible (negative degree)"
+                    f"block ({i + 1},{l + 1}) is already impossible (negative degree)"
                 )
 
     @classmethod
@@ -203,6 +204,8 @@ def quotient_dim_crosscheck(family: str, n: int) -> bool:
 
 
 _SUMMAND_RE = re.compile(r"\((-?\d+)\)x(\d+)")
+_BLOCK_RE = re.compile(r"\((\d+),(\d+)\)")
+_BLOCKS_RE = re.compile(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*")
 
 
 def _parse_sum(text: str) -> list[tuple[int, int]]:
@@ -220,32 +223,35 @@ def _parse_sum(text: str) -> list[tuple[int, int]]:
 def parse_resolution_spec(text: str) -> tuple[MorphismType, int | None]:
     """Parse ``src=(-2)x1,(-1)x2 tgt=(0)x3 [ker=(-2)] [zero=(i,l),...]``.
 
-    Returns the morphism type and the optional kernel twist.  Blocks are only
-    zeroed when an explicit zero= list is given (the registry always spells
-    out its scalar blocks).
+    Returns the morphism type and the optional kernel twist.  Each key may
+    appear once.  Blocks are only zeroed when an explicit zero= list of
+    1-based (source type, target type) pairs is given (the registry always
+    spells out its scalar blocks).
     """
-    src = tgt = None
-    kernel = None
-    zeroed: list[tuple[int, int]] | None = None
+    fields: dict[str, str] = {}
     for token in text.split():
-        if token.startswith("src="):
-            src = _parse_sum(token[4:])
-        elif token.startswith("tgt="):
-            tgt = _parse_sum(token[4:])
-        elif token.startswith("ker="):
-            m = re.fullmatch(r"\((-?\d+)\)", token[4:])
-            if m is None:
-                raise ValueError(f"bad kernel spec {token!r}")
-            kernel = int(m.group(1))
-        elif token.startswith("zero="):
-            zeroed = []
-            for m in re.finditer(r"\((\d+),(\d+)\)", token[5:]):
-                zeroed.append((int(m.group(1)) - 1, int(m.group(2)) - 1))
-        else:
+        key, eq, value = token.partition("=")
+        if not eq or key not in ("src", "tgt", "ker", "zero"):
             raise ValueError(f"unknown token {token!r} in resolution spec")
-    if src is None or tgt is None:
+        if key in fields:
+            raise ValueError(f"repeated {key}= in resolution spec")
+        fields[key] = value
+    if "src" not in fields or "tgt" not in fields:
         raise ValueError("resolution spec needs both src= and tgt=")
-    t = MorphismType.make(src, tgt, zeroed or ())
+    kernel = None
+    if "ker" in fields:
+        m = re.fullmatch(r"\((-?\d+)\)", fields["ker"])
+        if m is None:
+            raise ValueError(f"bad kernel spec ker={fields['ker']!r}")
+        kernel = int(m.group(1))
+    zeroed = []
+    if "zero" in fields:
+        if not _BLOCKS_RE.fullmatch(fields["zero"]):
+            raise ValueError(
+                f"bad zero blocks zero={fields['zero']!r}; expected e.g. zero=(2,1),(3,1)"
+            )
+        zeroed = [(int(i) - 1, int(l) - 1) for i, l in _BLOCK_RE.findall(fields["zero"])]
+    t = MorphismType.make(_parse_sum(fields["src"]), _parse_sum(fields["tgt"]), zeroed)
     return t, kernel
 
 

@@ -72,7 +72,13 @@ def cmd_table(args) -> int:
         if args.n is not None and not cases[0].admits(args.n):
             raise _out_of_range(cases[0], args.n)
     if args.n is not None and not args.case:
+        covered = [n for c in cases for n in c.n_range]
         cases = tuple(c for c in cases if c.admits(args.n))
+        if not cases:
+            raise UsageError(
+                f"no case covers n = {args.n}; the table spans n = "
+                f"{min(covered)}..{max(covered)}"
+            )
     out_rows = []
     mismatches = []
     for case in cases:
@@ -215,7 +221,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    # parse every argument before anything is printed
+    if not (args.type or args.polarization or args.matrix or args.table):
+        raise ValueError("dual needs one of --type/--polarization/--matrix/--table")
+    # parse and validate every argument before anything is printed
     if args.polarization:
         p = _parse_polarization(args.polarization)
     if args.table:
@@ -228,37 +236,32 @@ def cmd_dual(args) -> int:
                 "--table needs 8 comma-separated integers "
                 f"r,chi,h0m1,h1m1,h0,h1,h0om,h1om, not {args.table!r}"
             )
-    did = 0
     if args.type:
         t, _ = parse_resolution_spec(args.type)
-        print(format_resolution_spec(t.dual()))
-        did += 1
     if args.polarization:
         if not args.type:
             raise ValueError("--polarization needs --type for the arity")
-        t, _ = parse_resolution_spec(args.type)
         q = dual_polarization(p, t)
+    if args.matrix:
+        with open(args.matrix, "r", encoding="utf-8") as fh:
+            m = parse_matrix_file(fh.read())
+    if args.table:
+        r, chi, *hs = vals
+        d = serre_dual_table(CohomologyTable(LinearClass(r, chi), *hs))
+    if args.type:
+        print(format_resolution_spec(t.dual()))
+    if args.polarization:
         print(
             ",".join(str(x) for x in q.lambdas)
             + ";"
             + ",".join(str(x) for x in q.mus)
         )
-        did += 1
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            m = parse_matrix_file(fh.read())
         sys.stdout.write(format_matrix_file(transpose_dual(m)))
-        did += 1
     if args.table:
-        r, chi, *hs = vals
-        t = CohomologyTable(LinearClass(r, chi), *hs)
-        d = serre_dual_table(t)
         print(f"class: r={d.klass.r}, chi={d.klass.chi}")
         for label, h0, h1 in d.rows():
             print(f"{label:<14s} h0={h0:<3d} h1={h1}")
-        did += 1
-    if not did:
-        raise ValueError("dual needs one of --type/--polarization/--matrix/--table")
     return 0
 
 

@@ -7,6 +7,11 @@ submatrix occupies; each shape yields one linear inequality between row
 weights and complementary column weights.  Forbidden shapes contribute strict
 inequalities, allowed shapes weak ones, and the admissible region is the
 exact rational polytope cut out by the resulting half-planes.
+
+The half-planes stay on primitive integer rows from the facets to the
+vertices: a vertex is the point where d facets are tight, taken as the
+vector of signed d x d minors of their d x (d+1) rows (Cramer's rule), and
+Fractions are built only for the vertices that survive.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .bundles import MorphismType
-from .linalg import inverse, rank, right_kernel
+from .linalg import inverse, rank
 
 __all__ = [
     "Polarization",
@@ -37,6 +42,11 @@ __all__ = [
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integers(vals: Iterable[int | Fraction], den: int) -> list[int]:
+    """den * vals as ints, for a den that every denominator divides."""
+    return [x.numerator * (den // x.denominator) for x in vals]
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,8 @@ def classify_shapes(t: MorphismType, p: Polarization) -> dict[Shape, bool]:
     # the weights scaled to integers by one common denominator; the source
     # weights then total that denominator, by the normalization
     scale = lcm(*(x.denominator for x in (*p.lambdas, *p.mus)))
-    lambdas = [x.numerator * (scale // x.denominator) for x in p.lambdas]
-    mus = [x.numerator * (scale // x.denominator) for x in p.mus]
+    lambdas = _integers(p.lambdas, scale)
+    mus = _integers(p.mus, scale)
     return {
         s: sum(map(mul, s.rows, mus)) > scale - sum(map(mul, s.cols, lambdas))
         for s in enumerate_shapes(t)
@@ -210,8 +220,7 @@ class Facet:
     def normalized(self) -> "Facet":
         """The same half-space with primitive integer coefficients."""
         vals = (*self.coeffs, self.const)
-        den = lcm(*(x.denominator for x in vals))
-        ints = [x.numerator * (den // x.denominator) for x in vals]
+        ints = _integers(vals, lcm(*(x.denominator for x in vals)))
         g = gcd(*ints) or 1
         return Facet(tuple(x // g for x in ints[:-1]), ints[-1] // g, self.strict)
 
@@ -273,16 +282,41 @@ def _dedupe_facets(facets: list[Facet]) -> list[Facet]:
     return list(seen.values())
 
 
-def _recession_direction(facets: list[Facet], d: int) -> tuple[Fraction, ...] | None:
+def _recession_direction(facets: list[Facet], d: int) -> tuple[int, ...] | None:
     """A nonzero direction along which every half-space is unbounded, if any.
     With normals of rank d these directions form a pointed cone, and each
-    extreme ray spans the kernel of d - 1 of the normals."""
-    for combo in itertools.combinations(facets, d - 1):
-        for k in right_kernel([f.coeffs for f in combo], d):
-            for direction in (k, [-x for x in k]):
-                if all(sum(a * x for a, x in zip(f.coeffs, direction)) >= 0 for f in facets):
-                    return tuple(direction)
+    extreme ray spans the kernel of d - 1 of the normals: it is +-1 when
+    d = 1 and +-(-b, a) for a nonzero normal (a, b) when d = 2."""
+    normals = [f.coeffs for f in facets]
+    rays = [(1,)] if d == 1 else [(-b, a) for a, b in normals if a or b]
+    for ray in rays:
+        for direction in (ray, tuple(-x for x in ray)):
+            if all(sum(map(mul, n, direction)) >= 0 for n in normals):
+                return direction
     return None
+
+
+def _tight_point(rows: Sequence[Sequence[int]], d: int) -> tuple[int, ...] | None:
+    """The point where d integer rows (a, c) of affine forms a . x + c are
+    tight, as the primitive integer h = q * (x, 1) with q > 0, or None when
+    they do not meet in exactly one point.
+
+    The kernel of a d x (d + 1) matrix of rank d is spanned by its vector of
+    signed maximal minors (Cramer's rule); its last entry, the determinant of
+    the normals, is nonzero exactly when the tight set is one point.
+    """
+    if d == 0:
+        v = (1,)
+    elif d == 1:
+        ((a, c),) = rows
+        v = (-c, a)
+    else:
+        (a1, b1, c1), (a2, b2, c2) = rows
+        v = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+    if not v[-1]:
+        return None
+    g = gcd(*v) if v[-1] > 0 else -gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
@@ -293,7 +327,9 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     has a vertex, so a system without one is empty when its normals have
     rank d.  With two variables and parallel normals it is empty exactly when
     the 1-variable problem along the common normal is; otherwise it is
-    unbounded.  A failing constant facet empties it.
+    unbounded.  A failing constant facet empties it.  The facets are
+    normalized to primitive integer rows once, and every sign test is an
+    integer dot product with a tight point's vector h.
     """
     names = tuple(names)
     d = len(names)
@@ -304,21 +340,10 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     if not all(any(f.coeffs) or f.admits(()) for f in fs):
         return empty
     rows = [(*f.coeffs, f.const) for f in fs]
-    # each tight point x with an integer multiple (q * x, q), q > 0, of (x, 1),
-    # so that a facet's sign there is an integer dot product with its row
-    tight: dict[tuple[Fraction, ...], list[int]] = {}
-    for combo in itertools.combinations(rows, d):
-        k = right_kernel(combo, d + 1)
-        # one tight point exactly when the kernel is a line with a nonzero
-        # last entry; that entry sits in the free slot, so it is 1
-        if len(k) == 1 and k[0][d] and (pt := tuple(k[0][:d])) not in tight:
-            q = lcm(*(x.denominator for x in pt))
-            tight[pt] = [*(x.numerator * (q // x.denominator) for x in pt), q]
-    homog = {
-        pt: h for pt, h in tight.items() if all(sum(map(mul, r, h)) >= 0 for r in rows)
-    }
-    verts = sorted(homog)
-    if not verts:
+    tight = {_tight_point(combo, d) for combo in itertools.combinations(rows, d)}
+    tight.discard(None)
+    hs = [h for h in tight if all(sum(map(mul, r, h)) >= 0 for r in rows)]
+    if not hs:
         normals = [f.coeffs for f in fs if any(f.coeffs)]
         if rank(normals) == d:
             return empty
@@ -338,21 +363,20 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
         raise ValueError("unbounded region; the constraint system is incomplete")
     if d and _recession_direction(fs, d) is not None:
         raise ValueError("unbounded region; the constraint system is incomplete")
-    dim = rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]])
-    if dim == 1:
-        # keep only the two extreme points along the common line
-        verts = [verts[0], verts[-1]]
+    # each h is a vertex, as d independent facets are tight there; the
+    # homogeneous vectors span one more dimension than the vertices
+    dim = rank(hs) - 1
     # drop half-spaces whose boundary misses the closure
-    active = [
-        f for f, r in zip(fs, rows) if any(not sum(map(mul, r, homog[v])) for v in verts)
-    ]
+    active = [f for f, r in zip(fs, rows) if any(not sum(map(mul, r, h)) for h in hs)]
     active.sort(key=lambda f: (f.coeffs, f.const, f.strict))
-    region = Region(names, tuple(active), tuple(verts), dim)
-    # homogeneous strictness check: the barycenter must satisfy all strict facets
-    center = region.interior_point()
-    if any(f.strict and not f.admits(center) for f in fs):
+    # strictness check at the barycenter, as the positive multiple
+    # sum(h * q / h[-1]) of (center, 1) with q = lcm(h[-1])
+    q = lcm(*(h[-1] for h in hs))
+    center = [sum(h[j] * (q // h[-1]) for h in hs) for j in range(d + 1)]
+    if any(f.strict and sum(map(mul, r, center)) <= 0 for f, r in zip(fs, rows)):
         return empty
-    return region
+    verts = sorted(tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in hs)
+    return Region(names, tuple(active), tuple(verts), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +401,10 @@ class _AffineSpace:
     """Affine coordinates for the normalized weights of a morphism type.
 
     The last source-type lambda and the last target-type mu are solved out of
-    the normalization; the remaining weights are the free variables.
+    the normalization; the remaining weights are the free variables.  Each
+    weight is kept as the integer affine form of ``scale`` times it, with
+    scale = lcm of the two last multiplicities, so every facet built from
+    these forms has integer coefficients.
     """
 
     def __init__(self, t: MorphismType):
@@ -389,21 +416,28 @@ class _AffineSpace:
             + [f"m{l + 1}" for l in range(len(tm) - 1)]
         )
         self.dim = len(self.var_names)
-        units = [(tuple(int(i == j) for j in range(self.dim)), 0) for i in range(self.dim)]
+        self.scale = lcm(sm[-1], tm[-1])
 
-        def last(mults, free: list[Form]) -> Form:  # from sum(mults * weights) = 1
-            minus = [Fraction(-m, mults[-1]) for m in mults[:-1]]
-            return _affine_sum(Fraction(1, mults[-1]), zip(minus, free), self.dim)
+        def forms(mults, first: int) -> list[Form]:
+            # free weights x_i for i = first, ..., and the last one
+            # (1 - sum(mults * x)) / mults[-1], from the normalization
+            free = range(first, first + len(mults) - 1)
+            k = self.scale // mults[-1]
+            out = [(tuple(self.scale * (i == j) for j in range(self.dim)), 0) for i in free]
+            last = [0] * self.dim
+            for i, m in zip(free, mults):
+                last[i] = -k * m
+            return out + [(tuple(last), k)]
 
-        # each weight as an affine form over the free variables
-        nsrc = len(sm) - 1
-        self.lambda_forms = units[:nsrc] + [last(sm, units[:nsrc])]
-        self.mu_forms = units[nsrc:] + [last(tm, units[nsrc:])]
+        self.lambda_forms = forms(sm, 0)
+        self.mu_forms = forms(tm, len(sm) - 1)
 
     def polarization_at(self, pt: Sequence[Fraction]) -> Polarization:
-        lam = [sum(c * x for c, x in zip(vec, pt)) + k for vec, k in self.lambda_forms]
-        mu = [sum(c * x for c, x in zip(vec, pt)) + k for vec, k in self.mu_forms]
-        return Polarization(lam, mu)
+        def weight(form: Form) -> Fraction:
+            vec, k = form
+            return Fraction(sum(map(mul, vec, pt)) + k, self.scale)
+
+        return Polarization(map(weight, self.lambda_forms), map(weight, self.mu_forms))
 
 
 def admissible_region(
@@ -428,9 +462,10 @@ def admissible_region(
     space = _AffineSpace(t)
     dim = space.dim
 
-    def facet(const, lambda_ws, mu_ws, strict: bool) -> Facet:  # const + sum(w * weight)
+    def facet(const, lambda_ws, mu_ws, strict: bool) -> Facet:
+        # scale * (const + sum(w * weight)): the same half-space, integer
         terms = [*zip(lambda_ws, space.lambda_forms), *zip(mu_ws, space.mu_forms)]
-        return Facet(*_affine_sum(const, terms, dim), strict)
+        return Facet(*_affine_sum(space.scale * const, terms, dim), strict)
 
     facets: list[Facet] = []
     for s in forbidden:  # rhs - lhs > 0
@@ -458,6 +493,12 @@ def admissible_region(
         except ValueError:
             raise ValueError("plot transform is not invertible") from None
         xs = [(row, -sum(a * p for a, (_, _, p) in zip(row, plot))) for row in inv]
+        # den * x_j is an integer affine form for the positive lcm den of the
+        # denominators, so den * facet is too
+        den = lcm(*(x.denominator for row, p in xs for x in (*row, p)))
+        xs = [(_integers(row, den), *_integers((p,), den)) for row, p in xs]
         k = len(plot)
-        facets = [Facet(*_affine_sum(f.const, zip(f.coeffs, xs), k), f.strict) for f in facets]
+        facets = [
+            Facet(*_affine_sum(den * f.const, zip(f.coeffs, xs), k), f.strict) for f in facets
+        ]
     return solve_halfplanes(names, facets)

@@ -772,6 +772,10 @@ class CaseReport:
 
     @property
     def in_wo(self) -> bool:
+        """Every membership flag passed: the matrix lies in the open stratum.
+
+        This does not imply that no block is destabilizing; the verdict
+        answers that, and can be ``destabilized`` while ``in_wo`` holds."""
         return all(self.flags.values())
 
 

@@ -122,3 +122,79 @@ def test_resolution_spec_roundtrip():
 
 def test_registry_loads_17_blocks():
     assert len(load_registry()) == 17
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("src=(-2)x1 src=(-1)x1 tgt=(0)x2", "repeated src="),
+        ("src=(-2)x1 tgt=(0)x2 tgt=(0)x1", "repeated tgt="),
+        ("src=(-2)x1 tgt=(0)x2 ker=(-3) ker=(-2)", "repeated ker="),
+        ("src=(-2)x1 tgt=(0)x2 zero=(1,1) zero=(1,1)", "repeated zero="),
+        ("src=(-2)x1 tgt=(0)x2 zero=junk", "bad zero blocks"),
+        ("src=(-2)x1 tgt=(0)x2 zero=(1,1)x(2,2)", "bad zero blocks"),
+        ("src=(-2)x1 tgt=(0)x2 zero=", "bad zero blocks"),
+        ("src=(-2)x1 tgt=(0)x2 zero=(1,1),", "bad zero blocks"),
+        # blocks are named as written, 1-based
+        ("src=(-2)x1 tgt=(0)x2 zero=(0,0)", r"zeroed block \(0,0\) out of range"),
+        ("src=(-2)x1 tgt=(0)x2 zero=(1,2)", r"zeroed block \(1,2\) out of range"),
+        ("src=(-1)x1 tgt=(-2)x2 zero=(1,1)", r"block \(1,1\) is already impossible"),
+    ],
+)
+def test_resolution_spec_rejects(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_resolution_spec(spec)
+
+
+def test_registry_types_roundtrip():
+    for case in load_registry():
+        for n in case.ns():
+            t = case.resolution(n)
+            assert parse_resolution_spec(format_resolution_spec(t)) == (t, None)
+
+
+@st.composite
+def _sums(draw):
+    twists = sorted(draw(st.sets(st.integers(-4, 2), min_size=1, max_size=3)))
+    return [(d, draw(st.integers(1, 4))) for d in twists]
+
+
+@st.composite
+def _types(draw):
+    src, tgt = draw(_sums()), draw(_sums())
+    possible = [
+        (i, l)
+        for i, (a, _) in enumerate(src)
+        for l, (b, _) in enumerate(tgt)
+        if b >= a
+    ]
+    zeroed = draw(st.sets(st.sampled_from(possible))) if possible else set()
+    kernel = draw(st.none() | st.integers(-5, 5))
+    return MorphismType.make(src, tgt, zeroed), kernel
+
+
+@given(_types())
+def test_resolution_spec_parse_inverts_format(tk):
+    t, kernel = tk
+    assert parse_resolution_spec(format_resolution_spec(t, kernel)) == (t, kernel)
+
+
+@given(_types(), st.data())
+def test_resolution_spec_mutations_raise_only_value_errors(tk, data):
+    pieces = list("()x,=-0129 ") + ["src=", "tgt=", "ker=", "zero="]
+    text = format_resolution_spec(*tk)
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["insert", "delete", "repeat"]))
+        if op == "insert":
+            text = text[:pos] + data.draw(st.sampled_from(pieces)) + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text + " " + data.draw(st.sampled_from(text.split() or [""]))
+    try:
+        t, kernel = parse_resolution_spec(text)
+    except ValueError:
+        return
+    # whatever parses formats back to an equivalent spec
+    assert parse_resolution_spec(format_resolution_spec(t, kernel)) == (t, kernel)

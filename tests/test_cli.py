@@ -289,12 +289,30 @@ def test_witness_out_has_literal_block(tmp_path, capsys):
         (["codim", "--case", "M(4,1):h1=1", "--n", "0"], "1..1"),
         (["table", "--case", "M(n+2,n):omega1", "--n", "99"], "3..6"),
         (["classify", "--case", "M(4,2):omega0", "--n", "99"], "2..2"),
+        # without --case no block covers the n: no silent empty table
+        (["table", "--n", "99"], "1..15"),
+        (["table", "--n", "-5", "--json"], "1..15"),
     ],
 )
 def test_out_of_range_n_is_a_usage_error(args, covered, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and covered in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--polarization", "0;1"], "polarization weights must be strictly positive"),
+        (["--matrix", "no-such.mat"], "No such file"),
+    ],
+)
+def test_dual_prints_nothing_before_an_error(extra, message, tmp_path, monkeypatch, capsys):
+    # the dual type must not be printed before a later argument fails
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["dual", "--type", "src=(-1)x1 tgt=(0)x1", *extra], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_check_out_of_range_n(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -361,3 +362,169 @@ def test_solver_random_bounded_systems(data):
     again = solve_halfplanes(names, shuffled)
     assert again.vertices == region.vertices
     assert again.affine_dim == region.affine_dim
+
+
+def test_structural_zero_blocks_destabilize_only_the_known_row():
+    """Rows where a block that is zero in every matrix of the stratum is
+    destabilizing at the case's own sample polarization.
+
+    Structural zeros are the zeroed blocks and the blocks with target twist
+    below source twist.  ROADMAP item 1 records the one offender: the scalar
+    block of M(4,2):omega1 at n = 2, so that check_case destabilizes every
+    matrix of the stratum.  A fix of that row, or a new offender, must fail
+    this test and update it on purpose.
+    """
+    offenders = set()
+    for case in load_registry():
+        for n in case.ns():
+            t = case.resolution(n)
+            zero = {
+                (i, l)
+                for i, (a, _) in enumerate(t.source.summands)
+                for l, (b, _) in enumerate(t.target.summands)
+                if t.is_zeroed(i, l) or b < a
+            }
+            labels = classify_shapes(t, case.sample_polarization(n))
+            for s, destabilizing in labels.items():
+                blocks = [
+                    (i, l)
+                    for i, a in enumerate(s.cols) if a
+                    for l, b in enumerate(s.rows) if b
+                ]
+                if destabilizing and all(blk in zero for blk in blocks):
+                    offenders.add((case.id, n))
+    assert offenders == {("M(4,2):omega1", 2)}
+
+
+def _reference_solve(d, facets):
+    """Brute force: "unbounded", or (vertices, affine_dim, empty).
+
+    Every d-subset of facets is solved by Cramer's rule in Fractions, and
+    the points where every facet holds weakly are the candidate vertices.
+    """
+    import itertools
+
+    def value(f, x):
+        return sum(F(c) * xi for c, xi in zip(f.coeffs, x)) + F(f.const)
+
+    def holds(f, x):
+        v = value(f, x)
+        return v > 0 if f.strict else v >= 0
+
+    def det(rows):
+        if len(rows) == 0:
+            return F(1)
+        if len(rows) == 1:
+            return F(rows[0][0])
+        (a, b), (c, e) = rows
+        return F(a) * e - F(b) * c
+
+    empty = ((), -1, True)
+    if any(not any(f.coeffs) and not holds(f, ()) for f in facets):
+        return empty
+    normals = [f.coeffs for f in facets if any(f.coeffs)]
+    points = set()
+    for combo in itertools.combinations(facets, d):
+        rows = [f.coeffs for f in combo]
+        den = det(rows)
+        if not den:
+            continue
+        rhs = [-F(f.const) for f in combo]
+        # Cramer: replace column j by the right-hand side
+        x = tuple(
+            det([[rhs[i] if k == j else rows[i][k] for k in range(d)] for i in range(d)])
+            / den
+            for j in range(d)
+        )
+        if all(value(f, x) >= 0 for f in facets):
+            points.add(x)
+    if not points:
+        full_rank = any(det(rows) for rows in itertools.combinations(normals, d))
+        if full_rank:
+            return empty  # a nonempty polyhedron with normals of rank d has a vertex
+        if d == 2 and normals:
+            # all normals are parallel to n: sample the line t * n at every
+            # breakpoint, between them and beyond them
+            n = normals[0]
+            breaks = sorted(
+                {-F(f.const) / (F(f.coeffs[0]) * n[0] + F(f.coeffs[1]) * n[1])
+                 for f in facets if any(f.coeffs)}
+            )
+            ts = [breaks[0] - 1, breaks[-1] + 1, *breaks]
+            ts += [(s + t) / 2 for s, t in zip(breaks, breaks[1:])]
+            if not any(all(holds(f, (t * n[0], t * n[1])) for f in facets) for t in ts):
+                return empty
+        return "unbounded"
+    rays = [(1,)] if d == 1 else [(-b, a) for a, b in normals]
+    for ray in rays:
+        for r in (ray, tuple(-x for x in ray)):
+            if all(sum(F(a) * x for a, x in zip(nv, r)) >= 0 for nv in normals):
+                return "unbounded"
+    verts = sorted(points)
+    p0 = verts[0]
+    collinear = d < 2 or all(
+        (p[0] - p0[0]) * (q[1] - p0[1]) == (p[1] - p0[1]) * (q[0] - p0[0])
+        for p in verts for q in verts
+    )
+    dim = 0 if len(verts) == 1 else (1 if collinear else 2)
+    if dim == 1:
+        verts = [verts[0], verts[-1]]
+    # the open part is empty when a strict facet is tight on the whole closure
+    if any(f.strict and all(value(f, v) == 0 for v in verts) for f in facets):
+        return empty
+    return tuple(verts), dim, False
+
+
+@st.composite
+def _halfplane_systems(draw):
+    d = draw(st.sampled_from([0, 1, 1, 2, 2, 2]))
+    num = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    # one lattice point that "through" and "equality" facets pass through
+    anchor = [draw(st.integers(0, 2)) for _ in range(d)]
+    facets = []
+    if draw(st.booleans()):  # a box, so that many systems are bounded
+        for j in range(d):
+            unit = tuple(int(i == j) for i in range(d))
+            facets.append(Facet(unit, 0, draw(st.booleans())))
+            facets.append(Facet(tuple(-x for x in unit), draw(st.integers(1, 3)), False))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(
+            st.sampled_from(["random", "duplicate", "parallel", "through", "equality"])
+        )
+        strict = draw(st.booleans())
+        if kind == "duplicate" and facets:
+            f = draw(st.sampled_from(facets))
+            facets.append(Facet(f.coeffs, f.const, strict))
+        elif kind == "parallel" and facets:
+            f = draw(st.sampled_from(facets))
+            k = draw(st.sampled_from([2, -1, F(1, 2), F(-3, 2)]))
+            facets.append(Facet(tuple(k * c for c in f.coeffs), draw(num), strict))
+        elif kind == "through":
+            # a strict facet through the anchor, often a vertex
+            coeffs = tuple(draw(num) for _ in range(d))
+            facets.append(Facet(coeffs, -sum(map(operator.mul, coeffs, anchor)), True))
+        elif kind == "equality":
+            # a weak pair cutting a line through the anchor: segments and points
+            coeffs = tuple(draw(num) for _ in range(d))
+            const = -sum(map(operator.mul, coeffs, anchor))
+            facets.append(Facet(coeffs, const, False))
+            facets.append(Facet(tuple(-c for c in coeffs), -const, False))
+        else:
+            facets.append(Facet(tuple(draw(num) for _ in range(d)), draw(num), strict))
+    return d, facets
+
+
+@settings(max_examples=250, deadline=None)
+@given(_halfplane_systems())
+def test_solver_matches_brute_force(system):
+    """The integer vertex path against Fraction Cramer's rule on every
+    d-subset, with Fraction inputs, duplicate and parallel facets, strict
+    facets through vertices, and empty and unbounded systems."""
+    d, facets = system
+    expected = _reference_solve(d, facets)
+    try:
+        r = solve_halfplanes(("x", "y")[:d], facets)
+    except ValueError as exc:
+        assert "unbounded" in str(exc) and expected == "unbounded"
+        return
+    assert (r.vertices, r.affine_dim, r.empty) == expected
