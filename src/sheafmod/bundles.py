@@ -209,14 +209,13 @@ _BLOCKS_RE = re.compile(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*")
 
 
 def _parse_sum(text: str) -> list[tuple[int, int]]:
+    """The summands as written, zero multiplicities included."""
     out = []
     for part in text.split(","):
         m = _SUMMAND_RE.fullmatch(part.strip())
         if m is None:
             raise ValueError(f"bad summand {part!r}; expected e.g. (-2)x3")
-        twist, mult = int(m.group(1)), int(m.group(2))
-        if mult > 0:  # zero multiplicities drop out of the sum
-            out.append((twist, mult))
+        out.append((int(m.group(1)), int(m.group(2))))
     return out
 
 
@@ -225,8 +224,9 @@ def parse_resolution_spec(text: str) -> tuple[MorphismType, int | None]:
 
     Returns the morphism type and the optional kernel twist.  Each key may
     appear once.  Blocks are only zeroed when an explicit zero= list of
-    1-based (source type, target type) pairs is given (the registry always
-    spells out its scalar blocks).
+    1-based (source summand, target summand) pairs is given (the registry
+    always spells out its scalar blocks).  The pairs count the summands as
+    written, zero multiplicities included.
     """
     fields: dict[str, str] = {}
     for token in text.split():
@@ -244,14 +244,28 @@ def parse_resolution_spec(text: str) -> tuple[MorphismType, int | None]:
         if m is None:
             raise ValueError(f"bad kernel spec ker={fields['ker']!r}")
         kernel = int(m.group(1))
+    src, tgt = _parse_sum(fields["src"]), _parse_sum(fields["tgt"])
     zeroed = []
     if "zero" in fields:
         if not _BLOCKS_RE.fullmatch(fields["zero"]):
             raise ValueError(
                 f"bad zero blocks zero={fields['zero']!r}; expected e.g. zero=(2,1),(3,1)"
             )
-        zeroed = [(int(i) - 1, int(l) - 1) for i, l in _BLOCK_RE.findall(fields["zero"])]
-    t = MorphismType.make(_parse_sum(fields["src"]), _parse_sum(fields["tgt"]), zeroed)
+        for i, l in _BLOCK_RE.findall(fields["zero"]):
+            i, l = int(i) - 1, int(l) - 1
+            if not (0 <= i < len(src) and 0 <= l < len(tgt)):
+                raise ValueError(f"zeroed block ({i + 1},{l + 1}) out of range")
+            if tgt[l][0] < src[i][0]:
+                raise ValueError(
+                    f"block ({i + 1},{l + 1}) is already impossible (negative degree)"
+                )
+            # a pair naming a summand of multiplicity zero is an empty block;
+            # the others are renumbered as those summands drop out
+            if src[i][1] and tgt[l][1]:
+                zeroed.append(
+                    (sum(m > 0 for _, m in src[:i]), sum(m > 0 for _, m in tgt[:l]))
+                )
+    t = MorphismType.make([s for s in src if s[1]], [s for s in tgt if s[1]], zeroed)
     return t, kernel
 
 

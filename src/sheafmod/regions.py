@@ -282,18 +282,21 @@ def _dedupe_facets(facets: list[Facet]) -> list[Facet]:
     return list(seen.values())
 
 
-def _recession_direction(facets: list[Facet], d: int) -> tuple[int, ...] | None:
-    """A nonzero direction along which every half-space is unbounded, if any.
-    With normals of rank d these directions form a pointed cone, and each
-    extreme ray spans the kernel of d - 1 of the normals: it is +-1 when
-    d = 1 and +-(-b, a) for a nonzero normal (a, b) when d = 2."""
+def _recession_rays(facets: list[Facet], d: int) -> list[tuple[int, ...]]:
+    """Nonzero directions along which every half-space is unbounded, none
+    when the closure is bounded.  With normals of rank d these directions
+    form a pointed cone, and each extreme ray spans the kernel of d - 1 of
+    the normals: it is +-1 when d = 1 and +-(-b, a) for a nonzero normal
+    (a, b) when d = 2.  Every extreme ray is returned, so the sum of the
+    returned directions lies inside the cone."""
     normals = [f.coeffs for f in facets]
     rays = [(1,)] if d == 1 else [(-b, a) for a, b in normals if a or b]
-    for ray in rays:
-        for direction in (ray, tuple(-x for x in ray)):
-            if all(sum(map(mul, n, direction)) >= 0 for n in normals):
-                return direction
-    return None
+    return [
+        direction
+        for ray in rays
+        for direction in (ray, tuple(-x for x in ray))
+        if all(sum(map(mul, n, direction)) >= 0 for n in normals)
+    ]
 
 
 def _tight_point(rows: Sequence[Sequence[int]], d: int) -> tuple[int, ...] | None:
@@ -327,9 +330,11 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     has a vertex, so a system without one is empty when its normals have
     rank d.  With two variables and parallel normals it is empty exactly when
     the 1-variable problem along the common normal is; otherwise it is
-    unbounded.  A failing constant facet empties it.  The facets are
-    normalized to primitive integer rows once, and every sign test is an
-    integer dot product with a tight point's vector h.
+    unbounded.  A system with a vertex is empty exactly when a strict facet
+    vanishes at a point inside its closure, bounded or not, so emptiness is
+    decided before unboundedness.  A failing constant facet empties it.  The
+    facets are normalized to primitive integer rows once, and every sign
+    test is an integer dot product with a tight point's vector h.
     """
     names = tuple(names)
     d = len(names)
@@ -361,7 +366,18 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
             except ValueError:
                 pass
         raise ValueError("unbounded region; the constraint system is incomplete")
-    if d and _recession_direction(fs, d) is not None:
+    rays = _recession_rays(fs, d) if d else []
+    # strictness check at a point inside the closure: the barycenter of the
+    # vertices, as the positive multiple sum(h * q / h[-1]) of (center, 1)
+    # with q = lcm(h[-1]), moved along every recession ray
+    q = lcm(*(h[-1] for h in hs))
+    center = [sum(h[j] * (q // h[-1]) for h in hs) for j in range(d + 1)]
+    for ray in rays:
+        for j, x in enumerate(ray):
+            center[j] += x
+    if any(f.strict and sum(map(mul, r, center)) <= 0 for f, r in zip(fs, rows)):
+        return empty
+    if rays:
         raise ValueError("unbounded region; the constraint system is incomplete")
     # each h is a vertex, as d independent facets are tight there; the
     # homogeneous vectors span one more dimension than the vertices
@@ -369,12 +385,6 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     # drop half-spaces whose boundary misses the closure
     active = [f for f, r in zip(fs, rows) if any(not sum(map(mul, r, h)) for h in hs)]
     active.sort(key=lambda f: (f.coeffs, f.const, f.strict))
-    # strictness check at the barycenter, as the positive multiple
-    # sum(h * q / h[-1]) of (center, 1) with q = lcm(h[-1])
-    q = lcm(*(h[-1] for h in hs))
-    center = [sum(h[j] * (q // h[-1]) for h in hs) for j in range(d + 1)]
-    if any(f.strict and sum(map(mul, r, center)) <= 0 for f, r in zip(fs, rows)):
-        return empty
     verts = sorted(tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in hs)
     return Region(names, tuple(active), tuple(verts), dim)
 

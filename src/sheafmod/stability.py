@@ -24,6 +24,16 @@ if S's own passes leave it open, S's rows against one column of a source
 type of width at most two, and one row of a target type of width at most
 two against S's columns (the pencil on each side).  Decisions are memoized
 per search.
+
+The literal scan and the row sweep walk their column and row subsets depth
+first, in product order (lexicographic within a type, type-major), and drop
+a branch as soon as its prefix fails a test that only gets worse as the
+subset grows: for the sweep, some column kernel of the prefix rows is too
+small, since a row added can only shrink a kernel; for the scan, some target
+type has too few rows vanishing on the prefix columns.  Every subset skipped
+would have failed, so the first subset accepted, and the witness built from
+it, is the one a flat enumeration finds.  Shapes with more than 4 096
+subsets stay undecided by these two passes.
 """
 
 from __future__ import annotations
@@ -116,16 +126,35 @@ def _embed(positions, values, width: int) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def _subsets(groups, counts):
-    """Every choice of counts[t] positions from each groups[t], flattened into
-    one tuple per choice in product order; None past ``_SUBSET_CAP`` choices."""
-    if prod(comb(len(g), b) for g, b in zip(groups, counts)) > _SUBSET_CAP:
+def _over_cap(groups, counts) -> bool:
+    """More than ``_SUBSET_CAP`` choices of counts[t] positions per groups[t]."""
+    return prod(comb(len(g), b) for g, b in zip(groups, counts)) > _SUBSET_CAP
+
+
+def _first_subset(groups, counts, accepts) -> tuple[int, ...] | None:
+    """The first choice of counts[t] positions from each groups[t], flattened
+    in product order (lexicographic within a type, the first type varying
+    slowest), that ``accepts`` takes.  Every nonempty prefix is tested and a
+    refused one is not extended, so ``accepts`` must refuse every extension
+    of a prefix it refuses."""
+    slots = [(g, b) for g, b in zip(groups, counts) if b]
+
+    def walk(prefix, t, start, left):
+        if not left:
+            t += 1
+            if t == len(slots):
+                return prefix
+            start, left = 0, slots[t][1]
+        g = slots[t][0]
+        for j in range(start, len(g) - left + 1):
+            chosen = prefix + (g[j],)
+            if accepts(chosen):
+                found = walk(chosen, t, j + 1, left - 1)
+                if found is not None:
+                    return found
         return None
-    per_type = [itertools.combinations(g, b) for g, b in zip(groups, counts)]
-    return map(tuple, map(itertools.chain.from_iterable, itertools.product(*per_type)))
 
-
-_ColumnMask = tuple[tuple[int, ...], int]  # literal columns and their bitmask
+    return walk((), -1, 0, 0)
 
 
 class _CoefficientView:
@@ -137,8 +166,7 @@ class _CoefficientView:
     scale per block clears its denominators, so a combination of rows within
     a type is the same combination of their slices.  Column kernels of
     literal row subsets are memoized by (rows, source type); ``zero_bits``
-    marks each row's vanishing entries for the literal scan, and the scan's
-    column subsets with their bitmasks are memoized by the shape's columns.
+    marks each row's vanishing entries for the literal scan.
     """
 
     def __init__(self, m: PolyMatrix):
@@ -163,7 +191,6 @@ class _CoefficientView:
                     ]
                     self.slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
         self._kernels: dict[tuple[tuple[int, ...], int], list[list[Fraction]]] = {}
-        self._col_masks: dict[tuple[int, ...], list[_ColumnMask] | None] = {}
 
     def kernel(self, rows: tuple[int, ...], i: int) -> list[list[Fraction]]:
         """Constant combinations of the type-i columns that vanish on ``rows``.
@@ -177,16 +204,6 @@ class _CoefficientView:
                 (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
             )
         return self._kernels[key]
-
-    def column_masks(self, cols: tuple[int, ...]) -> list[_ColumnMask] | None:
-        """Every literal column subset with ``cols[i]`` columns of source type
-        i, in ``_subsets`` order, with its bitmask; None past the cap."""
-        if cols not in self._col_masks:
-            subsets = _subsets(self.col_groups, cols)
-            self._col_masks[cols] = None if subsets is None else [
-                (c, sum(1 << x for x in c)) for c in subsets
-            ]
-        return self._col_masks[cols]
 
 
 def _col1_witness(view: _CoefficientView, row_subsets, i: int) -> Witness | None:
@@ -251,37 +268,36 @@ def zero_block_exists_row1(
 # ---------------------------------------------------------------------------
 
 
+def _rows_vanishing_on(
+    view: _CoefficientView, shape: Shape, cols: tuple[int, ...]
+) -> list[int] | None:
+    """The first ``shape.rows[l]`` rows of each target type l whose entries
+    vanish on every column in ``cols``; None when some type has too few.
+    More columns leave fewer such rows, so a refusal is never lifted."""
+    mask = sum(1 << c for c in cols)
+    rows: list[int] = []
+    for g, b in zip(view.row_groups, shape.rows):
+        ok = [r for r in g if view.zero_bits[r] & mask == mask][:b]
+        if len(ok) < b:
+            return None
+        rows.extend(ok)
+    return rows
+
+
 def _literal_witness(view: _CoefficientView, shape: Shape) -> Witness | None:
     """Zero block made of literal rows and columns, if one exists."""
-    col_masks = view.column_masks(shape.cols)
-    if col_masks is None:
+    if _over_cap(view.col_groups, shape.cols):
         return None
-    for cols, mask in col_masks:
-        rows = []
-        for g, b in zip(view.row_groups, shape.rows):
-            ok = [r for r in g if view.zero_bits[r] & mask == mask]
-            if len(ok) < b:
-                break
-            rows.extend(ok[:b])
-        else:
-            combos = tuple(_embed((c,), (1,), view.m.ncols) for c in cols)
-            return Witness(shape, tuple(sorted(rows)), combos)
-    return None
-
-
-def _kernel_witness_for_rows(
-    view: _CoefficientView, shape: Shape, rows: tuple[int, ...]
-) -> Witness | None:
-    """Column-kernel check against a fixed set of literal rows."""
-    combos: list[tuple[Fraction, ...]] = []
-    for i, a in enumerate(shape.cols):
-        if a == 0:
-            continue
-        kernel = view.kernel(rows, i)
-        if len(kernel) < a:
-            return None
-        combos.extend(_embed(view.col_groups[i], k, view.m.ncols) for k in kernel[:a])
-    return Witness(shape, rows, tuple(combos))
+    cols = _first_subset(
+        view.col_groups,
+        shape.cols,
+        lambda cols: _rows_vanishing_on(view, shape, cols) is not None,
+    )
+    if cols is None:
+        return None
+    rows = _rows_vanishing_on(view, shape, cols)
+    combos = tuple(_embed((c,), (1,), view.m.ncols) for c in cols)
+    return Witness(shape, tuple(sorted(rows)), combos)
 
 
 def _row_subset_sweep(
@@ -297,14 +313,25 @@ def _row_subset_sweep(
     decided = all(
         b == 0 or b == len(g) for b, g in zip(shape.rows, row_groups)
     )
-    row_subsets = _subsets(row_groups, shape.rows)
-    if row_subsets is None:
+    if _over_cap(row_groups, shape.rows):
         return None, False
-    for rows in row_subsets:
-        w = _kernel_witness_for_rows(view, shape, rows)
-        if w is not None:
-            return w, decided
-    return None, decided
+    # a row added to a subset can only shrink its column kernels
+    rows = _first_subset(
+        row_groups,
+        shape.rows,
+        lambda rows: all(
+            len(view.kernel(rows, i)) >= a for i, a in enumerate(shape.cols) if a
+        ),
+    )
+    if rows is None:
+        return None, decided
+    combos = tuple(
+        _embed(view.col_groups[i], k, view.m.ncols)
+        for i, a in enumerate(shape.cols)
+        if a
+        for k in view.kernel(rows, i)[:a]
+    )
+    return Witness(shape, rows, combos), decided
 
 
 def _pencil_decides(

@@ -120,6 +120,24 @@ def test_resolution_spec_roundtrip():
     assert k2 == -2
 
 
+@pytest.mark.parametrize(
+    "spec, zeroed",
+    [
+        # (2,1) is O(-1) -> O(0) as written, whatever drops out before it
+        ("src=(-2)x0,(-1)x1,(0)x1 tgt=(0)x1,(1)x1 zero=(2,1)", {(0, 0)}),
+        ("src=(-1)x1,(0)x1 tgt=(-1)x0,(0)x1,(1)x1 zero=(1,2),(2,3)", {(0, 0), (1, 1)}),
+        # a pair naming a summand of multiplicity zero is an empty block
+        ("src=(-2)x0,(-1)x1,(0)x1 tgt=(0)x1,(1)x1 zero=(1,1),(3,2)", {(1, 1)}),
+        ("src=(-1)x1,(0)x1 tgt=(-1)x0,(0)x1,(1)x1 zero=(1,1)", set()),
+    ],
+)
+def test_zero_pairs_name_summands_as_written(spec, zeroed):
+    t, _ = parse_resolution_spec(spec)
+    assert t.source.summands == ((-1, 1), (0, 1))
+    assert t.target.summands == ((0, 1), (1, 1))
+    assert t.zeroed == zeroed
+
+
 def test_registry_loads_17_blocks():
     assert len(load_registry()) == 17
 
@@ -139,6 +157,7 @@ def test_registry_loads_17_blocks():
         ("src=(-2)x1 tgt=(0)x2 zero=(0,0)", r"zeroed block \(0,0\) out of range"),
         ("src=(-2)x1 tgt=(0)x2 zero=(1,2)", r"zeroed block \(1,2\) out of range"),
         ("src=(-1)x1 tgt=(-2)x2 zero=(1,1)", r"block \(1,1\) is already impossible"),
+        ("src=(-2)x0,(0)x1 tgt=(-1)x1 zero=(2,1)", r"block \(2,1\) is already impossible"),
     ],
 )
 def test_resolution_spec_rejects(spec, message):

@@ -413,14 +413,29 @@ def _well_formed_kernel_file(draw):
     return f"type: src=({-deg})x{k + 1} tgt=(0)x{k}\n" + "\n".join(rows) + "\n"
 
 
-@st.composite
-def _malformed_kernel_file(draw):
-    text = draw(_well_formed_kernel_file())
+def _mutated(text, draw, alphabet):
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 4)))
-        text = text[:i] + draw(st.text(_FILE_CHARS + "srctgk", max_size=4)) + text[j:]
+        text = text[:i] + draw(st.text(alphabet, max_size=4)) + text[j:]
     return text
+
+
+@st.composite
+def _malformed_kernel_file(draw):
+    return _mutated(draw(_well_formed_kernel_file()), draw, _FILE_CHARS + "srctgk")
+
+
+def _run_quietly(argv):
+    """Run the CLI; it must exit 0, 1 or 2 with one stderr line exactly when
+    it fails, and never print a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and err.count("\n") == (code != 0)
+    return code
 
 
 def _run_kernel_file(path, text):
@@ -431,13 +446,7 @@ def _run_kernel_file(path, text):
             except ValueError:
                 pass
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["kernel", str(path)])
-    err = err.getvalue()
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err and err.count("\n") == (code != 0)
-    return code
+    return _run_quietly(["kernel", str(path)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,3 +459,100 @@ def test_kernel_cli_fuzz_well_formed(tmp_path_factory, text):
 @given(st.one_of(_malformed_kernel_file(), st.text(_FILE_CHARS, max_size=60)))
 def test_kernel_cli_fuzz_malformed(tmp_path_factory, text):
     _run_kernel_file(tmp_path_factory.getbasetemp() / "fuzz.mat", text)
+
+
+# The same contract for check (matrix files of a case's type), hilbert
+# (resolution specs) and classify --polarization.
+
+_CHECK_CASES = [("M(4,1):h1=1", 1), ("M(n+1,n):h0m1=0", 2), ("M(4,2):omega1", 2)]
+
+
+@st.composite
+def _well_formed_check_file(draw):
+    from fractions import Fraction
+
+    from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, format_matrix_file
+    from sheafmod.registry import case_by_id
+
+    case_id, n = draw(st.sampled_from(_CHECK_CASES))
+    t = case_by_id(case_id).resolution(n)
+    rows = []
+    for l, (e, nl) in enumerate(t.target.summands):
+        for _ in range(nl):
+            row = []
+            for i, (d, mi) in enumerate(t.source.summands):
+                for _ in range(mi):
+                    terms = {}
+                    if e >= d and not t.is_zeroed(i, l):
+                        for mono in monomial_basis(e - d):
+                            terms[mono] = Fraction(draw(st.integers(-2, 2)))
+                    row.append(HomogeneousPoly(terms))
+            rows.append(row)
+    return case_id, n, format_matrix_file(PolyMatrix(t, rows))
+
+
+@st.composite
+def _malformed_check_file(draw):
+    case_id, n, text = draw(_well_formed_check_file())
+    return case_id, n, _mutated(text, draw, _FILE_CHARS + "srctgk")
+
+
+def _run_check_file(path, case_id, n, text):
+    path.write_text(text)
+    return _run_quietly(["check", "--case", case_id, "--n", str(n), "--budget", "0", str(path)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_well_formed_check_file())
+def test_check_cli_fuzz_well_formed(tmp_path_factory, drawn):
+    path = tmp_path_factory.getbasetemp() / "fuzz-check.mat"
+    assert _run_check_file(path, *drawn) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        _malformed_check_file(),
+        st.tuples(
+            st.sampled_from([c for c, _ in _CHECK_CASES]),
+            st.integers(0, 3),
+            st.text(_FILE_CHARS, max_size=60),
+        ),
+    )
+)
+def test_check_cli_fuzz_malformed(tmp_path_factory, drawn):
+    _run_check_file(tmp_path_factory.getbasetemp() / "fuzz-check.mat", *drawn)
+
+
+@st.composite
+def _mutated_resolution_spec(draw):
+    from sheafmod.registry import load_registry
+
+    case = draw(st.sampled_from(load_registry()))
+    spec = case.resolution_spec.replace("[", "").replace("]", "")
+    spec = spec.replace("n", str(draw(st.sampled_from(case.ns()))))
+    return _mutated(spec, draw, "()x,=-0129 srctgkerzo")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_resolution_spec())
+def test_hilbert_cli_fuzz_mutated_spec(spec):
+    # "--" keeps a spec that starts with "-" a positional argument
+    _run_quietly(["hilbert", "--", spec])
+
+
+@st.composite
+def _mutated_polarization(draw):
+    from sheafmod.registry import case_by_id
+
+    case_id, n = draw(st.sampled_from(_CHECK_CASES))
+    p = case_by_id(case_id).sample_polarization(n)
+    text = ",".join(map(str, p.lambdas)) + ";" + ",".join(map(str, p.mus))
+    return case_id, n, _mutated(text, draw, "0123456789/,;-. ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_polarization())
+def test_classify_cli_fuzz_mutated_polarization(drawn):
+    case_id, n, text = drawn
+    _run_quietly(["classify", "--case", case_id, "--n", str(n), f"--polarization={text}"])

@@ -281,6 +281,29 @@ def test_solver_parallel_normals_without_a_point_is_empty():
         )
 
 
+@pytest.mark.parametrize(
+    "facets, empty",
+    [
+        # y > 0 and y <= 0 leave nothing, though x >= 0 gives the closure
+        # the vertex (0, 0) and the recession direction (1, 0)
+        ([((0, 1), 0, True), ((0, -1), 0, False), ((1, 0), 0, False)], True),
+        ([((1, 0), 0, True), ((-1, 0), 0, False), ((0, 1), 2, False)], True),
+        # the same closures with room for the strict facet are unbounded
+        ([((0, 1), 0, False), ((0, -1), 0, False), ((1, 0), 0, True)], False),
+        ([((1, 0), 0, False), ((0, 1), 0, False), ((1, 1), 0, True)], False),
+    ],
+)
+def test_solver_decides_emptiness_before_unboundedness(facets, empty):
+    facets = [Facet(coeffs, const, strict) for coeffs, const, strict in facets]
+    assert _reference_solve(2, facets) == (((), -1, True) if empty else "unbounded")
+    if empty:
+        r = solve_halfplanes(("x", "y"), facets)
+        assert r.empty and r.vertices == () and r.affine_dim == -1
+    else:
+        with pytest.raises(ValueError, match="unbounded"):
+            solve_halfplanes(("x", "y"), facets)
+
+
 def test_dual_region_of_linear_family():
     """Dualizing the first family's catalog must give the interval
     0 < m2 < 1/n on the transposed type, matching the dual-block data."""
@@ -455,12 +478,21 @@ def _reference_solve(d, facets):
             if not any(all(holds(f, (t * n[0], t * n[1])) for f in facets) for t in ts):
                 return empty
         return "unbounded"
-    rays = [(1,)] if d == 1 else [(-b, a) for a, b in normals]
-    for ray in rays:
-        for r in (ray, tuple(-x for x in ray)):
-            if all(sum(F(a) * x for a, x in zip(nv, r)) >= 0 for nv in normals):
-                return "unbounded"
     verts = sorted(points)
+    rays = [(1,)] if d == 1 else [(-b, a) for a, b in normals]
+    if any(
+        all(sum(F(a) * x for a, x in zip(nv, r)) >= 0 for nv in normals)
+        for ray in rays
+        for r in (ray, tuple(-x for x in ray))
+    ):
+        # the open part meets every box around a vertex when it is not
+        # empty, so it is empty exactly when its part in such a box is
+        box = []
+        for j in range(d):
+            unit = tuple(int(i == j) for i in range(d))
+            box.append(Facet(unit, 1 - min(v[j] for v in verts), False))
+            box.append(Facet(tuple(-x for x in unit), max(v[j] for v in verts) + 1, False))
+        return empty if _reference_solve(d, facets + box) == empty else "unbounded"
     p0 = verts[0]
     collinear = d < 2 or all(
         (p[0] - p0[0]) * (q[1] - p0[1]) == (p[1] - p0[1]) * (q[0] - p0[0])

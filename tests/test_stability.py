@@ -1,15 +1,30 @@
 import random
 from fractions import Fraction as F
+from itertools import chain, combinations, product
+from math import comb, prod
 
 import pytest
 
-from sheafmod.bundles import MorphismType
-from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, X, Y, Z, determinant
-from sheafmod.regions import Polarization, classify_shapes, enumerate_shapes
+from sheafmod.bundles import MorphismType, parse_resolution_spec
+from sheafmod.polymatrix import (
+    HomogeneousPoly,
+    PolyMatrix,
+    X,
+    Y,
+    Z,
+    determinant,
+    transpose_dual,
+)
+from sheafmod.regions import Polarization, Shape, classify_shapes, enumerate_shapes
 from sheafmod.registry import case_by_id
 from sheafmod.stability import (
+    _SUBSET_CAP,
     KoszulClass,
     VerdictKind,
+    Witness,
+    _CoefficientView,
+    _literal_witness,
+    _row_subset_sweep,
     check_case,
     koszul_test,
     search_destabilizer,
@@ -513,3 +528,109 @@ def test_transposed_pencil_decides_one_row_shapes(rows, kind, witness, note):
             (F(-2), F(0), F(1)),
         )
         assert verify_witness(m, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# the pruned subset walk against a flat enumeration
+
+
+def _flat_subsets(groups, counts):
+    """Every choice of counts[t] positions from each groups[t], flattened in
+    itertools.product order; None past the subset cap."""
+    if prod(comb(len(g), b) for g, b in zip(groups, counts)) > _SUBSET_CAP:
+        return None
+    per_type = [combinations(g, b) for g, b in zip(groups, counts)]
+    return [tuple(chain.from_iterable(c)) for c in product(*per_type)]
+
+
+def _unit(c, width):
+    return tuple(F(int(j == c)) for j in range(width))
+
+
+def _flat_sweep(view, shape):
+    """The row sweep's answer by trying every row subset in order."""
+    subsets = _flat_subsets(view.row_groups, shape.rows)
+    if subsets is None:
+        return None, False
+    decided = all(b in (0, len(g)) for b, g in zip(shape.rows, view.row_groups))
+    for rows in subsets:
+        kernels = [(i, view.kernel(rows, i)[:a]) for i, a in enumerate(shape.cols) if a]
+        if all(len(k) == shape.cols[i] for i, k in kernels):
+            combos = []
+            for i, kernel in kernels:
+                for vec in kernel:
+                    full = [F(0)] * view.m.ncols
+                    for c, v in zip(view.col_groups[i], vec):
+                        full[c] = F(v)
+                    combos.append(tuple(full))
+            return Witness(shape, rows, tuple(combos)), decided
+    return None, decided
+
+
+def _flat_literal(view, shape):
+    """The literal scan's answer by trying every column subset in order."""
+    m = view.m
+    for cols in _flat_subsets(view.col_groups, shape.cols) or ():
+        rows = []
+        for g, b in zip(view.row_groups, shape.rows):
+            rows += [r for r in g if all(m.entries[r][c].is_zero for c in cols)][:b]
+        if len(rows) == sum(shape.rows):
+            combos = tuple(_unit(c, m.ncols) for c in cols)
+            return Witness(shape, tuple(sorted(rows)), combos)
+    return None
+
+
+def _sparse_matrix(rnd, t, zero_share):
+    """Random forms with a share of entries planted as zero, and sparse
+    coefficients, so that literal blocks and small kernels both occur."""
+    rows = []
+    for e, nl in t.target.summands:
+        for _ in range(nl):
+            row = []
+            for d, mi in t.source.summands:
+                for _ in range(mi):
+                    if e < d or rnd.random() < zero_share:
+                        row.append(zero)
+                    else:
+                        row.append(random_poly(rnd, e - d, -1, 1))
+            rows.append(row)
+    return PolyMatrix(t, rows)
+
+
+@pytest.mark.parametrize(
+    "spec, zero_share",
+    [
+        ("src=(-1)x4 tgt=(0)x3", 0.4),
+        ("src=(-2)x2,(-1)x3 tgt=(-1)x2,(0)x3", 0.3),
+        ("src=(-2)x3,(-1)x2 tgt=(0)x2,(1)x2", 0.5),
+        ("src=(-1)x3,(0)x2 tgt=(0)x2,(1)x3", 0.4),
+    ],
+)
+def test_pruned_walk_finds_the_first_witness_of_the_flat_order(spec, zero_share):
+    """The depth-first walk returns the witness (and the decided flag) that
+    the first accepted subset of a flat enumeration gives, on every shape of
+    the type and of its transpose."""
+    t, _ = parse_resolution_spec(spec)
+    rnd = random.Random(spec)
+    found = 0
+    for _ in range(3):
+        m = _sparse_matrix(rnd, t, zero_share)
+        for view in (_CoefficientView(m), _CoefficientView(transpose_dual(m))):
+            for shape in enumerate_shapes(view.m.type):
+                want = _flat_sweep(view, shape)
+                assert _row_subset_sweep(view, shape) == want
+                assert _literal_witness(view, shape) == _flat_literal(view, shape)
+                found += want[0] is not None
+    assert found >= 10
+
+
+def test_pruned_walk_keeps_the_subset_cap(rnd):
+    """Past 4 096 choices neither pass runs; just under it both do."""
+    t = MorphismType.make([(-1, 15)], [(0, 15)])
+    view = _CoefficientView(_sparse_matrix(rnd, t, 0.6))
+    for shape in (Shape((7,), (7,)), Shape((7,), (1,)), Shape((1,), (7,)), Shape((2,), (2,))):
+        assert _row_subset_sweep(view, shape) == _flat_sweep(view, shape)
+        assert _literal_witness(view, shape) == _flat_literal(view, shape)
+    assert _row_subset_sweep(view, Shape((7,), (1,))) == (None, False)
+    assert _literal_witness(view, Shape((1,), (7,))) is None
+    assert _literal_witness(view, Shape((7,), (1,))) is not None
