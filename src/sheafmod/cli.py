@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -319,8 +320,34 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit, so
+    that a malformed command line ends in one ``error:`` line.  Subparsers
+    share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _dash_value_hint(message: str, argv: list[str]) -> str:
+    """A hint when a missing argument or option value is explained by a value
+    on the command line that starts with '-' (argparse reads it as an option)."""
+    if "required" not in message and "expected one argument" not in message:
+        return ""
+    for tok in argv:
+        if tok == "--":
+            break
+        option = re.fullmatch(r"--?[a-z][a-z-]*", tok.split("=", 1)[0])
+        if tok.startswith("-") and not option:
+            return (
+                f"; a value starting with '-' such as {tok!r} is read as an option:"
+                " write --opt=VALUE, or put positional values after '--'"
+            )
+    return ""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sheafmod",
         description="Exact semistability toolkit for sheaf morphisms on the plane",
     )
@@ -385,8 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}{_dash_value_hint(str(exc), argv)}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -9,6 +9,13 @@ pencils.  The bit-exact file format for matrices lives here as well.
 A form is stored as a rational content times a primitive integer coefficient
 map, so all polynomial arithmetic runs on integers.
 
+Determinants and minors expand along the rows on raw integer maps: each row
+is scaled once by the lcm of its entries' content denominators, products are
+accumulated straight into one map per memoized sub-determinant, and each
+minor is made primitive once, with content k / (product of the row scales).
+The m . beta = 0 check of ``kernel_line`` is likewise one integer
+accumulation per row, with the contents folded into integer weights.
+
 The gcd first tries a coprimality certificate: restrict both forms to a fixed
 line, reduce mod a prime and run Euclid there.  A common factor of positive
 degree would make both restrictions vanish, or leave them a common root over
@@ -85,13 +92,19 @@ def _neg(a: Coeffs) -> Coeffs:
     return {k: -v for k, v in a.items()}
 
 
-def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out: Coeffs = {}
-    get = out.get
+def _addmul(acc: Coeffs, a: Coeffs, b: Coeffs, c: int) -> None:
+    """acc += c * a * b in place; cancelled terms stay behind as zeros."""
+    get = acc.get
     for (i1, j1, k1), v1 in a.items():
+        v1 *= c
         for (i2, j2, k2), v2 in b.items():
             key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = get(key, 0) + v1 * v2
+            acc[key] = get(key, 0) + v1 * v2
+
+
+def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    out: Coeffs = {}
+    _addmul(out, a, b, 1)
     return {k: v for k, v in out.items() if v}
 
 
@@ -585,9 +598,6 @@ class PolyMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def entry(self, r: int, c: int) -> HomogeneousPoly:
-        return self.entries[r][c]
-
 
 def _positions(b) -> list[list[int]]:
     """Global row/column positions of each summand type, in order."""
@@ -603,35 +613,55 @@ def _minors(
 ) -> list[HomogeneousPoly]:
     """Determinant of the square submatrix on each column list in ``keeps``.
 
-    Expansion along the rows; sub-determinants are memoized on column subsets
-    and shared between the submatrices.
+    Each row is scaled to integers by the lcm of its entries' content
+    denominators, the expansion runs on those integer maps, and each minor
+    is made primitive once, over the product of the row scales.
     """
     if not grid:
         return [HomogeneousPoly.constant(1) for _ in keeps]
-    memo: dict[int, HomogeneousPoly] = {}
-    return [_expand(grid, memo, 0, sum(1 << c for c in keep)) for keep in keeps]
+    if len(grid) == 1:  # the 1 x 1 minors are the entries themselves
+        return [grid[0][c] for c, in keeps]
+    rows, scale = [], 1
+    for row in grid:
+        den = reduce(lcm, (e.content.denominator for e in row), 1)
+        rows.append(
+            [_scale(e.coeffs, e.content.numerator * (den // e.content.denominator)) for e in row]
+        )
+        scale *= den
+    memo: dict[int, Coeffs] = {}
+    out = []
+    for keep in keeps:
+        det = _expand(rows, memo, 0, sum(1 << c for c in keep))
+        if det:
+            p, k = _primitive(det)
+            out.append(HomogeneousPoly._make(p, Fraction(k, scale)))
+        else:
+            out.append(HomogeneousPoly.zero())
+    return out
 
 
-def _expand(grid, memo: dict, row: int, colmask: int) -> HomogeneousPoly:
-    """Determinant of the rows from ``row`` on, restricted to the columns in
-    ``colmask``.  A module-level function rather than a closure, so that no
-    reference cycle keeps the memo alive after the call."""
-    if row == len(grid) - 1:  # one column left: the entry itself
-        return grid[row][colmask.bit_length() - 1]
+def _expand(rows: list[list[Coeffs]], memo: dict, row: int, colmask: int) -> Coeffs:
+    """Determinant of the integer rows from ``row`` on, restricted to the
+    columns in ``colmask``, by Laplace expansion along the rows; memoized on
+    the column mask, which fixes the starting row.  A module-level function
+    rather than a closure, so that no reference cycle keeps the memo alive
+    after the call."""
+    if row == len(rows) - 1:  # one column left: the entry itself
+        return rows[row][colmask.bit_length() - 1]
     if colmask in memo:
         return memo[colmask]
-    acc = HomogeneousPoly.zero()
+    acc: Coeffs = {}
     sign = 1
     for c in range(colmask.bit_length()):
         if not (colmask >> c) & 1:
             continue
-        e = grid[row][c]
-        if not e.is_zero:
-            contrib = e * _expand(grid, memo, row + 1, colmask & ~(1 << c))
-            acc = acc + (contrib if sign > 0 else -contrib)
+        e = rows[row][c]
+        if e:
+            _addmul(acc, e, _expand(rows, memo, row + 1, colmask & ~(1 << c)), sign)
         sign = -sign
-    memo[colmask] = acc
-    return acc
+    out = {t: v for t, v in acc.items() if v}
+    memo[colmask] = out
+    return out
 
 
 def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
@@ -680,11 +710,16 @@ def kernel_line(m: PolyMatrix) -> tuple[list[HomogeneousPoly], int] | None:
     if g.degree != 0:  # a constant gcd is 1, and beta is the minors themselves
         minors = [p if p.is_zero else p.divexact(g) for p in minors]
     beta = [p if i % 2 == 0 else -p for i, p in enumerate(minors)]
-    for r in range(m.nrows):
-        acc = HomogeneousPoly.zero()
-        for c in range(m.ncols):
-            acc = acc + m.entry(r, c) * beta[c]
-        if not acc.is_zero:
+    for row in m.entries:
+        # sum of w_c * (m[r][c].coeffs x beta[c].coeffs), the weights
+        # w_c = content(m[r][c]) * content(beta[c]) scaled to integers
+        weights = [e.content * b.content for e, b in zip(row, beta)]
+        den = reduce(lcm, (w.denominator for w in weights), 1)
+        acc: Coeffs = {}
+        for e, b, w in zip(row, beta, weights):
+            if w:
+                _addmul(acc, e.coeffs, b.coeffs, w.numerator * (den // w.denominator))
+        if any(acc.values()):
             raise ValueError("kernel relation failed; inconsistent twists")
     degrees = {b.degree for b in beta if not b.is_zero}
     if len(degrees) != 1:

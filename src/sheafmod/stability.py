@@ -59,6 +59,7 @@ from .polymatrix import (
     transpose_dual,
     _det_grid,
     _dual_order,
+    _minors,
     _positions,
 )
 from .regions import Polarization, Shape, classify_shapes
@@ -771,19 +772,14 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
 
 
 def _adjugate_kernel(m: PolyMatrix) -> list[HomogeneousPoly] | None:
-    """Primitive kernel vector of a singular 3x3 matrix via adjugate columns."""
-    cof = [[None] * 3 for _ in range(3)]
-    for r in range(3):
-        for c in range(3):
-            sub = [
-                [m.entries[i][j] for j in range(3) if j != c]
-                for i in range(3)
-                if i != r
-            ]
-            d = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[r][c] = d if (r + c) % 2 == 0 else -d
+    """Primitive kernel vector of a singular 3x3 matrix via adjugate columns.
+
+    Adjugate column c holds the signed maximal minors of the grid with row c
+    deleted: entry j is (-1)^(c+j) times the minor omitting column j."""
     for c in range(3):
-        col = [cof[c][j] for j in range(3)]  # adj = cofactor transpose
+        rest = [row for r, row in enumerate(m.entries) if r != c]
+        minors = _minors(rest, [[k for k in range(3) if k != j] for j in range(3)])
+        col = [p if (c + j) % 2 == 0 else -p for j, p in enumerate(minors)]
         if any(not e.is_zero for e in col):
             g = poly_gcd_list([e for e in col if not e.is_zero])
             return [

@@ -144,10 +144,10 @@ def test_exit_codes(capsys):
     # domain error: unknown case
     code, _, err = run_cli(["codim", "--case", "nope", "--n", "3"], capsys)
     assert code == 1 and "error" in err
-    # usage error: argparse exits with 2
-    with pytest.raises(SystemExit) as exc:
-        main(["codim", "--bogus-flag"])
-    assert exc.value.code == 2
+    # usage error: one line and exit 2
+    code, out, err = run_cli(["codim", "--bogus-flag"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--case" in err
 
 
 def test_classify_command(capsys):
@@ -367,6 +367,32 @@ def test_malformed_argument_is_a_usage_error(args, needed, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and needed in err
+
+
+@pytest.mark.parametrize(
+    "args, needed, dash_hint",
+    [
+        (["hilbert", "-(2)x1"], "required: resolution", True),
+        (["table", "--n", "abc"], "invalid int value: 'abc'", False),
+        (["classify", "--case", "M(4,2):omega1", "--n", "2", "--polarization", "-1/2;1/2"],
+         "--polarization: expected one argument", True),
+        (["frobnicate"], "invalid choice: 'frobnicate'", False),
+        ([], "required: command", False),
+    ],
+)
+def test_argparse_errors_are_one_line(args, needed, dash_hint, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needed in err
+    assert ("--opt=VALUE" in err and "'--'" in err) == dash_hint
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    for args in (["--help"], ["table", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sheafmod")
 
 
 def test_kernel_relation_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
