@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from sheafmod.cli import nonnegative_int
 from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, monomial_basis
 from sheafmod.registry import case_by_id
 from sheafmod.stability import check_case
@@ -45,7 +46,7 @@ def main() -> int:
     ap.add_argument("--case", default="M(n,3):h0m1=1")
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--trials", type=int, default=20)
-    ap.add_argument("--budget", type=int, default=100)
+    ap.add_argument("--budget", type=nonnegative_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     case = case_by_id(args.case)

@@ -320,6 +320,17 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    """An argparse type: an integer that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ``UsageError`` where argparse would print usage and exit, so
     that a malformed command line ends in one ``error:`` line.  Subparsers
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=nonnegative_int, default=1000)
     p.add_argument("--witness-out")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_check)

@@ -26,7 +26,6 @@ __all__ = [
     "beilinson_terms",
     "euler_consistency",
     "serre_dual_table",
-    "dual_stratum",
 ]
 
 FIELDS = ("h0m1", "h1m1", "h0", "h1", "h0om", "h1om")
@@ -148,11 +147,3 @@ def serre_dual_table(t: CohomologyTable) -> CohomologyTable:
         h0om=t.h1om,
         h1om=t.h0om,
     )
-
-
-def dual_stratum(conds: tuple[int, int, int]) -> tuple[str, tuple[int, int, int]]:
-    """Map conditions (h0(F(-1)), h0(F), h0(F.Om1(1))) = (a, b, c) on one
-    moduli space to the dual conditions (h1(F), h1(F(-1)), h1(F.Om1(1))) =
-    (a, b, c) on the dual space.  Involution by construction."""
-    a, b, c = conds
-    return ("h1(F)=%d, h1(F(-1))=%d, h1(F.Omega1(1))=%d" % (a, b, c), (a, b, c))

@@ -2,15 +2,13 @@
 
 Everything is carried out over ``fractions.Fraction``; no floating point
 enters at any stage.  Polynomials are stored in the monomial basis (lists of
-coefficients of t^0, t^1, t^2), with conversion to the binomial basis
-available for display or integrality arguments.
+coefficients of t^0, t^1, t^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -21,11 +19,6 @@ __all__ = [
     "LinearClass",
     "hilbert_of_twist",
     "hilbert_of_resolution",
-    "quotient_from_minors_kernel",
-    "structure_sheaf_poly",
-    "line_bundle_degree",
-    "slope_violates",
-    "is_fine",
 ]
 
 
@@ -94,26 +87,6 @@ class HilbertPolynomial:
         k = _as_fraction(k)
         return HilbertPolynomial(k * c for c in self.coeffs)
 
-    def binomial_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients a_i in the expansion sum_i a_i * C(t+i-1, i).
-
-        C(t-1+i, i) has leading term t^i/i!; the a_i of an integer-valued
-        polynomial are integers.
-        """
-        # C(t+i-1, i) for i = 0,1,2 -> 1, t, (t^2+t)/2
-        a2 = 2 * self.coefficient(2)
-        a1 = self.coefficient(1) - a2 / 2
-        a0 = self.coefficient(0)
-        return (a0, a1, a2)
-
-    def linear_class(self) -> "LinearClass":
-        if self.degree != 1:
-            raise ValueError(f"not a linear polynomial: {self}")
-        r, chi = self.coeffs[1], self.coefficient(0)
-        if r.denominator != 1 or chi.denominator != 1 or r <= 0:
-            raise ValueError(f"not of the form r*t + chi with integer r >= 1: {self}")
-        return LinearClass(int(r), int(chi))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -180,51 +153,3 @@ def hilbert_of_resolution(
     if kernel_twist is not None:
         acc = acc + hilbert_of_twist(kernel_twist)
     return acc
-
-
-def quotient_from_minors_kernel(n: int, d: int) -> HilbertPolynomial:
-    """Hilbert polynomial (n-d)t + (d-2)(d-3)/2 of the quotient supported away
-    from a degree-d member of the pencil of maximal minors.
-
-    Rejects n < d: the quotient would have negative multiplicity.
-    """
-    if d < 3:
-        raise ValueError("d must be at least 3")
-    if n < d:
-        raise ValueError("n < d gives an empty quotient support")
-    return HilbertPolynomial((Fraction((d - 2) * (d - 3), 2), n - d))
-
-
-def structure_sheaf_poly(r: int) -> HilbertPolynomial:
-    """Hilbert polynomial r*t - r(r-3)/2 of the structure sheaf of a degree-r curve."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return HilbertPolynomial((Fraction(-r * (r - 3), 2), r))
-
-
-def line_bundle_degree(r: int, chi: int) -> int:
-    """Degree r(r-3)/2 + chi of a line bundle with invariants (r, chi) on a
-    smooth degree-r curve (Riemann-Roch)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    # one of r and r - 3 is even, so r(r - 3) is
-    return r * (r - 3) // 2 + chi
-
-
-def slope_violates(sub: LinearClass, parent: LinearClass, strict: bool) -> bool:
-    """Whether sub destabilizes parent: chi'/r' > chi/r (strict) or >= (non-strict).
-
-    Compared by integer cross-multiplication, never by division.
-    """
-    lhs = sub.chi * parent.r
-    rhs = parent.chi * sub.r
-    return lhs > rhs if strict else lhs >= rhs
-
-
-def is_fine(r: int, chi: int) -> bool:
-    """gcd(r, chi) = 1: the moduli space carries a universal sheaf."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return gcd(r, abs(chi)) == 1
-
-

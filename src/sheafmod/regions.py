@@ -105,11 +105,6 @@ class Shape:
             if a > m:
                 raise ValueError("shape column count exceeds multiplicity")
 
-    def complement(self, t: MorphismType) -> "Shape":
-        rows = tuple(n - b for b, (_, n) in zip(self.rows, t.target.summands))
-        cols = tuple(m - a for a, (_, m) in zip(self.cols, t.source.summands))
-        return Shape(rows, cols)
-
     def __str__(self) -> str:
         return f"rows{self.rows}xcols{self.cols}"
 

@@ -34,6 +34,14 @@ type has too few rows vanishing on the prefix columns.  Every subset skipped
 would have failed, so the first subset accepted, and the witness built from
 it, is the one a flat enumeration finds.  Shapes with more than 4 096
 subsets stay undecided by these two passes.
+
+A random trial draws, per block row, a combination of one target type's rows
+with weights in [-3, 3] and stacks, per source type the shape needs, the
+coefficients of these virtual rows from a layout the view builds once per
+search.  The trial is refused by an early-stopping exact rank: as soon as
+the rank of a stack leaves fewer kernel vectors than the shape needs, no
+further rows are built.  The weights are drawn from the stream of
+``randint(-3, 3)``, so a seed gives the same trials, refusals and witnesses.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .bundles import MorphismType
@@ -167,7 +176,8 @@ class _CoefficientView:
     scale per block clears its denominators, so a combination of rows within
     a type is the same combination of their slices.  Column kernels of
     literal row subsets are memoized by (rows, source type); ``zero_bits``
-    marks each row's vanishing entries for the literal scan.
+    marks each row's vanishing entries for the literal scan.  The layouts of
+    the random pass are built on first use, once per (row type, source type).
     """
 
     def __init__(self, m: PolyMatrix):
@@ -192,6 +202,7 @@ class _CoefficientView:
                     ]
                     self.slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
         self._kernels: dict[tuple[tuple[int, ...], int], list[list[Fraction]]] = {}
+        self._layouts: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
 
     def kernel(self, rows: tuple[int, ...], i: int) -> list[list[Fraction]]:
         """Constant combinations of the type-i columns that vanish on ``rows``.
@@ -205,6 +216,16 @@ class _CoefficientView:
                 (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
             )
         return self._kernels[key]
+
+    def layout(self, l: int, i: int) -> list[list[tuple[int, ...]]]:
+        """Per monomial of block (l, i) and per type-i column, the tuple of the
+        coefficients of type l's rows there: the combination of those rows
+        with weights ``w`` has the coefficient ``sum(map(mul, w, col))``."""
+        key = (l, i)
+        if key not in self._layouts:
+            slices = (self.slices[r][i] for r in self.row_groups[l])
+            self._layouts[key] = [list(zip(*mono_rows)) for mono_rows in zip(*slices)]
+        return self._layouts[key]
 
 
 def _col1_witness(view: _CoefficientView, row_subsets, i: int) -> Witness | None:
@@ -442,27 +463,41 @@ def _witness_with_row_combos(
             [sum(v * x for v, x in zip(weights, row)) for row in view.slices[r][i]]
             for r in g
         ]
-        kernel = right_kernel(zip(*combined), len(g))
-        if len(kernel) < b:
+        kernel = right_kernel(zip(*combined), len(g), need=b)
+        if not kernel:
             return None
         row_combos.extend(_embed(g, k, m.nrows) for k in kernel[:b])
     combo = _embed(view.col_groups[i], weights, m.ncols)
     return Witness(shape, (), (combo,), row_combos=tuple(row_combos))
 
 
+def _draw_coeffs(rng: random.Random, n: int) -> list[int]:
+    """``[rng.randint(-3, 3) for _ in range(n)]``, drawn from the same stream
+    at a fraction of the cost: randint(-3, 3) adds -3 to the first draw of
+    ``getrandbits(3)`` below 7."""
+    out: list[int] = []
+    while len(out) < n:
+        r = rng.getrandbits(3)
+        if r < 7:
+            out.append(r - 3)
+    return out
+
+
 def _random_subspace_witness(
     view: _CoefficientView, shape: Shape, rng: random.Random
 ) -> Witness | None:
     """One randomized trial: sample constant row combinations per type and
-    take exact column kernels against the sampled virtual rows."""
+    take exact column kernels against the sampled virtual rows.  A column
+    type is refused as soon as the rank of its virtual rows leaves fewer
+    kernel vectors than the shape needs there."""
     m = view.m
     samples: list[tuple[int, list[int]]] = []
     for l, b in enumerate(shape.rows):
-        g = view.row_groups[l]
+        n = len(view.row_groups[l])
         for _ in range(b):
-            coeffs = [rng.randint(-3, 3) for _ in g]
+            coeffs = _draw_coeffs(rng, n)
             if not any(coeffs):
-                coeffs[rng.randrange(len(g))] = 1
+                coeffs[rng.randrange(n)] = 1
             samples.append((l, coeffs))
     combos = []
     for i, a in enumerate(shape.cols):
@@ -471,12 +506,12 @@ def _random_subspace_witness(
         cols = view.col_groups[i]
         # per sample and monomial: the virtual row's coefficient per column
         stack = (
-            [sum(w * x for w, x in zip(coeffs, col)) for col in zip(*mono_rows)]
+            [sum(map(mul, coeffs, col)) for col in mono]
             for l, coeffs in samples
-            for mono_rows in zip(*(view.slices[r][i] for r in view.row_groups[l]))
+            for mono in view.layout(l, i)
         )
-        kernel = right_kernel(stack, len(cols))
-        if len(kernel) < a:
+        kernel = right_kernel(stack, len(cols), need=a)
+        if not kernel:
             return None
         combos.extend(_embed(cols, k, m.ncols) for k in kernel[:a])
     row_combos = [_embed(view.row_groups[l], coeffs, m.nrows) for l, coeffs in samples]
@@ -655,7 +690,10 @@ def search_destabilizer(
     Shapes are processed in canonical order; the first verified witness wins.
     CertifiedSemistable requires every destabilizing shape to have been
     decided exactly, by its own passes or by a lower shape proven absent.
+    Raises ValueError for a negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"the trial budget must be nonnegative, not {budget}")
     p.validate_for(m.type)
     destab = [s for s, d in classify_shapes(m.type, p).items() if d]
     undecided: list[Shape] = []

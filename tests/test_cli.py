@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +386,24 @@ def test_argparse_errors_are_one_line(args, needed, dash_hint, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and needed in err
     assert ("--opt=VALUE" in err and "'--'" in err) == dash_hint
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "m.mat"
+    f.write_text("type: src=(-1)x2 tgt=(0)x2\nX | Y\nY | X\n")
+    code, out, err = run_cli(
+        ["check", "--case", "M(4,1):h1=1", "--budget", "-5", str(f)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: sheafmod check: argument --budget: must be nonnegative, not -5\n"
+    code, _, err = run_cli(["check", "--case", "M(4,1):h1=1", "--budget", "x", str(f)], capsys)
+    assert code == 2 and err.endswith("argument --budget: invalid int value: 'x'\n")
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_verdicts.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--budget", "-1"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith("argument --budget: must be nonnegative, not -1")
 
 
 def test_help_still_prints_usage_and_exits_zero(capsys):

@@ -7,7 +7,6 @@ from sheafmod.cohomology import (
     CohomologyTable,
     beilinson_terms,
     complete_table,
-    dual_stratum,
     euler_consistency,
     serre_dual_table,
 )
@@ -93,13 +92,6 @@ def test_serre_dual_involution_random(rnd):
     for _ in range(500):
         t = random_table(rnd)
         assert serre_dual_table(serre_dual_table(t)) == t
-
-
-def test_dual_stratum():
-    text, conds = dual_stratum((1, 3, 3))
-    assert conds == (1, 3, 3)
-    assert "h1(F)=1" in text
-    assert dual_stratum(dual_stratum((0, 2, 1))[1])[1] == (0, 2, 1)
 
 
 def test_dual_type_examples():

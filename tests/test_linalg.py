@@ -211,3 +211,41 @@ def test_inverse_sympy_differential(rnd):
             continue
         expected = [[F(int(x.p), int(x.q)) for x in mat.inv().row(i)] for i in range(n)]
         assert inverse(rows) == expected
+
+
+# ---------------------------------------------------------------------------
+# early stop: a kernel that must have ``need`` vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(1, 7), square_matrices())
+def test_kernel_with_need_is_the_full_kernel_or_empty(case, need, square):
+    rows, width = case
+    full = right_kernel(rows, width)
+    assert full == reference_kernel(rows, width)
+    expected = full if len(full) >= need else []
+    assert right_kernel(rows, width, need=need) == expected
+    assert right_kernel(iter(rows), width, need=need) == expected
+    # the stop leaves rank and inverse, which never pass one, unchanged
+    assert rank(rows) == width - len(full)
+    if reference_inverse(square) is not None:
+        assert inverse(square) == reference_inverse(square)
+
+
+def test_kernel_with_need_reads_no_row_past_the_stop():
+    # width 4 and need 2: the kernel is refused once the rank reaches 3
+    def rows():
+        yield [1, 0, 0, 0]
+        yield [2, 0, 0, 0]
+        yield [0, 1, 0, 0]
+        yield [0, 0, 1, 0]
+        raise AssertionError("read past the stop rank")
+
+    assert right_kernel(rows(), 4, need=2) == []
+    assert right_kernel([[1, 0, 0, 0], [0, 1, 0, 0]], 4, need=2) == [
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ]
+    # more vectors than the width allows is always refused
+    assert right_kernel([], 2, need=3) == []
+    assert right_kernel([], 2, need=2) == [[1, 0], [0, 1]]

@@ -20,6 +20,7 @@ from sheafmod.registry import case_by_id
 from sheafmod.stability import (
     _SUBSET_CAP,
     KoszulClass,
+    Verdict,
     VerdictKind,
     Witness,
     _CoefficientView,
@@ -459,18 +460,22 @@ def test_pencil_finds_non_integer_rational_root():
     assert combo[0] == -combo[1] / 2
 
 
-def test_search_repeats_on_same_and_rebuilt_matrix(rnd):
-    """Nothing computed for one call leaks into the next: the same matrix
-    object and a freshly built equal one give equal verdicts."""
+def _hidden_two_by_two(rnd):
+    """A 2x2 zero block hidden by row and column mixing: only the random pass
+    finds it, after some trials."""
     from sheafmod.stability import apply_transforms
 
-    # a 2x2 zero block hidden by row and column mixing: only the random
-    # pass finds it, after some trials
     grid = [[random_poly(rnd, 1) for _ in range(3)] for _ in range(3)]
     grid[0][0] = grid[0][1] = grid[1][0] = grid[1][1] = zero
     G = [[F(1), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]]
     H = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(1), F(0), F(1)]]
-    hidden = apply_transforms(PolyMatrix(T33, grid), G, H)
+    return apply_transforms(PolyMatrix(T33, grid), G, H)
+
+
+def test_search_repeats_on_same_and_rebuilt_matrix(rnd):
+    """Nothing computed for one call leaks into the next: the same matrix
+    object and a freshly built equal one give equal verdicts."""
+    hidden = _hidden_two_by_two(rnd)
     t = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
     cases = [
         (hidden, Polarization([F(1, 3)], [F(1, 3)]), 400),
@@ -489,6 +494,142 @@ def test_search_repeats_on_same_and_rebuilt_matrix(rnd):
         verdicts.append(first)
     assert verdicts[0].kind is VerdictKind.DESTABILIZED
     assert 0 < verdicts[0].budget_used < 400 and verify_witness(hidden, verdicts[0].witness)
+
+
+def _hidden_block(seed):
+    """A 3x3 of linear forms with a zero block of a seeded shape, hidden by
+    seeded invertible row and column transforms with entries in {-1, 0, 1}."""
+    from sheafmod.linalg import rank
+    from sheafmod.stability import apply_transforms
+
+    rnd = random.Random(seed)
+    b, a = rnd.choice([(2, 2), (1, 3), (3, 1), (2, 1), (1, 2)])
+    grid = [
+        [zero if r < b and c < a else random_poly(rnd, 1) for c in range(3)]
+        for r in range(3)
+    ]
+
+    def invertible():
+        while True:
+            g = [[F(rnd.randint(-1, 1)) for _ in range(3)] for _ in range(3)]
+            if rank(g) == 3:
+                return g
+
+    return apply_transforms(PolyMatrix(T33, grid), invertible(), invertible())
+
+
+def _pinned(kind, used, undecided, shape=None, cols=(), rows=()):
+    witness = None
+    if shape is not None:
+        witness = Witness(
+            Shape(*shape),
+            (),
+            tuple(tuple(map(F, c)) for c in cols),
+            row_combos=tuple(tuple(map(F, r)) for r in rows),
+        )
+    return Verdict(kind, witness, used, tuple(Shape(*u) for u in undecided))
+
+
+# verdicts of the random pass recorded before its trials were made cheaper;
+# every draw, refusal and witness must stay the same
+S22 = ((2,), (2,))
+PINNED_RANDOM_PASS = [
+    (
+        "hidden 2x2",
+        lambda: _hidden_two_by_two(random.Random(20240817)),
+        400,
+        7,
+        _pinned(
+            VerdictKind.DESTABILIZED, 165, [S22], S22,
+            cols=((0, 1, 0), (-1, 0, 1)), rows=((0, 1, -1), (-2, 3, -1)),
+        ),
+    ),
+    (
+        "hidden block 0",
+        lambda: _hidden_block(0),
+        300,
+        0,
+        _pinned(VerdictKind.UNDETERMINED, 300, [S22]),
+    ),
+    (
+        "hidden block 5",
+        lambda: _hidden_block(5),
+        300,
+        5,
+        _pinned(VerdictKind.UNDETERMINED, 300, [S22]),
+    ),
+    (
+        "hidden block 14",
+        lambda: _hidden_block(14),
+        300,
+        14,
+        _pinned(
+            VerdictKind.DESTABILIZED, 57, [S22], S22,
+            cols=((1, 1, 0), (0, 0, 1)), rows=((2, -1, -3), (-1, -2, -1)),
+        ),
+    ),
+    (
+        "hidden block 19",
+        lambda: _hidden_block(19),
+        300,
+        19,
+        _pinned(
+            VerdictKind.DESTABILIZED, 35, [S22], S22,
+            cols=((1, 0, 0), (0, 1, 1)), rows=((0, 3, 0), (-3, 3, 3)),
+        ),
+    ),
+    (
+        "hidden block 28",
+        lambda: _hidden_block(28),
+        300,
+        28,
+        _pinned(
+            VerdictKind.DESTABILIZED, 241, [S22], S22,
+            cols=((1, 1, 0), (1, 0, 1)), rows=((1, 2, -3), (3, 0, -3)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, budget, seed, expected",
+    [c[1:] for c in PINNED_RANDOM_PASS],
+    ids=[c[0] for c in PINNED_RANDOM_PASS],
+)
+def test_random_pass_is_pinned_draw_for_draw(build, budget, seed, expected):
+    p = Polarization([F(1, 3)], [F(1, 3)])
+    assert search_destabilizer(build(), p, budget, seed) == expected
+
+
+def test_draw_coeffs_is_the_randint_stream():
+    from sheafmod.stability import _draw_coeffs
+
+    for seed in range(300):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 5, 9, 1, 4):
+            assert _draw_coeffs(fast, n) == [slow.randint(-3, 3) for _ in range(n)]
+            # the pass interleaves randrange when a draw is all zeros
+            assert fast.randrange(n) == slow.randrange(n)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_negative_budget_is_refused():
+    p = Polarization([F(1, 10), F(9, 40)], [F(1, 5)])
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        search_destabilizer(_five_by_five(), p, -1)
+
+
+def test_random_pass_on_the_five_by_five_is_pinned():
+    # two source types; every trial is refused, so all 12 open shapes keep
+    # their 833 trials each
+    p = Polarization([F(1, 10), F(9, 40)], [F(1, 5)])
+    v = search_destabilizer(_five_by_five(), p, 10**4, seed=11)
+    open_shapes = [
+        ((2,), (0, 3)), ((2,), (1, 3)), ((3,), (0, 2)), ((3,), (0, 3)),
+        ((3,), (1, 2)), ((3,), (1, 3)), ((4,), (0, 1)), ((4,), (0, 2)),
+        ((4,), (0, 3)), ((4,), (1, 1)), ((4,), (1, 2)), ((4,), (1, 3)),
+    ]
+    assert v == _pinned(VerdictKind.UNDETERMINED, 9996, open_shapes)
 
 
 @pytest.mark.parametrize(
