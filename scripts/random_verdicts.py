@@ -4,10 +4,16 @@
 A quick experiment runner: how often does a random matrix of the case's type
 pass the membership flags, and how often does the destabilizer search find a
 witness?  Seeded, so runs are reproducible.
+
+    PYTHONPATH=src python3 scripts/random_verdicts.py --case 'M(n,3):h0m1=1' --n 4
+
+An unknown case or an ``--n`` outside the case's range is a usage error
+(exit 2).
 """
 
 import argparse
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -45,11 +51,17 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--case", default="M(n,3):h0m1=1")
     ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--trials", type=int, default=20)
+    ap.add_argument("--trials", type=nonnegative_int, default=20)
     ap.add_argument("--budget", type=nonnegative_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    case = case_by_id(args.case)
+    try:
+        case = case_by_id(args.case)
+    except KeyError as exc:
+        ap.error(exc.args[0])
+    if not case.admits(args.n):
+        lo, hi = case.n_range
+        ap.error(f"case {case.id} covers n = {lo}..{hi}, not n = {args.n}")
     t = case.resolution(args.n)
     rnd = random.Random(args.seed)
     verdicts = Counter()
@@ -67,4 +79,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

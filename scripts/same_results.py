@@ -16,7 +16,13 @@ the output: equal digests mean the same results.  The sections are
 * ``kernel``: the ``kernel_line`` text of the benchmark's 50 ``kernel``
   inputs, then ``determinant`` (square) and ``maximal_minors`` on seeded
   random square, wide and tall matrices with rational, mixed-sign and zero
-  entries.
+  entries;
+* ``witness``: the ``koszul_test`` class of seeded 3x3 matrices of linear
+  forms (members of the Koszul orbit, planted constant column and row
+  kernels, matrices with a random degree-one kernel vector, sparse random
+  ones, and ones of a type with two source or target summands), then the ``realize_witness`` text (transformed matrix and
+  both transforms) of every destabilized report in the ``check_case``
+  section that carries a witness.
 
 A verdict repr holds its kind, witness, trials used, open shapes and note.
 ``--lines`` prints every line that goes into a digest, for diffing.
@@ -41,13 +47,21 @@ from random_verdicts import random_matrix  # noqa: E402
 from sheafmod import cli, polymatrix  # noqa: E402
 from sheafmod.bundles import MorphismType  # noqa: E402
 from sheafmod.registry import load_registry  # noqa: E402
-from sheafmod.stability import check_case, search_destabilizer  # noqa: E402
+from sheafmod.stability import (  # noqa: E402
+    apply_transforms,
+    check_case,
+    koszul_test,
+    realize_witness,
+    search_destabilizer,
+)
 
 CHECK_SEED = 20
 CHECK_MATRICES = 4
 CHECK_BUDGETS = (0, 20)
 MINORS_SEED = 30
 MINORS_MATRICES = 200
+KOSZUL_SEED = 40
+KOSZUL_MATRICES = 150
 
 
 def table_lines() -> list[str]:
@@ -78,9 +92,9 @@ def search_lines() -> list[str]:
     ]
 
 
-def check_case_lines() -> list[str]:
+def check_case_reports():
+    """(label, matrix, report) for the ``check_case`` section, in order."""
     rnd = random.Random(CHECK_SEED)
-    out = []
     for case in load_registry():
         for n in case.ns()[:2]:
             t = case.resolution(n)
@@ -88,8 +102,11 @@ def check_case_lines() -> list[str]:
                 m = random_matrix(rnd, t)
                 for budget in CHECK_BUDGETS:
                     report = check_case(m, case, n, budget=budget, seed=k)
-                    out.append(report_line(f"{case.id} n={n} #{k} budget={budget}", report))
-    return out
+                    yield f"{case.id} n={n} #{k} budget={budget}", m, report
+
+
+def check_case_lines() -> list[str]:
+    return [report_line(label, report) for label, _, report in check_case_reports()]
 
 
 def random_grid_matrix(rnd: random.Random) -> polymatrix.PolyMatrix:
@@ -132,12 +149,105 @@ def kernel_lines() -> list[str]:
     return out
 
 
+T33 = MorphismType.make([(-1, 3)], [(0, 3)])
+IDENTITY = [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def random_linear(rnd: random.Random, density: float = 1.0) -> polymatrix.HomogeneousPoly:
+    """Coefficients of X, Y and Z in -2..2, each kept with the given probability."""
+    coeffs = [rnd.randint(-2, 2) if rnd.random() < density else 0 for _ in range(3)]
+    return polymatrix.HomogeneousPoly(dict(zip(polymatrix.monomial_basis(1), coeffs)))
+
+
+def random_grid(rnd: random.Random, density: float = 1.0) -> polymatrix.PolyMatrix:
+    grid = [[random_linear(rnd, density) for _ in range(3)] for _ in range(3)]
+    return polymatrix.PolyMatrix(T33, grid)
+
+
+def random_constants(rnd: random.Random) -> list[list[int]]:
+    return [[rnd.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+
+
+def rank_two_constants(rnd: random.Random) -> list[list[int]]:
+    """A constant 3x3 matrix whose column j is a combination of the others."""
+    h = random_constants(rnd)
+    j = rnd.randrange(3)
+    a, b = (c for c in range(3) if c != j)
+    wa, wb = rnd.randint(-2, 2), rnd.randint(-2, 2)
+    for row in h:
+        row[j] = wa * row[a] + wb * row[b]
+    return h
+
+
+def koszul_orbit_member(rnd: random.Random) -> polymatrix.PolyMatrix:
+    """g . K . h for the Koszul matrix K and random constant g, h (a singular
+    g or h leaves the orbit)."""
+    x, y, z, zero = polymatrix.X, polymatrix.Y, polymatrix.Z, polymatrix.HomogeneousPoly.zero()
+    k = polymatrix.PolyMatrix(T33, [[x, y, zero], [z, zero, y], [zero, -z, x]])
+    return apply_transforms(k, random_constants(rnd), random_constants(rnd))
+
+
+def column_kernel(rnd: random.Random) -> polymatrix.PolyMatrix:
+    return apply_transforms(random_grid(rnd), IDENTITY, rank_two_constants(rnd))
+
+
+def row_kernel(rnd: random.Random) -> polymatrix.PolyMatrix:
+    return apply_transforms(random_grid(rnd), rank_two_constants(rnd), IDENTITY)
+
+
+def syzygy_rows(rnd: random.Random) -> polymatrix.PolyMatrix:
+    """Rows annihilating a vector (a, b, c) of sparse linear forms: constant
+    combinations of its three Koszul relations."""
+    a, b, c = (random_linear(rnd, 0.5) for _ in range(3))
+    zero = polymatrix.HomogeneousPoly.zero()
+    relations = polymatrix.PolyMatrix(T33, [[b, -a, zero], [c, zero, -a], [zero, c, -b]])
+    return apply_transforms(relations, random_constants(rnd), IDENTITY)
+
+
+def sparse(rnd: random.Random) -> polymatrix.PolyMatrix:
+    return random_grid(rnd, 0.3)
+
+
+SPLIT_TYPES = [
+    MorphismType.make([(-1, 2), (1, 1)], [(0, 3)]),
+    MorphismType.make([(-1, 1), (1, 2)], [(0, 3)]),
+    MorphismType.make([(-1, 3)], [(-2, 1), (0, 2)]),
+    MorphismType.make([(-1, 2), (1, 1)], [(-2, 1), (0, 2)]),
+]
+
+
+def split_type(rnd: random.Random) -> polymatrix.PolyMatrix:
+    """A random 3x3 of linear forms whose source or target has a second
+    summand type, which only zero entries reach."""
+    return random_matrix(rnd, rnd.choice(SPLIT_TYPES))
+
+
+def witness_lines() -> list[str]:
+    rnd = random.Random(KOSZUL_SEED)
+    out = []
+    families = (koszul_orbit_member, column_kernel, row_kernel, syzygy_rows, sparse, split_type)
+    for family in families:
+        for k in range(KOSZUL_MATRICES):
+            cls = koszul_test(family(rnd))
+            out.append(f"{family.__name__} #{k}: {cls.value}")
+    for label, m, report in check_case_reports():
+        w = report.verdict.witness
+        if w is None:
+            continue
+        g, h, transformed = realize_witness(m, w)
+        lines = [f"{label} {w.shape}", polymatrix.format_matrix_file(transformed)]
+        lines += [" ".join(map(str, row)) for row in (*g, *h)]
+        out.append("\n".join(lines))
+    return out
+
+
 SECTIONS = {
     "table": table_lines,
     "verdicts": verdicts_lines,
     "search": search_lines,
     "check_case": check_case_lines,
     "kernel": kernel_lines,
+    "witness": witness_lines,
 }
 
 

@@ -775,19 +775,8 @@ def cubic_section(
     f = adapt_to_point(point, f)
     if f.coefficient((0, 0, 3)) != 0:
         raise ValueError("form does not vanish at the point")
-    y_part: dict[Term, Fraction] = {}
-    rest: dict[Term, Fraction] = {}
-    for t, c in f.terms:
-        if t[1] > 0:
-            y_part[(t[0], t[1] - 1, t[2])] = c
-        else:
-            rest[t] = c
-    q1 = HomogeneousPoly(y_part)
-    rest_poly = HomogeneousPoly(rest)
-    if not rest_poly.is_zero:
-        q2 = -rest_poly.divexact(X)
-    else:
-        q2 = HomogeneousPoly.zero()
+    q1, rest = _split_var(f, 1)
+    q2 = -rest.divexact(X)
     t = MorphismType.make([(-2, 1), (-1, 1)], [(0, 2)])
     return PolyMatrix(t, [[q1, X], [q2, Y]])
 
@@ -837,16 +826,9 @@ def quartic_section(
     f = adapt_to_span(span, f)
     if f.coefficient((0, 0, 4)) != 0:
         raise ValueError("form is not in the ideal of the span")
-    y_part: dict[Term, Fraction] = {}
-    rest: dict[Term, Fraction] = {}
-    for t, c in f.terms:
-        if t[1] > 0:
-            y_part[(t[0], t[1] - 1, t[2])] = c
-        else:
-            rest[t] = c
-    f1 = -HomogeneousPoly(y_part)
-    rest_poly = HomogeneousPoly(rest)
-    f2 = rest_poly.divexact(X) if not rest_poly.is_zero else HomogeneousPoly.zero()
+    y_part, rest = _split_var(f, 1)
+    f1 = -y_part
+    f2 = rest.divexact(X)
     q11, q21, q31 = _split_zyx(f1)
     q12, q22, q32 = _split_zyx(f2)
     t = MorphismType.make(
@@ -875,30 +857,31 @@ def quartic_reconstruct(m: PolyMatrix) -> HomogeneousPoly:
     return acc
 
 
+def _split_var(f: HomogeneousPoly, var: int) -> tuple[HomogeneousPoly, HomogeneousPoly]:
+    """The unique (q, r) with f = v*q + r for the variable v of index var and
+    r free of v."""
+    q: Coeffs = {}
+    r: Coeffs = {}
+    for t, c in f.coeffs.items():
+        if t[var]:
+            q[t[:var] + (t[var] - 1,) + t[var + 1 :]] = c
+        else:
+            r[t] = c
+
+    def form(a: Coeffs) -> HomogeneousPoly:
+        if not a:
+            return HomogeneousPoly.zero()
+        p, k = _primitive(a)
+        return HomogeneousPoly._make(p, f.content * k)
+
+    return form(q), form(r)
+
+
 def _split_zyx(f: HomogeneousPoly) -> tuple[HomogeneousPoly, ...]:
     """Unique f = Z*q1 - Y*q2 + X*q3 with q1 in k[X,Y,Z], q2 in k[X,Y], q3 in k[X]."""
-    if f.is_zero:
-        zero = HomogeneousPoly.zero()
-        return zero, zero, zero
-    z_part: dict[Term, Fraction] = {}
-    rem: dict[Term, Fraction] = {}
-    for t, c in f.terms:
-        if t[2] > 0:
-            z_part[(t[0], t[1], t[2] - 1)] = c
-        else:
-            rem[t] = c
-    q1 = HomogeneousPoly(z_part)
-    y_part: dict[Term, Fraction] = {}
-    rem2: dict[Term, Fraction] = {}
-    for t, c in rem.items():
-        if t[1] > 0:
-            y_part[(t[0], t[1] - 1, t[2])] = c
-        else:
-            rem2[t] = c
-    q2 = -HomogeneousPoly(y_part)
-    rem2_poly = HomogeneousPoly(rem2)
-    q3 = rem2_poly.divexact(X) if not rem2_poly.is_zero else HomogeneousPoly.zero()
-    return q1, q2, q3
+    q1, rest = _split_var(f, 2)
+    y_part, rest = _split_var(rest, 1)
+    return q1, -y_part, rest.divexact(X)
 
 
 def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:

@@ -21,9 +21,10 @@ only the largest lower shapes an exact pass decides, whether or not they
 destabilize: all rows of the types S fills against S's columns, and its
 transposed twin (one kernel sweep each, right after the literal scan); then,
 if S's own passes leave it open, S's rows against one column of a source
-type of width at most two, and one row of a target type of width at most
-two against S's columns (the pencil on each side).  Decisions are memoized
-per search.
+type of width two, and one row of a target type of width two against S's
+columns (the pencil on each side).  A type of width one needs no pencil:
+one column of it is all of its columns, which the transposed sweep decides.
+Decisions are memoized per search.
 
 The literal scan and the row sweep walk their column and row subsets depth
 first, in product order (lexicographic within a type, type-major), and drop
@@ -52,7 +53,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -79,8 +80,6 @@ __all__ = [
     "Witness",
     "Verdict",
     "KoszulClass",
-    "zero_block_exists_col1",
-    "zero_block_exists_row1",
     "search_destabilizer",
     "check_case",
     "CaseReport",
@@ -228,63 +227,6 @@ class _CoefficientView:
         return self._layouts[key]
 
 
-def _col1_witness(view: _CoefficientView, row_subsets, i: int) -> Witness | None:
-    """The first literal row subset, in the given order, whose type-i column
-    kernel is nonzero, with one combination from that kernel."""
-    for rows in row_subsets:
-        kernel = view.kernel(rows, i)
-        if kernel:
-            shape = Shape(
-                tuple(sum(r in g for r in rows) for g in view.row_groups),
-                tuple(int(j == i) for j in range(len(view.col_groups))),
-            )
-            combo = _embed(view.col_groups[i], kernel[0], view.m.ncols)
-            return Witness(shape, rows, (combo,))
-    return None
-
-
-def zero_block_exists_col1(
-    m: PolyMatrix, p: int, src_type: int | None = None
-) -> Witness | None:
-    """Exact decision for a zero block of p rows by one column combination.
-
-    Quantifies over every p-subset of literal rows and every constant column
-    combination within one source type; the combination space is the right
-    kernel of the stacked coefficient slices, so the decision is a rank
-    computation over the rationals.
-    """
-    view = _CoefficientView(m)
-    types = [src_type] if src_type is not None else range(len(view.col_groups))
-    for i in types:
-        w = _col1_witness(view, itertools.combinations(range(m.nrows), p), i)
-        if w is not None:
-            return w
-    return None
-
-
-def zero_block_exists_row1(
-    m: PolyMatrix, q: int, tgt_type: int | None = None
-) -> Witness | None:
-    """Exact decision for a zero block of one row combination by q columns.
-
-    The column decision on the transpose, pulled back: the q-subsets of
-    ``m``'s columns, taken in ``m``'s order, are rows of the transpose, and
-    target type l of ``m`` is its source type ntypes - 1 - l.
-    """
-    tview = _CoefficientView(transpose_dual(m))
-    trow = {c: tr for tr, c in enumerate(_dual_order(m.type.source))}
-    ntypes = len(tview.col_groups)
-    for l in [tgt_type] if tgt_type is not None else range(ntypes):
-        subsets = (
-            tuple(trow[c] for c in cols)
-            for cols in itertools.combinations(range(m.ncols), q)
-        )
-        wt = _col1_witness(tview, subsets, ntypes - 1 - l)
-        if wt is not None:
-            return _pull_back_transpose_witness(m, wt)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Destabilizer search
 # ---------------------------------------------------------------------------
@@ -359,23 +301,20 @@ def _row_subset_sweep(
 def _pencil_decides(
     view: _CoefficientView, shape: Shape
 ) -> tuple[Witness | None, bool, str]:
-    """Exact decision for one-column blocks over a source type of width <= 2.
+    """Exact decision for one-column blocks over a source type of width two.
 
-    Width one is a pure rank computation.  Width two gives a matrix pencil in
-    the combination (k1 : k2): the row-rank drops demanded by the shape are
-    minor conditions, binary forms in (k1, k2), and a common zero exists
-    exactly when their gcd is nonconstant.  Rational roots give explicit
-    witnesses; a nonconstant gcd without rational roots still certifies a
-    destabilizer over the algebraic closure.
+    The combination (k1 : k2) of the two columns gives a matrix pencil: the
+    row-rank drops demanded by the shape are minor conditions, binary forms
+    in (k1, k2), and a common zero exists exactly when their gcd is
+    nonconstant.  Rational roots give explicit witnesses; a nonconstant gcd
+    without rational roots still certifies a destabilizer over the algebraic
+    closure.
     """
     if sum(shape.cols) != 1:
         return None, False, ""
     i = next(i for i, a in enumerate(shape.cols) if a == 1)
-    width = len(view.col_groups[i])
-    if width > 2:
+    if len(view.col_groups[i]) != 2:
         return None, False, ""
-    if width == 1:
-        return _witness_with_row_combos(view, shape, i, (1,)), True, ""
     forms: list[HomogeneousPoly] = []
     for l, b in enumerate(shape.rows):
         if b == 0:
@@ -412,23 +351,18 @@ def _pencil_decides(
 
 def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | None:
     """A rational projective zero (k1 : k2) of a binary form in X, Y."""
-    coeffs: dict[int, Fraction] = {}
+    ints: dict[int, int] = {}
     deg = g.degree or 0
-    for (a, b, c), v in g.terms:
+    for (a, b, c), v in g.coeffs.items():
         if c != 0:
             raise ValueError("not a binary form")
-        coeffs[a] = v
-    if all(e < deg for e in coeffs):  # Y divides g -> root (1 : 0)
+        ints[a] = v
+    if all(e < deg for e in ints):  # Y divides g -> root (1 : 0)
         return (Fraction(1), Fraction(0))
-    if 0 not in coeffs:  # X divides g -> root (0 : 1)
+    if 0 not in ints:  # X divides g -> root (0 : 1)
         return (Fraction(0), Fraction(1))
     # a rational root p/q of g(t, 1) in lowest terms has p dividing the
     # constant and q the leading coefficient of the primitive integer form
-    den = lcm(*(v.denominator for v in coeffs.values()))
-    content = gcd(*(v.numerator for v in coeffs.values()))
-    ints = {
-        e: v.numerator * (den // v.denominator) // content for e, v in coeffs.items()
-    }
     for p in _divisors(ints[0]):
         for q in _divisors(ints[deg]):
             for sign in (1, -1):
@@ -518,11 +452,12 @@ def _random_subspace_witness(
     return Witness(shape, (), tuple(combos), row_combos=tuple(row_combos))
 
 
-def _combine_rows(m, rows, coeffs, c) -> HomogeneousPoly:
+def _combine(forms: Sequence[HomogeneousPoly], weights) -> HomogeneousPoly:
+    """The sum of w * f over the forms and their weights."""
     acc = HomogeneousPoly.zero()
-    for r, v in zip(rows, coeffs):
-        if v != 0:
-            acc = acc + m.entries[r][c].scale(v)
+    for f, w in zip(forms, weights):
+        if w:
+            acc = acc + f.scale(w)
     return acc
 
 
@@ -567,21 +502,10 @@ def apply_transforms(
     m: PolyMatrix, G: list[list[Fraction]], H: list[list[Fraction]]
 ) -> PolyMatrix:
     """Exact G . m . H for constant block transforms respecting the type."""
-    rows = []
-    for r in range(m.nrows):
-        row = []
-        for c in range(m.ncols):
-            acc = HomogeneousPoly.zero()
-            for i in range(m.nrows):
-                if G[r][i] == 0:
-                    continue
-                for j in range(m.ncols):
-                    if H[j][c] == 0:
-                        continue
-                    acc = acc + m.entries[i][j].scale(G[r][i] * H[j][c])
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(m.type, rows)
+    cols = list(zip(*m.entries))
+    gm = [[_combine(col, g) for col in cols] for g in G]
+    h_cols = list(zip(*H))
+    return PolyMatrix(m.type, [[_combine(row, h) for h in h_cols] for row in gm])
 
 
 def verify_witness(m: PolyMatrix, w: Witness) -> bool:
@@ -593,22 +517,12 @@ def verify_witness(m: PolyMatrix, w: Witness) -> bool:
     for combos in (units if w.row_combos is None else w.row_combos, w.col_combos):
         if rank(combos) < len(combos):
             return False
-    if w.row_combos is not None:
-        rows = [
-            [_combine_rows(m, range(m.nrows), rc, c) for c in range(m.ncols)]
-            for rc in w.row_combos
-        ]
+    if w.row_combos is None:
+        rows = [m.entries[r] for r in w.rows]
     else:
-        rows = [[m.entries[r][c] for c in range(m.ncols)] for r in w.rows]
-    for row in rows:
-        for combo in w.col_combos:
-            acc = HomogeneousPoly.zero()
-            for c, v in enumerate(combo):
-                if v != 0:
-                    acc = acc + row[c].scale(v)
-            if not acc.is_zero:
-                return False
-    return True
+        cols = list(zip(*m.entries))
+        rows = [[_combine(col, rc) for col in cols] for rc in w.row_combos]
+    return all(_combine(row, cc).is_zero for row in rows for cc in w.col_combos)
 
 
 def _dual_shape(shape: Shape) -> Shape:
@@ -663,21 +577,20 @@ def _pencil_shapes_below(
     view: _CoefficientView, shape: Shape
 ) -> list[tuple[Shape, int]]:
     """The largest shapes below ``shape`` that a pencil decides, each with its
-    side: the shape's rows against one column of a source type of width at
-    most two, and one row of a target type of width at most two against the
-    shape's columns."""
+    side: the shape's rows against one column of a source type of width two,
+    and one row of a target type of width two against the shape's columns."""
     def unit(k: int, size: int) -> tuple[int, ...]:
         return tuple(int(j == k) for j in range(size))
 
     below = [
         (Shape(shape.rows, unit(i, len(shape.cols))), 0)
         for i, a in enumerate(shape.cols)
-        if a and len(view.col_groups[i]) <= 2
+        if a and len(view.col_groups[i]) == 2
     ]
     below += [
         (Shape(unit(l, len(shape.rows)), shape.cols), 1)
         for l, b in enumerate(shape.rows)
-        if b and len(view.row_groups[l]) <= 2
+        if b and len(view.row_groups[l]) == 2
     ]
     return [(t, side) for t, side in below if t != shape]
 
@@ -791,12 +704,17 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
                 raise ValueError("koszul_test expects linear entries")
     if not determinant(m).is_zero:
         return KoszulClass.FULL_RANK_DET
-    # exact zero-pattern tests
-    if zero_block_exists_col1(m, 3) is not None:
-        return KoszulClass.DEGENERATE
-    if zero_block_exists_row1(m, 3) is not None:
-        return KoszulClass.DEGENERATE
+    # exact zero-pattern tests: a constant column kernel of m or of its
+    # transpose (all rows against one column of some type), then literal
+    # thin blocks
     view = _CoefficientView(m)
+    for side in (view, _CoefficientView(transpose_dual(m))):
+        rows = tuple(map(len, side.row_groups))
+        ntypes = len(side.col_groups)
+        for i in range(ntypes):
+            cols = tuple(int(j == i) for j in range(ntypes))
+            if _row_subset_sweep(side, Shape(rows, cols))[0] is not None:
+                return KoszulClass.DEGENERATE
     for shape in (Shape((2,), (2,)), Shape((1,), (2,)), Shape((2,), (1,))):
         if _literal_witness(view, shape) is not None:
             return KoszulClass.DEGENERATE

@@ -112,6 +112,14 @@ def test_section_commands(capsys):
     assert code == 0 and "reconstruction check" in out and "ok" in out
 
 
+def test_cubic_section_away_from_the_origin_point(capsys):
+    # f = (2X - Y)(X^2 + Y^2 + Z^2) vanishes at (1:2:3), so the frame changes
+    f = "2*X^3+2*X*Y^2+2*X*Z^2-X^2*Y-Y^3-Y*Z^2"
+    code, out, _ = run_cli(["section", "--cubic", "--point", "1,2,3", "--f", f], capsys)
+    last = out.splitlines()[-1]
+    assert code == 0 and last.startswith("# det check: ") and last.endswith(": ok")
+
+
 def test_check_roundtrip_and_seed(tmp_path, capsys):
     f = tmp_path / "koszul.mat"
     f.write_text(
@@ -404,6 +412,23 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines()[-1].endswith("argument --budget: must be nonnegative, not -1")
+
+
+@pytest.mark.parametrize(
+    "args, needed",
+    [
+        (["--n", "3"], "case M(n,3):h0m1=1 covers n = 4..7, not n = 3"),
+        (["--n", "99"], "case M(n,3):h0m1=1 covers n = 4..7, not n = 99"),
+        (["--trials", "-3"], "argument --trials: must be nonnegative, not -3"),
+        (["--case", "nope"], "no case 'nope' in the registry"),
+    ],
+)
+def test_random_verdicts_refuses_bad_input(args, needed):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_verdicts.py"
+    proc = subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert "error: " in last and last.endswith(needed)
 
 
 def test_help_still_prints_usage_and_exits_zero(capsys):

@@ -14,6 +14,7 @@ from sheafmod.polymatrix import (
     X,
     Y,
     Z,
+    adapt_to_point,
     adapt_to_span,
     cubic_section,
     determinant,
@@ -449,6 +450,35 @@ def test_cubic_section_identity_random(rnd):
             continue
         m = cubic_section((0, 0, 1), f)
         assert determinant(m).terms == f.terms
+
+
+def test_cubic_section_at_random_points(rnd):
+    # f = L1*q1 + L2*q2 with L1, L2 vanishing at the point, so f does too;
+    # points other than (0:0:1) go through the change of frame
+    frames = 0
+    for _ in range(30):
+        pt = [F(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(3)]
+        if not any(pt):
+            continue
+        lines = []
+        for _ in range(2):
+            v = [rnd.randint(-3, 3) for _ in range(3)]
+            # the cross product pt x v: L(x) = det(pt, v, x) vanishes at pt
+            cross = [
+                pt[1] * v[2] - pt[2] * v[1],
+                pt[2] * v[0] - pt[0] * v[2],
+                pt[0] * v[1] - pt[1] * v[0],
+            ]
+            lines.append(HomogeneousPoly(dict(zip(monomial_basis(1), cross))))
+        f = lines[0] * random_poly(rnd, 2) + lines[1] * random_poly(rnd, 2)
+        if f.is_zero:
+            continue
+        assert f.evaluate(pt) == 0
+        adapted = adapt_to_point(pt, f)
+        assert adapted.coefficient((0, 0, 3)) == 0
+        assert determinant(cubic_section(pt, f)) == adapted
+        frames += pt[:2] != [0, 0]
+    assert frames >= 20
 
 
 def test_quartic_section_identity_random(rnd):

@@ -24,14 +24,14 @@ from sheafmod.stability import (
     VerdictKind,
     Witness,
     _CoefficientView,
+    _dual_shape,
     _literal_witness,
+    _pull_back_transpose_witness,
     _row_subset_sweep,
     check_case,
     koszul_test,
     search_destabilizer,
     verify_witness,
-    zero_block_exists_col1,
-    zero_block_exists_row1,
 )
 from conftest import random_poly
 
@@ -44,16 +44,28 @@ PSI1 = PolyMatrix(T33, [[X, Y, zero], [Z, zero, Y], [zero, -Z, X]])
 # zero-block decisions
 
 
+def _col_witness(m, shape):
+    """The row sweep's witness for ``shape`` on m itself."""
+    return _row_subset_sweep(_CoefficientView(m), shape)[0]
+
+
+def _row_witness(m, shape):
+    """The row sweep's witness for ``shape`` found on the transpose of m and
+    pulled back to m."""
+    wt = _row_subset_sweep(_CoefficientView(transpose_dual(m)), _dual_shape(shape))[0]
+    return None if wt is None else _pull_back_transpose_witness(m, wt)
+
+
 def test_col1_no_witness_when_stack_full():
     t = MorphismType.make([(-1, 2)], [(0, 2)])
     m = PolyMatrix(t, [[X, Y], [Y, X]])
-    assert zero_block_exists_col1(m, 1) is None
+    assert _col_witness(m, Shape((1,), (1,))) is None
 
 
 def test_col1_equal_columns():
     t = MorphismType.make([(-1, 2)], [(0, 2)])
     m = PolyMatrix(t, [[X, X], [Y, Y]])
-    w = zero_block_exists_col1(m, 2)
+    w = _col_witness(m, Shape((2,), (1,)))
     assert w is not None
     assert sorted(w.col_combos[0]) == [F(-1), F(1)]
     assert verify_witness(m, w)
@@ -61,21 +73,20 @@ def test_col1_equal_columns():
 
 def test_row1_displayed_pattern():
     m = PolyMatrix(T33, [[zero, zero, X], [zero, zero, Y], [X, Y, Z]])
-    w = zero_block_exists_row1(m, 2)
+    w = _row_witness(m, Shape((1,), (2,)))
     assert w is not None and verify_witness(m, w)
 
 
 def test_row1_koszul_matrix_has_none():
-    assert zero_block_exists_row1(PSI1, 2) is None
+    assert _row_witness(PSI1, Shape((1,), (2,))) is None
 
 
 def test_row1_multi_type_source_keeps_column_order():
-    # the q-subsets of columns run in the matrix's own order, not in the
-    # order of the dual type, so the degree-2 column is found first
+    # the shape names the degree-2 column type, so that column is the block's
     from sheafmod.polymatrix import parse_matrix_file
 
     m = parse_matrix_file("type: src=(-2)x1,(-1)x1 tgt=(0)x2\nX^2 | X\nX^2 | X\n")
-    w = zero_block_exists_row1(m, 1)
+    w = _row_witness(m, Shape((1,), (1, 0)))
     assert w.shape.rows == (1,) and w.shape.cols == (1, 0)
     assert w.rows == () and w.col_combos == ((F(1), F(0)),)
     assert w.row_combos == ((F(-1), F(1)),)
@@ -94,6 +105,14 @@ def test_koszul_classes():
     assert koszul_test(full) is KoszulClass.FULL_RANK_DET
     var = PolyMatrix(T33, [[-Y, X, zero], [-Z, zero, X], [zero, -Z, Y]])
     assert koszul_test(var) is KoszulClass.KOSZUL
+    # the zero column is the whole second source type, which a sweep over
+    # the first type alone would miss
+    from sheafmod.polymatrix import parse_matrix_file
+
+    two_types = parse_matrix_file(
+        "type: src=(-1)x2,(0)x1 tgt=(0)x3\nX | Y | 0\nY | Z | 0\nZ | X | 0\n"
+    )
+    assert koszul_test(two_types) is KoszulClass.DEGENERATE
 
 
 def test_koszul_primitive_kernel():
