@@ -22,7 +22,12 @@ the output: equal digests mean the same results.  The sections are
   kernels, matrices with a random degree-one kernel vector, sparse random
   ones, and ones of a type with two source or target summands), then the ``realize_witness`` text (transformed matrix and
   both transforms) of every destabilized report in the ``check_case``
-  section that carries a witness.
+  section that carries a witness;
+* ``lattice``: the ``search_destabilizer`` repr at budgets 0 and 20 on seeded
+  random matrices of the types of ``M(n,3):h0m1=1+ker`` at n = 8 (the slowest
+  ``verdicts`` input) and of ``M(7,4):omega2``, at each case's sample
+  polarization; three in four hide a planted zero block of a random
+  destabilizing shape behind within-type row and column shears.
 
 A verdict repr holds its kind, witness, trials used, open shapes and note.
 ``--lines`` prints every line that goes into a digest, for diffing.
@@ -46,7 +51,8 @@ import workloads  # noqa: E402  (the benchmark's input generators)
 from random_verdicts import random_matrix  # noqa: E402
 from sheafmod import cli, polymatrix  # noqa: E402
 from sheafmod.bundles import MorphismType  # noqa: E402
-from sheafmod.registry import load_registry  # noqa: E402
+from sheafmod.regions import classify_shapes  # noqa: E402
+from sheafmod.registry import case_by_id, load_registry  # noqa: E402
 from sheafmod.stability import (  # noqa: E402
     apply_transforms,
     check_case,
@@ -62,6 +68,10 @@ MINORS_SEED = 30
 MINORS_MATRICES = 200
 KOSZUL_SEED = 40
 KOSZUL_MATRICES = 150
+LATTICE_SEED = 50
+LATTICE_MATRICES = 12
+LATTICE_BUDGETS = (0, 20)
+LATTICE_CASES = (("M(n,3):h0m1=1+ker", 8), ("M(7,4):omega2", 4))
 
 
 def table_lines() -> list[str]:
@@ -241,6 +251,53 @@ def witness_lines() -> list[str]:
     return out
 
 
+def within_type_shears(rnd: random.Random, groups, size: int) -> list[list[int]]:
+    """A unimodular constant matrix mixing positions only within each group:
+    the identity after four row shears by +-1 or +-2 inside a random group."""
+    out = [[int(i == j) for j in range(size)] for i in range(size)]
+    wide = [g for g in groups if len(g) > 1]
+    for _ in range(4 if wide else 0):
+        j, k = rnd.sample(rnd.choice(wide), 2)
+        s = rnd.choice((-2, -1, 1, 2))
+        out[j] = [x + s * y for x, y in zip(out[j], out[k])]
+    return out
+
+
+def hidden_block(rnd: random.Random, m: polymatrix.PolyMatrix, shape) -> polymatrix.PolyMatrix:
+    """m with a literal zero block of the shape on random rows and columns of
+    each type, then mixed by within-type shears on both sides."""
+    rgroups = polymatrix._positions(m.type.target)
+    cgroups = polymatrix._positions(m.type.source)
+    rows = {r for g, b in zip(rgroups, shape.rows) for r in rnd.sample(g, b)}
+    cols = {c for g, a in zip(cgroups, shape.cols) for c in rnd.sample(g, a)}
+    zero = polymatrix.HomogeneousPoly.zero()
+    grid = [
+        [zero if r in rows and c in cols else e for c, e in enumerate(row)]
+        for r, row in enumerate(m.entries)
+    ]
+    g = within_type_shears(rnd, rgroups, m.nrows)
+    h = [list(col) for col in zip(*within_type_shears(rnd, cgroups, m.ncols))]
+    return apply_transforms(polymatrix.PolyMatrix(m.type, grid), g, h)
+
+
+def lattice_lines() -> list[str]:
+    rnd = random.Random(LATTICE_SEED)
+    out = []
+    for case_id, n in LATTICE_CASES:
+        case = case_by_id(case_id)
+        t, p = case.resolution(n), case.sample_polarization(n)
+        destab = [s for s, d in classify_shapes(t, p).items() if d]
+        for k in range(LATTICE_MATRICES):
+            m = random_matrix(rnd, t)
+            plant = rnd.choice(destab) if k % 4 else None
+            if plant is not None:
+                m = hidden_block(rnd, m, plant)
+            for budget in LATTICE_BUDGETS:
+                v = search_destabilizer(m, p, budget, seed=k)
+                out.append(f"{case_id} n={n} #{k} plant={plant} budget={budget}: {v!r}")
+    return out
+
+
 SECTIONS = {
     "table": table_lines,
     "verdicts": verdicts_lines,
@@ -248,6 +305,7 @@ SECTIONS = {
     "check_case": check_case_lines,
     "kernel": kernel_lines,
     "witness": witness_lines,
+    "lattice": lattice_lines,
 }
 
 

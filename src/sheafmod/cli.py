@@ -67,9 +67,7 @@ def _endpoint_strict(region: Region, v) -> bool:
 def cmd_table(args) -> int:
     cases = load_registry()
     if args.case:
-        cases = tuple(c for c in cases if c.id == args.case)
-        if not cases:
-            raise KeyError(f"no case {args.case!r}")
+        cases = (_case(args.case),)
         if args.n is not None and not cases[0].admits(args.n):
             raise _out_of_range(cases[0], args.n)
     if args.n is not None and not args.case:
@@ -155,13 +153,21 @@ def _parse_polarization(text: str) -> Polarization:
     )
 
 
+def _case(case_id: str):
+    """The registry case named ``--case``; an unknown name is a usage error."""
+    try:
+        return case_by_id(case_id)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+
+
 def _out_of_range(case, n: int) -> UsageError:
     lo, hi = case.n_range
     return UsageError(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
 
 
 def cmd_region(args) -> int:
-    case = case_by_id(args.case)
+    case = _case(args.case)
     if not case.admits(args.n):
         raise _out_of_range(case, args.n)
     region = case.region(args.n)
@@ -173,7 +179,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_codim(args) -> int:
-    case = case_by_id(args.case)
+    case = _case(args.case)
     if not case.admits(args.n):
         raise _out_of_range(case, args.n)
     print(case.codim(args.n))
@@ -181,7 +187,7 @@ def cmd_codim(args) -> int:
 
 
 def cmd_check(args) -> int:
-    case = case_by_id(args.case)
+    case = _case(args.case)
     n = args.n if args.n is not None else case.n_range[0]
     if not case.admits(n):
         raise _out_of_range(case, n)
@@ -296,7 +302,7 @@ def cmd_section(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    case = case_by_id(args.case)
+    case = _case(args.case)
     n = args.n
     if not case.admits(n):
         raise _out_of_range(case, n)

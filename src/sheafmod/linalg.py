@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -26,9 +27,11 @@ Row = Sequence[int | Fraction]
 
 
 def _integer_row(row: Row) -> list[int]:
+    """The row as ints: a row of ints as it is, any other scaled by the lcm of
+    its denominators."""
+    if all(map(isinstance, row, repeat(int))):
+        return list(row)
     den = lcm(*(x.denominator for x in row))
-    if den == 1:
-        return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]
 
 

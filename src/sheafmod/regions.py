@@ -88,11 +88,12 @@ class Shape:
     cols: tuple[int, ...]
 
     def __init__(self, rows: Iterable[int], cols: Iterable[int]) -> None:
-        object.__setattr__(self, "rows", tuple(int(b) for b in rows))
-        object.__setattr__(self, "cols", tuple(int(a) for a in cols))
-        if not any(self.rows) or not any(self.cols):
+        rows, cols = tuple(map(int, rows)), tuple(map(int, cols))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        if not any(rows) or not any(cols):
             raise ValueError("a shape needs at least one row and one column")
-        if any(b < 0 for b in self.rows) or any(a < 0 for a in self.cols):
+        if min(rows) < 0 or min(cols) < 0:
             raise ValueError("shape counts must be nonnegative")
 
     def validate_for(self, t: MorphismType) -> None:

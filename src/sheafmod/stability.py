@@ -19,12 +19,22 @@ through :mod:`sheafmod.linalg`.
 proven to have no block, neither has S.  Each destabilizing shape S tries
 only the largest lower shapes an exact pass decides, whether or not they
 destabilize: all rows of the types S fills against S's columns, and its
-transposed twin (one kernel sweep each, right after the literal scan); then,
+transposed twin (one kernel sweep each, before S's own passes, since a lower
+shape proven absent also rules out every literal block of S); then,
 if S's own passes leave it open, S's rows against one column of a source
 type of width two, and one row of a target type of width two against S's
 columns (the pencil on each side).  A type of width one needs no pencil:
 one column of it is all of its columns, which the transposed sweep decides.
 Decisions are memoized per search.
+
+"Failed" propagates upward too, one pass at a time.  When the literal scan,
+or the row sweep on one side, runs to completion on a lower neighbour of S
+(S less one row, or one column, of a single type) and accepts nothing, it
+accepts nothing on S: a literal block of S contains one of the neighbour,
+and a row subset accepted for S, less a row, is accepted for it, since a
+kernel only grows when rows are dropped.  Each search records these
+failures per pass and skips the pass on S when a neighbour is recorded or
+proven absent; a walk stopped by the subset cap records nothing.
 
 The literal scan and the row sweep walk their column and row subsets depth
 first, in product order (lexicographic within a type, type-major), and drop
@@ -33,8 +43,10 @@ subset grows: for the sweep, some column kernel of the prefix rows is too
 small, since a row added can only shrink a kernel; for the scan, some target
 type has too few rows vanishing on the prefix columns.  Every subset skipped
 would have failed, so the first subset accepted, and the witness built from
-it, is the one a flat enumeration finds.  Shapes with more than 4 096
-subsets stay undecided by these two passes.
+it, is the one a flat enumeration finds.  The sweep's test reads a kernel's
+dimension from an exact rank; the kernel basis is built only for the subset
+accepted.  Shapes with more than 4 096 subsets stay undecided by these two
+passes.
 
 A random trial draws, per block row, a combination of one target type's rows
 with weights in [-3, 3] and stacks, per source type the shape needs, the
@@ -173,8 +185,9 @@ class _CoefficientView:
     source type i (sorted), the coefficients of row r's entries in the
     columns of type i.  Each entry is read once through ``as_dict``; one
     scale per block clears its denominators, so a combination of rows within
-    a type is the same combination of their slices.  Column kernels of
-    literal row subsets are memoized by (rows, source type); ``zero_bits``
+    a type is the same combination of their slices.  The dimensions of the
+    column kernels of literal row subsets, which the sweep reads from one
+    exact rank, are memoized by (rows, source type); ``zero_bits``
     marks each row's vanishing entries for the literal scan.  The layouts of
     the random pass are built on first use, once per (row type, source type).
     """
@@ -200,21 +213,22 @@ class _CoefficientView:
                         for d in (coeffs[r][c] for c in cols)
                     ]
                     self.slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
-        self._kernels: dict[tuple[tuple[int, ...], int], list[list[Fraction]]] = {}
+        self._nullities: dict[tuple[tuple[int, ...], int], int] = {}
         self._layouts: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
 
     def kernel(self, rows: tuple[int, ...], i: int) -> list[list[Fraction]]:
-        """Constant combinations of the type-i columns that vanish on ``rows``.
+        """Constant combinations of the type-i columns that vanish on ``rows``."""
+        return right_kernel(
+            (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
+        )
 
-        The returned basis is shared by every caller with the same key and
-        must not be mutated.
-        """
+    def nullity(self, rows: tuple[int, ...], i: int) -> int:
+        """The dimension of ``kernel(rows, i)``, without building its basis."""
         key = (rows, i)
-        if key not in self._kernels:
-            self._kernels[key] = right_kernel(
-                (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
-            )
-        return self._kernels[key]
+        if key not in self._nullities:
+            stack = [v for r in rows for v in self.slices[r][i]]
+            self._nullities[key] = len(self.col_groups[i]) - rank(stack)
+        return self._nullities[key]
 
     def layout(self, l: int, i: int) -> list[list[tuple[int, ...]]]:
         """Per monomial of block (l, i) and per type-i column, the tuple of the
@@ -274,9 +288,7 @@ def _row_subset_sweep(
     is invariant under row combinations within the type.
     """
     row_groups = view.row_groups
-    decided = all(
-        b == 0 or b == len(g) for b, g in zip(shape.rows, row_groups)
-    )
+    decided = _all_or_nothing(row_groups, shape.rows)
     if _over_cap(row_groups, shape.rows):
         return None, False
     # a row added to a subset can only shrink its column kernels
@@ -284,7 +296,7 @@ def _row_subset_sweep(
         row_groups,
         shape.rows,
         lambda rows: all(
-            len(view.kernel(rows, i)) >= a for i, a in enumerate(shape.cols) if a
+            view.nullity(rows, i) >= a for i, a in enumerate(shape.cols) if a
         ),
     )
     if rows is None:
@@ -296,6 +308,11 @@ def _row_subset_sweep(
         for k in view.kernel(rows, i)[:a]
     )
     return Witness(shape, rows, combos), decided
+
+
+def _all_or_nothing(groups, counts) -> bool:
+    """Whether every count takes none or all of its group's positions."""
+    return all(b == 0 or b == len(g) for g, b in zip(groups, counts))
 
 
 def _pencil_decides(
@@ -546,11 +563,6 @@ def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
     return Witness(_dual_shape(wt.shape), (), col_combos, row_combos=row_combos)
 
 
-def _sweep_absent(view: _CoefficientView, shape: Shape) -> bool:
-    w, decided = _row_subset_sweep(view, shape)
-    return decided and w is None
-
-
 def _pencil_absent(view: _CoefficientView, shape: Shape) -> bool:
     w, decided, note = _pencil_decides(view, shape)
     return decided and w is None and not note
@@ -595,6 +607,98 @@ def _pencil_shapes_below(
     return [(t, side) for t, side in below if t != shape]
 
 
+_Key = tuple[tuple[int, ...], tuple[int, ...]]
+_LITERAL = "literal"
+
+
+def _lower_neighbours(shape: Shape) -> list[_Key]:
+    """(rows, cols) of the nonempty shapes one row, or one column, of a single
+    type below ``shape``."""
+    rows, cols = shape.rows, shape.cols
+    out = []
+    if sum(rows) > 1:
+        out += [(rows[:l] + (b - 1,) + rows[l + 1:], cols) for l, b in enumerate(rows) if b]
+    if sum(cols) > 1:
+        out += [(rows, cols[:i] + (a - 1,) + cols[i + 1:]) for i, a in enumerate(cols) if a]
+    return out
+
+
+class _ExactPasses:
+    """The exact passes of one search, on m and on its transpose, with what
+    they proved memoized per shape, keyed by (rows, cols) in m's coordinates.
+
+    ``absent[key]`` is True when the shape is proven to have no block, and
+    False when a block exists or it stayed open.  ``failed[p]`` holds the
+    shapes on which pass p, the literal scan or the row sweep on side 0 or 1,
+    is known to accept no subset: its walk ran to completion, or was skipped
+    because a lower neighbour is in ``failed[p]`` or proven absent (see the
+    module docstring).
+    """
+
+    def __init__(self, m: PolyMatrix):
+        self.view = _CoefficientView(m)
+        tview = _CoefficientView(transpose_dual(m))
+        pull_back = functools.partial(_pull_back_transpose_witness, m)
+        # a zero block of shape (rows, cols) on m is one of the dual shape on
+        # its transpose
+        self.sides = ((self.view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
+        self.absent: dict[_Key, bool] = {}
+        self.failed: dict[object, set[_Key]] = {_LITERAL: set(), 0: set(), 1: set()}
+
+    def _fails_below(self, key: _Key, below: list[_Key], p) -> bool:
+        failed = self.failed[p]
+        if any(t in failed or self.absent.get(t) for t in below):
+            failed.add(key)
+            return True
+        return False
+
+    def literal(self, shape: Shape, below: list[_Key]) -> Witness | None:
+        key = (shape.rows, shape.cols)
+        if self._fails_below(key, below, _LITERAL):
+            return None
+        w = _literal_witness(self.view, shape)
+        if w is None and not _over_cap(self.view.col_groups, shape.cols):
+            self.failed[_LITERAL].add(key)
+        return w
+
+    def sweep(self, shape: Shape, k: int, below: list[_Key]) -> tuple[Witness | None, bool]:
+        """The row sweep on side k, its witness pulled back to m."""
+        side, on_side, back = self.sides[k]
+        s = on_side(shape)
+        key = (shape.rows, shape.cols)
+        if self._fails_below(key, below, k):
+            return None, _all_or_nothing(side.row_groups, s.rows)
+        w, decided = _row_subset_sweep(side, s)
+        if w is not None:
+            return back(w), decided
+        if not _over_cap(side.row_groups, s.rows):
+            self.failed[k].add(key)
+        return None, decided
+
+    def pencil(self, shape: Shape, k: int) -> tuple[Witness | None, bool, str]:
+        side, on_side, back = self.sides[k]
+        w, decided, note = _pencil_decides(side, on_side(shape))
+        return (None if w is None else back(w)), decided, note
+
+    def absent_below(self, below: list[tuple[Shape, int]], test) -> bool:
+        """Whether ``test(t, k)`` proves some lower shape t absent on side k."""
+        for t, k in below:
+            key = (t.rows, t.cols)
+            if key not in self.absent:
+                self.absent[key] = test(t, k)
+            if self.absent[key]:
+                return True
+        return False
+
+    def sweep_absent(self, t: Shape, k: int) -> bool:
+        w, decided = self.sweep(t, k, _lower_neighbours(t))
+        return decided and w is None
+
+    def pencil_absent(self, t: Shape, k: int) -> bool:
+        side, on_side, _ = self.sides[k]
+        return _pencil_absent(side, on_side(t))
+
+
 def search_destabilizer(
     m: PolyMatrix, p: Polarization, budget: int, seed: int = 0
 ) -> Verdict:
@@ -612,51 +716,36 @@ def search_destabilizer(
     undecided: list[Shape] = []
     used = 0
     rng = random.Random(seed)
-    view = _CoefficientView(m)
-    tview = _CoefficientView(transpose_dual(m))
-    pull_back = functools.partial(_pull_back_transpose_witness, m)
-    # every exact pass runs on m and on its transpose, where a zero block of
-    # shape (rows, cols) is one of the dual shape
-    sides = ((view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
-    # per shape decided so far: True when proven to have no block; False when
-    # a block exists or the shape stayed open
-    absent: dict[Shape, bool] = {}
-
-    def absent_below(below, test) -> bool:
-        for t, k in below:
-            if t not in absent:
-                side, on_side, _ = sides[k]
-                absent[t] = test(side, on_side(t))
-            if absent[t]:
-                return True
-        return False
-
+    passes = _ExactPasses(m)
+    view = passes.view
     for shape in destab:
-        w = _literal_witness(view, shape)
+        key = (shape.rows, shape.cols)
+        if passes.absent_below(_kernel_shapes_below(view, shape), passes.sweep_absent):
+            passes.absent[key] = True
+            continue
+        below = _lower_neighbours(shape)
+        w = passes.literal(shape, below)
         if w is not None and verify_witness(m, w):
             return Verdict(VerdictKind.DESTABILIZED, w, used)
-        if absent_below(_kernel_shapes_below(view, shape), _sweep_absent):
-            absent[shape] = True
-            continue
         decided = False
-        for side, on_side, back in sides:
-            w, d = _row_subset_sweep(side, on_side(shape))
-            if w is not None and verify_witness(m, w := back(w)):
+        for k in (0, 1):
+            w, d = passes.sweep(shape, k, below)
+            if w is not None and verify_witness(m, w):
                 return Verdict(VerdictKind.DESTABILIZED, w, used)
             decided = decided or d
         if not decided:
             # pencils decide one-column shapes; the first side that decides wins
-            for side, on_side, back in sides:
-                w, decided, pnote = _pencil_decides(side, on_side(shape))
-                if w is not None and verify_witness(m, w := back(w)):
+            for k in (0, 1):
+                w, decided, pnote = passes.pencil(shape, k)
+                if w is not None and verify_witness(m, w):
                     return Verdict(VerdictKind.DESTABILIZED, w, used)
                 if pnote:
                     return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
                 if decided:
                     break
         if not decided:
-            decided = absent_below(_pencil_shapes_below(view, shape), _pencil_absent)
-        absent[shape] = decided
+            decided = passes.absent_below(_pencil_shapes_below(view, shape), passes.pencil_absent)
+        passes.absent[key] = decided
         if not decided:
             undecided.append(shape)
     if undecided and budget > 0:

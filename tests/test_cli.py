@@ -150,9 +150,9 @@ def test_matrix_emit_reparse(tmp_path, capsys):
 
 
 def test_exit_codes(capsys):
-    # domain error: unknown case
+    # an unknown case is a usage error
     code, _, err = run_cli(["codim", "--case", "nope", "--n", "3"], capsys)
-    assert code == 1 and "error" in err
+    assert code == 2 and "error" in err
     # usage error: one line and exit 2
     code, out, err = run_cli(["codim", "--bogus-flag"], capsys)
     assert code == 2 and out == ""
@@ -307,6 +307,22 @@ def test_out_of_range_n_is_a_usage_error(args, covered, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and covered in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--case", "nosuch"],
+        ["table", "--case", "nosuch", "--n", "3", "--json"],
+        ["region", "--case", "nosuch", "--n", "3"],
+        ["codim", "--case", "nosuch", "--n", "3"],
+        ["check", "--case", "nosuch", "--n", "3", "no-such.mat"],
+    ],
+)
+def test_unknown_case_is_a_usage_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: no case 'nosuch' in the registry\n"
 
 
 @pytest.mark.parametrize(
@@ -626,3 +642,33 @@ def _mutated_polarization(draw):
 def test_classify_cli_fuzz_mutated_polarization(drawn):
     case_id, n, text = drawn
     _run_quietly(["classify", "--case", case_id, "--n", str(n), f"--polarization={text}"])
+
+
+# The same contract for region, codim and table over --case and --n text:
+# registry ids, near misses and arbitrary text, with n as digits, signs,
+# spaces and letters.  "=" keeps a value that starts with "-" a value.
+
+_CASE_IDS = ["M(n+2,n):omega1", "M(4,1):h1=1", "M(n,3):h0m1=1+ker", "M(4,2):omega0"]
+
+
+@st.composite
+def _case_and_n_text(draw):
+    case_id = draw(
+        st.one_of(
+            st.sampled_from(_CASE_IDS),
+            st.sampled_from(_CASE_IDS).map(lambda c: _mutated(c, draw, "Mn()+-,:=0123456789 omega")),
+            st.text(max_size=12),
+        )
+    )
+    n = draw(st.one_of(st.integers(-3, 20).map(str), st.text("0123456789-+ _.e", max_size=6), st.text(max_size=4)))
+    return case_id, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["region", "codim", "table"]), _case_and_n_text(), st.booleans())
+def test_case_commands_fuzz(command, drawn, json_flag):
+    case_id, n = drawn
+    argv = [command, f"--case={case_id}", f"--n={n}"]
+    if json_flag and command != "codim":
+        argv.append("--json")
+    _run_quietly(argv)

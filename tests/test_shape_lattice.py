@@ -15,7 +15,7 @@ from math import gcd
 
 from sheafmod.bundles import MorphismType
 from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, X, Y, Z, _positions
-from sheafmod.regions import Polarization, Shape, classify_shapes
+from sheafmod.regions import Polarization, Shape, classify_shapes, enumerate_shapes
 from sheafmod.registry import load_registry
 from sheafmod.stability import (
     VerdictKind,
@@ -191,9 +191,12 @@ def _elementary(rnd: random.Random, groups, size: int) -> list[list[int]]:
     return out
 
 
-def _matrix(rnd: random.Random, t: MorphismType, plant: Shape | None) -> PolyMatrix:
+def _matrix(
+    rnd: random.Random, t: MorphismType, plant: Shape | None, shears=(True, True)
+) -> PolyMatrix:
     """Random small-integer entries, some zero; with a literal zero block of
-    the planted shape hidden by random within-type row and column shears."""
+    the planted shape hidden by random within-type row and column shears, or
+    by those of one side only."""
     rgroups, cgroups = _positions(t.target), _positions(t.source)
     degs = [e for e, n in t.target.summands for _ in range(n)]
     srcs = [d for d, n in t.source.summands for _ in range(n)]
@@ -208,8 +211,8 @@ def _matrix(rnd: random.Random, t: MorphismType, plant: Shape | None) -> PolyMat
     for r in rows:
         for c in cols:
             grid[r][c] = zero
-    G = _elementary(rnd, rgroups, len(degs))
-    H = _elementary(rnd, cgroups, len(srcs))
+    G = _elementary(rnd, rgroups if shears[0] else [], len(degs))
+    H = _elementary(rnd, cgroups if shears[1] else [], len(srcs))
     mixed = [
         [
             sum(
@@ -344,3 +347,110 @@ def test_a_block_over_the_closure_closes_nothing():
     w, decided, note = _pencil_decides(tview, shape)
     assert (w, decided) == (None, True) and note
     assert not _pencil_absent(tview, shape)
+
+
+# The failure memo of the search rests on one lemma: a pass (the literal scan
+# or the row sweep) that runs to completion on a lower neighbour T of S (S
+# less one row, or one column, of a single type) and accepts nothing accepts
+# nothing on S either.
+
+WIDE_TYPE = MorphismType.make([(-2, 2), (-1, 3)], [(-1, 2), (0, 3)])
+
+
+def test_a_pass_that_fails_below_a_shape_fails_on_it():
+    from sheafmod.polymatrix import transpose_dual
+    from sheafmod.stability import (
+        _CoefficientView, _literal_witness, _lower_neighbours, _over_cap, _row_subset_sweep,
+    )
+
+    rnd = random.Random(9090)
+    failed_below = found = 0
+    for t in [*TINY_TYPES, WIDE_TYPE]:
+        for k in range(6):
+            plant = rnd.choice(enumerate_shapes(t)) if k % 2 else None
+            m = _matrix(rnd, t, plant)
+            for view in (_CoefficientView(m), _CoefficientView(transpose_dual(m))):
+                shapes = enumerate_shapes(view.m.type)
+                sweep = {(s.rows, s.cols): _row_subset_sweep(view, s)[0] for s in shapes}
+                literal = {(s.rows, s.cols): _literal_witness(view, s) for s in shapes}
+                for s in shapes:
+                    for below in _lower_neighbours(s):
+                        if sweep[below] is None and not _over_cap(view.row_groups, below[0]):
+                            assert sweep[s.rows, s.cols] is None, (t, s, below, m.entries)
+                            failed_below += 1
+                        if literal[below] is None and not _over_cap(view.col_groups, below[1]):
+                            assert literal[s.rows, s.cols] is None, (t, s, below, m.entries)
+                            failed_below += 1
+                found += sum(w is not None for w in (*sweep.values(), *literal.values()))
+    # both sides of the lemma occur often
+    assert failed_below > 5000 and found > 600
+
+
+def test_a_capped_walk_records_no_failure():
+    # C(15, 7) = 6435 row subsets and as many column subsets exceed the cap
+    from sheafmod.stability import _LITERAL, _ExactPasses, _lower_neighbours
+
+    rnd = random.Random(9191)
+    t = MorphismType.make([(-1, 15)], [(0, 15)])
+    m = PolyMatrix(t, [[random_poly(rnd, 1, -2, 2) for _ in range(15)] for _ in range(15)])
+    passes = _ExactPasses(m)
+    capped = Shape((7,), (7,))
+    below = _lower_neighbours(capped)
+    assert passes.literal(capped, below) is None
+    for k in (0, 1):
+        assert passes.sweep(capped, k, below) == (None, False)
+    assert passes.failed == {_LITERAL: set(), 0: set(), 1: set()}
+    # a walk that runs to completion and accepts nothing is recorded
+    one_row = Shape((1,), (15,))
+    assert passes.sweep(one_row, 0, _lower_neighbours(one_row)) == (None, False)
+    assert passes.failed[0] == {((1,), (15,))}
+
+
+def test_the_failure_memo_changes_no_verdict(monkeypatch):
+    # witnesses hidden on one side only are found by one sweep and missed by
+    # the other, so a memo that mixed up the passes would change a verdict
+    from sheafmod.stability import _ExactPasses
+
+    rnd = random.Random(9292)
+    inputs = []
+    for t in [*TINY_TYPES, WIDE_TYPE]:
+        for k in range(12):
+            p = _random_polarization(rnd, t)
+            plant = rnd.choice([s for s, d in classify_shapes(t, p).items() if d]) if k % 4 else None
+            shears = [(True, True), (True, False), (False, True)][k % 3]
+            inputs.append((_matrix(rnd, t, plant, shears), p, k))
+    skips = []
+    fails_below = _ExactPasses._fails_below
+
+    def counting(self, key, below, p):
+        skips.append(fails_below(self, key, below, p))
+        return skips[-1]
+
+    monkeypatch.setattr(_ExactPasses, "_fails_below", counting)
+    with_memo = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
+    monkeypatch.setattr(_ExactPasses, "_fails_below", lambda self, key, below, p: False)
+    without = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
+    assert with_memo == without
+    assert sum(skips) > 100 and sum(v.kind is VerdictKind.DESTABILIZED for v in without) > 20
+
+
+def test_a_recorded_failure_skips_only_its_own_pass():
+    # rows(1,)xcols(1,) has no literal row with a column kernel (side 0) and
+    # no literal block, but row 0 + row 1 vanishes on columns 0 and 1, which
+    # the transposed sweep (side 1) finds on the shape above it
+    from sheafmod.polymatrix import parse_matrix_file
+    from sheafmod.stability import _LITERAL, _ExactPasses, _lower_neighbours
+
+    m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\nX | Y | Z\n-X | -Y | Z\n")
+    passes = _ExactPasses(m)
+    t, s = Shape((1,), (1,)), Shape((1,), (2,))
+    assert _lower_neighbours(t) == [] and _lower_neighbours(s) == [((1,), (1,))]
+    assert passes.literal(t, []) is None
+    assert passes.sweep(t, 0, []) == (None, False)
+    assert passes.failed == {_LITERAL: {((1,), (1,))}, 0: {((1,), (1,))}, 1: set()}
+    w, _ = passes.sweep(s, 1, _lower_neighbours(s))
+    assert w is not None and w.shape == s and verify_witness(m, w)
+    # the literal scan and the sweep on side 0 are skipped, and s recorded
+    assert passes.literal(s, _lower_neighbours(s)) is None
+    assert passes.sweep(s, 0, _lower_neighbours(s)) == (None, False)
+    assert passes.failed[_LITERAL] == passes.failed[0] == {((1,), (1,)), ((1,), (2,))}
