@@ -27,7 +27,12 @@ the output: equal digests mean the same results.  The sections are
   random matrices of the types of ``M(n,3):h0m1=1+ker`` at n = 8 (the slowest
   ``verdicts`` input) and of ``M(7,4):omega2``, at each case's sample
   polarization; three in four hide a planted zero block of a random
-  destabilizing shape behind within-type row and column shears.
+  destabilizing shape behind within-type row and column shears;
+* ``kronecker``: ``maximal_minors``, ``determinant`` (square) and
+  ``kernel_line`` (k x (k+1)) text on seeded matrices from 2 x 1 to 6 x 7 of
+  forms of degree up to 3 with coefficients of up to 1, 2 or 80 digits, mixed
+  signs, fraction contents and zero entries, a quarter of them with a row
+  planted as a rational multiple of another, so that minors cancel to zero.
 
 A verdict repr holds its kind, witness, trials used, open shapes and note.
 ``--lines`` prints every line that goes into a digest, for diffing.
@@ -72,6 +77,8 @@ LATTICE_SEED = 50
 LATTICE_MATRICES = 12
 LATTICE_BUDGETS = (0, 20)
 LATTICE_CASES = (("M(n,3):h0m1=1+ker", 8), ("M(7,4):omega2", 4))
+KRONECKER_SEED = 60
+KRONECKER_MATRICES = 100
 
 
 def table_lines() -> list[str]:
@@ -298,6 +305,73 @@ def lattice_lines() -> list[str]:
     return out
 
 
+def big_form(rnd: random.Random, degree: int, digits: int, dens) -> polymatrix.HomogeneousPoly:
+    """A form with integer coefficients of up to the given number of digits
+    and either sign on a random subset of the monomials, over a denominator
+    drawn from dens."""
+    den = rnd.choice(dens)
+    return polymatrix.HomogeneousPoly(
+        {
+            m: Fraction(rnd.randint(-(10 ** rnd.randint(0, digits)), 10**digits), den)
+            for m in polymatrix.monomial_basis(degree)
+            if rnd.random() < 0.8
+        }
+    )
+
+
+def big_grid_matrix(rnd: random.Random) -> polymatrix.PolyMatrix:
+    """A rows x cols matrix, rows in 2..6 and cols within one of rows, with a
+    column twist group of each of two degrees in 0..3 and a target of twist
+    0; coefficients of up to 1, 2 or 80 digits (the last also over 10^20 +
+    39), a fifth of the entries zero, and in a quarter of the matrices a row
+    that is a rational multiple of another."""
+    rows = rnd.randint(2, 6)
+    cols = rows + rnd.randint(-1, 1)
+    lo = rnd.randint(0, 2)
+    hi = rnd.randint(lo, 3)
+    a = rnd.randint(0, cols)  # columns of degree hi, then of degree lo
+    degrees = [hi] * a + [lo] * (cols - a)
+    source = [(-d, k) for d, k in ((hi, a), (lo, cols - a)) if k]
+    if hi == lo:
+        source = [(-lo, cols)]
+    digits = rnd.choice((1, 2, 80))
+    dens = (1, 1, 7, 10**20 + 39) if digits == 80 else (1, 1, 7)
+    grid = [
+        [
+            polymatrix.HomogeneousPoly.zero()
+            if rnd.random() < 0.2
+            else big_form(rnd, d, digits, dens)
+            for d in degrees
+        ]
+        for _ in range(rows)
+    ]
+    if rows > 1 and rnd.random() < 0.25:
+        i, j = rnd.sample(range(rows), 2)
+        top = 10 ** min(digits, 30)
+        c = Fraction(rnd.randint(-top, top) or 1, rnd.randint(1, top))
+        grid[j] = [e.scale(c) for e in grid[i]]
+    return polymatrix.PolyMatrix(MorphismType.make(source, [(0, rows)]), grid)
+
+
+def kronecker_lines() -> list[str]:
+    rnd = random.Random(KRONECKER_SEED)
+    out = []
+    for k in range(KRONECKER_MATRICES):
+        m = big_grid_matrix(rnd)
+        shape = f"#{k} {m.nrows}x{m.ncols}"
+        if m.nrows == m.ncols:
+            out.append(f"{shape} det: {polymatrix.determinant(m)}")
+        out.append(f"{shape} minors: " + " | ".join(map(str, polymatrix.maximal_minors(m))))
+        if m.ncols == m.nrows + 1:
+            try:
+                line = polymatrix.kernel_line(m)
+                text = "None" if line is None else workloads.kernel_text(*line)
+            except ValueError as exc:
+                text = f"error: {exc}"
+            out.append(f"{shape} kernel: {text}")
+    return out
+
+
 SECTIONS = {
     "table": table_lines,
     "verdicts": verdicts_lines,
@@ -306,6 +380,7 @@ SECTIONS = {
     "kernel": kernel_lines,
     "witness": witness_lines,
     "lattice": lattice_lines,
+    "kronecker": kronecker_lines,
 }
 
 

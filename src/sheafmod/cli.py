@@ -148,9 +148,27 @@ def _parse_polarization(text: str) -> Polarization:
         )
     lam, mu = parts
     return Polarization(
-        [Fraction(x) for x in lam.split(",")],
-        [Fraction(x) for x in mu.split(",")],
+        [_rational(x, "--polarization") for x in lam.split(",")],
+        [_rational(x, "--polarization") for x in mu.split(",")],
     )
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    """One rational number from a flag's comma-separated list."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag} entry {text!r} is not a rational number") from None
+
+
+def _parse_point(text: str) -> list[Fraction]:
+    """A projective point given as ``a,b,c``."""
+    coords = text.split(",")
+    if len(coords) != 3:
+        raise UsageError(
+            f"--point needs three comma-separated coordinates a,b,c, not {len(coords)}"
+        )
+    return [_rational(x, "--point") for x in coords]
 
 
 def _case(case_id: str):
@@ -279,7 +297,7 @@ def cmd_section(args) -> int:
         raise UsageError("section --quartic needs --span 'L1;L2'")
     f = parse_poly(args.f)
     if args.cubic:
-        point = [Fraction(x) for x in args.point.split(",")]
+        point = _parse_point(args.point)
         m = cubic_section(point, f)
     else:
         s1, s2 = args.span.split(";")
@@ -363,6 +381,17 @@ def _dash_value_hint(message: str, argv: list[str]) -> str:
     return ""
 
 
+def _refuse_dash_dash_values(argv: list[str]) -> None:
+    """argparse (CPython 3.11) turns ``--opt=--`` into the value [], which no
+    command expects, so such an option is refused as having no value."""
+    for tok in argv:
+        if tok == "--":
+            break
+        name, eq, value = tok.partition("=")
+        if eq and value == "--" and name.startswith("--"):
+            raise UsageError(f"argument {name}: '--' is not a value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="sheafmod",
@@ -431,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        _refuse_dash_dash_values(argv)
         args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}{_dash_value_hint(str(exc), argv)}", file=sys.stderr)

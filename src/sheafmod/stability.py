@@ -79,7 +79,6 @@ from .polymatrix import (
     maximal_minors,
     poly_gcd_list,
     transpose_dual,
-    _det_grid,
     _dual_order,
     _minors,
     _positions,
@@ -351,9 +350,9 @@ def _pencil_decides(
         nmono = len(stack[0])
         if size > len(g) or size > nmono:
             continue
+        csels = list(itertools.combinations(range(nmono), size))
         for rsel in itertools.combinations(range(len(g)), size):
-            for csel in itertools.combinations(range(nmono), size):
-                forms.append(_det_grid([[stack[r][c] for c in csel] for r in rsel]))
+            forms += _minors([stack[r] for r in rsel], csels)
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return _witness_with_row_combos(view, shape, i, (1, 0)), True, ""

@@ -672,3 +672,90 @@ def test_case_commands_fuzz(command, drawn, json_flag):
     if json_flag and command != "codim":
         argv.append("--json")
     _run_quietly(argv)
+
+
+@pytest.mark.parametrize(
+    "point, code, message",
+    [
+        ("0,0,0", 1, "(0:0:0) is not a projective point"),
+        ("1,2", 2, "--point needs three comma-separated coordinates a,b,c, not 2"),
+        ("1,2,3,4", 2, "--point needs three comma-separated coordinates a,b,c, not 4"),
+        ("1/0,1,1", 2, "--point entry '1/0' is not a rational number"),
+        ("1,x,1", 2, "--point entry 'x' is not a rational number"),
+    ],
+)
+def test_section_point_messages(point, code, message, capsys):
+    got, out, err = run_cli(["section", "--cubic", f"--point={point}", "--f", "X^3"], capsys)
+    assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["section", "--cubic", "--point=--", "--f", "X^3"],
+        ["region", "--case=--", "--n", "2"],
+        ["table", "--n=--"],
+        ["classify", "--case", "M(4,2):omega1", "--n", "2", "--polarization=--"],
+    ],
+)
+def test_dash_dash_is_no_option_value(argv, capsys):
+    # argparse on CPython 3.11 would hand the command an empty list instead
+    code, out, err = run_cli(argv, capsys)
+    name = next(a.split("=")[0] for a in argv if a.endswith("=--"))
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {name}: '--' is not a value\n"
+
+
+# The same contract for section (points, spans and forms) and dual (type
+# specs, polarizations, cohomology tables and matrix files).
+
+
+@st.composite
+def _section_argv(draw):
+    form_chars = "XYZ^*+-/0123456789 "
+    if draw(st.booleans()):
+        point = draw(st.sampled_from(["0,0,1", "1,2,3", "1/2,-1,0"]))
+        point = draw(st.one_of(st.just(point), st.text(max_size=10)))
+        point = _mutated(point, draw, "0123456789/,-. ") if draw(st.booleans()) else point
+        f = "2*X^3+2*X*Y^2+2*X*Z^2-X^2*Y-Y^3-Y*Z^2"
+        f = _mutated(f, draw, form_chars) if draw(st.booleans()) else f
+        return ["section", "--cubic", f"--point={point}", f"--f={f}"]
+    span = draw(st.sampled_from(["X;Y", "X+Y;Z", "2*X-Y;1/3*Z"]))
+    span = _mutated(span, draw, "XYZ;+-*/0123 ") if draw(st.booleans()) else span
+    f = "X^4 - X*Y^3 + Y*Z^3 + X^2*Z^2"
+    f = _mutated(f, draw, form_chars) if draw(st.booleans()) else f
+    return ["section", "--quartic", f"--span={span}", f"--f={f}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_section_argv())
+def test_section_cli_fuzz(argv):
+    _run_quietly(argv)
+
+
+@st.composite
+def _dual_argv(draw):
+    def value(text, alphabet):
+        """Absent, as given, or mutated, a third of the time each."""
+        how = draw(st.integers(0, 2))
+        return None if how == 0 else text if how == 1 else _mutated(text, draw, alphabet)
+
+    flags = {
+        "--type": value("src=(-2)x1,(-1)x2 tgt=(0)x3", "()x,=-0129 srctgkerzo"),
+        "--polarization": value("1/6,5/12;1/3", "0123456789/,;-. "),
+        "--table": value("4,1,0,3,1,0,0,2", "0123456789,- x"),
+    }
+    argv = ["dual"] + [f"{k}={v}" for k, v in flags.items() if v is not None]
+    matrix = value("type: src=(-1)x2 tgt=(0)x1\nX - 2*Y | 1/3*Z\n", _FILE_CHARS + "srctgk")
+    return argv, matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dual_argv())
+def test_dual_cli_fuzz(tmp_path_factory, drawn):
+    argv, matrix = drawn
+    if matrix is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-dual.mat"
+        path.write_text(matrix)
+        argv.append(f"--matrix={path}")
+    _run_quietly(argv)

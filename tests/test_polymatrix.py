@@ -641,36 +641,74 @@ def test_form_arithmetic_matches_fraction_reference(data):
 
 
 # ---------------------------------------------------------------------------
-# minors on integer maps against the Leibniz oracle
+# minors against the Leibniz oracle
+
+
+big_coefficients = st.integers(-(10**80), 10**80)
+contents = st.fractions(min_value=-(10**20), max_value=10**20, max_denominator=10**12).filter(bool)
 
 
 @st.composite
-def rational_matrices(draw):
-    """Wide, square and tall matrices up to 4x5 and 5x4, entries of degree
-    0..2 from two twists on each side, rational coefficients (denominators
-    differ within a row), zero entries and now and then a zero row."""
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 4 if rows == 5 else 5))
-    a = draw(st.integers(0, cols))  # columns of twist -1, then of twist 0
+def big_forms(draw, degree):
+    """Integer coefficients up to 10^80 of either sign on a random set of
+    monomials, times a rational content."""
+    monos = st.sampled_from(monomial_basis(degree))
+    terms = draw(st.dictionaries(monos, big_coefficients, max_size=6))
+    return HomogeneousPoly(terms).scale(draw(contents))
+
+
+# every rows x cols from 1 x 1 to 4 x 5, then 5 x 1 to 5 x 6 and 6 x 1 to
+# 6 x 7, so minors up to 6 x 6
+shapes = [(r, c) for r in range(1, 7) for c in range(1, max(5, r + 1) + 1)]
+
+
+@st.composite
+def rational_matrices(draw, shape=st.sampled_from(shapes)):
+    """Wide, square and tall matrices of a shape drawn from ``shape``,
+    entries of degree 0..3 from two twists on each side, with small rational
+    coefficients or, in one matrix of three, coefficients up to 10^80 times
+    rational contents (denominators differ within a row); zero entries, and
+    now and then a zero row or a row planted as a rational multiple of
+    another, so that minors cancel to zero."""
+    rows, cols = draw(shape)
+    a = draw(st.integers(0, cols))  # columns of twist -2, then of twist 0
     b = draw(st.integers(0, rows))  # rows of twist 0, then of twist 1
-    source = [(d, k) for d, k in ((-1, a), (0, cols - a)) if k]
+    source = [(d, k) for d, k in ((-2, a), (0, cols - a)) if k]
     target = [(e, k) for e, k in ((0, b), (1, rows - b)) if k]
-    col_twists = [-1] * a + [0] * (cols - a)
+    col_twists = [-2] * a + [0] * (cols - a)
     row_twists = [0] * b + [1] * (rows - b)
+    entry = big_forms if draw(st.integers(0, 2)) == 0 else forms
     zero_row = draw(st.integers(-1, rows - 1)) if draw(st.booleans()) else -1
     grid = [
         [
-            zero if r == zero_row or draw(st.integers(0, 3)) == 0 else draw(forms(e - d))
+            zero if r == zero_row or draw(st.integers(0, 3)) == 0 else draw(entry(e - d))
             for d in col_twists
         ]
         for r, e in enumerate(row_twists)
     ]
+    if rows > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+        if row_twists[i] == row_twists[j]:
+            c = draw(st.sampled_from([F(1), F(-1)]) | contents)
+            grid[j] = [e.scale(c) for e in grid[i]]
     return PolyMatrix(MorphismType.make(source, target), grid)
 
 
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices())
 def test_minors_match_leibniz_oracle(m):
+    check_minors_against_the_oracle(m)
+
+
+@pytest.mark.parametrize("shape", shapes, ids=lambda s: "%dx%d" % s)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_minors_match_leibniz_oracle_on_every_shape(shape, data):
+    # the test above draws about half of the shapes in one run
+    check_minors_against_the_oracle(data.draw(rational_matrices(st.just(shape))))
+
+
+def check_minors_against_the_oracle(m):
     got = maximal_minors(m)
     want = minors_oracle(m.entries)
     for g in got:
@@ -687,6 +725,68 @@ def test_minors_match_leibniz_oracle(m):
                 for e, b in zip(row, out[0]):
                     acc = acc + e * b
                 assert acc.is_zero
+
+
+def test_minors_reach_the_slot_bound():
+    """A permutation grid of monomials with coefficients of 1 to 80 digits:
+    its determinant's one coefficient is the permanent bound itself, which
+    the packed slots must still hold, with either sign."""
+    rnd = random.Random(80)
+    t = MorphismType.make([(-1, 4), (0, 2)], [(0, 6)])
+    for _ in range(40):
+        perm = rnd.sample(range(6), 6)
+        grid = [[zero] * 6 for _ in range(6)]
+        for r, c in enumerate(perm):
+            mono = rnd.choice(monomial_basis(1)) if c < 4 else (0, 0, 0)
+            coeff = rnd.choice((-1, 1)) * (10 ** rnd.randint(1, 80) - 1)
+            grid[r][c] = HomogeneousPoly({mono: F(coeff, rnd.choice((1, 3, 10**15)))})
+        m = PolyMatrix(t, grid)
+        want = det_oracle(m.entries)
+        assert len(want.terms) == 1
+        assert determinant(m) == want
+
+
+def test_packed_minors_refuse_inconsistent_degrees():
+    # X*Y - Y*X^2 mixes degrees 2 and 3, which no typed matrix does
+    with pytest.raises(ValueError, match="inconsistent degrees"):
+        polymatrix._det_grid([[X, Y], [X * X, Y]])
+
+
+def test_kernel_check_rejects_one_unit_off(monkeypatch):
+    """beta off by one unit in one of its 60-digit coefficients fails the
+    m . beta check."""
+    rnd = random.Random(81)
+    for k in (1, 2, 3):
+        t = MorphismType.make([(-1, k + 1)], [(0, k)])
+        grid = [
+            [
+                HomogeneousPoly({mono: rnd.randint(-(10**60), 10**60) for mono in monomial_basis(1)})
+                for _ in range(k + 1)
+            ]
+            for _ in range(k)
+        ]
+        m = PolyMatrix(t, grid)
+        minors = maximal_minors(m)
+        i = rnd.randrange(k + 1)
+        (mono, v), *_ = minors[i].terms
+        minors[i] = minors[i] + HomogeneousPoly({mono: F(1)}).scale(v / abs(v))
+        assert kernel_line(m) is not None
+        monkeypatch.setattr(polymatrix, "maximal_minors", lambda m, out=minors: list(out))
+        with pytest.raises(ValueError, match="kernel relation failed"):
+            kernel_line(m)
+        monkeypatch.undo()
+
+
+def test_kernel_check_slot_is_wide_enough(monkeypatch):
+    """m . beta = Z*(2Y - 2^j Z) - Y*Z packs to 2^k - 2^j, which a slot
+    width of j bits, one below the bit length of the check's bound
+    2^j + 3, would take for zero."""
+    m = PolyMatrix(MorphismType.make([(-1, 2)], [(0, 1)]), [[Z, Y]])
+    for j in range(2, 100):
+        minors = [Y.scale(2) - Z.scale(2**j), Z]
+        monkeypatch.setattr(polymatrix, "maximal_minors", lambda m, out=minors: list(out))
+        with pytest.raises(ValueError, match="kernel relation failed"):
+            kernel_line(m)
 
 
 def test_minors_of_the_empty_and_one_by_one_grids():
