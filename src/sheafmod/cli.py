@@ -247,7 +247,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_dual(args) -> int:
     if not (args.type or args.polarization or args.matrix or args.table):
-        raise ValueError("dual needs one of --type/--polarization/--matrix/--table")
+        raise UsageError("dual needs one of --type/--polarization/--matrix/--table")
+    if args.polarization and not args.type:
+        raise UsageError("--polarization needs --type for the arity")
     # parse and validate every argument before anything is printed
     if args.polarization:
         p = _parse_polarization(args.polarization)
@@ -264,8 +266,6 @@ def cmd_dual(args) -> int:
     if args.type:
         t, _ = parse_resolution_spec(args.type)
     if args.polarization:
-        if not args.type:
-            raise ValueError("--polarization needs --type for the arity")
         q = dual_polarization(p, t)
     if args.matrix:
         with open(args.matrix, "r", encoding="utf-8") as fh:
@@ -306,12 +306,12 @@ def cmd_section(args) -> int:
     if args.cubic:
         adapted = adapt_to_point(point, f)
         det = determinant(m)
-        ok = det.terms == adapted.terms
+        ok = det == adapted
         print(f"# det check: {det} == f (adapted frame): {'ok' if ok else 'FAIL'}")
     else:
         adapted = adapt_to_span((parse_poly(s1), parse_poly(s2)), f)
         rec = quartic_reconstruct(m)
-        ok = rec.terms == adapted.terms
+        ok = rec == adapted
         print(
             f"# reconstruction check: {rec} == f (adapted frame): "
             f"{'ok' if ok else 'FAIL'}"

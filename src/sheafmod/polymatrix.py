@@ -962,7 +962,7 @@ def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:
     ok, _ = linearly_independent([x1, x2])
     if not ok:
         raise ValueError("span forms are linearly dependent")
-    if x1.terms == X.terms and x2.terms == Y.terms:
+    if x1 == X and x2 == Y:
         return f
     # pick a third form completing the basis, then substitute the dual basis
     rows = complete_basis([x1.coefficient_vector(1), x2.coefficient_vector(1)], 3)

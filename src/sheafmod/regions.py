@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bundles import MorphismType
 from .linalg import inverse, rank
@@ -79,26 +79,24 @@ class Polarization:
         return f"({ls};{ms})"
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """Row counts (per target type) and column counts (per source type) of a
-    potential zero submatrix."""
+    potential zero submatrix; a plain pair, so it is its own memo key.
+
+    Construction checks nothing: ``validate_for`` checks a shape against a
+    morphism type, and ``shape_inequality`` calls it on every catalog shape.
+    """
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
-    def __init__(self, rows: Iterable[int], cols: Iterable[int]) -> None:
-        rows, cols = tuple(map(int, rows)), tuple(map(int, cols))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        if not any(rows) or not any(cols):
-            raise ValueError("a shape needs at least one row and one column")
-        if min(rows) < 0 or min(cols) < 0:
-            raise ValueError("shape counts must be nonnegative")
-
     def validate_for(self, t: MorphismType) -> None:
         if len(self.rows) != t.target.ntypes or len(self.cols) != t.source.ntypes:
             raise ValueError("shape arity does not match the morphism type")
+        if not any(self.rows) or not any(self.cols):
+            raise ValueError("a shape needs at least one row and one column")
+        if min(self.rows) < 0 or min(self.cols) < 0:
+            raise ValueError("shape counts must be nonnegative")
         for b, (_, n) in zip(self.rows, t.target.summands):
             if b > n:
                 raise ValueError("shape row count exceeds multiplicity")

@@ -63,7 +63,8 @@ def _ev(expr: str, n: int) -> int:
     """Value of a registry expression at n, by recursive descent: ``n``,
     integers, unary ``-``, ``+ - * // %`` with Python's precedence,
     parentheses, and at most one comparison on top (valued 1 or 0).
-    Anything else raises ValueError."""
+    Anything else, or nesting deeper than Python's recursion limit, raises
+    ValueError."""
     tokens = _TOKEN.findall(expr) + [""]  # "" marks the end
     pos = 0
 
@@ -95,10 +96,13 @@ def _ev(expr: str, n: int) -> int:
                 return value
         raise ValueError(f"bad registry expression {expr!r}")
 
-    value = total()
-    if tokens[pos] in _COMPARE:
-        pos += 1
-        value = _COMPARE[tokens[pos - 1]](value, total())
+    try:
+        value = total()
+        if tokens[pos] in _COMPARE:
+            pos += 1
+            value = _COMPARE[tokens[pos - 1]](value, total())
+    except RecursionError:
+        raise ValueError(f"bad registry expression {expr!r}: nested too deeply") from None
     if tokens[pos]:
         raise ValueError(f"bad registry expression {expr!r}")
     return int(value)

@@ -25,7 +25,7 @@ if S's own passes leave it open, S's rows against one column of a source
 type of width two, and one row of a target type of width two against S's
 columns (the pencil on each side).  A type of width one needs no pencil:
 one column of it is all of its columns, which the transposed sweep decides.
-Decisions are memoized per search.
+Decisions are memoized per search, keyed by the shape itself.
 
 "Failed" propagates upward too, one pass at a time.  When the literal scan,
 or the row sweep on one side, runs to completion on a lower neighbour of S
@@ -576,12 +576,8 @@ def _kernel_shapes_below(
     of the types it fills."""
     full_rows = tuple(b * (b == len(g)) for b, g in zip(shape.rows, view.row_groups))
     full_cols = tuple(a * (a == len(g)) for a, g in zip(shape.cols, view.col_groups))
-    below = (((full_rows, shape.cols), 0), ((shape.rows, full_cols), 1))
-    return [
-        (Shape(rows, cols), side)
-        for (rows, cols), side in below
-        if any(rows) and any(cols) and (rows, cols) != (shape.rows, shape.cols)
-    ]
+    below = ((Shape(full_rows, shape.cols), 0), (Shape(shape.rows, full_cols), 1))
+    return [(t, side) for t, side in below if any(t.rows) and any(t.cols) and t != shape]
 
 
 def _pencil_shapes_below(
@@ -606,27 +602,26 @@ def _pencil_shapes_below(
     return [(t, side) for t, side in below if t != shape]
 
 
-_Key = tuple[tuple[int, ...], tuple[int, ...]]
 _LITERAL = "literal"
 
 
-def _lower_neighbours(shape: Shape) -> list[_Key]:
-    """(rows, cols) of the nonempty shapes one row, or one column, of a single
-    type below ``shape``."""
-    rows, cols = shape.rows, shape.cols
+def _lower_neighbours(shape: Shape) -> list[Shape]:
+    """The nonempty shapes one row, or one column, of a single type below
+    ``shape``."""
+    rows, cols = shape
     out = []
     if sum(rows) > 1:
-        out += [(rows[:l] + (b - 1,) + rows[l + 1:], cols) for l, b in enumerate(rows) if b]
+        out += [Shape(rows[:l] + (b - 1,) + rows[l + 1:], cols) for l, b in enumerate(rows) if b]
     if sum(cols) > 1:
-        out += [(rows, cols[:i] + (a - 1,) + cols[i + 1:]) for i, a in enumerate(cols) if a]
+        out += [Shape(rows, cols[:i] + (a - 1,) + cols[i + 1:]) for i, a in enumerate(cols) if a]
     return out
 
 
 class _ExactPasses:
     """The exact passes of one search, on m and on its transpose, with what
-    they proved memoized per shape, keyed by (rows, cols) in m's coordinates.
+    they proved memoized per shape, in m's coordinates.
 
-    ``absent[key]`` is True when the shape is proven to have no block, and
+    ``absent[shape]`` is True when the shape is proven to have no block, and
     False when a block exists or it stayed open.  ``failed[p]`` holds the
     shapes on which pass p, the literal scan or the row sweep on side 0 or 1,
     is known to accept no subset: its walk ran to completion, or was skipped
@@ -641,37 +636,35 @@ class _ExactPasses:
         # a zero block of shape (rows, cols) on m is one of the dual shape on
         # its transpose
         self.sides = ((self.view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
-        self.absent: dict[_Key, bool] = {}
-        self.failed: dict[object, set[_Key]] = {_LITERAL: set(), 0: set(), 1: set()}
+        self.absent: dict[Shape, bool] = {}
+        self.failed: dict[object, set[Shape]] = {_LITERAL: set(), 0: set(), 1: set()}
 
-    def _fails_below(self, key: _Key, below: list[_Key], p) -> bool:
+    def _fails_below(self, shape: Shape, below: list[Shape], p) -> bool:
         failed = self.failed[p]
         if any(t in failed or self.absent.get(t) for t in below):
-            failed.add(key)
+            failed.add(shape)
             return True
         return False
 
-    def literal(self, shape: Shape, below: list[_Key]) -> Witness | None:
-        key = (shape.rows, shape.cols)
-        if self._fails_below(key, below, _LITERAL):
+    def literal(self, shape: Shape, below: list[Shape]) -> Witness | None:
+        if self._fails_below(shape, below, _LITERAL):
             return None
         w = _literal_witness(self.view, shape)
         if w is None and not _over_cap(self.view.col_groups, shape.cols):
-            self.failed[_LITERAL].add(key)
+            self.failed[_LITERAL].add(shape)
         return w
 
-    def sweep(self, shape: Shape, k: int, below: list[_Key]) -> tuple[Witness | None, bool]:
+    def sweep(self, shape: Shape, k: int, below: list[Shape]) -> tuple[Witness | None, bool]:
         """The row sweep on side k, its witness pulled back to m."""
         side, on_side, back = self.sides[k]
         s = on_side(shape)
-        key = (shape.rows, shape.cols)
-        if self._fails_below(key, below, k):
+        if self._fails_below(shape, below, k):
             return None, _all_or_nothing(side.row_groups, s.rows)
         w, decided = _row_subset_sweep(side, s)
         if w is not None:
             return back(w), decided
         if not _over_cap(side.row_groups, s.rows):
-            self.failed[k].add(key)
+            self.failed[k].add(shape)
         return None, decided
 
     def pencil(self, shape: Shape, k: int) -> tuple[Witness | None, bool, str]:
@@ -682,10 +675,9 @@ class _ExactPasses:
     def absent_below(self, below: list[tuple[Shape, int]], test) -> bool:
         """Whether ``test(t, k)`` proves some lower shape t absent on side k."""
         for t, k in below:
-            key = (t.rows, t.cols)
-            if key not in self.absent:
-                self.absent[key] = test(t, k)
-            if self.absent[key]:
+            if t not in self.absent:
+                self.absent[t] = test(t, k)
+            if self.absent[t]:
                 return True
         return False
 
@@ -718,9 +710,8 @@ def search_destabilizer(
     passes = _ExactPasses(m)
     view = passes.view
     for shape in destab:
-        key = (shape.rows, shape.cols)
         if passes.absent_below(_kernel_shapes_below(view, shape), passes.sweep_absent):
-            passes.absent[key] = True
+            passes.absent[shape] = True
             continue
         below = _lower_neighbours(shape)
         w = passes.literal(shape, below)
@@ -744,7 +735,7 @@ def search_destabilizer(
                     break
         if not decided:
             decided = passes.absent_below(_pencil_shapes_below(view, shape), passes.pencil_absent)
-        passes.absent[key] = decided
+        passes.absent[shape] = decided
         if not decided:
             undecided.append(shape)
     if undecided and budget > 0:

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -195,13 +197,25 @@ def test_registry_env_override(tmp_path, monkeypatch):
         registry.load_registry.cache_clear()
 
 
-def test_registry_rejects_expressions_outside_the_grammar(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "expr, needed",
+    [
+        ("().__class__", "().__class__"),
+        # one Python frame per unary minus, several per parenthesis
+        ("-" * 3000 + "n", "nested too deeply"),
+        ("(" * 3000 + "n" + ")" * 3000, "nested too deeply"),
+    ],
+    ids=["attribute", "deep-minus", "deep-parentheses"],
+)
+def test_registry_rejects_expressions_outside_the_grammar(
+    expr, needed, tmp_path, monkeypatch, capsys
+):
     import sheafmod.registry as registry
 
     path = tmp_path / "reg.txt"
     path.write_text(
         "[case M(2,1):tiny]\n"
-        "r = ().__class__\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
+        f"r = {expr}\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
         "stabilizer = trivial\nextra_constraints = 0\nregion = pt_half\n"
@@ -214,8 +228,8 @@ def test_registry_rejects_expressions_outside_the_grammar(tmp_path, monkeypatch,
     finally:
         registry.load_registry.cache_clear()
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "().__class__" in err
+    assert err.startswith("error: bad registry expression ") and err.count("\n") == 1
+    assert needed in err
 
 
 from hypothesis import given, settings, strategies as st
@@ -386,6 +400,8 @@ def test_matrix_zero_denominator(tmp_path, capsys):
         (["dual", "--table", "4,1,x,3,1,0,0,2"], "--table"),
         (["classify", "--case", "M(4,2):omega1", "--n", "2", "--polarization", "1/2"],
          "--polarization"),
+        (["dual"], "dual needs one of"),
+        (["dual", "--polarization", "1/6,5/12;1/3"], "--polarization needs --type"),
     ],
 )
 def test_malformed_argument_is_a_usage_error(args, needed, capsys):
@@ -672,6 +688,42 @@ def test_case_commands_fuzz(command, drawn, json_flag):
     if json_flag and command != "codim":
         argv.append("--json")
     _run_quietly(argv)
+
+
+# The same contract for the registry file itself: one block of the shipped
+# registry mutated, loaded through SHEAFMOD_REGISTRY, and read by the
+# commands that evaluate a case's expressions, resolution and region.
+
+_REGISTRY_TEXT = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
+_REGISTRY_HEAD, *_REGISTRY_BLOCKS = re.split(r"(?m)^(?=\[case )", _REGISTRY_TEXT)
+
+
+@st.composite
+def _mutated_registry(draw):
+    from sheafmod.registry import load_registry
+
+    k = draw(st.integers(0, len(_REGISTRY_BLOCKS) - 1))
+    case = load_registry()[k]
+    blocks = list(_REGISTRY_BLOCKS)
+    blocks[k] = _mutated(blocks[k], draw, "n+-*/%()[]0123456789.=,;:x \nsrctgzeo")
+    return _REGISTRY_HEAD + "".join(blocks), case.id, draw(st.sampled_from(case.ns()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_registry(), st.sampled_from(["codim", "region", "table"]))
+def test_registry_file_fuzz(tmp_path_factory, drawn, command):
+    import sheafmod.registry as registry
+
+    text, case_id, n = drawn
+    path = tmp_path_factory.getbasetemp() / "fuzz-registry.txt"
+    path.write_text(text)
+    registry.load_registry.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(registry.REGISTRY_ENV_VAR, str(path))
+            _run_quietly([command, f"--case={case_id}", f"--n={n}"])
+    finally:
+        registry.load_registry.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,27 @@ def test_shape_inequality_forms():
     assert not c.holds(p)
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (Shape((0,), (1, 0)), "at least one row and one column"),
+        (Shape((1,), (0, 0)), "at least one row and one column"),
+        (Shape((2,), (-1, 1)), "nonnegative"),
+        (Shape((4,), (1, 0)), "row count exceeds multiplicity"),
+        (Shape((1,), (0, 3)), "column count exceeds multiplicity"),
+        (Shape((1, 0), (1, 0)), "arity"),
+        (Shape((1,), (1,)), "arity"),
+    ],
+)
+def test_shape_validate_for_rejects(shape, message):
+    # a shape is a plain pair of tuples; it is checked only against a type
+    t = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
+    with pytest.raises(ValueError, match=message):
+        shape.validate_for(t)
+    with pytest.raises(ValueError, match=message):
+        shape_inequality(shape, t, strict=True)
+
+
 def test_full_row_shape_always_destabilizing():
     t = MorphismType.make([(-2, 2), (-1, 1)], [(-1, 1), (0, 2)])
     p = Polarization([F(1, 4), F(1, 2)], [F(1, 2), F(1, 4)])
