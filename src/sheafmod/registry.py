@@ -376,6 +376,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+_REQUIRED_KEYS = (
+    "r", "chi", "n", "conditions", "table", "resolution", "stabilizer",
+    "extra_constraints", "region", "quotient",
+)
+
+
 def _parse_case(block: list[str]) -> CaseSpec:
     fields: dict[str, str] = {}
     header = block[0]
@@ -385,6 +391,9 @@ def _parse_case(block: list[str]) -> CaseSpec:
     for line in block[1:]:
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+    for key in _REQUIRED_KEYS:
+        if key not in fields:
+            raise ValueError(f"registry case {case_id!r} has no {key!r} line")
     n_range = _parse_range(fields["n"])
     n_codim = _parse_range(fields.get("n_codim", fields["n"]))
     table_known = {}

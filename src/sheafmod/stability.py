@@ -1,52 +1,50 @@
 """Semistability verdicts for concrete matrices of forms.
 
-The destabilizer search combines three exact passes (literal zero blocks,
-row-subset times column-kernel sweeps, and pencil decisions for width-one
-blocks over a two-column type) with a seeded randomized pass that samples
-constant row subspaces, takes exact column kernels against them, and
-verifies any hit exactly.  Verdicts are three-valued: a verified witness
-gives Destabilized, a complete exact decision of every destabilizing shape
-gives CertifiedSemistable, anything else stays Undetermined.
+The destabilizer search combines two exact passes (row-subset times
+column-kernel sweeps, and pencil decisions for width-one blocks over a
+two-column type) with a seeded randomized pass that samples constant row
+subspaces, takes exact column kernels against them, and verifies any hit
+exactly.  Verdicts are three-valued: a verified witness gives Destabilized,
+a complete exact decision of every destabilizing shape gives
+CertifiedSemistable, anything else stays Undetermined.
 
 The criterion is invariant under duality, so the sweep and the pencil are
 written once and run on the matrix and on its dual transpose; a witness
-found on the transpose is pulled back in one place.  Each search reads both
-sides once into integer coefficient views; all rank and kernel work goes
-through :mod:`sheafmod.linalg`.
+found on the transpose is pulled back in one place.  A literal zero block
+needs no pass of its own: its columns are a row subset of the transpose
+whose kernels hold the unit vectors of its rows, so the transposed sweep
+finds it, under the same subset cap.  Each search reads both sides once into
+integer coefficient views; all rank and kernel work goes through
+:mod:`sheafmod.linalg`.
 
 "Absent" propagates upward through the shape lattice: a zero block of shape
 (b, a) contains one of every smaller nonempty shape, so once some T <= S is
 proven to have no block, neither has S.  Each destabilizing shape S tries
 only the largest lower shapes an exact pass decides, whether or not they
 destabilize: all rows of the types S fills against S's columns, and its
-transposed twin (one kernel sweep each, before S's own passes, since a lower
-shape proven absent also rules out every literal block of S); then,
-if S's own passes leave it open, S's rows against one column of a source
-type of width two, and one row of a target type of width two against S's
+transposed twin (one kernel sweep each, before S's own passes); then, if
+S's own passes leave it open, S's rows against one column of a source type
+of width two, and one row of a target type of width two against S's
 columns (the pencil on each side).  A type of width one needs no pencil:
 one column of it is all of its columns, which the transposed sweep decides.
 Decisions are memoized per search, keyed by the shape itself.
 
-"Failed" propagates upward too, one pass at a time.  When the literal scan,
-or the row sweep on one side, runs to completion on a lower neighbour of S
-(S less one row, or one column, of a single type) and accepts nothing, it
-accepts nothing on S: a literal block of S contains one of the neighbour,
-and a row subset accepted for S, less a row, is accepted for it, since a
-kernel only grows when rows are dropped.  Each search records these
-failures per pass and skips the pass on S when a neighbour is recorded or
+"Failed" propagates upward too, one side at a time.  When the row sweep on
+one side runs to completion on a lower neighbour of S (S less one row, or
+one column, of a single type) and accepts nothing, it accepts nothing on S:
+a row subset accepted for S, less a row, is accepted for the neighbour,
+since a kernel only grows when rows are dropped.  Each search records these
+failures per side and skips the sweep on S when a neighbour is recorded or
 proven absent; a walk stopped by the subset cap records nothing.
 
-The literal scan and the row sweep walk their column and row subsets depth
-first, in product order (lexicographic within a type, type-major), and drop
-a branch as soon as its prefix fails a test that only gets worse as the
-subset grows: for the sweep, some column kernel of the prefix rows is too
-small, since a row added can only shrink a kernel; for the scan, some target
-type has too few rows vanishing on the prefix columns.  Every subset skipped
-would have failed, so the first subset accepted, and the witness built from
-it, is the one a flat enumeration finds.  The sweep's test reads a kernel's
-dimension from an exact rank; the kernel basis is built only for the subset
-accepted.  Shapes with more than 4 096 subsets stay undecided by these two
-passes.
+The row sweep walks its row subsets depth first, in product order
+(lexicographic within a type, type-major), and drops a branch as soon as
+some column kernel of the prefix rows is too small, since a row added can
+only shrink a kernel.  Every subset skipped would have failed, so the first
+subset accepted, and the witness built from it, is the one a flat
+enumeration finds.  The test reads a kernel's dimension from an exact rank;
+the kernel basis is built only for the subset accepted.  Shapes with more
+than 4 096 row subsets stay undecided by the sweep.
 
 A random trial draws, per block row, a combination of one target type's rows
 with weights in [-3, 3] and stacks, per source type the shape needs, the
@@ -152,11 +150,11 @@ def _over_cap(groups, counts) -> bool:
 
 
 def _first_subset(groups, counts, accepts) -> tuple[int, ...] | None:
-    """The first choice of counts[t] positions from each groups[t], flattened
-    in product order (lexicographic within a type, the first type varying
-    slowest), that ``accepts`` takes.  Every nonempty prefix is tested and a
-    refused one is not extended, so ``accepts`` must refuse every extension
-    of a prefix it refuses."""
+    """The row sweep's walk: the first choice of counts[t] positions from
+    each groups[t], flattened in product order (lexicographic within a type,
+    the first type varying slowest), that ``accepts`` takes.  Every nonempty
+    prefix is tested and a refused one is not extended, so ``accepts`` must
+    refuse every extension of a prefix it refuses."""
     slots = [(g, b) for g, b in zip(groups, counts) if b]
 
     def walk(prefix, t, start, left):
@@ -186,9 +184,8 @@ class _CoefficientView:
     scale per block clears its denominators, so a combination of rows within
     a type is the same combination of their slices.  The dimensions of the
     column kernels of literal row subsets, which the sweep reads from one
-    exact rank, are memoized by (rows, source type); ``zero_bits``
-    marks each row's vanishing entries for the literal scan.  The layouts of
-    the random pass are built on first use, once per (row type, source type).
+    exact rank, are memoized by (rows, source type).  The layouts of the
+    random pass are built on first use, once per (row type, source type).
     """
 
     def __init__(self, m: PolyMatrix):
@@ -196,10 +193,6 @@ class _CoefficientView:
         self.row_groups = _positions(m.type.target)
         self.col_groups = _positions(m.type.source)
         coeffs = [[e.as_dict() for e in row] for row in m.entries]
-        # bit c of zero_bits[r] is set when entry (r, c) vanishes
-        self.zero_bits = [
-            sum(1 << c for c, d in enumerate(row) if not d) for row in coeffs
-        ]
         self.slices: list[list[list[list[int]]]] = [[] for _ in range(m.nrows)]
         for g in self.row_groups:
             for cols in self.col_groups:
@@ -243,38 +236,6 @@ class _CoefficientView:
 # ---------------------------------------------------------------------------
 # Destabilizer search
 # ---------------------------------------------------------------------------
-
-
-def _rows_vanishing_on(
-    view: _CoefficientView, shape: Shape, cols: tuple[int, ...]
-) -> list[int] | None:
-    """The first ``shape.rows[l]`` rows of each target type l whose entries
-    vanish on every column in ``cols``; None when some type has too few.
-    More columns leave fewer such rows, so a refusal is never lifted."""
-    mask = sum(1 << c for c in cols)
-    rows: list[int] = []
-    for g, b in zip(view.row_groups, shape.rows):
-        ok = [r for r in g if view.zero_bits[r] & mask == mask][:b]
-        if len(ok) < b:
-            return None
-        rows.extend(ok)
-    return rows
-
-
-def _literal_witness(view: _CoefficientView, shape: Shape) -> Witness | None:
-    """Zero block made of literal rows and columns, if one exists."""
-    if _over_cap(view.col_groups, shape.cols):
-        return None
-    cols = _first_subset(
-        view.col_groups,
-        shape.cols,
-        lambda cols: _rows_vanishing_on(view, shape, cols) is not None,
-    )
-    if cols is None:
-        return None
-    rows = _rows_vanishing_on(view, shape, cols)
-    combos = tuple(_embed((c,), (1,), view.m.ncols) for c in cols)
-    return Witness(shape, tuple(sorted(rows)), combos)
 
 
 def _row_subset_sweep(
@@ -562,11 +523,6 @@ def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
     return Witness(_dual_shape(wt.shape), (), col_combos, row_combos=row_combos)
 
 
-def _pencil_absent(view: _CoefficientView, shape: Shape) -> bool:
-    w, decided, note = _pencil_decides(view, shape)
-    return decided and w is None and not note
-
-
 def _kernel_shapes_below(
     view: _CoefficientView, shape: Shape
 ) -> list[tuple[Shape, int]]:
@@ -602,9 +558,6 @@ def _pencil_shapes_below(
     return [(t, side) for t, side in below if t != shape]
 
 
-_LITERAL = "literal"
-
-
 def _lower_neighbours(shape: Shape) -> list[Shape]:
     """The nonempty shapes one row, or one column, of a single type below
     ``shape``."""
@@ -622,11 +575,11 @@ class _ExactPasses:
     they proved memoized per shape, in m's coordinates.
 
     ``absent[shape]`` is True when the shape is proven to have no block, and
-    False when a block exists or it stayed open.  ``failed[p]`` holds the
-    shapes on which pass p, the literal scan or the row sweep on side 0 or 1,
-    is known to accept no subset: its walk ran to completion, or was skipped
-    because a lower neighbour is in ``failed[p]`` or proven absent (see the
-    module docstring).
+    False when a block exists or it stayed open.  ``failed[k]`` holds the
+    shapes on which the row sweep on side k (0: m, 1: its transpose) is known
+    to accept no subset: its walk ran to completion, or was skipped because a
+    lower neighbour is in ``failed[k]`` or proven absent (see the module
+    docstring).
     """
 
     def __init__(self, m: PolyMatrix):
@@ -637,22 +590,14 @@ class _ExactPasses:
         # its transpose
         self.sides = ((self.view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
         self.absent: dict[Shape, bool] = {}
-        self.failed: dict[object, set[Shape]] = {_LITERAL: set(), 0: set(), 1: set()}
+        self.failed: dict[int, set[Shape]] = {0: set(), 1: set()}
 
-    def _fails_below(self, shape: Shape, below: list[Shape], p) -> bool:
-        failed = self.failed[p]
+    def _fails_below(self, shape: Shape, below: list[Shape], k: int) -> bool:
+        failed = self.failed[k]
         if any(t in failed or self.absent.get(t) for t in below):
             failed.add(shape)
             return True
         return False
-
-    def literal(self, shape: Shape, below: list[Shape]) -> Witness | None:
-        if self._fails_below(shape, below, _LITERAL):
-            return None
-        w = _literal_witness(self.view, shape)
-        if w is None and not _over_cap(self.view.col_groups, shape.cols):
-            self.failed[_LITERAL].add(shape)
-        return w
 
     def sweep(self, shape: Shape, k: int, below: list[Shape]) -> tuple[Witness | None, bool]:
         """The row sweep on side k, its witness pulled back to m."""
@@ -687,7 +632,8 @@ class _ExactPasses:
 
     def pencil_absent(self, t: Shape, k: int) -> bool:
         side, on_side, _ = self.sides[k]
-        return _pencil_absent(side, on_side(t))
+        w, decided, note = _pencil_decides(side, on_side(t))
+        return decided and w is None and not note
 
 
 def search_destabilizer(
@@ -714,9 +660,6 @@ def search_destabilizer(
             passes.absent[shape] = True
             continue
         below = _lower_neighbours(shape)
-        w = passes.literal(shape, below)
-        if w is not None and verify_witness(m, w):
-            return Verdict(VerdictKind.DESTABILIZED, w, used)
         decided = False
         for k in (0, 1):
             w, d = passes.sweep(shape, k, below)
@@ -771,9 +714,10 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
     """Classify a 3x3 matrix of linear forms.
 
     Nonzero determinant is FullRankDet.  With determinant zero: an exactly
-    detected zero pattern (column kernel, row kernel, or a literal thin
-    block) is Degenerate; a primitive degree-one kernel vector whose entries
-    span the whole space of linear forms is Koszul; everything else is Other.
+    detected zero pattern (a constant column kernel, a constant row kernel,
+    or a row or column with two zero entries) is Degenerate; a primitive
+    degree-one kernel vector whose entries span the whole space of linear
+    forms is Koszul; everything else is Other.
     """
     if m.nrows != 3 or m.ncols != 3:
         raise ValueError("koszul_test expects a 3x3 matrix")
@@ -784,19 +728,16 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
     if not determinant(m).is_zero:
         return KoszulClass.FULL_RANK_DET
     # exact zero-pattern tests: a constant column kernel of m or of its
-    # transpose (all rows against one column of some type), then literal
-    # thin blocks
-    view = _CoefficientView(m)
-    for side in (view, _CoefficientView(transpose_dual(m))):
-        rows = tuple(map(len, side.row_groups))
-        ntypes = len(side.col_groups)
-        for i in range(ntypes):
-            cols = tuple(int(j == i) for j in range(ntypes))
-            if _row_subset_sweep(side, Shape(rows, cols))[0] is not None:
-                return KoszulClass.DEGENERATE
-    for shape in (Shape((2,), (2,)), Shape((1,), (2,)), Shape((2,), (1,))):
-        if _literal_witness(view, shape) is not None:
+    # transpose (all rows against one column of some type), then a literal
+    # thin block, which holds a literal 1x2 or 2x1 block: a row or a column
+    # with two zero entries
+    for side in (m, transpose_dual(m)):
+        view = _CoefficientView(side)
+        rows = tuple(range(side.nrows))
+        if any(view.nullity(rows, i) for i in range(len(view.col_groups))):
             return KoszulClass.DEGENERATE
+    if any(sum(e.is_zero for e in line) >= 2 for line in (*m.entries, *zip(*m.entries))):
+        return KoszulClass.DEGENERATE
     kernel = _adjugate_kernel(m)
     if kernel is None:
         return KoszulClass.OTHER

@@ -232,6 +232,32 @@ def test_registry_rejects_expressions_outside_the_grammar(
     assert needed in err
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["r", "chi", "n", "conditions", "table", "resolution", "stabilizer",
+     "extra_constraints", "region", "quotient"],
+)
+@pytest.mark.parametrize(
+    "argv", [["table", "--n", "3"], ["codim", "--case", "M(n+1,n):h0m1=0", "--n", "3"]]
+)
+def test_registry_without_a_required_key_is_one_error_line(
+    key, argv, tmp_path, monkeypatch, capsys
+):
+    import sheafmod.registry as registry
+
+    text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
+    path = tmp_path / "reg.txt"
+    path.write_text(re.sub(rf"(?m)^{key} = .*\n", "", text))
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(argv, capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == f"error: registry case 'M(n+1,n):h0m1=0' has no {key!r} line\n"
+
+
 from hypothesis import given, settings, strategies as st
 
 _arith = st.recursive(

@@ -339,29 +339,26 @@ def test_a_block_over_the_closure_closes_nothing():
     # the transposed pencil decides rows(1,)xcols(2,) here: its gcd
     # X^2 + Y^2 has no rational root, so the block exists over the closure
     from sheafmod.polymatrix import parse_matrix_file, transpose_dual
-    from sheafmod.stability import _CoefficientView, _dual_shape, _pencil_absent, _pencil_decides
+    from sheafmod.stability import _CoefficientView, _dual_shape, _ExactPasses, _pencil_decides
 
     m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\nX | Y | 0\n-Y | X | 0\n")
     tview = _CoefficientView(transpose_dual(m))
     shape = _dual_shape(Shape((1,), (2,)))
     w, decided, note = _pencil_decides(tview, shape)
     assert (w, decided) == (None, True) and note
-    assert not _pencil_absent(tview, shape)
+    assert not _ExactPasses(m).pencil_absent(Shape((1,), (2,)), 1)
 
 
-# The failure memo of the search rests on one lemma: a pass (the literal scan
-# or the row sweep) that runs to completion on a lower neighbour T of S (S
-# less one row, or one column, of a single type) and accepts nothing accepts
-# nothing on S either.
+# The failure memo of the search rests on one lemma: the row sweep, when it
+# runs to completion on a lower neighbour T of S (S less one row, or one
+# column, of a single type) and accepts nothing, accepts nothing on S either.
 
 WIDE_TYPE = MorphismType.make([(-2, 2), (-1, 3)], [(-1, 2), (0, 3)])
 
 
 def test_a_pass_that_fails_below_a_shape_fails_on_it():
     from sheafmod.polymatrix import transpose_dual
-    from sheafmod.stability import (
-        _CoefficientView, _literal_witness, _lower_neighbours, _over_cap, _row_subset_sweep,
-    )
+    from sheafmod.stability import _CoefficientView, _lower_neighbours, _over_cap, _row_subset_sweep
 
     rnd = random.Random(9090)
     failed_below = found = 0
@@ -372,23 +369,19 @@ def test_a_pass_that_fails_below_a_shape_fails_on_it():
             for view in (_CoefficientView(m), _CoefficientView(transpose_dual(m))):
                 shapes = enumerate_shapes(view.m.type)
                 sweep = {(s.rows, s.cols): _row_subset_sweep(view, s)[0] for s in shapes}
-                literal = {(s.rows, s.cols): _literal_witness(view, s) for s in shapes}
                 for s in shapes:
                     for below in _lower_neighbours(s):
                         if sweep[below] is None and not _over_cap(view.row_groups, below[0]):
                             assert sweep[s.rows, s.cols] is None, (t, s, below, m.entries)
                             failed_below += 1
-                        if literal[below] is None and not _over_cap(view.col_groups, below[1]):
-                            assert literal[s.rows, s.cols] is None, (t, s, below, m.entries)
-                            failed_below += 1
-                found += sum(w is not None for w in (*sweep.values(), *literal.values()))
+                found += sum(w is not None for w in sweep.values())
     # both sides of the lemma occur often
-    assert failed_below > 5000 and found > 600
+    assert failed_below > 3000 and found > 400
 
 
 def test_a_capped_walk_records_no_failure():
-    # C(15, 7) = 6435 row subsets and as many column subsets exceed the cap
-    from sheafmod.stability import _LITERAL, _ExactPasses, _lower_neighbours
+    # C(15, 7) = 6435 row subsets on either side exceed the cap
+    from sheafmod.stability import _ExactPasses, _lower_neighbours
 
     rnd = random.Random(9191)
     t = MorphismType.make([(-1, 15)], [(0, 15)])
@@ -396,10 +389,9 @@ def test_a_capped_walk_records_no_failure():
     passes = _ExactPasses(m)
     capped = Shape((7,), (7,))
     below = _lower_neighbours(capped)
-    assert passes.literal(capped, below) is None
     for k in (0, 1):
         assert passes.sweep(capped, k, below) == (None, False)
-    assert passes.failed == {_LITERAL: set(), 0: set(), 1: set()}
+    assert passes.failed == {0: set(), 1: set()}
     # a walk that runs to completion and accepts nothing is recorded
     one_row = Shape((1,), (15,))
     assert passes.sweep(one_row, 0, _lower_neighbours(one_row)) == (None, False)
@@ -435,22 +427,20 @@ def test_the_failure_memo_changes_no_verdict(monkeypatch):
 
 
 def test_a_recorded_failure_skips_only_its_own_pass():
-    # rows(1,)xcols(1,) has no literal row with a column kernel (side 0) and
-    # no literal block, but row 0 + row 1 vanishes on columns 0 and 1, which
-    # the transposed sweep (side 1) finds on the shape above it
+    # rows(1,)xcols(1,) has no literal row with a column kernel (side 0),
+    # but row 0 + row 1 vanishes on columns 0 and 1, which the transposed
+    # sweep (side 1) finds on the shape above it
     from sheafmod.polymatrix import parse_matrix_file
-    from sheafmod.stability import _LITERAL, _ExactPasses, _lower_neighbours
+    from sheafmod.stability import _ExactPasses, _lower_neighbours
 
     m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\nX | Y | Z\n-X | -Y | Z\n")
     passes = _ExactPasses(m)
     t, s = Shape((1,), (1,)), Shape((1,), (2,))
     assert _lower_neighbours(t) == [] and _lower_neighbours(s) == [((1,), (1,))]
-    assert passes.literal(t, []) is None
     assert passes.sweep(t, 0, []) == (None, False)
-    assert passes.failed == {_LITERAL: {((1,), (1,))}, 0: {((1,), (1,))}, 1: set()}
+    assert passes.failed == {0: {((1,), (1,))}, 1: set()}
     w, _ = passes.sweep(s, 1, _lower_neighbours(s))
     assert w is not None and w.shape == s and verify_witness(m, w)
-    # the literal scan and the sweep on side 0 are skipped, and s recorded
-    assert passes.literal(s, _lower_neighbours(s)) is None
+    # the sweep on side 0 is skipped, and s recorded
     assert passes.sweep(s, 0, _lower_neighbours(s)) == (None, False)
-    assert passes.failed[_LITERAL] == passes.failed[0] == {((1,), (1,)), ((1,), (2,))}
+    assert passes.failed[0] == {((1,), (1,)), ((1,), (2,))}
