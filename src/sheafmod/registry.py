@@ -126,7 +126,6 @@ class CaseSpec:
     region_ref: str
     quotient: tuple[tuple[str, str], ...]
     checks: tuple[str, ...]
-    note: str
     # sample_polarization per n, kept for the life of this spec
     _polarizations: dict[int, Polarization] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -380,6 +379,7 @@ _REQUIRED_KEYS = (
     "r", "chi", "n", "conditions", "table", "resolution", "stabilizer",
     "extra_constraints", "region", "quotient",
 )
+_KNOWN_KEYS = (*_REQUIRED_KEYS, "n_codim", "kernel", "checks")
 
 
 def _parse_case(block: list[str]) -> CaseSpec:
@@ -389,8 +389,11 @@ def _parse_case(block: list[str]) -> CaseSpec:
         raise ValueError(f"registry block must start with '[case <id>]', not {header!r}")
     case_id = header[len("[case "):-1]
     for line in block[1:]:
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or key not in _KNOWN_KEYS or key in fields:
+            what = "no '='" if not eq else "a repeated key" if key in fields else "an unknown key"
+            raise ValueError(f"registry case {case_id!r} has {what} in line {line!r}")
+        fields[key] = value
     for key in _REQUIRED_KEYS:
         if key not in fields:
             raise ValueError(f"registry case {case_id!r} has no {key!r} line")
@@ -426,7 +429,6 @@ def _parse_case(block: list[str]) -> CaseSpec:
         checks=tuple(
             c.strip() for c in fields.get("checks", "").split(",") if c.strip()
         ),
-        note=fields.get("note", ""),
     )
 
 

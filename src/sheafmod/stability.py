@@ -10,11 +10,12 @@ CertifiedSemistable, anything else stays Undetermined.
 
 The criterion is invariant under duality, so the sweep and the pencil are
 written once and run on the matrix and on its dual transpose; a witness
-found on the transpose is pulled back in one place.  A literal zero block
-needs no pass of its own: its columns are a row subset of the transpose
-whose kernels hold the unit vectors of its rows, so the transposed sweep
-finds it, under the same subset cap.  Each search reads both sides once into
-integer coefficient views; all rank and kernel work goes through
+found on the transpose is pulled back in one place, an involution that
+swaps its lists of row and column combinations.  A literal zero block needs
+no pass of its own: its columns are a row subset of the transpose whose
+kernels hold the unit vectors of its rows, so the transposed sweep finds it,
+under the same subset cap.  Each search reads both sides once into integer
+coefficient views; all rank and kernel work goes through
 :mod:`sheafmod.linalg`.
 
 "Absent" propagates upward through the shape lattice: a zero block of shape
@@ -108,15 +109,15 @@ class VerdictKind(Enum):
 class Witness:
     """Zero block exhibited after constant row/column combinations.
 
-    ``rows`` are literal row indices (after applying ``row_combos`` when
-    present); ``col_combos`` lists rational column-combination vectors per
-    block column, each supported on a single source type.
+    ``row_combos`` holds one rational row-combination vector per block row,
+    each supported on a single target type, and ``col_combos`` one
+    column-combination vector per block column, each supported on a single
+    source type.  A literal row or column is a unit vector.
     """
 
     shape: Shape
-    rows: tuple[int, ...]
+    row_combos: tuple[tuple[Fraction, ...], ...]
     col_combos: tuple[tuple[Fraction, ...], ...]
-    row_combos: tuple[tuple[Fraction, ...], ...] | None = None
 
 
 @dataclass
@@ -180,31 +181,30 @@ class _CoefficientView:
 
     ``slices[r][i]`` lists, per monomial of the block of row r's type and
     source type i (sorted), the coefficients of row r's entries in the
-    columns of type i.  Each entry is read once through ``as_dict``; one
-    scale per block clears its denominators, so a combination of rows within
-    a type is the same combination of their slices.  The dimensions of the
-    column kernels of literal row subsets, which the sweep reads from one
-    exact rank, are memoized by (rows, source type).  The layouts of the
-    random pass are built on first use, once per (row type, source type).
+    columns of type i.  Each entry's integer map is weighted by its content
+    times one scale per block that clears the contents' denominators, so a
+    combination of rows within a type is the same combination of their
+    slices.  The dimensions of the column kernels of literal row subsets,
+    which the sweep reads from one exact rank, are memoized by (rows, source
+    type).  The layouts of the random pass are built on first use, once per
+    (row type, source type).
     """
 
     def __init__(self, m: PolyMatrix):
         self.m = m
         self.row_groups = _positions(m.type.target)
         self.col_groups = _positions(m.type.source)
-        coeffs = [[e.as_dict() for e in row] for row in m.entries]
         self.slices: list[list[list[list[int]]]] = [[] for _ in range(m.nrows)]
         for g in self.row_groups:
             for cols in self.col_groups:
-                block = [coeffs[r][c] for r in g for c in cols]
-                monos = sorted({mono for d in block for mono in d})
-                scale = lcm(*(v.denominator for d in block for v in d.values()))
+                block = [m.entries[r][c] for r in g for c in cols]
+                monos = sorted({mono for e in block for mono in e.coeffs})
+                scale = lcm(*(e.content.denominator for e in block))
                 for r in g:
-                    ints = [
-                        {t: v.numerator * (scale // v.denominator) for t, v in d.items()}
-                        for d in (coeffs[r][c] for c in cols)
-                    ]
-                    self.slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
+                    row = [m.entries[r][c] for c in cols]
+                    w = [e.content.numerator * (scale // e.content.denominator) for e in row]
+                    per_mono = [[x * e.coeffs.get(t, 0) for x, e in zip(w, row)] for t in monos]
+                    self.slices[r].append(per_mono)
         self._nullities: dict[tuple[tuple[int, ...], int], int] = {}
         self._layouts: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
 
@@ -267,7 +267,7 @@ def _row_subset_sweep(
         if a
         for k in view.kernel(rows, i)[:a]
     )
-    return Witness(shape, rows, combos), decided
+    return Witness(shape, tuple(_embed((r,), (1,), view.m.nrows) for r in rows), combos), decided
 
 
 def _all_or_nothing(groups, counts) -> bool:
@@ -379,7 +379,7 @@ def _witness_with_row_combos(
             return None
         row_combos.extend(_embed(g, k, m.nrows) for k in kernel[:b])
     combo = _embed(view.col_groups[i], weights, m.ncols)
-    return Witness(shape, (), (combo,), row_combos=tuple(row_combos))
+    return Witness(shape, tuple(row_combos), (combo,))
 
 
 def _draw_coeffs(rng: random.Random, n: int) -> list[int]:
@@ -426,7 +426,7 @@ def _random_subspace_witness(
             return None
         combos.extend(_embed(cols, k, m.ncols) for k in kernel[:a])
     row_combos = [_embed(view.row_groups[l], coeffs, m.nrows) for l, coeffs in samples]
-    return Witness(shape, (), tuple(combos), row_combos=tuple(row_combos))
+    return Witness(shape, tuple(row_combos), tuple(combos))
 
 
 def _combine(forms: Sequence[HomogeneousPoly], weights) -> HomogeneousPoly:
@@ -462,13 +462,9 @@ def realize_witness(
     Returns (G, H, G.m.H).  Both transforms are block matrices mixing only
     rows/columns of one summand type; within each type the witness
     combinations come first, so the zero block occupies the leading rows and
-    columns of the types the shape names.  Literal rows count as unit row
-    combinations.
+    columns of the types the shape names.
     """
-    row_combos = w.row_combos
-    if row_combos is None:
-        row_combos = [_embed((r,), (1,), m.nrows) for r in w.rows]
-    G = _type_blocks(_positions(m.type.target), row_combos, m.nrows)
+    G = _type_blocks(_positions(m.type.target), w.row_combos, m.nrows)
     # the column combinations become the leading columns of H
     H_rows = _type_blocks(_positions(m.type.source), w.col_combos, m.ncols)
     H = [list(col) for col in zip(*H_rows)]
@@ -486,19 +482,15 @@ def apply_transforms(
 
 
 def verify_witness(m: PolyMatrix, w: Witness) -> bool:
-    """Recompute the claimed block exactly: the row combinations (literal
-    rows as unit ones) and the column combinations must each be independent,
-    which is independence within each type as the types have disjoint
-    supports, and every (row, column combination) pairing must vanish."""
-    units = [[int(r == i) for i in range(m.nrows)] for r in w.rows]
-    for combos in (units if w.row_combos is None else w.row_combos, w.col_combos):
+    """Recompute the claimed block exactly: the row combinations and the
+    column combinations must each be independent, which is independence
+    within each type as the types have disjoint supports, and every (row
+    combination, column combination) pairing must vanish."""
+    for combos in (w.row_combos, w.col_combos):
         if rank(combos) < len(combos):
             return False
-    if w.row_combos is None:
-        rows = [m.entries[r] for r in w.rows]
-    else:
-        cols = list(zip(*m.entries))
-        rows = [[_combine(col, rc) for col in cols] for rc in w.row_combos]
+    cols = list(zip(*m.entries))
+    rows = [[_combine(col, rc) for col in cols] for rc in w.row_combos]
     return all(_combine(row, cc).is_zero for row in rows for cc in w.col_combos)
 
 
@@ -510,17 +502,15 @@ def _dual_shape(shape: Shape) -> Shape:
 def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
     """Translate a witness found on ``transpose_dual(m)`` back to ``m``.
 
-    Row data of the transpose becomes column data and vice versa; the
-    permutations are undone through the dual position orders.
+    The row combinations of the transpose become the column combinations of
+    m and vice versa, each permuted back through the dual position order of
+    its side.  The dual orders are involutions, so pulling the result back
+    through ``transpose_dual(m)`` gives ``wt`` again.
     """
-    col_order = _dual_order(m.type.source)
-    row_order = _dual_order(m.type.target)
-    if wt.row_combos is not None:
-        col_combos = tuple(_embed(col_order, rc, m.ncols) for rc in wt.row_combos)
-    else:
-        col_combos = tuple(_embed((col_order[tr],), (1,), m.ncols) for tr in wt.rows)
+    row_order, col_order = _dual_order(m.type.target), _dual_order(m.type.source)
     row_combos = tuple(_embed(row_order, cc, m.nrows) for cc in wt.col_combos)
-    return Witness(_dual_shape(wt.shape), (), col_combos, row_combos=row_combos)
+    col_combos = tuple(_embed(col_order, rc, m.ncols) for rc in wt.row_combos)
+    return Witness(_dual_shape(wt.shape), row_combos, col_combos)
 
 
 def _kernel_shapes_below(
@@ -532,8 +522,12 @@ def _kernel_shapes_below(
     of the types it fills."""
     full_rows = tuple(b * (b == len(g)) for b, g in zip(shape.rows, view.row_groups))
     full_cols = tuple(a * (a == len(g)) for a, g in zip(shape.cols, view.col_groups))
-    below = ((Shape(full_rows, shape.cols), 0), (Shape(shape.rows, full_cols), 1))
-    return [(t, side) for t, side in below if any(t.rows) and any(t.cols) and t != shape]
+    below = []
+    if any(full_rows) and full_rows != shape.rows:
+        below.append((Shape(full_rows, shape.cols), 0))
+    if any(full_cols) and full_cols != shape.cols:
+        below.append((Shape(shape.rows, full_cols), 1))
+    return below
 
 
 def _pencil_shapes_below(

@@ -186,7 +186,7 @@ def test_registry_env_override(tmp_path, monkeypatch):
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
         "stabilizer = trivial\nextra_constraints = 0\nregion = pt_half\n"
-        "codim = 0\nquotient = geometric\nchecks = det_nonzero\n"
+        "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
     registry.load_registry.cache_clear()
@@ -256,6 +256,38 @@ def test_registry_without_a_required_key_is_one_error_line(
         registry.load_registry.cache_clear()
     assert (code, out) == (1, "")
     assert err == f"error: registry case 'M(n+1,n):h0m1=0' has no {key!r} line\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("chekcs = det_nonzero", "has an unknown key in line 'chekcs = det_nonzero'"),
+        ("checks = det_nonzero\nchecks = det_nonzero", "has a repeated key in line 'checks = det_nonzero'"),
+        ("checks det_nonzero", "has no '=' in line 'checks det_nonzero'"),
+    ],
+    ids=["unknown-key", "repeated-key", "no-equals"],
+)
+@pytest.mark.parametrize(
+    "argv", [["table", "--n", "3"], ["codim", "--case", "M(n+1,n):h0m1=0", "--n", "3"]]
+)
+def test_registry_with_a_malformed_line_is_one_error_line(
+    line, message, argv, tmp_path, monkeypatch, capsys
+):
+    # the first case's "checks = det_nonzero" line, misspelled, doubled or
+    # without its "=", which were once dropped or merged silently
+    import sheafmod.registry as registry
+
+    text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
+    path = tmp_path / "reg.txt"
+    path.write_text(text.replace("checks = det_nonzero\n", line + "\n", 1))
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(argv, capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == f"error: registry case 'M(n+1,n):h0m1=0' {message}\n"
 
 
 from hypothesis import given, settings, strategies as st

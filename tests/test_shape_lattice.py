@@ -303,7 +303,9 @@ DECIDED_REGISTRY_VERDICTS = {
     "M(6,3):omega2": VerdictKind.CERTIFIED_SEMISTABLE,
     "M(5,2):h1=1": VerdictKind.CERTIFIED_SEMISTABLE,
 }
-FOUR_TWO_OMEGA1_WITNESS = Witness(Shape((1, 0), (0, 1)), (0,), ((F(0), F(0), F(1)),))
+FOUR_TWO_OMEGA1_WITNESS = Witness(
+    Shape((1, 0), (0, 1)), ((F(1), F(0), F(0)),), ((F(0), F(0), F(1)),)
+)
 
 
 def _random_verdicts_matrix(rnd: random.Random, t: MorphismType) -> PolyMatrix:
@@ -444,3 +446,65 @@ def test_a_recorded_failure_skips_only_its_own_pass():
     # the sweep on side 0 is skipped, and s recorded
     assert passes.sweep(s, 0, _lower_neighbours(s)) == (None, False)
     assert passes.failed[0] == {((1,), (1,)), ((1,), (2,))}
+
+
+def _types_of(vec, groups) -> list[int]:
+    """The types a vector has a nonzero entry on."""
+    return [t for t, g in enumerate(groups) if any(vec[p] for p in g)]
+
+
+def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
+    """Every witness holds one combination per block row and column, each on
+    one summand type and as many on each type as the shape names; pulling it
+    back through the transpose twice gives it again.  The witnesses come from
+    verdicts, from the row sweep on either side of every shape, and from
+    random trials on a planted shape."""
+    from sheafmod.polymatrix import transpose_dual
+    from sheafmod.stability import (
+        _CoefficientView,
+        _dual_shape,
+        _pull_back_transpose_witness,
+        _random_subspace_witness,
+        _row_subset_sweep,
+    )
+
+    rnd = random.Random(9393)
+    found = {"verdict": [], "sweep": [], "trial": []}
+
+    def sweeps(m):
+        view, tview = _CoefficientView(m), _CoefficientView(transpose_dual(m))
+        for s in enumerate_shapes(m.type):
+            found["sweep"].append((m, _row_subset_sweep(view, s)[0]))
+            wt = _row_subset_sweep(tview, _dual_shape(s))[0]
+            found["sweep"].append((m, wt and _pull_back_transpose_witness(m, wt)))
+
+    for case in load_registry():
+        for n in case.ns()[:2]:
+            m = _random_verdicts_matrix(rnd, case.resolution(n))
+            found["verdict"].append((m, check_case(m, case, n, budget=20).verdict.witness))
+            sweeps(m)
+    for t in [*TINY_TYPES, WIDE_TYPE]:
+        for k in range(4):
+            p = _random_polarization(rnd, t)
+            plant = rnd.choice([s for s, d in classify_shapes(t, p).items() if d])
+            m = _matrix(rnd, t, plant)
+            found["verdict"].append((m, search_destabilizer(m, p, 20, seed=k).witness))
+            sweeps(m)
+            view = _CoefficientView(m)
+            for _ in range(30):
+                w = _random_subspace_witness(view, plant, rnd)
+                # the search keeps a trial's witness only once it verifies
+                found["trial"].append((m, w if w and verify_witness(m, w) else None))
+    for m, w in (mw for pairs in found.values() for mw in pairs if mw[1] is not None):
+        for combos, groups, counts in (
+            (w.row_combos, _positions(m.type.target), w.shape.rows),
+            (w.col_combos, _positions(m.type.source), w.shape.cols),
+        ):
+            types = [_types_of(v, groups) for v in combos]
+            assert all(len(ts) == 1 for ts in types), w
+            assert [sum(ts == [l] for ts in types) for l in range(len(counts))] == list(counts)
+        assert verify_witness(m, w)
+        wt = _pull_back_transpose_witness(transpose_dual(m), w)
+        assert _pull_back_transpose_witness(m, wt) == w
+    count = {k: sum(w is not None for _, w in pairs) for k, pairs in found.items()}
+    assert count["verdict"] > 20 and count["sweep"] > 500 and count["trial"] > 100, count

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import chain, combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -87,7 +87,7 @@ def test_row1_multi_type_source_keeps_column_order():
     m = parse_matrix_file("type: src=(-2)x1,(-1)x1 tgt=(0)x2\nX^2 | X\nX^2 | X\n")
     w = _row_witness(m, Shape((1,), (1, 0)))
     assert w.shape.rows == (1,) and w.shape.cols == (1, 0)
-    assert w.rows == () and w.col_combos == ((F(1), F(0)),)
+    assert w.col_combos == ((F(1), F(0)),)
     assert w.row_combos == ((F(-1), F(1)),)
     assert verify_witness(m, w)
 
@@ -388,10 +388,11 @@ def test_verify_witness_rejects_dependent_combinations():
     shape = Shape((2,), (2,))
     cols = ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
     combo = (F(-3), F(-3), F(0))
-    assert not verify_witness(m, Witness(shape, (), cols, row_combos=(combo, combo)))
-    assert not verify_witness(m, Witness(Shape((1,), (2,)), (0,), (cols[0], cols[0])))
-    assert not verify_witness(m, Witness(shape, (0, 0), cols))
-    assert verify_witness(m, Witness(Shape((1,), (2,)), (), cols, row_combos=(combo,)))
+    row0 = _unit(0, 3)
+    assert not verify_witness(m, Witness(shape, (combo, combo), cols))
+    assert not verify_witness(m, Witness(Shape((1,), (2,)), (row0,), (cols[0], cols[0])))
+    assert not verify_witness(m, Witness(shape, (row0, row0), cols))
+    assert verify_witness(m, Witness(Shape((1,), (2,)), (combo,), cols))
     v = search_destabilizer(m, Polarization([F(1, 3)], [F(1, 3)]), 300, seed=0)
     assert (v.kind, v.budget_used, v.undecided) == (VerdictKind.UNDETERMINED, 300, (shape,))
 
@@ -541,9 +542,8 @@ def _pinned(kind, used, undecided, shape=None, cols=(), rows=()):
     if shape is not None:
         witness = Witness(
             Shape(*shape),
-            (),
+            tuple(tuple(map(F, r)) for r in rows),
             tuple(tuple(map(F, c)) for c in cols),
-            row_combos=tuple(tuple(map(F, r)) for r in rows),
         )
     return Verdict(kind, witness, used, tuple(Shape(*u) for u in undecided))
 
@@ -722,7 +722,8 @@ def _flat_sweep(view, shape):
                     for c, v in zip(view.col_groups[i], vec):
                         full[c] = F(v)
                     combos.append(tuple(full))
-            return Witness(shape, rows, tuple(combos)), decided
+            units = tuple(_unit(r, view.m.nrows) for r in rows)
+            return Witness(shape, units, tuple(combos)), decided
     return None, decided
 
 
@@ -735,9 +736,48 @@ def _flat_literal(view, shape):
         for g, b in zip(view.row_groups, shape.rows):
             rows += [r for r in g if all(m.entries[r][c].is_zero for c in cols)][:b]
         if len(rows) == sum(shape.rows):
-            combos = tuple(_unit(c, m.ncols) for c in cols)
-            return Witness(shape, tuple(sorted(rows)), combos)
+            units = tuple(_unit(r, m.nrows) for r in sorted(rows))
+            return Witness(shape, units, tuple(_unit(c, m.ncols) for c in cols))
     return None
+
+
+def _as_dict_slices(m):
+    """The coefficient slices read through Fraction maps: ``as_dict`` per
+    entry and, per block, the lcm of all term denominators as the scale."""
+    from sheafmod.polymatrix import _positions
+
+    coeffs = [[e.as_dict() for e in row] for row in m.entries]
+    slices = [[] for _ in range(m.nrows)]
+    for g in _positions(m.type.target):
+        for cols in _positions(m.type.source):
+            block = [coeffs[r][c] for r in g for c in cols]
+            monos = sorted({t for d in block for t in d})
+            scale = lcm(*(v.denominator for d in block for v in d.values()))
+            for r in g:
+                ints = [
+                    {t: v.numerator * (scale // v.denominator) for t, v in coeffs[r][c].items()}
+                    for c in cols
+                ]
+                slices[r].append([[d.get(t, 0) for d in ints] for t in monos])
+    return slices
+
+
+@pytest.mark.parametrize(
+    "spec", ["src=(-1)x4 tgt=(0)x3", "src=(-2)x2,(-1)x3 tgt=(-1)x2,(0)x3"]
+)
+def test_coefficient_slices_read_the_integer_maps(spec):
+    """Weighting each entry's integer map by its content over the block's
+    lcm of content denominators gives the slices of the Fraction maps."""
+    t, _ = parse_resolution_spec(spec)
+    rnd = random.Random(spec)
+    for _ in range(20):
+        m = _sparse_matrix(rnd, t, 0.2)
+        grid = [
+            [e.scale(F(rnd.randint(-30, 30) or 1, rnd.choice((1, 2, 6, 35, 10**12 + 39)))) for e in row]
+            for row in m.entries
+        ]
+        m = PolyMatrix(t, grid)
+        assert _CoefficientView(m).slices == _as_dict_slices(m)
 
 
 def _sparse_matrix(rnd, t, zero_share):
