@@ -67,9 +67,7 @@ def _endpoint_strict(region: Region, v) -> bool:
 def cmd_table(args) -> int:
     cases = load_registry()
     if args.case:
-        cases = (_case(args.case),)
-        if args.n is not None and not cases[0].admits(args.n):
-            raise _out_of_range(cases[0], args.n)
+        cases = (_case(args.case, args.n),)
     if args.n is not None and not args.case:
         covered = [n for c in cases for n in c.n_range]
         cases = tuple(c for c in cases if c.admits(args.n))
@@ -127,8 +125,7 @@ def cmd_table(args) -> int:
                 )
         print(f"{len(out_rows)} blocks rendered.")
     if mismatches:
-        for m in mismatches:
-            print("MISMATCH: " + m, file=sys.stderr)
+        print("MISMATCH: " + "; ".join(mismatches), file=sys.stderr)
         return 1
     if not args.json:
         print("All codimensions and regions match the published table.")
@@ -171,23 +168,21 @@ def _parse_point(text: str) -> list[Fraction]:
     return [_rational(x, "--point") for x in coords]
 
 
-def _case(case_id: str):
-    """The registry case named ``--case``; an unknown name is a usage error."""
+def _case(case_id: str, n: int | None):
+    """The registry case named ``--case``; an unknown name, or an ``n`` (when
+    given) outside the case's range, is a usage error."""
     try:
-        return case_by_id(case_id)
+        case = case_by_id(case_id)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-
-
-def _out_of_range(case, n: int) -> UsageError:
-    lo, hi = case.n_range
-    return UsageError(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
+    if n is not None and not case.admits(n):
+        lo, hi = case.n_range
+        raise UsageError(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
+    return case
 
 
 def cmd_region(args) -> int:
-    case = _case(args.case)
-    if not case.admits(args.n):
-        raise _out_of_range(case, args.n)
+    case = _case(args.case, args.n)
     region = case.region(args.n)
     if args.json:
         print(json.dumps(region.to_json_dict(), indent=2, sort_keys=True))
@@ -197,18 +192,14 @@ def cmd_region(args) -> int:
 
 
 def cmd_codim(args) -> int:
-    case = _case(args.case)
-    if not case.admits(args.n):
-        raise _out_of_range(case, args.n)
+    case = _case(args.case, args.n)
     print(case.codim(args.n))
     return 0
 
 
 def cmd_check(args) -> int:
-    case = _case(args.case)
+    case = _case(args.case, args.n)
     n = args.n if args.n is not None else case.n_range[0]
-    if not case.admits(n):
-        raise _out_of_range(case, n)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         m = parse_matrix_file(fh.read())
     report = check_case(m, case, n, budget=args.budget, seed=args.seed)
@@ -320,15 +311,12 @@ def cmd_section(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    case = _case(args.case)
-    n = args.n
-    if not case.admits(n):
-        raise _out_of_range(case, n)
-    t = case.resolution(n)
+    case = _case(args.case, args.n)
+    t = case.resolution(args.n)
     if args.polarization:
         p = _parse_polarization(args.polarization)
     else:
-        p = case.sample_polarization(n)
+        p = case.sample_polarization(args.n)
     labels = classify_shapes(t, p)
     destab = sum(1 for v in labels.values() if v)
     print(f"polarization: {p}")

@@ -20,15 +20,19 @@ coefficient views; all rank and kernel work goes through
 
 "Absent" propagates upward through the shape lattice: a zero block of shape
 (b, a) contains one of every smaller nonempty shape, so once some T <= S is
-proven to have no block, neither has S.  Each destabilizing shape S tries
-only the largest lower shapes an exact pass decides, whether or not they
-destabilize: all rows of the types S fills against S's columns, and its
-transposed twin (one kernel sweep each, before S's own passes); then, if
-S's own passes leave it open, S's rows against one column of a source type
-of width two, and one row of a target type of width two against S's
-columns (the pencil on each side).  A type of width one needs no pencil:
-one column of it is all of its columns, which the transposed sweep decides.
-Decisions are memoized per search, keyed by the shape itself.
+proven to have no block, neither has S.  Each destabilizing shape S runs one
+ordered list of exact tests (``_tests``), each a row sweep or a pencil on one
+side, of S or of a lower shape whether or not it destabilizes: the row sweep
+on all rows of the types S fills against S's columns, and on its transposed
+twin; S's own sweep on either side; then the pencil on S's rows against one
+column of each source type of width two that S uses, and on one row of each
+target type of width two against S's columns (S itself when S has one such
+column, or row).  A type of width one needs no pencil: one column of it is
+all of its columns, which the transposed sweep decides.  The first test that
+decides with no witness and no note proves S absent.  On S itself, a
+witness that verifies, or a note of a block over the closure, ends the
+search, and a witness that fails to verify decides nothing.  A lower shape's
+outcome is memoized per search, keyed by the shape itself.
 
 "Failed" propagates upward too, one side at a time.  When the row sweep on
 one side runs to completion on a lower neighbour of S (S less one row, or
@@ -66,7 +70,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, isqrt, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bundles import MorphismType
 from .linalg import complete_basis, rank, right_kernel
@@ -74,6 +78,7 @@ from .polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
     determinant,
+    kernel_line,
     linearly_independent,
     maximal_minors,
     poly_gcd_list,
@@ -275,23 +280,17 @@ def _all_or_nothing(groups, counts) -> bool:
     return all(b == 0 or b == len(g) for g, b in zip(groups, counts))
 
 
-def _pencil_decides(
-    view: _CoefficientView, shape: Shape
-) -> tuple[Witness | None, bool, str]:
-    """Exact decision for one-column blocks over a source type of width two.
+def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | None, str]:
+    """Exact decision for a one-column block over a source type of width two.
 
     The combination (k1 : k2) of the two columns gives a matrix pencil: the
     row-rank drops demanded by the shape are minor conditions, binary forms
     in (k1, k2), and a common zero exists exactly when their gcd is
     nonconstant.  Rational roots give explicit witnesses; a nonconstant gcd
     without rational roots still certifies a destabilizer over the algebraic
-    closure.
+    closure, which the returned note says.  No witness and no note: no block.
     """
-    if sum(shape.cols) != 1:
-        return None, False, ""
-    i = next(i for i, a in enumerate(shape.cols) if a == 1)
-    if len(view.col_groups[i]) != 2:
-        return None, False, ""
+    i = shape.cols.index(1)
     forms: list[HomogeneousPoly] = []
     for l, b in enumerate(shape.rows):
         if b == 0:
@@ -316,14 +315,14 @@ def _pencil_decides(
             forms += _minors([stack[r] for r in rsel], csels)
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
-        return _witness_with_row_combos(view, shape, i, (1, 0)), True, ""
+        return _witness_with_row_combos(view, shape, i, (1, 0)), ""
     g = poly_gcd_list(nonzero)
     if g.degree == 0:
-        return None, True, ""
+        return None, ""
     root = _rational_root_binary(g)
     if root is None:
-        return None, True, "destabilizer exists over the closure; no rational witness"
-    return _witness_with_row_combos(view, shape, i, root), True, ""
+        return None, "destabilizer exists over the closure; no rational witness"
+    return _witness_with_row_combos(view, shape, i, root), ""
 
 
 def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | None:
@@ -513,43 +512,31 @@ def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
     return Witness(_dual_shape(wt.shape), row_combos, col_combos)
 
 
-def _kernel_shapes_below(
-    view: _CoefficientView, shape: Shape
-) -> list[tuple[Shape, int]]:
-    """The largest shapes below ``shape`` that one kernel sweep decides, each
-    with its side (0: the matrix, 1: its transpose): all rows of the types the
-    shape fills against its columns, and the shape's rows against all columns
-    of the types it fills."""
-    full_rows = tuple(b * (b == len(g)) for b, g in zip(shape.rows, view.row_groups))
-    full_cols = tuple(a * (a == len(g)) for a, g in zip(shape.cols, view.col_groups))
-    below = []
-    if any(full_rows) and full_rows != shape.rows:
-        below.append((Shape(full_rows, shape.cols), 0))
-    if any(full_cols) and full_cols != shape.cols:
-        below.append((Shape(shape.rows, full_cols), 1))
-    return below
+def _tests(view: _CoefficientView, shape: Shape) -> Iterator[tuple[Shape, int, bool]]:
+    """The exact tests of ``shape`` S in order, as (T, side, pencil) with
+    T <= S and side 0 for the matrix of ``view``, 1 for its transpose (see
+    the module docstring).  A sweep's T is S unless it takes all rows, or all
+    columns, of the types S fills; a pencil's T has one column of a source
+    type of width two, or one row of a target type of width two."""
+    rows, cols = shape
+    full_rows = tuple(b * (b == len(g)) for b, g in zip(rows, view.row_groups))
+    full_cols = tuple(a * (a == len(g)) for a, g in zip(cols, view.col_groups))
+    if any(full_rows) and full_rows != rows:
+        yield Shape(full_rows, cols), 0, False
+    if any(full_cols) and full_cols != cols:
+        yield Shape(rows, full_cols), 1, False
+    yield shape, 0, False
+    yield shape, 1, False
+    for i, a in enumerate(cols):
+        if a and len(view.col_groups[i]) == 2:
+            yield Shape(rows, _unit(i, len(cols))), 0, True
+    for l, b in enumerate(rows):
+        if b and len(view.row_groups[l]) == 2:
+            yield Shape(_unit(l, len(rows)), cols), 1, True
 
 
-def _pencil_shapes_below(
-    view: _CoefficientView, shape: Shape
-) -> list[tuple[Shape, int]]:
-    """The largest shapes below ``shape`` that a pencil decides, each with its
-    side: the shape's rows against one column of a source type of width two,
-    and one row of a target type of width two against the shape's columns."""
-    def unit(k: int, size: int) -> tuple[int, ...]:
-        return tuple(int(j == k) for j in range(size))
-
-    below = [
-        (Shape(shape.rows, unit(i, len(shape.cols))), 0)
-        for i, a in enumerate(shape.cols)
-        if a and len(view.col_groups[i]) == 2
-    ]
-    below += [
-        (Shape(unit(l, len(shape.rows)), shape.cols), 1)
-        for l, b in enumerate(shape.rows)
-        if b and len(view.row_groups[l]) == 2
-    ]
-    return [(t, side) for t, side in below if t != shape]
+def _unit(k: int, size: int) -> tuple[int, ...]:
+    return tuple(int(j == k) for j in range(size))
 
 
 def _lower_neighbours(shape: Shape) -> list[Shape]:
@@ -593,11 +580,11 @@ class _ExactPasses:
             return True
         return False
 
-    def sweep(self, shape: Shape, k: int, below: list[Shape]) -> tuple[Witness | None, bool]:
+    def sweep(self, shape: Shape, k: int) -> tuple[Witness | None, bool]:
         """The row sweep on side k, its witness pulled back to m."""
         side, on_side, back = self.sides[k]
         s = on_side(shape)
-        if self._fails_below(shape, below, k):
+        if self._fails_below(shape, _lower_neighbours(shape), k):
             return None, _all_or_nothing(side.row_groups, s.rows)
         w, decided = _row_subset_sweep(side, s)
         if w is not None:
@@ -606,28 +593,14 @@ class _ExactPasses:
             self.failed[k].add(shape)
         return None, decided
 
-    def pencil(self, shape: Shape, k: int) -> tuple[Witness | None, bool, str]:
+    def run(self, shape: Shape, k: int, pencil: bool) -> tuple[Witness | None, bool, str]:
+        """(witness pulled back to m, decided, note) of the pencil or the row
+        sweep on side k."""
+        if not pencil:
+            return (*self.sweep(shape, k), "")
         side, on_side, back = self.sides[k]
-        w, decided, note = _pencil_decides(side, on_side(shape))
-        return (None if w is None else back(w)), decided, note
-
-    def absent_below(self, below: list[tuple[Shape, int]], test) -> bool:
-        """Whether ``test(t, k)`` proves some lower shape t absent on side k."""
-        for t, k in below:
-            if t not in self.absent:
-                self.absent[t] = test(t, k)
-            if self.absent[t]:
-                return True
-        return False
-
-    def sweep_absent(self, t: Shape, k: int) -> bool:
-        w, decided = self.sweep(t, k, _lower_neighbours(t))
-        return decided and w is None
-
-    def pencil_absent(self, t: Shape, k: int) -> bool:
-        side, on_side, _ = self.sides[k]
-        w, decided, note = _pencil_decides(side, on_side(t))
-        return decided and w is None and not note
+        w, note = _pencil_decides(side, on_side(shape))
+        return (None if w is None else back(w)), True, note
 
 
 def search_destabilizer(
@@ -637,7 +610,8 @@ def search_destabilizer(
 
     Shapes are processed in canonical order; the first verified witness wins.
     CertifiedSemistable requires every destabilizing shape to have been
-    decided exactly, by its own passes or by a lower shape proven absent.
+    decided exactly by one of its tests (``_tests``): proven absent itself,
+    or through a lower shape proven absent.
     Raises ValueError for a negative budget.
     """
     if budget < 0:
@@ -650,30 +624,17 @@ def search_destabilizer(
     passes = _ExactPasses(m)
     view = passes.view
     for shape in destab:
-        if passes.absent_below(_kernel_shapes_below(view, shape), passes.sweep_absent):
-            passes.absent[shape] = True
-            continue
-        below = _lower_neighbours(shape)
-        decided = False
-        for k in (0, 1):
-            w, d = passes.sweep(shape, k, below)
-            if w is not None and verify_witness(m, w):
-                return Verdict(VerdictKind.DESTABILIZED, w, used)
-            decided = decided or d
-        if not decided:
-            # pencils decide one-column shapes; the first side that decides wins
-            for k in (0, 1):
-                w, decided, pnote = passes.pencil(shape, k)
-                if w is not None and verify_witness(m, w):
-                    return Verdict(VerdictKind.DESTABILIZED, w, used)
-                if pnote:
-                    return Verdict(VerdictKind.DESTABILIZED, None, used, note=pnote)
-                if decided:
-                    break
-        if not decided:
-            decided = passes.absent_below(_pencil_shapes_below(view, shape), passes.pencil_absent)
-        passes.absent[shape] = decided
-        if not decided:
+        for t, k, pencil in _tests(view, shape):
+            # a lower shape is tested once per search; the shape itself always
+            if t == shape or t not in passes.absent:
+                w, decided, note = passes.run(t, k, pencil)
+                if t == shape and (note or w is not None and verify_witness(m, w)):
+                    return Verdict(VerdictKind.DESTABILIZED, w, used, note=note)
+                passes.absent[t] = decided and w is None and not note
+            if passes.absent[t]:
+                passes.absent[shape] = True
+                break
+        else:
             undecided.append(shape)
     if undecided and budget > 0:
         per_shape = max(1, budget // len(undecided))
@@ -732,30 +693,17 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
             return KoszulClass.DEGENERATE
     if any(sum(e.is_zero for e in line) >= 2 for line in (*m.entries, *zip(*m.entries))):
         return KoszulClass.DEGENERATE
-    kernel = _adjugate_kernel(m)
-    if kernel is None:
+    # m is singular, so two rows with a nonzero maximal minor span its rows,
+    # and their primitive kernel vector is that of m
+    pair_type = MorphismType.make([(-1, 3)], [(0, 2)])
+    pairs = (PolyMatrix(pair_type, rows) for rows in itertools.combinations(m.entries, 2))
+    line = next(filter(None, map(kernel_line, pairs)), None)
+    if line is None:
         return KoszulClass.OTHER
-    degree = {k.degree for k in kernel if not k.is_zero}
-    if degree == {1} and linearly_independent(kernel)[1] == 3:
+    kernel, degree = line
+    if degree == 1 and linearly_independent(kernel)[1] == 3:
         return KoszulClass.KOSZUL
     return KoszulClass.OTHER
-
-
-def _adjugate_kernel(m: PolyMatrix) -> list[HomogeneousPoly] | None:
-    """Primitive kernel vector of a singular 3x3 matrix via adjugate columns.
-
-    Adjugate column c holds the signed maximal minors of the grid with row c
-    deleted: entry j is (-1)^(c+j) times the minor omitting column j."""
-    for c in range(3):
-        rest = [row for r, row in enumerate(m.entries) if r != c]
-        minors = _minors(rest, [[k for k in range(3) if k != j] for j in range(3)])
-        col = [p if (c + j) % 2 == 0 else -p for j, p in enumerate(minors)]
-        if any(not e.is_zero for e in col):
-            g = poly_gcd_list([e for e in col if not e.is_zero])
-            return [
-                HomogeneousPoly.zero() if e.is_zero else e.divexact(g) for e in col
-            ]
-    return None
 
 
 @dataclass

@@ -290,6 +290,30 @@ def test_registry_with_a_malformed_line_is_one_error_line(
     assert err == f"error: registry case 'M(n+1,n):h0m1=0' {message}\n"
 
 
+def test_table_mismatches_are_one_stderr_line(tmp_path, monkeypatch, capsys):
+    # a resolution that loads but disagrees with the published codimension
+    # and region, once reported on two stderr lines
+    import sheafmod.registry as registry
+
+    text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
+    spec = "resolution = src=(-3)x1,(-1)x[n] tgt=(0)x[n+1]\n"
+    start = text.index("[case M(6,3):h1=1]")
+    text = text[:start] + text[start:].replace(spec, spec.replace("x[n] ", "x[n]0 "), 1)
+    path = tmp_path / "reg.txt"
+    path.write_text(text)
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(["table", "--case=M(6,3):h1=1", "--n=3"], capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert code == 1 and "1 blocks rendered." in out
+    assert err == (
+        "MISMATCH: M(6,3):h1=1 n=3: codim 733 != published; "
+        "M(6,3):h1=1 n=3: region != published\n"
+    )
+
+
 from hypothesis import given, settings, strategies as st
 
 _arith = st.recursive(

@@ -337,18 +337,30 @@ def test_registry_verdicts_keep_their_decisions():
     assert seen == set(DECIDED_REGISTRY_VERDICTS)
 
 
-def test_a_block_over_the_closure_closes_nothing():
-    # the transposed pencil decides rows(1,)xcols(2,) here: its gcd
-    # X^2 + Y^2 has no rational root, so the block exists over the closure
-    from sheafmod.polymatrix import parse_matrix_file, transpose_dual
-    from sheafmod.stability import _CoefficientView, _dual_shape, _ExactPasses, _pencil_decides
+def test_a_block_over_the_closure_closes_nothing(monkeypatch):
+    # rows(1,)xcols(0,2) has a block only over the closure: the transposed
+    # pencil finds the gcd X^2 + Y^2, which has no rational root.  It is not
+    # destabilizing at p, but it is a test of rows(2,)xcols(0,2), which is;
+    # as a lower shape, its note must prove nothing absent
+    import sheafmod.stability as stability
+    from sheafmod.polymatrix import parse_matrix_file
 
-    m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\nX | Y | 0\n-Y | X | 0\n")
-    tview = _CoefficientView(transpose_dual(m))
-    shape = _dual_shape(Shape((1,), (2,)))
-    w, decided, note = _pencil_decides(tview, shape)
+    m = parse_matrix_file(
+        "type: src=(-2)x1,(-1)x3 tgt=(0)x2\nX^2 | X | Y | 0\nY^2 | -Y | X | 0\n"
+    )
+    p = Polarization([F(2, 5), F(1, 5)], [F(1, 2)])
+    t, s = Shape((1,), (0, 2)), Shape((2,), (0, 2))
+    labels = classify_shapes(m.type, p)
+    assert labels[s] and not labels[t]
+    passes = stability._ExactPasses(m)
+    assert (t, 1, True) in stability._tests(passes.view, s)
+    w, decided, note = passes.run(t, 1, True)
     assert (w, decided) == (None, True) and note
-    assert not _ExactPasses(m).pencil_absent(Shape((1,), (2,)), 1)
+    # with that pencil as the only test of every shape, every shape stays open
+    monkeypatch.setattr(stability, "_tests", lambda view, shape: [(t, 1, True)])
+    v = search_destabilizer(m, p, 0)
+    assert v.kind is VerdictKind.UNDETERMINED
+    assert set(v.undecided) == {x for x, d in labels.items() if d}
 
 
 # The failure memo of the search rests on one lemma: the row sweep, when it
@@ -383,20 +395,19 @@ def test_a_pass_that_fails_below_a_shape_fails_on_it():
 
 def test_a_capped_walk_records_no_failure():
     # C(15, 7) = 6435 row subsets on either side exceed the cap
-    from sheafmod.stability import _ExactPasses, _lower_neighbours
+    from sheafmod.stability import _ExactPasses
 
     rnd = random.Random(9191)
     t = MorphismType.make([(-1, 15)], [(0, 15)])
     m = PolyMatrix(t, [[random_poly(rnd, 1, -2, 2) for _ in range(15)] for _ in range(15)])
     passes = _ExactPasses(m)
     capped = Shape((7,), (7,))
-    below = _lower_neighbours(capped)
     for k in (0, 1):
-        assert passes.sweep(capped, k, below) == (None, False)
+        assert passes.sweep(capped, k) == (None, False)
     assert passes.failed == {0: set(), 1: set()}
     # a walk that runs to completion and accepts nothing is recorded
     one_row = Shape((1,), (15,))
-    assert passes.sweep(one_row, 0, _lower_neighbours(one_row)) == (None, False)
+    assert passes.sweep(one_row, 0) == (None, False)
     assert passes.failed[0] == {((1,), (15,))}
 
 
@@ -439,12 +450,12 @@ def test_a_recorded_failure_skips_only_its_own_pass():
     passes = _ExactPasses(m)
     t, s = Shape((1,), (1,)), Shape((1,), (2,))
     assert _lower_neighbours(t) == [] and _lower_neighbours(s) == [((1,), (1,))]
-    assert passes.sweep(t, 0, []) == (None, False)
+    assert passes.sweep(t, 0) == (None, False)
     assert passes.failed == {0: {((1,), (1,))}, 1: set()}
-    w, _ = passes.sweep(s, 1, _lower_neighbours(s))
+    w, _ = passes.sweep(s, 1)
     assert w is not None and w.shape == s and verify_witness(m, w)
     # the sweep on side 0 is skipped, and s recorded
-    assert passes.sweep(s, 0, _lower_neighbours(s)) == (None, False)
+    assert passes.sweep(s, 0) == (None, False)
     assert passes.failed[0] == {((1,), (1,)), ((1,), (2,))}
 
 

@@ -114,17 +114,27 @@ def test_koszul_classes():
     assert koszul_test(two_types) is KoszulClass.DEGENERATE
 
 
-def test_koszul_primitive_kernel():
-    from sheafmod.stability import _adjugate_kernel
+def test_koszul_primitive_kernel(monkeypatch):
+    # the kernel vector koszul_test reads, from kernel_line on a pair of
+    # rows, is one of linear forms that kills all three rows of PSI1
+    import sheafmod.stability as stability
+    from sheafmod.polymatrix import kernel_line
 
-    kernel = _adjugate_kernel(PSI1)
-    acc = [HomogeneousPoly.zero()] * 3
+    lines = []
+
+    def recording(m):
+        lines.append(kernel_line(m))
+        return lines[-1]
+
+    monkeypatch.setattr(stability, "kernel_line", recording)
+    assert koszul_test(PSI1) is KoszulClass.KOSZUL
+    kernel, degree = next(line for line in lines if line is not None)
     for r in range(3):
         s = HomogeneousPoly.zero()
         for c in range(3):
             s = s + PSI1.entries[r][c] * kernel[c]
         assert s.is_zero
-    assert {k.degree for k in kernel} == {1}
+    assert degree == 1 and {k.degree for k in kernel} == {1}
 
 
 def test_koszul_orbit_invariance(rnd):
@@ -404,6 +414,30 @@ def test_budget_zero_with_undecided_is_undetermined():
     v = search_destabilizer(m, p, budget=0, seed=1)
     assert v.kind is VerdictKind.UNDETERMINED
     assert v.undecided
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_witness_that_fails_verification_decides_nothing(seed, monkeypatch):
+    # every M(4,2):omega1 matrix is destabilized by its scalar block, a
+    # structural zero; with every witness refused that shape must stay open
+    import sheafmod.stability as stability
+
+    case = case_by_id("M(4,2):omega1")
+    t = case.resolution(2)
+    rnd = random.Random(seed)
+    m = PolyMatrix(t, [
+        [
+            zero if t.is_zeroed(i, l) or e < d else random_poly(rnd, e - d, -2, 2)
+            for i, (d, mi) in enumerate(t.source.summands)
+            for _ in range(mi)
+        ]
+        for l, (e, nl) in enumerate(t.target.summands)
+        for _ in range(nl)
+    ])
+    monkeypatch.setattr(stability, "verify_witness", lambda m, w: False)
+    v = check_case(m, case, 2, budget=0).verdict
+    assert v.kind is not VerdictKind.CERTIFIED_SEMISTABLE
+    assert v.witness is None and Shape((1, 0), (0, 1)) in v.undecided
 
 
 def _five_by_five():
