@@ -189,7 +189,11 @@ class CaseSpec:
 
 
 def _instantiate(spec: str, n: int) -> str:
-    """Replace [expr] placeholders by their integer values."""
+    """Replace [expr] placeholders by their integer values.  A placeholder
+    touching a digit or another placeholder would merge into one number with
+    it, so it is refused."""
+    if re.search(r"[\d\]]\[|\]\d", spec):
+        raise ValueError(f"a placeholder touches a digit or a placeholder in {spec!r}")
     return re.sub(r"\[([^]]*)\]", lambda m: str(_ev(m[1], n)), spec)
 
 

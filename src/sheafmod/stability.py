@@ -20,7 +20,11 @@ coefficient views; all rank and kernel work goes through
 
 "Absent" propagates upward through the shape lattice: a zero block of shape
 (b, a) contains one of every smaller nonempty shape, so once some T <= S is
-proven to have no block, neither has S.  Each destabilizing shape S runs one
+proven to have no block, neither has S.  The search closes a destabilizing
+shape S with no test run when a lower neighbour of S (S less one row, or one
+column, of a single type) is already proven absent; shapes come in
+lexicographic order, so every lower neighbour is seen before S and the
+closures chain upward.  Every other destabilizing shape S runs one
 ordered list of exact tests (``_tests``), each a row sweep or a pencil on one
 side, of S or of a lower shape whether or not it destabilizes: the row sweep
 on all rows of the types S fills against S's columns, and on its transposed
@@ -33,14 +37,6 @@ decides with no witness and no note proves S absent.  On S itself, a
 witness that verifies, or a note of a block over the closure, ends the
 search, and a witness that fails to verify decides nothing.  A lower shape's
 outcome is memoized per search, keyed by the shape itself.
-
-"Failed" propagates upward too, one side at a time.  When the row sweep on
-one side runs to completion on a lower neighbour of S (S less one row, or
-one column, of a single type) and accepts nothing, it accepts nothing on S:
-a row subset accepted for S, less a row, is accepted for the neighbour,
-since a kernel only grows when rows are dropped.  Each search records these
-failures per side and skips the sweep on S when a neighbour is recorded or
-proven absent; a walk stopped by the subset cap records nothing.
 
 The row sweep walks its row subsets depth first, in product order
 (lexicographic within a type, type-major), and drops a branch as soon as
@@ -253,7 +249,7 @@ def _row_subset_sweep(
     is invariant under row combinations within the type.
     """
     row_groups = view.row_groups
-    decided = _all_or_nothing(row_groups, shape.rows)
+    decided = all(b == 0 or b == len(g) for g, b in zip(row_groups, shape.rows))
     if _over_cap(row_groups, shape.rows):
         return None, False
     # a row added to a subset can only shrink its column kernels
@@ -273,11 +269,6 @@ def _row_subset_sweep(
         for k in view.kernel(rows, i)[:a]
     )
     return Witness(shape, tuple(_embed((r,), (1,), view.m.nrows) for r in rows), combos), decided
-
-
-def _all_or_nothing(groups, counts) -> bool:
-    """Whether every count takes none or all of its group's positions."""
-    return all(b == 0 or b == len(g) for g, b in zip(groups, counts))
 
 
 def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | None, str]:
@@ -556,11 +547,7 @@ class _ExactPasses:
     they proved memoized per shape, in m's coordinates.
 
     ``absent[shape]`` is True when the shape is proven to have no block, and
-    False when a block exists or it stayed open.  ``failed[k]`` holds the
-    shapes on which the row sweep on side k (0: m, 1: its transpose) is known
-    to accept no subset: its walk ran to completion, or was skipped because a
-    lower neighbour is in ``failed[k]`` or proven absent (see the module
-    docstring).
+    False when a block exists or it stayed open.
     """
 
     def __init__(self, m: PolyMatrix):
@@ -571,36 +558,17 @@ class _ExactPasses:
         # its transpose
         self.sides = ((self.view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
         self.absent: dict[Shape, bool] = {}
-        self.failed: dict[int, set[Shape]] = {0: set(), 1: set()}
-
-    def _fails_below(self, shape: Shape, below: list[Shape], k: int) -> bool:
-        failed = self.failed[k]
-        if any(t in failed or self.absent.get(t) for t in below):
-            failed.add(shape)
-            return True
-        return False
-
-    def sweep(self, shape: Shape, k: int) -> tuple[Witness | None, bool]:
-        """The row sweep on side k, its witness pulled back to m."""
-        side, on_side, back = self.sides[k]
-        s = on_side(shape)
-        if self._fails_below(shape, _lower_neighbours(shape), k):
-            return None, _all_or_nothing(side.row_groups, s.rows)
-        w, decided = _row_subset_sweep(side, s)
-        if w is not None:
-            return back(w), decided
-        if not _over_cap(side.row_groups, s.rows):
-            self.failed[k].add(shape)
-        return None, decided
 
     def run(self, shape: Shape, k: int, pencil: bool) -> tuple[Witness | None, bool, str]:
         """(witness pulled back to m, decided, note) of the pencil or the row
         sweep on side k."""
-        if not pencil:
-            return (*self.sweep(shape, k), "")
         side, on_side, back = self.sides[k]
-        w, note = _pencil_decides(side, on_side(shape))
-        return (None if w is None else back(w)), True, note
+        if pencil:
+            w, note = _pencil_decides(side, on_side(shape))
+            decided = True
+        else:
+            (w, decided), note = _row_subset_sweep(side, on_side(shape)), ""
+        return (None if w is None else back(w)), decided, note
 
 
 def search_destabilizer(
@@ -610,8 +578,8 @@ def search_destabilizer(
 
     Shapes are processed in canonical order; the first verified witness wins.
     CertifiedSemistable requires every destabilizing shape to have been
-    decided exactly by one of its tests (``_tests``): proven absent itself,
-    or through a lower shape proven absent.
+    decided exactly: closed by a lower neighbour proven absent, or by one of
+    its tests (``_tests``), which proves it or a lower shape absent.
     Raises ValueError for a negative budget.
     """
     if budget < 0:
@@ -624,6 +592,10 @@ def search_destabilizer(
     passes = _ExactPasses(m)
     view = passes.view
     for shape in destab:
+        # the lower neighbours come first in the canonical order
+        if any(passes.absent.get(t) for t in _lower_neighbours(shape)):
+            passes.absent[shape] = True
+            continue
         for t, k, pencil in _tests(view, shape):
             # a lower shape is tested once per search; the shape itself always
             if t == shape or t not in passes.absent:

@@ -298,7 +298,7 @@ def test_table_mismatches_are_one_stderr_line(tmp_path, monkeypatch, capsys):
     text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
     spec = "resolution = src=(-3)x1,(-1)x[n] tgt=(0)x[n+1]\n"
     start = text.index("[case M(6,3):h1=1]")
-    text = text[:start] + text[start:].replace(spec, spec.replace("x[n] ", "x[n]0 "), 1)
+    text = text[:start] + text[start:].replace(spec, spec.replace("x[n] ", "x[10*n] "), 1)
     path = tmp_path / "reg.txt"
     path.write_text(text)
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -806,6 +806,30 @@ def test_registry_file_fuzz(tmp_path_factory, drawn, command):
             _run_quietly([command, f"--case={case_id}", f"--n={n}"])
     finally:
         registry.load_registry.cache_clear()
+
+
+@pytest.mark.parametrize("count", ["[n]0", "0[n]"])
+def test_a_placeholder_glued_to_a_digit_is_refused(tmp_path, count, capsys):
+    # substituted as it stands, (-1)x[n]0 would read as (-1)x30 at n = 3
+    import sheafmod.registry as registry
+
+    spec = "resolution = src=(-3)x1,(-1)x[n] tgt=(0)x[n+1]\n"
+    start = _REGISTRY_TEXT.index("[case M(6,3):h1=1]")
+    text = _REGISTRY_TEXT[start:].replace(spec, spec.replace("x[n] ", f"x{count} "), 1)
+    path = tmp_path / "registry.txt"
+    path.write_text(_REGISTRY_TEXT[:start] + text)
+    registry.load_registry.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(registry.REGISTRY_ENV_VAR, str(path))
+            code, out, err = run_cli(["codim", "--case", "M(6,3):h1=1", "--n", "3"], capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: a placeholder touches a digit or a placeholder in "
+        f"'src=(-3)x1,(-1)x{count} tgt=(0)x[n+1]'\n"
+    )
 
 
 @pytest.mark.parametrize(

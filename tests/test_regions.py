@@ -129,6 +129,32 @@ def test_region_spot_checks():
     assert r.affine_dim == 0 and r.vertices == ((F(1, 3),),)
 
 
+def test_every_region_matches_all_of_its_golden_data():
+    # the table compares only vertex sets; this also reads the kind of each
+    # published region and the strictness of each interval endpoint
+    from sheafmod.cli import _endpoint_strict
+    from sheafmod.goldens import expected_region
+
+    dims = {"point": 0, "interval": 1, "segment": 1, "polygon": 2}
+    kinds = []
+    for case in load_registry():
+        for n in case.ns():
+            r, golden = case.region(n), expected_region(case.id, n)
+            kind = golden[0]
+            assert r.affine_dim == dims[kind], (case.id, n)
+            if kind == "point":
+                assert r.vertices == ((golden[1],),), (case.id, n)
+            elif kind == "interval":
+                _, lo, hi, lo_strict, hi_strict = golden
+                assert r.vertices == ((lo,), (hi,)), (case.id, n)
+                assert _endpoint_strict(r, (lo,)) == lo_strict, (case.id, n)
+                assert _endpoint_strict(r, (hi,)) == hi_strict, (case.id, n)
+            else:
+                assert r.vertices == golden[1], (case.id, n)
+            kinds.append(kind)
+    assert len(kinds) == 45 and kinds.count("interval") == 20
+
+
 def test_region_vertices_satisfy_facets():
     for case in load_registry():
         for n in case.ns():

@@ -363,9 +363,9 @@ def test_a_block_over_the_closure_closes_nothing(monkeypatch):
     assert set(v.undecided) == {x for x, d in labels.items() if d}
 
 
-# The failure memo of the search rests on one lemma: the row sweep, when it
-# runs to completion on a lower neighbour T of S (S less one row, or one
-# column, of a single type) and accepts nothing, accepts nothing on S either.
+# The row sweep is monotone in the shape: when it runs to completion on a
+# lower neighbour T of S (S less one row, or one column, of a single type) and
+# accepts nothing, it accepts nothing on S either.
 
 WIDE_TYPE = MorphismType.make([(-2, 2), (-1, 3)], [(-1, 2), (0, 3)])
 
@@ -393,28 +393,11 @@ def test_a_pass_that_fails_below_a_shape_fails_on_it():
     assert failed_below > 3000 and found > 400
 
 
-def test_a_capped_walk_records_no_failure():
-    # C(15, 7) = 6435 row subsets on either side exceed the cap
-    from sheafmod.stability import _ExactPasses
-
-    rnd = random.Random(9191)
-    t = MorphismType.make([(-1, 15)], [(0, 15)])
-    m = PolyMatrix(t, [[random_poly(rnd, 1, -2, 2) for _ in range(15)] for _ in range(15)])
-    passes = _ExactPasses(m)
-    capped = Shape((7,), (7,))
-    for k in (0, 1):
-        assert passes.sweep(capped, k) == (None, False)
-    assert passes.failed == {0: set(), 1: set()}
-    # a walk that runs to completion and accepts nothing is recorded
-    one_row = Shape((1,), (15,))
-    assert passes.sweep(one_row, 0) == (None, False)
-    assert passes.failed[0] == {((1,), (15,))}
-
-
-def test_the_failure_memo_changes_no_verdict(monkeypatch):
-    # witnesses hidden on one side only are found by one sweep and missed by
-    # the other, so a memo that mixed up the passes would change a verdict
-    from sheafmod.stability import _ExactPasses
+def test_the_upward_rule_changes_no_verdict(monkeypatch):
+    # closing a shape above one proven absent runs fewer exact tests and
+    # changes no verdict; witnesses hidden on one side only are found by one
+    # sweep and missed by the other, so the inputs exercise both sides
+    import sheafmod.stability as stability
 
     rnd = random.Random(9292)
     inputs = []
@@ -424,39 +407,37 @@ def test_the_failure_memo_changes_no_verdict(monkeypatch):
             plant = rnd.choice([s for s, d in classify_shapes(t, p).items() if d]) if k % 4 else None
             shears = [(True, True), (True, False), (False, True)][k % 3]
             inputs.append((_matrix(rnd, t, plant, shears), p, k))
-    skips = []
-    fails_below = _ExactPasses._fails_below
+    runs = []
+    run = stability._ExactPasses.run
 
-    def counting(self, key, below, p):
-        skips.append(fails_below(self, key, below, p))
-        return skips[-1]
+    def counting(self, shape, k, pencil):
+        runs.append(shape)
+        return run(self, shape, k, pencil)
 
-    monkeypatch.setattr(_ExactPasses, "_fails_below", counting)
-    with_memo = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
-    monkeypatch.setattr(_ExactPasses, "_fails_below", lambda self, key, below, p: False)
+    monkeypatch.setattr(stability._ExactPasses, "run", counting)
+    with_rule = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
+    runs_with_rule = len(runs)
+    runs.clear()
+    monkeypatch.setattr(stability, "_lower_neighbours", lambda shape: [])
     without = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
-    assert with_memo == without
-    assert sum(skips) > 100 and sum(v.kind is VerdictKind.DESTABILIZED for v in without) > 20
+    assert with_rule == without
+    assert runs_with_rule < len(runs)
+    assert sum(v.kind is VerdictKind.DESTABILIZED for v in without) > 20
 
 
 def test_a_recorded_failure_skips_only_its_own_pass():
-    # rows(1,)xcols(1,) has no literal row with a column kernel (side 0),
-    # but row 0 + row 1 vanishes on columns 0 and 1, which the transposed
-    # sweep (side 1) finds on the shape above it
+    # rows(1,)xcols(2,) has no literal row with a two-dimensional column
+    # kernel (side 0), but row 0 + row 1 vanishes on columns 0 and 1, which
+    # the transposed sweep (side 1) finds
     from sheafmod.polymatrix import parse_matrix_file
-    from sheafmod.stability import _ExactPasses, _lower_neighbours
+    from sheafmod.stability import _ExactPasses
 
     m = parse_matrix_file("type: src=(-1)x3 tgt=(0)x2\nX | Y | Z\n-X | -Y | Z\n")
     passes = _ExactPasses(m)
-    t, s = Shape((1,), (1,)), Shape((1,), (2,))
-    assert _lower_neighbours(t) == [] and _lower_neighbours(s) == [((1,), (1,))]
-    assert passes.sweep(t, 0) == (None, False)
-    assert passes.failed == {0: {((1,), (1,))}, 1: set()}
-    w, _ = passes.sweep(s, 1)
-    assert w is not None and w.shape == s and verify_witness(m, w)
-    # the sweep on side 0 is skipped, and s recorded
-    assert passes.sweep(s, 0) == (None, False)
-    assert passes.failed[0] == {((1,), (1,)), ((1,), (2,))}
+    s = Shape((1,), (2,))
+    w, _, note = passes.run(s, 1, False)
+    assert w is not None and w.shape == s and verify_witness(m, w) and not note
+    assert passes.run(s, 0, False) == (None, False, "")
 
 
 def _types_of(vec, groups) -> list[int]:
