@@ -53,7 +53,7 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--trials", type=nonnegative_int, default=20)
     ap.add_argument("--budget", type=nonnegative_int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=nonnegative_int, default=0)
     args = ap.parse_args()
     try:
         case = case_by_id(args.case)

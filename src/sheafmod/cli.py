@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check a matrix file against a case")
     p.add_argument("--case", required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--budget", type=nonnegative_int, default=1000)
     p.add_argument("--witness-out")
     p.add_argument("matrix")

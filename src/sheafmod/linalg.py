@@ -11,6 +11,12 @@ vectors, as soon as the rank rules that out.  Kernel vectors and inverses
 come from back-substitution to the reduced row echelon form, which is
 unique, so the result does not depend on the order or the scaling of the
 rows.
+
+``rank_exceeds`` is the rank-only early stop of the same elimination: it
+keeps its basis rows in insertion order, which is sound because each basis
+row is zero in the pivot of every row inserted before it, and answers as
+soon as the rank passes a bound, with no Fraction, no pivot map, no
+back-substitution and no normalization of the rows by their content.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-__all__ = ["right_kernel", "rank", "inverse", "complete_basis"]
+__all__ = ["right_kernel", "rank", "rank_exceeds", "inverse", "complete_basis"]
 
 Row = Sequence[int | Fraction]
 
@@ -92,6 +98,25 @@ def rank(rows: Sequence[Row]) -> int:
     """Rank over the rationals of a list of equal-length rows."""
     width = len(rows[0]) if rows else 0
     return len(_echelon(rows, width)[0])
+
+
+def rank_exceeds(rows: Iterable[Sequence[int]], bound: int) -> bool:
+    """Whether integer rows have rank over the rationals above ``bound``; no
+    row is read after the first that takes the rank past it."""
+    if bound < 0:
+        return True
+    basis: list[tuple[int, Sequence[int]]] = []
+    for v in rows:
+        for p, b in basis:
+            if v[p]:
+                v = _eliminate(v, b, p)
+        for lead_col, x in enumerate(v):
+            if x:
+                basis.append((lead_col, v))
+                if len(basis) > bound:
+                    return True
+                break
+    return False
 
 
 def complete_basis(vectors: Sequence[Row], dim: int) -> list[list[Fraction]]:

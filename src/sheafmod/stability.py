@@ -50,10 +50,12 @@ than 4 096 row subsets stay undecided by the sweep.
 A random trial draws, per block row, a combination of one target type's rows
 with weights in [-3, 3] and stacks, per source type the shape needs, the
 coefficients of these virtual rows from a layout the view builds once per
-search.  The trial is refused by an early-stopping exact rank: as soon as
-the rank of a stack leaves fewer kernel vectors than the shape needs, no
-further rows are built.  The weights are drawn from the stream of
-``randint(-3, 3)``, so a seed gives the same trials, refusals and witnesses.
+search.  The trial is refused by rank alone (``linalg.rank_exceeds``): as
+soon as the rank of a stack leaves fewer kernel vectors than the shape needs,
+no further rows are built.  Only a trial that no source type refuses builds
+its stacks again and takes their exact kernels for the witness.  The weights
+are drawn from the stream of ``randint(-3, 3)``, so a seed gives the same
+trials, refusals and witnesses.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .bundles import MorphismType
-from .linalg import complete_basis, rank, right_kernel
+from .linalg import complete_basis, rank, rank_exceeds, right_kernel
 from .polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
@@ -389,8 +391,9 @@ def _random_subspace_witness(
 ) -> Witness | None:
     """One randomized trial: sample constant row combinations per type and
     take exact column kernels against the sampled virtual rows.  A column
-    type is refused as soon as the rank of its virtual rows leaves fewer
-    kernel vectors than the shape needs there."""
+    type is refused, by rank alone, as soon as the rank of its virtual rows
+    leaves fewer kernel vectors than the shape needs there; the kernels are
+    built only for a trial that no type refuses."""
     m = view.m
     samples: list[tuple[int, list[int]]] = []
     for l, b in enumerate(shape.rows):
@@ -400,21 +403,23 @@ def _random_subspace_witness(
             if not any(coeffs):
                 coeffs[rng.randrange(n)] = 1
             samples.append((l, coeffs))
-    combos = []
-    for i, a in enumerate(shape.cols):
-        if a == 0:
-            continue
-        cols = view.col_groups[i]
+
+    def stack(i: int) -> Iterator[list[int]]:
         # per sample and monomial: the virtual row's coefficient per column
-        stack = (
+        return (
             [sum(map(mul, coeffs, col)) for col in mono]
             for l, coeffs in samples
             for mono in view.layout(l, i)
         )
-        kernel = right_kernel(stack, len(cols), need=a)
-        if not kernel:
-            return None
-        combos.extend(_embed(cols, k, m.ncols) for k in kernel[:a])
+
+    needs = [(i, a, view.col_groups[i]) for i, a in enumerate(shape.cols) if a]
+    if any(rank_exceeds(stack(i), len(cols) - a) for i, a, cols in needs):
+        return None
+    combos = [
+        _embed(cols, k, m.ncols)
+        for i, a, cols in needs
+        for k in right_kernel(stack(i), len(cols))[:a]
+    ]
     row_combos = [_embed(view.row_groups[l], coeffs, m.nrows) for l, coeffs in samples]
     return Witness(shape, tuple(row_combos), tuple(combos))
 
@@ -580,10 +585,13 @@ def search_destabilizer(
     CertifiedSemistable requires every destabilizing shape to have been
     decided exactly: closed by a lower neighbour proven absent, or by one of
     its tests (``_tests``), which proves it or a lower shape absent.
-    Raises ValueError for a negative budget.
+    Raises ValueError for a negative budget, and for a negative seed, which
+    ``random.Random`` would take for its absolute value.
     """
     if budget < 0:
         raise ValueError(f"the trial budget must be nonnegative, not {budget}")
+    if seed < 0:
+        raise ValueError(f"the seed must be nonnegative, not {seed}")
     p.validate_for(m.type)
     destab = [s for s, d in classify_shapes(m.type, p).items() if d]
     undecided: list[Shape] = []

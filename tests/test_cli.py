@@ -528,6 +528,18 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     assert proc.stderr.splitlines()[-1].endswith("argument --budget: must be nonnegative, not -1")
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # random.Random(-3) draws what random.Random(3) draws, so a negative seed
+    # would silently repeat another run
+    f = tmp_path / "m.mat"
+    f.write_text("type: src=(-1)x2 tgt=(0)x2\nX | Y\nY | X\n")
+    code, out, err = run_cli(
+        ["check", "--case", "M(4,1):h1=1", "--seed", "-3", str(f)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: sheafmod check: argument --seed: must be nonnegative, not -3\n"
+
+
 @pytest.mark.parametrize(
     "args, needed",
     [
@@ -535,6 +547,7 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
         (["--n", "99"], "case M(n,3):h0m1=1 covers n = 4..7, not n = 99"),
         (["--trials", "-3"], "argument --trials: must be nonnegative, not -3"),
         (["--case", "nope"], "no case 'nope' in the registry"),
+        (["--seed", "-3"], "argument --seed: must be nonnegative, not -3"),
     ],
 )
 def test_random_verdicts_refuses_bad_input(args, needed):

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafmod.linalg import inverse, rank, right_kernel
+from sheafmod.linalg import inverse, rank, rank_exceeds, right_kernel
 
 
 def reference_rref(rows, width):
@@ -249,3 +250,55 @@ def test_kernel_with_need_reads_no_row_past_the_stop():
     # more vectors than the width allows is always refused
     assert right_kernel([], 2, need=3) == []
     assert right_kernel([], 2, need=2) == [[1, 0], [0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# rank-only early stop
+
+
+def _seeded_integer_rows(rnd, width):
+    """Combinations of a random number of random integer rows, so every rank
+    up to the width occurs, with zero rows and repeated rows mixed in."""
+    base = [[rnd.randint(-3, 3) for _ in range(width)] for _ in range(rnd.randint(0, width))]
+    rows = [
+        [sum(rnd.randint(-2, 2) * b[c] for b in base) for c in range(width)]
+        for _ in range(rnd.randint(0, width + 3))
+    ]
+    for _ in range(rnd.randint(0, 2)):
+        extra = [0] * width if rnd.random() < 0.5 or not rows else list(rnd.choice(rows))
+        rows.insert(rnd.randint(0, len(rows)), extra)
+    return rows
+
+
+def test_rank_exceeds_is_rank_above_the_bound():
+    rnd = random.Random(4141)
+    for width in range(1, 9):
+        for _ in range(40):
+            rows = _seeded_integer_rows(rnd, width)
+            r = len(reference_rref(rows, width)[1])
+            assert rank(rows) == r
+            for b in range(width + 1):
+                assert rank_exceeds(rows, b) == (r > b), (rows, b)
+                assert rank_exceeds(iter(rows), b) == (r > b)
+    # every rank, the empty one included, exceeds a negative bound
+    assert rank_exceeds([], -1) and rank_exceeds([[0, 0]], -1)
+
+
+def test_rank_exceeds_stops_at_the_first_row_past_the_bound():
+    rnd = random.Random(4242)
+    for width in range(1, 9):
+        for _ in range(20):
+            rows = _seeded_integer_rows(rnd, width)
+            prefix_ranks = [rank(rows[: k + 1]) for k in range(len(rows))]
+            for b in range(width + 1):
+                reads = []
+
+                def counted():
+                    for row in rows:
+                        reads.append(row)
+                        yield row
+
+                passed = rank_exceeds(counted(), b)
+                first = next((k + 1 for k, r in enumerate(prefix_ranks) if r > b), None)
+                assert passed == (first is not None)
+                assert len(reads) == (len(rows) if first is None else first)

@@ -337,6 +337,48 @@ def test_registry_verdicts_keep_their_decisions():
     assert seen == set(DECIDED_REGISTRY_VERDICTS)
 
 
+def _within_type_invertible(rnd: random.Random, groups, size: int) -> list[list[F]]:
+    """A block-diagonal constant transform, one random invertible block with
+    entries in [-2, 2] per type."""
+    from sheafmod.linalg import rank
+
+    out = [[F(0)] * size for _ in range(size)]
+    for g in groups:
+        while True:
+            block = [[rnd.randint(-2, 2) for _ in g] for _ in g]
+            if rank(block) == len(g):
+                break
+        for bi, r in enumerate(g):
+            for bj, c in enumerate(g):
+                out[r][c] = F(block[bi][bj])
+    return out
+
+
+def test_decided_verdicts_agree_under_constant_within_type_transforms():
+    # semistability is a property of the orbit under constant within-type
+    # changes of basis, so phi and g.phi must never get opposite decisions
+    from sheafmod.stability import apply_transforms
+
+    rnd = random.Random(4)
+    compared = decided = 0
+    for case in load_registry():
+        for n in case.ns()[:2]:
+            t = case.resolution(n)
+            p = case.sample_polarization(n)
+            for k in range(3):
+                m = _random_verdicts_matrix(rnd, t)
+                G = _within_type_invertible(rnd, _positions(t.target), m.nrows)
+                H = _within_type_invertible(rnd, _positions(t.source), m.ncols)
+                gm = apply_transforms(m, G, H)
+                for budget in (0, 20):
+                    v, gv = (search_destabilizer(x, p, budget, seed=k) for x in (m, gm))
+                    compared += 1
+                    if VerdictKind.UNDETERMINED not in (v.kind, gv.kind):
+                        assert v.kind is gv.kind, (case.id, n, m.entries, G, H, budget)
+                        decided += 1
+    assert compared == 144 and decided > 60, (compared, decided)
+
+
 def test_a_block_over_the_closure_closes_nothing(monkeypatch):
     # rows(1,)xcols(0,2) has a block only over the closure: the transposed
     # pencil finds the gcd X^2 + Y^2, which has no rational root.  It is not

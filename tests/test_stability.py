@@ -671,6 +671,13 @@ def test_negative_budget_is_refused():
         search_destabilizer(_five_by_five(), p, -1)
 
 
+def test_negative_seed_is_refused():
+    # random.Random(-3) draws what random.Random(3) draws
+    p = Polarization([F(1, 10), F(9, 40)], [F(1, 5)])
+    with pytest.raises(ValueError, match="seed must be nonnegative, not -3"):
+        search_destabilizer(_five_by_five(), p, 10, seed=-3)
+
+
 def test_random_pass_on_the_five_by_five_is_pinned():
     # two source types; every trial is refused, so all 12 open shapes keep
     # their 833 trials each
@@ -682,6 +689,88 @@ def test_random_pass_on_the_five_by_five_is_pinned():
         ((4,), (0, 3)), ((4,), (1, 1)), ((4,), (1, 2)), ((4,), (1, 3)),
     ]
     assert v == _pinned(VerdictKind.UNDETERMINED, 9996, open_shapes)
+
+
+def _kernel_only_trial(view, shape, rng):
+    """One random trial refused by ``right_kernel`` alone, as the pass ran
+    before its rank-only refusal: the same draws (``randint(-3, 3)`` per row
+    of the type, and ``randrange`` for a draw of all zeros), the virtual rows
+    read from the coefficient slices, and a type refused when its kernel has
+    fewer vectors than the shape needs."""
+    from sheafmod.linalg import right_kernel
+
+    def embed(positions, values, width):
+        vec = [F(0)] * width
+        for p, v in zip(positions, values):
+            vec[p] = F(v)
+        return tuple(vec)
+
+    m = view.m
+    samples = []
+    for l, b in enumerate(shape.rows):
+        g = view.row_groups[l]
+        for _ in range(b):
+            coeffs = [rng.randint(-3, 3) for _ in g]
+            if not any(coeffs):
+                coeffs[rng.randrange(len(g))] = 1
+            samples.append((g, coeffs))
+    col_combos = []
+    for i, a in enumerate(shape.cols):
+        if a == 0:
+            continue
+        cols = view.col_groups[i]
+        stack = [
+            [sum(w * view.slices[r][i][t][c] for w, r in zip(coeffs, g)) for c in range(len(cols))]
+            for g, coeffs in samples
+            for t in range(len(view.slices[g[0]][i]))
+        ]
+        kernel = right_kernel(stack, len(cols), need=a)
+        if not kernel:
+            return None
+        col_combos += [embed(cols, k, m.ncols) for k in kernel[:a]]
+    row_combos = tuple(embed(g, coeffs, m.nrows) for g, coeffs in samples)
+    return Witness(shape, row_combos, tuple(col_combos))
+
+
+def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
+    # trial for trial on the same seeded stream: the same witness or refusal,
+    # and the same generator state after it, on every destabilizing shape of
+    # tiny and wide types (some with a planted block) and of registry types
+    from sheafmod.registry import load_registry
+    from sheafmod.stability import _random_subspace_witness
+    from test_shape_lattice import (
+        TINY_TYPES,
+        WIDE_TYPE,
+        _matrix,
+        _random_polarization,
+        _random_verdicts_matrix,
+    )
+
+    rnd = random.Random(5151)
+    inputs = []
+    for t in [*TINY_TYPES, WIDE_TYPE]:
+        for k in range(4):
+            p = _random_polarization(rnd, t)
+            destab = [s for s, d in classify_shapes(t, p).items() if d]
+            plant = rnd.choice(destab) if k % 2 else None
+            inputs.append((_matrix(rnd, t, plant), destab))
+    for case in load_registry():
+        n = case.ns()[0]
+        t = case.resolution(n)
+        labels = classify_shapes(t, case.sample_polarization(n))
+        inputs.append((_random_verdicts_matrix(rnd, t), [s for s, d in labels.items() if d]))
+    refused = accepted = 0
+    for k, (m, destab) in enumerate(inputs):
+        view = _CoefficientView(m)
+        for shape in destab:
+            fast, slow = random.Random(k), random.Random(k)
+            for _ in range(4):
+                w = _random_subspace_witness(view, shape, fast)
+                assert w == _kernel_only_trial(view, shape, slow), (m.entries, shape)
+                assert fast.getstate() == slow.getstate()
+                refused += w is None
+                accepted += w is not None
+    assert refused > 4000 and accepted > 150, (refused, accepted)
 
 
 @pytest.mark.parametrize(
