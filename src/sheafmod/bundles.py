@@ -2,27 +2,23 @@
 
 A morphism type is the ambient space of matrices between two decomposable
 bundles, together with the blocks that are forced to vanish identically.
-The dimension formulas here (Hom spaces, automorphism groups, stabilizers)
-feed the stratum-codimension calculus over the case registry.
+The dimension formulas here (Hom spaces, automorphism groups) feed the
+stratum-codimension calculus over the case registry.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
 
 __all__ = [
     "BundleSum",
     "MorphismType",
-    "StabilizerRule",
     "hom_dim",
     "hom_space_dim",
     "aut_group_dim",
-    "stabilizer_dim",
-    "quotient_dim_crosscheck",
     "parse_resolution_spec",
     "format_resolution_spec",
 ]
@@ -122,16 +118,6 @@ class MorphismType:
         return s
 
 
-class StabilizerRule(Enum):
-    """Dimension of the isotropy group of a generic point, as a rule in n."""
-
-    TRIVIAL = "trivial"
-    N_MINUS_1 = "n-1"
-    N_MINUS_2 = "n-2"
-    TWO_N_MINUS_2 = "2n-2"
-    FOUR_N_MINUS_11 = "4n-11"
-
-
 def hom_dim(a: int, b: int) -> int:
     """Dimension (b-a+1)(b-a+2)/2 of Hom(O(a), O(b)) on the plane; 0 if b < a."""
     if b < a:
@@ -164,43 +150,6 @@ def _aut_dim(b: BundleSum) -> int:
 def aut_group_dim(t: MorphismType) -> int:
     """dim Aut(source) + dim Aut(target) - 1 (homotheties act trivially)."""
     return _aut_dim(t.source) + _aut_dim(t.target) - 1
-
-
-def stabilizer_dim(rule: StabilizerRule, n: int) -> int:
-    values = {
-        StabilizerRule.TRIVIAL: 0,
-        StabilizerRule.N_MINUS_1: n - 1,
-        StabilizerRule.N_MINUS_2: n - 2,
-        StabilizerRule.TWO_N_MINUS_2: 2 * n - 2,
-        StabilizerRule.FOUR_N_MINUS_11: 4 * n - 11,
-    }
-    v = values[rule]
-    if v < 0:
-        raise ValueError(f"stabilizer rule {rule.value} is negative at n={n}")
-    return v
-
-
-def quotient_dim_crosscheck(family: str, n: int) -> bool:
-    """Fiber-bundle dimension identity for the two quotient constructions.
-
-    ``family`` is "linear" (source O(-2)+(n-1)O(-1) -> nO, fiber P^(3n+2),
-    base of dimension n^2-n) or "cubic" (source O(-3)+nO(-1) -> (n+1)O,
-    fiber P^(4n+9), base of dimension n^2+n).
-    """
-    if family == "linear":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        src = [(-2, 1)] + ([(-1, n - 1)] if n > 1 else [])
-        t = MorphismType.make(src, [(0, n)])
-        fiber, base = 3 * n + 2, n * n - n
-    elif family == "cubic":
-        if not 1 <= n <= 3:
-            raise ValueError("n must be in 1..3")
-        t = MorphismType.make([(-3, 1), (-1, n)], [(0, n + 1)])
-        fiber, base = 4 * n + 9, n * n + n
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return fiber + base == hom_space_dim(t) - aut_group_dim(t)
 
 
 _SUMMAND_RE = re.compile(r"\((-?\d+)\)x(\d+)")

@@ -1,4 +1,4 @@
-"""Cohomology-table bookkeeping, four-term complex synthesis, and duality.
+"""Cohomology-table bookkeeping, the Beilinson monad, and duality.
 
 A cohomology table holds the six numbers h^0/h^1 of F(-1), F and
 F (x) Omega^1(1) for a sheaf class (r, chi).  The three Euler differences
@@ -10,6 +10,10 @@ F (x) Omega^1(1) for a sheaf class (r, chi).  The three Euler differences
 pin each pair once one member is known; the third difference follows from
 the restricted Euler sequence 0 -> Omega^1(1) -> 3O -> O(1) -> 0, which gives
 chi(F (x) Omega^1(1)) = 3*chi(F) - chi(F(1)) = 2*chi - r.
+
+Beilinson's theorem turns a table into the monad whose cohomology is F;
+``beilinson_terms`` gives its terms, and the registry reads each case's
+resolution C^-1 -> C^0 from them.
 """
 
 from __future__ import annotations
@@ -18,13 +22,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .bundles import BundleSum
-from .hilbert import HilbertPolynomial, LinearClass, hilbert_of_twist
+from .hilbert import LinearClass
 
 __all__ = [
     "CohomologyTable",
     "complete_table",
     "beilinson_terms",
-    "euler_consistency",
     "serre_dual_table",
 ]
 
@@ -115,23 +118,6 @@ def beilinson_terms(
     c_0 = build([(0, t.h0), (-1, t.h1om)])
     c_1 = build([(0, t.h1)])
     return (c_m2, c_m1, c_0, c_1)
-
-
-def euler_consistency(
-    terms: tuple[BundleSum | None, ...], klass: LinearClass
-) -> bool:
-    """P(C^0) - P(C^-1) + P(C^-2) - P(C^1) = r*t + chi, exactly."""
-
-    def poly(b: BundleSum | None) -> HilbertPolynomial:
-        acc = HilbertPolynomial.zero()
-        if b is not None:
-            for d, m in b.summands:
-                acc = acc + hilbert_of_twist(d).scale(m)
-        return acc
-
-    c_m2, c_m1, c_0, c_1 = terms
-    total = poly(c_0) - poly(c_m1) + poly(c_m2) - poly(c_1)
-    return total == klass.polynomial()
 
 
 def serre_dual_table(t: CohomologyTable) -> CohomologyTable:

@@ -2,9 +2,12 @@
 
 Each case binds a moduli class (r, chi as functions of n), the cohomology
 conditions cutting out the stratum, a resolution type, a shape catalog for
-the polarization-region solver, a stabilizer rule and constraint count for
-the codimension formula, and presentation metadata.  The block records live
-in ``data/registry.txt``; the shape catalogs are registered here by name.
+the polarization-region solver, a stabilizer dimension and constraint count
+for the codimension formula, and presentation metadata.  The block records
+live in ``data/registry.txt``; the shape catalogs are registered here by name.
+The resolution is derived at load from the cohomology tables (the Beilinson
+monad C^-1 -> C^0) unless the record gives one, whose Hilbert polynomial must
+then be r*t + chi at every n.
 """
 
 from __future__ import annotations
@@ -12,22 +15,15 @@ from __future__ import annotations
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Mapping
 
-from .bundles import (
-    MorphismType,
-    StabilizerRule,
-    aut_group_dim,
-    hom_space_dim,
-    parse_resolution_spec,
-    stabilizer_dim,
-)
-from .cohomology import CohomologyTable, complete_table
-from .hilbert import LinearClass
+from .bundles import MorphismType, aut_group_dim, hom_space_dim, parse_resolution_spec
+from .cohomology import CohomologyTable, beilinson_terms, complete_table
+from .hilbert import LinearClass, hilbert_of_resolution
 from .regions import Polarization, Region, Shape, admissible_region, _AffineSpace
 
 __all__ = [
@@ -120,8 +116,7 @@ class CaseSpec:
     conditions: str
     table_known: Mapping[str, str]
     resolution_spec: str
-    kernel_twist: int | None
-    stabilizer: StabilizerRule
+    stabilizer: str
     extra_constraints: int
     region_ref: str
     quotient: tuple[tuple[str, str], ...]
@@ -208,7 +203,10 @@ def stratum_codim(case: CaseSpec, n: int) -> int:
         raise ValueError(f"case {case.id} does not admit n={n}")
     t = case.resolution(n)
     dim_w = hom_space_dim(t) - case.extra_constraints
-    dim_x = dim_w - aut_group_dim(t) + stabilizer_dim(case.stabilizer, n)
+    stab = _ev(case.stabilizer, n)
+    if stab < 0:
+        raise ValueError(f"stabilizer {case.stabilizer} of case {case.id} is negative at n={n}")
+    dim_x = dim_w - aut_group_dim(t) + stab
     codim = case.moduli(n).moduli_dim() - dim_x
     if codim < 0:
         raise ValueError(f"negative codimension for {case.id} at n={n}")
@@ -374,16 +372,64 @@ REGION_SYSTEMS: dict[str, Callable[[int], RegionSystem]] = {
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, hi = text.split("..")
-    return int(lo), int(hi)
+def _parse_range(case_id: str, key: str, text: str) -> tuple[int, int]:
+    lo, hi = (int(part) for part in text.split(".."))
+    if lo > hi:
+        raise ValueError(f"registry case {case_id!r} has an empty {key!r} range {lo}..{hi}")
+    return lo, hi
+
+
+def _multiplicity(case_id: str, d: int, ns: list[int], values: list[int]) -> str:
+    """The multiplicities of O(d) over ns, written as a constant, [n] or [n+c]."""
+    shift = values[0] - ns[0]
+    if len(set(values)) == 1:
+        return str(values[0])
+    if {v - n for n, v in zip(ns, values)} == {shift}:
+        return f"[n{shift:+d}]" if shift else "[n]"
+    raise ValueError(
+        f"registry case {case_id!r} has a multiplicity of O({d}) in its "
+        f"Beilinson monad that is not a constant, [n] or [n+c]: {values}"
+    )
+
+
+def _resolution_spec(case: CaseSpec) -> str:
+    """The case's resolution line, checked against r*t + chi at every n that
+    reads it; without one, the spec of the Beilinson monad C^-1 -> C^0 of the
+    case's tables, with its equal-twist block zero."""
+    ns = sorted({*case.ns(), *range(case.n_codim_range[0], case.n_codim_range[1] + 1)})
+    if case.resolution_spec:
+        for n in ns:
+            t, kernel = parse_resolution_spec(_instantiate(case.resolution_spec, n))
+            p, want = hilbert_of_resolution(t, kernel), case.moduli(n).polynomial()
+            if p != want:
+                raise ValueError(
+                    f"registry case {case.id!r} has a resolution with Hilbert "
+                    f"polynomial {p} at n={n}, not {want}"
+                )
+        return case.resolution_spec
+    sides: tuple[dict, dict] = ({}, {})  # twist -> multiplicity at each n, in C^-1 and C^0
+    for j, n in enumerate(ns):
+        _, c_m1, c_0, c_1 = beilinson_terms(case.cohomology_table(n))
+        if c_1 is not None:
+            raise ValueError(
+                f"registry case {case.id!r} needs a 'resolution' line: h1(F) = "
+                f"{c_1.rank} at n={n} gives its Beilinson monad a term C^1"
+            )
+        for side, term in zip(sides, (c_m1, c_0)):
+            for d, m in term.summands if term else ():
+                side.setdefault(d, [0] * len(ns))[j] = m
+    src, tgt = ([(d, _multiplicity(case.id, d, ns, s[d])) for d in sorted(s)] for s in sides)
+    spec = "src={} tgt={}".format(*(",".join(f"({d})x{m}" for d, m in s) for s in (src, tgt)))
+    zero = [f"({i},{l})" for i, (d, _) in enumerate(src, 1) for l, (e, _) in enumerate(tgt, 1)
+            if d == e]
+    return spec + (" zero=" + ",".join(zero) if zero else "")
 
 
 _REQUIRED_KEYS = (
-    "r", "chi", "n", "conditions", "table", "resolution", "stabilizer",
+    "r", "chi", "n", "conditions", "table", "stabilizer",
     "extra_constraints", "region", "quotient",
 )
-_KNOWN_KEYS = (*_REQUIRED_KEYS, "n_codim", "kernel", "checks")
+_KNOWN_KEYS = (*_REQUIRED_KEYS, "n_codim", "resolution", "checks")
 
 
 def _parse_case(block: list[str]) -> CaseSpec:
@@ -401,8 +447,8 @@ def _parse_case(block: list[str]) -> CaseSpec:
     for key in _REQUIRED_KEYS:
         if key not in fields:
             raise ValueError(f"registry case {case_id!r} has no {key!r} line")
-    n_range = _parse_range(fields["n"])
-    n_codim = _parse_range(fields.get("n_codim", fields["n"]))
+    n_range = _parse_range(case_id, "n", fields["n"])
+    n_codim = _parse_range(case_id, "n_codim", fields.get("n_codim", fields["n"]))
     table_known = {}
     for part in fields["table"].split(","):
         k, _, v = part.partition("=")
@@ -415,8 +461,7 @@ def _parse_case(block: list[str]) -> CaseSpec:
             quotient.append((kind.strip(), cond.strip()))
         else:
             quotient.append((part, ""))
-    kernel = fields.get("kernel", "").strip()
-    return CaseSpec(
+    case = CaseSpec(
         id=case_id,
         r_expr=fields["r"],
         chi_expr=fields["chi"],
@@ -424,9 +469,8 @@ def _parse_case(block: list[str]) -> CaseSpec:
         n_codim_range=n_codim,
         conditions=fields["conditions"],
         table_known=table_known,
-        resolution_spec=fields["resolution"],
-        kernel_twist=int(kernel) if kernel else None,
-        stabilizer=StabilizerRule(fields["stabilizer"]),
+        resolution_spec=fields.get("resolution", ""),
+        stabilizer=fields["stabilizer"],
         extra_constraints=int(fields["extra_constraints"]),
         region_ref=fields["region"],
         quotient=tuple(quotient),
@@ -434,6 +478,7 @@ def _parse_case(block: list[str]) -> CaseSpec:
             c.strip() for c in fields.get("checks", "").split(",") if c.strip()
         ),
     )
+    return replace(case, resolution_spec=_resolution_spec(case))
 
 
 @lru_cache(maxsize=None)

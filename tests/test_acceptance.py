@@ -5,10 +5,10 @@ import random
 import time
 from fractions import Fraction as F
 
-from sheafmod.bundles import MorphismType, aut_group_dim, hom_space_dim, quotient_dim_crosscheck
-from sheafmod.cohomology import beilinson_terms, complete_table, euler_consistency, serre_dual_table
+from sheafmod.bundles import BundleSum, MorphismType, aut_group_dim, hom_space_dim
+from sheafmod.cohomology import beilinson_terms, complete_table, serre_dual_table
 from sheafmod.goldens import expected_codim, expected_region_vertices
-from sheafmod.hilbert import LinearClass
+from sheafmod.hilbert import LinearClass, hilbert_of_resolution
 from sheafmod.polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
@@ -30,6 +30,7 @@ from sheafmod.registry import case_by_id, load_registry
 from sheafmod.stability import VerdictKind, search_destabilizer
 
 from conftest import random_poly, random_nonzero_poly, uniform_matrix
+from test_bundles import quotient_dim_crosscheck
 from test_cohomology import random_table, random_type
 from test_polymatrix import kernel_oracle, proportional
 
@@ -285,31 +286,22 @@ def test_criterion_7_dimension_crosschecks():
 
 def test_criterion_8_euler_beilinson():
     ok = True
+    explicit = ("M(6,3):h1=1", "M(4,1):h1=1", "M(5,2):h1=1", "M(6,3):h0m1=1")
     for case in load_registry():
         for n in case.ns():
-            table = case.cohomology_table(n)
-            terms = beilinson_terms(table)
-            if not euler_consistency(terms, case.moduli(n)):
-                ok = False
             res = case.resolution(n)
-            c_m2, c_m1, c_0, c_1 = terms
-            if case.kernel_twist is not None:
-                # three-term complex: kernel, source, target
-                if c_1 is not None or c_m2 is None:
+            kernel_twist = None
+            if case.id not in explicit:
+                # the derived resolution is the Beilinson monad C^-1 -> C^0;
+                # the two M(n,3) cases keep C^-2 = O(-2) as its kernel
+                c_m2, c_m1, c_0, c_1 = beilinson_terms(case.cohomology_table(n))
+                if c_1 is not None or (c_m1, c_0) != (res.source, res.target):
                     ok = False
-                elif c_m2.summands != ((case.kernel_twist, 1),):
+                if c_m2 != (BundleSum([(-2, 1)]) if case.id.startswith("M(n,3)") else None):
                     ok = False
-                elif c_m1 != res.source or c_0 != res.target:
-                    ok = False
-            elif case.id in ("M(6,3):h1=1", "M(4,1):h1=1", "M(5,2):h1=1", "M(6,3):h0m1=1"):
-                # blocks whose displayed presentation is not the four-term
-                # complex; the complex itself must still compute r*t + chi
-                pass
-            else:
-                if c_m2 is not None or c_1 is not None:
-                    ok = False
-                elif c_m1 != res.source or c_0 != res.target:
-                    ok = False
+                kernel_twist = c_m2.summands[0][0] if c_m2 else None
+            if hilbert_of_resolution(res, kernel_twist) != case.moduli(n).polynomial():
+                ok = False
     # proof values for the first family at n = 2..8
     for n in range(2, 9):
         table = complete_table(

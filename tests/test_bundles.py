@@ -4,14 +4,11 @@ from hypothesis import given, strategies as st
 from sheafmod.bundles import (
     BundleSum,
     MorphismType,
-    StabilizerRule,
     aut_group_dim,
     format_resolution_spec,
     hom_dim,
     hom_space_dim,
     parse_resolution_spec,
-    quotient_dim_crosscheck,
-    stabilizer_dim,
 )
 from sheafmod.registry import case_by_id, load_registry, stratum_codim
 
@@ -54,14 +51,6 @@ def test_aut_single_types(k, m, d, gap):
     assert aut_group_dim(t) == k * k + m * m - 1
 
 
-def test_stabilizer_rules():
-    assert stabilizer_dim(StabilizerRule.N_MINUS_1, 5) == 4
-    assert stabilizer_dim(StabilizerRule.TRIVIAL, 99) == 0
-    assert stabilizer_dim(StabilizerRule.FOUR_N_MINUS_11, 10) == 29
-    with pytest.raises(ValueError):
-        stabilizer_dim(StabilizerRule.FOUR_N_MINUS_11, 2)
-
-
 def test_stratum_codim_examples():
     assert stratum_codim(case_by_id("M(n+2,n):omega1"), 3) == 2
     assert stratum_codim(case_by_id("M(7,4):omega2"), 4) == 6
@@ -74,6 +63,29 @@ def test_codim_zero_family():
         assert stratum_codim(case, n) == 0
         t = case.resolution(n)
         assert hom_space_dim(t) - aut_group_dim(t) == (n + 1) ** 2 + 1
+
+
+def quotient_dim_crosscheck(family: str, n: int) -> bool:
+    """Fiber-bundle dimension identity for the two quotient constructions.
+
+    ``family`` is "linear" (source O(-2)+(n-1)O(-1) -> nO, fiber P^(3n+2),
+    base of dimension n^2-n) or "cubic" (source O(-3)+nO(-1) -> (n+1)O,
+    fiber P^(4n+9), base of dimension n^2+n).
+    """
+    if family == "linear":
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        src = [(-2, 1)] + ([(-1, n - 1)] if n > 1 else [])
+        t = MorphismType.make(src, [(0, n)])
+        fiber, base = 3 * n + 2, n * n - n
+    elif family == "cubic":
+        if not 1 <= n <= 3:
+            raise ValueError("n must be in 1..3")
+        t = MorphismType.make([(-3, 1), (-1, n)], [(0, n + 1)])
+        fiber, base = 4 * n + 9, n * n + n
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return fiber + base == hom_space_dim(t) - aut_group_dim(t)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

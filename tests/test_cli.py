@@ -185,7 +185,7 @@ def test_registry_env_override(tmp_path, monkeypatch):
         "r = 2\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = trivial\nextra_constraints = 0\nregion = pt_half\n"
+        "stabilizer = 0\nextra_constraints = 0\nregion = pt_half\n"
         "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -218,7 +218,7 @@ def test_registry_rejects_expressions_outside_the_grammar(
         f"r = {expr}\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = trivial\nextra_constraints = 0\nregion = pt_half\n"
+        "stabilizer = 0\nextra_constraints = 0\nregion = pt_half\n"
         "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -234,7 +234,7 @@ def test_registry_rejects_expressions_outside_the_grammar(
 
 @pytest.mark.parametrize(
     "key",
-    ["r", "chi", "n", "conditions", "table", "resolution", "stabilizer",
+    ["r", "chi", "n", "conditions", "table", "stabilizer",
      "extra_constraints", "region", "quotient"],
 )
 @pytest.mark.parametrize(
@@ -291,14 +291,14 @@ def test_registry_with_a_malformed_line_is_one_error_line(
 
 
 def test_table_mismatches_are_one_stderr_line(tmp_path, monkeypatch, capsys):
-    # a resolution that loads but disagrees with the published codimension
-    # and region, once reported on two stderr lines
+    # a block that loads but disagrees with the published codimension and
+    # region, once reported on two stderr lines
     import sheafmod.registry as registry
 
     text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
-    spec = "resolution = src=(-3)x1,(-1)x[n] tgt=(0)x[n+1]\n"
     start = text.index("[case M(6,3):h1=1]")
-    text = text[:start] + text[start:].replace(spec, spec.replace("x[n] ", "x[10*n] "), 1)
+    block = text[start:].replace("extra_constraints = 0", "extra_constraints = 1", 1)
+    text = text[:start] + block.replace("region = iv_cubic", "region = iv_linear", 1)
     path = tmp_path / "reg.txt"
     path.write_text(text)
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -309,9 +309,70 @@ def test_table_mismatches_are_one_stderr_line(tmp_path, monkeypatch, capsys):
         registry.load_registry.cache_clear()
     assert code == 1 and "1 blocks rendered." in out
     assert err == (
-        "MISMATCH: M(6,3):h1=1 n=3: codim 733 != published; "
+        "MISMATCH: M(6,3):h1=1 n=3: codim 5 != published; "
         "M(6,3):h1=1 n=3: region != published\n"
     )
+
+
+_CODIM_63 = ["codim", "--case", "M(6,3):h1=1", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "case_id, old, new, argv, message",
+    [
+        (
+            "M(6,3):h1=1", "resolution = src=(-3)x1,(-1)x[n] tgt=(0)x[n+1]\n", "", _CODIM_63,
+            "registry case 'M(6,3):h1=1' needs a 'resolution' line: h1(F) = 1 at n=3 "
+            "gives its Beilinson monad a term C^1",
+        ),
+        (
+            "M(6,3):h1=1", "(-1)x[n] ", "(-1)x[10*n] ", _CODIM_63,
+            "registry case 'M(6,3):h1=1' has a resolution with Hilbert polynomial "
+            "-27/2*t^2 - 15/2*t + 3 at n=3, not 6*t + 3",
+        ),
+        (
+            "M(n,3):h0m1=1", "h1om=n-3", "h1om=(n-3)*(n-3)",
+            ["codim", "--case", "M(n,3):h0m1=1", "--n", "4"],
+            "registry case 'M(n,3):h0m1=1' has a multiplicity of O(-1) in its "
+            "Beilinson monad that is not a constant, [n] or [n+c]: [3, 5, 9, 15]",
+        ),
+        (
+            "M(n+2,n):omega1", "stabilizer = n-1", "stabilizer = n-5",
+            ["codim", "--case", "M(n+2,n):omega1", "--n", "3"],
+            "stabilizer n-5 of case M(n+2,n):omega1 is negative at n=3",
+        ),
+        # an empty range once rendered a block with no rows, or refused n
+        # as outside it
+        (
+            "M(n+1,n):h0m1=0", "n = 2..10", "n = 3..2", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an empty 'n' range 3..2",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "n_codim = 1..10", "n_codim = 3..2",
+            ["codim", "--case", "M(n+1,n):h0m1=0", "--n", "3"],
+            "registry case 'M(n+1,n):h0m1=0' has an empty 'n_codim' range 3..2",
+        ),
+    ],
+    ids=["no-resolution", "resolution-off-euler", "quadratic-h1om", "negative-stabilizer",
+         "empty-n", "empty-n_codim"],
+)
+def test_registry_block_refused_at_load_is_one_error_line(
+    case_id, old, new, argv, message, tmp_path, monkeypatch, capsys
+):
+    import sheafmod.registry as registry
+
+    text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
+    start = text.index(f"[case {case_id}]")
+    assert old in text[start:].split("\n\n")[0]
+    path = tmp_path / "reg.txt"
+    path.write_text(text[:start] + text[start:].replace(old, new, 1))
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(argv, capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 from hypothesis import given, settings, strategies as st

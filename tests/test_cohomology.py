@@ -7,11 +7,9 @@ from sheafmod.cohomology import (
     CohomologyTable,
     beilinson_terms,
     complete_table,
-    euler_consistency,
     serre_dual_table,
 )
 from sheafmod.hilbert import LinearClass
-from sheafmod.registry import load_registry
 
 
 def test_complete_table_examples():
@@ -43,21 +41,6 @@ def test_beilinson_terms_examples():
     t = complete_table(LinearClass(6, 3), {"h0m1": 0, "h1": 1, "h0om": 3})
     terms = beilinson_terms(t)
     assert terms[3] == BundleSum([(0, 1)])
-
-
-def test_euler_consistency_detects_perturbation():
-    t = CohomologyTable(LinearClass(4, 3), 0, 1, 3, 0, 2, 0)
-    terms = beilinson_terms(t)
-    assert euler_consistency(terms, t.klass)
-    broken = (terms[0], BundleSum([(-2, 2), (-1, 2)]), terms[2], terms[3])
-    assert not euler_consistency(broken, t.klass)
-
-
-def test_euler_consistency_all_registry_cases():
-    for case in load_registry():
-        for n in case.ns():
-            table = case.cohomology_table(n)
-            assert euler_consistency(beilinson_terms(table), case.moduli(n))
 
 
 def test_serre_dual_examples():
