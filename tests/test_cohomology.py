@@ -9,7 +9,8 @@ from sheafmod.cohomology import (
     complete_table,
     serre_dual_table,
 )
-from sheafmod.hilbert import LinearClass
+from sheafmod.hilbert import HilbertPolynomial, LinearClass, hilbert_of_twist
+from sheafmod.registry import load_registry
 
 
 def test_complete_table_examples():
@@ -41,6 +42,23 @@ def test_beilinson_terms_examples():
     t = complete_table(LinearClass(6, 3), {"h0m1": 0, "h1": 1, "h0om": 3})
     terms = beilinson_terms(t)
     assert terms[3] == BundleSum([(0, 1)])
+
+
+def _poly(b):
+    acc = HilbertPolynomial.zero()
+    if b is not None:
+        for d, m in b.summands:
+            acc = acc + hilbert_of_twist(d).scale(m)
+    return acc
+
+
+def test_euler_consistency_all_registry_cases():
+    # P(C^0) - P(C^-1) + P(C^-2) - P(C^1) = r*t + chi for every registry row
+    for case in load_registry():
+        for n in case.ns():
+            c_m2, c_m1, c_0, c_1 = beilinson_terms(case.cohomology_table(n))
+            total = _poly(c_0) - _poly(c_m1) + _poly(c_m2) - _poly(c_1)
+            assert total == case.moduli(n).polynomial()
 
 
 def test_serre_dual_examples():
