@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 REGISTRY_ENV_VAR = "SHEAFMOD_REGISTRY"
+# the most values an ``n`` or ``n_codim`` range may hold: the load checks, or
+# derives, a record's resolution at every n of both (the shipped ranges span
+# n = 1..15)
+_MAX_RANGE = 1000
 
 
 @dataclass(frozen=True)
@@ -376,6 +380,11 @@ def _parse_range(case_id: str, key: str, text: str) -> tuple[int, int]:
     lo, hi = (int(part) for part in text.split(".."))
     if lo > hi:
         raise ValueError(f"registry case {case_id!r} has an empty {key!r} range {lo}..{hi}")
+    if hi - lo >= _MAX_RANGE:
+        raise ValueError(
+            f"registry case {case_id!r} has an {key!r} range {lo}..{hi} of "
+            f"{hi - lo + 1} values; at most {_MAX_RANGE} are allowed"
+        )
     return lo, hi
 
 

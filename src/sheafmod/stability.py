@@ -47,15 +47,18 @@ enumeration finds.  The test reads a kernel's dimension from an exact rank;
 the kernel basis is built only for the subset accepted.  Shapes with more
 than 4 096 row subsets stay undecided by the sweep.
 
-A random trial draws, per block row, a combination of one target type's rows
-with weights in [-3, 3] and stacks, per source type the shape needs, the
-coefficients of these virtual rows from a layout the view builds once per
-search.  The trial is refused by rank alone (``linalg.rank_exceeds``): as
-soon as the rank of a stack leaves fewer kernel vectors than the shape needs,
-no further rows are built.  Only a trial that no source type refuses builds
-its stacks again and takes their exact kernels for the witness.  The weights
-are drawn from the stream of ``randint(-3, 3)``, so a seed gives the same
-trials, refusals and witnesses.
+The random pass builds one trial plan per open shape before its trials
+start (``_TrialPlan``): the row positions and width of each block row's
+type, and per source type i the shape needs, its column positions, the
+refusal bound w_i - a_i and the layout of each block row's type against i,
+which the view builds once per search.  A trial then only draws and ranks:
+per block row, a combination of its type's rows with weights in [-3, 3], and
+per needed type the stack of the coefficients of these virtual rows, refused
+by rank alone (``linalg.rank_exceeds``) as soon as its rank leaves fewer
+kernel vectors than the shape needs, with no further rows built.  Only a
+trial that no source type refuses builds its stacks again and takes their
+exact kernels for the witness.  The weights are drawn from the stream of
+``randint(-3, 3)``, so a seed gives the same trials, refusals and witnesses.
 """
 
 from __future__ import annotations
@@ -386,42 +389,57 @@ def _draw_coeffs(rng: random.Random, n: int) -> list[int]:
     return out
 
 
-def _random_subspace_witness(
-    view: _CoefficientView, shape: Shape, rng: random.Random
-) -> Witness | None:
-    """One randomized trial: sample constant row combinations per type and
-    take exact column kernels against the sampled virtual rows.  A column
-    type is refused, by rank alone, as soon as the rank of its virtual rows
-    leaves fewer kernel vectors than the shape needs there; the kernels are
-    built only for a trial that no type refuses."""
-    m = view.m
-    samples: list[tuple[int, list[int]]] = []
-    for l, b in enumerate(shape.rows):
-        n = len(view.row_groups[l])
-        for _ in range(b):
+def _virtual_rows(draws: list[list[int]], layouts) -> Iterator[list[int]]:
+    """Per drawn block row and monomial, the virtual row's coefficient per
+    column: the row's weights against each column of its type's layout."""
+    return (
+        [sum(map(mul, coeffs, col)) for col in mono]
+        for coeffs, layout in zip(draws, layouts)
+        for mono in layout
+    )
+
+
+class _TrialPlan:
+    """The random trials of one shape, with what they share built once.
+
+    ``rows`` holds (row positions, width) of the type of each block row.
+    ``needs`` holds, per source type i the shape uses: its column positions,
+    the refusal bound w_i - a_i on the rank of its virtual rows, and the
+    layout of each block row's type against i.
+    """
+
+    def __init__(self, view: _CoefficientView, shape: Shape):
+        self.m, self.shape = view.m, shape
+        types = [l for l, b in enumerate(shape.rows) for _ in range(b)]
+        self.rows = [(view.row_groups[l], len(view.row_groups[l])) for l in types]
+        self.needs = [
+            (cols, len(cols) - a, [view.layout(l, i) for l in types])
+            for i, (a, cols) in enumerate(zip(shape.cols, view.col_groups))
+            if a
+        ]
+
+    def trial(self, rng: random.Random) -> Witness | None:
+        """One trial: draw a combination of its type's rows per block row,
+        refuse it by rank alone as soon as a source type's virtual rows leave
+        fewer kernel vectors than the shape needs there, and take the exact
+        kernels only for a trial that no type refuses."""
+        draws = []
+        for _, n in self.rows:
             coeffs = _draw_coeffs(rng, n)
             if not any(coeffs):
                 coeffs[rng.randrange(n)] = 1
-            samples.append((l, coeffs))
-
-    def stack(i: int) -> Iterator[list[int]]:
-        # per sample and monomial: the virtual row's coefficient per column
-        return (
-            [sum(map(mul, coeffs, col)) for col in mono]
-            for l, coeffs in samples
-            for mono in view.layout(l, i)
-        )
-
-    needs = [(i, a, view.col_groups[i]) for i, a in enumerate(shape.cols) if a]
-    if any(rank_exceeds(stack(i), len(cols) - a) for i, a, cols in needs):
-        return None
-    combos = [
-        _embed(cols, k, m.ncols)
-        for i, a, cols in needs
-        for k in right_kernel(stack(i), len(cols))[:a]
-    ]
-    row_combos = [_embed(view.row_groups[l], coeffs, m.nrows) for l, coeffs in samples]
-    return Witness(shape, tuple(row_combos), tuple(combos))
+            draws.append(coeffs)
+        for _, bound, layouts in self.needs:
+            if rank_exceeds(_virtual_rows(draws, layouts), bound):
+                return None
+        m = self.m
+        combos = [
+            _embed(cols, k, m.ncols)
+            for cols, bound, layouts in self.needs
+            for k in right_kernel(_virtual_rows(draws, layouts), len(cols))[: len(cols) - bound]
+        ]
+        row_combos = [_embed(g, coeffs, m.nrows) for (g, _), coeffs in zip(self.rows, draws)]
+        return Witness(self.shape, tuple(row_combos), tuple(combos))
 
 
 def _combine(forms: Sequence[HomogeneousPoly], weights) -> HomogeneousPoly:
@@ -619,11 +637,12 @@ def search_destabilizer(
     if undecided and budget > 0:
         per_shape = max(1, budget // len(undecided))
         for shape in undecided:
-            for _ in range(per_shape):
-                if used >= budget:
-                    break
+            if used == budget:
+                break
+            plan = _TrialPlan(view, shape)
+            for _ in range(min(per_shape, budget - used)):
                 used += 1
-                w = _random_subspace_witness(view, shape, rng)
+                w = plan.trial(rng)
                 if w is not None and verify_witness(m, w):
                     return Verdict(
                         VerdictKind.DESTABILIZED, w, used, tuple(undecided)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -352,9 +353,22 @@ _CODIM_63 = ["codim", "--case", "M(6,3):h1=1", "--n", "3"]
             ["codim", "--case", "M(n+1,n):h0m1=0", "--n", "3"],
             "registry case 'M(n+1,n):h0m1=0' has an empty 'n_codim' range 3..2",
         ),
+        # the load reads every n of a range, so a wide one is refused before
+        # any n is read
+        (
+            "M(n,3):h0m1=1+ker", "n = 8..15", "n = 8..1000000000", ["table"],
+            "registry case 'M(n,3):h0m1=1+ker' has an 'n' range 8..1000000000 of "
+            "999999993 values; at most 1000 are allowed",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "n_codim = 1..10", "n_codim = 1..1001",
+            ["codim", "--case", "M(n+1,n):h0m1=0", "--n", "3"],
+            "registry case 'M(n+1,n):h0m1=0' has an 'n_codim' range 1..1001 of "
+            "1001 values; at most 1000 are allowed",
+        ),
     ],
     ids=["no-resolution", "resolution-off-euler", "quadratic-h1om", "negative-stabilizer",
-         "empty-n", "empty-n_codim"],
+         "empty-n", "empty-n_codim", "wide-n", "wide-n_codim"],
 )
 def test_registry_block_refused_at_load_is_one_error_line(
     case_id, old, new, argv, message, tmp_path, monkeypatch, capsys
@@ -368,11 +382,15 @@ def test_registry_block_refused_at_load_is_one_error_line(
     path.write_text(text[:start] + text[start:].replace(old, new, 1))
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
     registry.load_registry.cache_clear()
+    start = time.perf_counter()
     try:
         code, out, err = run_cli(argv, capsys)
     finally:
         registry.load_registry.cache_clear()
     assert (code, out, err) == (1, "", f"error: {message}\n")
+    # the shipped registry loads in milliseconds; a refusal must not take
+    # longer than a load
+    assert time.perf_counter() - start < 5
 
 
 from hypothesis import given, settings, strategies as st

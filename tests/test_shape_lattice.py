@@ -498,8 +498,8 @@ def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
         _CoefficientView,
         _dual_shape,
         _pull_back_transpose_witness,
-        _random_subspace_witness,
         _row_subset_sweep,
+        _TrialPlan,
     )
 
     rnd = random.Random(9393)
@@ -524,9 +524,9 @@ def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
             m = _matrix(rnd, t, plant)
             found["verdict"].append((m, search_destabilizer(m, p, 20, seed=k).witness))
             sweeps(m)
-            view = _CoefficientView(m)
+            plan = _TrialPlan(_CoefficientView(m), plant)
             for _ in range(30):
-                w = _random_subspace_witness(view, plant, rnd)
+                w = plan.trial(rnd)
                 # the search keeps a trial's witness only once it verifies
                 found["trial"].append((m, w if w and verify_witness(m, w) else None))
     for m, w in (mw for pairs in found.values() for mw in pairs if mw[1] is not None):

@@ -735,9 +735,10 @@ def _kernel_only_trial(view, shape, rng):
 def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
     # trial for trial on the same seeded stream: the same witness or refusal,
     # and the same generator state after it, on every destabilizing shape of
-    # tiny and wide types (some with a planted block) and of registry types
+    # tiny and wide types (some with a planted block) and of registry types;
+    # one trial plan per shape serves all of its trials, as in the search
     from sheafmod.registry import load_registry
-    from sheafmod.stability import _random_subspace_witness
+    from sheafmod.stability import _TrialPlan
     from test_shape_lattice import (
         TINY_TYPES,
         WIDE_TYPE,
@@ -764,13 +765,44 @@ def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
         view = _CoefficientView(m)
         for shape in destab:
             fast, slow = random.Random(k), random.Random(k)
+            plan = _TrialPlan(view, shape)
             for _ in range(4):
-                w = _random_subspace_witness(view, shape, fast)
+                w = plan.trial(fast)
                 assert w == _kernel_only_trial(view, shape, slow), (m.entries, shape)
                 assert fast.getstate() == slow.getstate()
                 refused += w is None
                 accepted += w is not None
     assert refused > 4000 and accepted > 150, (refused, accepted)
+
+
+def test_search_builds_one_trial_plan_per_open_shape(monkeypatch):
+    # the 5x5 at budget 10^4: one plan per open shape, in the order of the
+    # open shapes, serves all 833 of its trials
+    import sheafmod.stability as stability
+
+    plans = []
+
+    class Counted(stability._TrialPlan):
+        def __init__(self, view, shape):
+            super().__init__(view, shape)
+            self.trials = 0
+            plans.append(self)
+
+        def trial(self, rng):
+            self.trials += 1
+            return super().trial(rng)
+
+    monkeypatch.setattr(stability, "_TrialPlan", Counted)
+    p = Polarization([F(1, 10), F(9, 40)], [F(1, 5)])
+    v = search_destabilizer(_five_by_five(), p, 10**4, seed=11)
+    assert [plan.shape for plan in plans] == list(v.undecided)
+    assert [plan.trials for plan in plans] == [833] * 12
+    # a budget below the open shapes' count gives one trial to each of the
+    # first shapes and builds no plan for the rest
+    plans.clear()
+    v = search_destabilizer(_five_by_five(), p, 5, seed=11)
+    assert [plan.shape for plan in plans] == list(v.undecided[:5])
+    assert [plan.trials for plan in plans] == [1] * 5 and v.budget_used == 5
 
 
 @pytest.mark.parametrize(
