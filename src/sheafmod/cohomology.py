@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 FIELDS = ("h0m1", "h1m1", "h0", "h1", "h0om", "h1om")
+# each h^0/h^1 pair with its Euler difference h^0 - h^1, written out and as a
+# function of (r, chi)
+_PAIRS = (
+    ("h0m1", "h1m1", "chi - r", lambda r, chi: chi - r),
+    ("h0", "h1", "chi", lambda r, chi: chi),
+    ("h0om", "h1om", "2*chi - r", lambda r, chi: 2 * chi - r),
+)
 
 
 @dataclass(frozen=True)
@@ -51,12 +58,9 @@ class CohomologyTable:
         for name in FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.h0m1 - self.h1m1 != chi - r:
-            raise ValueError("h0m1 - h1m1 must equal chi - r")
-        if self.h0 - self.h1 != chi:
-            raise ValueError("h0 - h1 must equal chi")
-        if self.h0om - self.h1om != 2 * chi - r:
-            raise ValueError("h0om - h1om must equal 2*chi - r")
+        for hi, lo, text, diff in _PAIRS:
+            if getattr(self, hi) - getattr(self, lo) != diff(r, chi):
+                raise ValueError(f"{hi} - {lo} must equal {text}")
 
     def rows(self) -> list[tuple[str, int, int]]:
         return [
@@ -64,14 +68,6 @@ class CohomologyTable:
             ("F", self.h0, self.h1),
             ("F.Omega1(1)", self.h0om, self.h1om),
         ]
-
-
-_PAIRS = (("h0m1", "h1m1"), ("h0", "h1"), ("h0om", "h1om"))
-
-
-def _pair_difference(klass: LinearClass, pair: tuple[str, str]) -> int:
-    r, chi = klass.r, klass.chi
-    return {"h0m1": chi - r, "h0": chi, "h0om": 2 * chi - r}[pair[0]]
 
 
 def complete_table(klass: LinearClass, known: Mapping[str, int]) -> CohomologyTable:
@@ -84,8 +80,8 @@ def complete_table(klass: LinearClass, known: Mapping[str, int]) -> CohomologyTa
         if name not in FIELDS:
             raise ValueError(f"unknown table entry {name!r}")
     values: dict[str, int] = {}
-    for hi, lo in _PAIRS:
-        diff = _pair_difference(klass, (hi, lo))
+    for hi, lo, _, diff_of in _PAIRS:
+        diff = diff_of(klass.r, klass.chi)
         if hi in known and lo in known:
             if known[hi] - known[lo] != diff:
                 raise ValueError(f"pair ({hi},{lo}) is inconsistent with (r,chi)")

@@ -722,17 +722,12 @@ def _expand(
     return out
 
 
-def _det_grid(grid: Sequence[Sequence[HomogeneousPoly]]) -> HomogeneousPoly:
-    """Determinant of a square grid of forms."""
-    return _minors(grid, [range(len(grid))])[0]
-
-
 def determinant(m: PolyMatrix) -> HomogeneousPoly:
     """Exact determinant of a square matrix; homogeneous of degree
     sum(target twists) - sum(source twists)."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return _det_grid(m.entries)
+    return _minors(m.entries, [range(m.nrows)])[0]
 
 
 def maximal_minors(m: PolyMatrix) -> list[HomogeneousPoly]:
@@ -862,19 +857,13 @@ def adapt_to_point(point, f: HomogeneousPoly) -> HomogeneousPoly:
         return f
     # complete the point to a basis; columns of the change send e3 to the point
     cols = complete_basis([pt], 3)
-    basis = [cols[1], cols[2], cols[0]]  # point goes last
-    images = []
-    for var in range(3):
-        images.append(
-            HomogeneousPoly(
-                {
-                    ((1, 0, 0), basis[0][var]),
-                    ((0, 1, 0), basis[1][var]),
-                    ((0, 0, 1), basis[2][var]),
-                }
-            )
-        )
-    return f.substitute(images)
+    return _in_frame(f, zip(cols[1], cols[2], cols[0]))  # point goes last
+
+
+def _in_frame(f: HomogeneousPoly, change) -> HomogeneousPoly:
+    """f in a new frame, where old variable var = sum_k change[var][k] * new_k."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return f.substitute([HomogeneousPoly(dict(zip(units, row))) for row in change])
 
 
 def quartic_section(
@@ -964,21 +953,10 @@ def adapt_to_span(span, f: HomogeneousPoly) -> HomogeneousPoly:
         raise ValueError("span forms are linearly dependent")
     if x1 == X and x2 == Y:
         return f
-    # pick a third form completing the basis, then substitute the dual basis
+    # pick a third form completing the basis; the new coordinates are
+    # rows . old, so the old variables are inverse(rows) . new
     rows = complete_basis([x1.coefficient_vector(1), x2.coefficient_vector(1)], 3)
-    inv = inverse(rows)
-    images = [
-        HomogeneousPoly(
-            {
-                (1, 0, 0): inv[var][0],
-                (0, 1, 0): inv[var][1],
-                (0, 0, 1): inv[var][2],
-            }
-        )
-        for var in range(3)
-    ]
-    # writing old variables in terms of (X1, X2, X3) presents f in the new frame
-    return f.substitute(images)
+    return _in_frame(f, inverse(rows))
 
 
 # ---------------------------------------------------------------------------

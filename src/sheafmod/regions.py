@@ -29,11 +29,9 @@ from .linalg import inverse, rank
 __all__ = [
     "Polarization",
     "Shape",
-    "Constraint",
     "Facet",
     "Region",
     "enumerate_shapes",
-    "shape_inequality",
     "classify_shapes",
     "admissible_region",
     "dual_polarization",
@@ -84,7 +82,7 @@ class Shape(NamedTuple):
     potential zero submatrix; a plain pair, so it is its own memo key.
 
     Construction checks nothing: ``validate_for`` checks a shape against a
-    morphism type, and ``shape_inequality`` calls it on every catalog shape.
+    morphism type, and ``admissible_region`` calls it on every catalog shape.
     """
 
     rows: tuple[int, ...]
@@ -123,61 +121,13 @@ def enumerate_shapes(t: MorphismType) -> list[Shape]:
     return out
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Linear constraint sum(b_l mu_l) REL sum((m_i - a_i) lambda_i).
-
-    ``strict`` selects < over <=.  The left side collects the shape's row
-    weights, the right side the weights of the columns outside the shape.
-    """
-
-    mu_coeffs: tuple[int, ...]
-    lambda_coeffs: tuple[int, ...]
-    strict: bool
-
-    def holds(self, p: Polarization) -> bool:
-        lhs = sum(b * m for b, m in zip(self.mu_coeffs, p.mus))
-        rhs = sum(c * l for c, l in zip(self.lambda_coeffs, p.lambdas))
-        return lhs < rhs if self.strict else lhs <= rhs
-
-    def margin(self, p: Polarization) -> Fraction:
-        """rhs - lhs; positive when the weak inequality holds with room."""
-        lhs = sum(b * m for b, m in zip(self.mu_coeffs, p.mus))
-        rhs = sum(c * l for c, l in zip(self.lambda_coeffs, p.lambdas))
-        return rhs - lhs
-
-    def __str__(self) -> str:
-        lhs = " + ".join(
-            f"{b}*m{l + 1}" for l, b in enumerate(self.mu_coeffs) if b
-        ) or "0"
-        rhs = " + ".join(
-            f"{c}*l{i + 1}" for i, c in enumerate(self.lambda_coeffs) if c
-        ) or "0"
-        op = "<" if self.strict else "<="
-        return f"{lhs} {op} {rhs}"
-
-
-def shape_inequality(s: Shape, t: MorphismType, strict: bool) -> Constraint:
-    """The weight inequality attached to a zero submatrix of shape ``s``.
-
-    The shape destabilizes under a polarization exactly when the returned
-    (weak) constraint fails.
-    """
-    s.validate_for(t)
-    return Constraint(
-        mu_coeffs=s.rows,
-        lambda_coeffs=tuple(
-            m - a for a, (_, m) in zip(s.cols, t.source.summands)
-        ),
-        strict=strict,
-    )
-
-
 def classify_shapes(t: MorphismType, p: Polarization) -> dict[Shape, bool]:
     """Label every shape: True when it destabilizes under ``p``.
 
-    A shape destabilizes when its weak weight inequality fails, i.e. the
-    row weights strictly exceed the complementary column weights.
+    A shape (b, a) destabilizes when its row weights strictly exceed its
+    complementary column weights: sum(b_l mu_l) > sum((m_i - a_i) lambda_i).
+    This is the one place that inequality is evaluated at a polarization;
+    ``admissible_region`` turns the same inequality into facets.
     """
     p.validate_for(t)
     # the weights scaled to integers by one common denominator; the source
@@ -471,13 +421,17 @@ def admissible_region(
         terms = [*zip(lambda_ws, space.lambda_forms), *zip(mu_ws, space.mu_forms)]
         return Facet(*_affine_sum(space.scale * const, terms, dim), strict)
 
-    facets: list[Facet] = []
-    for s in forbidden:  # rhs - lhs > 0
-        c = shape_inequality(s, t, strict=True)
-        facets.append(facet(0, c.lambda_coeffs, [-b for b in c.mu_coeffs], True))
-    for s in allowed:  # lhs - rhs >= 0
-        c = shape_inequality(s, t, strict=False)
-        facets.append(facet(0, [-a for a in c.lambda_coeffs], c.mu_coeffs, False))
+    def shape_facet(s: Shape, strict: bool) -> Facet:
+        # lhs = sum(b_l * mu_l) over the rows, rhs = sum((m_i - a_i) * lambda_i)
+        # over the complementary columns
+        s.validate_for(t)
+        rhs = [m - a for a, (_, m) in zip(s.cols, t.source.summands)]
+        if strict:  # forbidden: rhs - lhs > 0
+            return facet(0, rhs, [-b for b in s.rows], True)
+        return facet(0, [-c for c in rhs], s.rows, False)  # allowed: lhs - rhs >= 0
+
+    facets = [shape_facet(s, True) for s in forbidden]
+    facets += [shape_facet(s, False) for s in allowed]
     for rows, bound, strict in extra_facets:  # bound - sum(rows * mu) REL 0
         facets.append(facet(bound, (), [-b for b in rows], strict))
     if clip_positivity:

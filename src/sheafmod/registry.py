@@ -30,7 +30,6 @@ __all__ = [
     "CaseSpec",
     "RegionSystem",
     "load_registry",
-    "stratum_codim",
     "REGISTRY_ENV_VAR",
 ]
 
@@ -162,7 +161,24 @@ class CaseSpec:
         )
 
     def codim(self, n: int) -> int:
-        return stratum_codim(self, n)
+        """Codimension of the stratum inside its moduli space.
+
+        dim(stratum) = dim W_o - dim G + dim Stab with dim W_o the zeroed-block
+        ambient dimension minus the case's extra coefficient constraints, and
+        the moduli space has dimension r^2 + 1.
+        """
+        if not (self.n_codim_range[0] <= n <= self.n_codim_range[1]):
+            raise ValueError(f"case {self.id} does not admit n={n}")
+        t = self.resolution(n)
+        dim_w = hom_space_dim(t) - self.extra_constraints
+        stab = _ev(self.stabilizer, n)
+        if stab < 0:
+            raise ValueError(f"stabilizer {self.stabilizer} of case {self.id} is negative at n={n}")
+        dim_x = dim_w - aut_group_dim(t) + stab
+        codim = self.moduli(n).moduli_dim() - dim_x
+        if codim < 0:
+            raise ValueError(f"negative codimension for {self.id} at n={n}")
+        return codim
 
     def quotient_kind(self, n: int) -> str:
         for kind, cond in self.quotient:
@@ -194,27 +210,6 @@ def _instantiate(spec: str, n: int) -> str:
     if re.search(r"[\d\]]\[|\]\d", spec):
         raise ValueError(f"a placeholder touches a digit or a placeholder in {spec!r}")
     return re.sub(r"\[([^]]*)\]", lambda m: str(_ev(m[1], n)), spec)
-
-
-def stratum_codim(case: CaseSpec, n: int) -> int:
-    """Codimension of the stratum inside its moduli space.
-
-    dim(stratum) = dim W_o - dim G + dim Stab with dim W_o the zeroed-block
-    ambient dimension minus the case's extra coefficient constraints, and the
-    moduli space has dimension r^2 + 1.
-    """
-    if not (case.n_codim_range[0] <= n <= case.n_codim_range[1]):
-        raise ValueError(f"case {case.id} does not admit n={n}")
-    t = case.resolution(n)
-    dim_w = hom_space_dim(t) - case.extra_constraints
-    stab = _ev(case.stabilizer, n)
-    if stab < 0:
-        raise ValueError(f"stabilizer {case.stabilizer} of case {case.id} is negative at n={n}")
-    dim_x = dim_w - aut_group_dim(t) + stab
-    codim = case.moduli(n).moduli_dim() - dim_x
-    if codim < 0:
-        raise ValueError(f"negative codimension for {case.id} at n={n}")
-    return codim
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +372,13 @@ REGION_SYSTEMS: dict[str, Callable[[int], RegionSystem]] = {
 
 
 def _parse_range(case_id: str, key: str, text: str) -> tuple[int, int]:
-    lo, hi = (int(part) for part in text.split(".."))
+    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text, re.ASCII)
+    if not match:
+        raise ValueError(
+            f"registry case {case_id!r} has an {key!r} value {text!r} that is not "
+            f"a range lo..hi of integers"
+        )
+    lo, hi = map(int, match.groups())
     if lo > hi:
         raise ValueError(f"registry case {case_id!r} has an empty {key!r} range {lo}..{hi}")
     if hi - lo >= _MAX_RANGE:
@@ -458,6 +459,12 @@ def _parse_case(block: list[str]) -> CaseSpec:
             raise ValueError(f"registry case {case_id!r} has no {key!r} line")
     n_range = _parse_range(case_id, "n", fields["n"])
     n_codim = _parse_range(case_id, "n_codim", fields.get("n_codim", fields["n"]))
+    extra = fields["extra_constraints"]
+    if not re.fullmatch(r"-?\d+", extra, re.ASCII):
+        raise ValueError(
+            f"registry case {case_id!r} has an 'extra_constraints' value {extra!r} "
+            f"that is not an integer"
+        )
     table_known = {}
     for part in fields["table"].split(","):
         k, _, v = part.partition("=")
@@ -480,7 +487,7 @@ def _parse_case(block: list[str]) -> CaseSpec:
         table_known=table_known,
         resolution_spec=fields.get("resolution", ""),
         stabilizer=fields["stabilizer"],
-        extra_constraints=int(fields["extra_constraints"]),
+        extra_constraints=int(extra),
         region_ref=fields["region"],
         quotient=tuple(quotient),
         checks=tuple(

@@ -10,7 +10,7 @@ from sheafmod.bundles import (
     hom_space_dim,
     parse_resolution_spec,
 )
-from sheafmod.registry import case_by_id, load_registry, stratum_codim
+from sheafmod.registry import case_by_id, load_registry
 
 
 def test_hom_dim():
@@ -52,15 +52,15 @@ def test_aut_single_types(k, m, d, gap):
 
 
 def test_stratum_codim_examples():
-    assert stratum_codim(case_by_id("M(n+2,n):omega1"), 3) == 2
-    assert stratum_codim(case_by_id("M(7,4):omega2"), 4) == 6
-    assert stratum_codim(case_by_id("M(n,3):h0m1=1+ker"), 8) == 6
+    assert case_by_id("M(n+2,n):omega1").codim(3) == 2
+    assert case_by_id("M(7,4):omega2").codim(4) == 6
+    assert case_by_id("M(n,3):h0m1=1+ker").codim(8) == 6
 
 
 def test_codim_zero_family():
     case = case_by_id("M(n+1,n):h0m1=0")
     for n in range(1, 11):
-        assert stratum_codim(case, n) == 0
+        assert case.codim(n) == 0
         t = case.resolution(n)
         assert hom_space_dim(t) - aut_group_dim(t) == (n + 1) ** 2 + 1
 

@@ -366,9 +366,33 @@ _CODIM_63 = ["codim", "--case", "M(6,3):h1=1", "--n", "3"]
             "registry case 'M(n+1,n):h0m1=0' has an 'n_codim' range 1..1001 of "
             "1001 values; at most 1000 are allowed",
         ),
+        # a malformed range or count once surfaced as Python's own unpacking
+        # or int() message, naming neither the case nor the key
+        (
+            "M(n+1,n):h0m1=0", "n = 2..10", "n = 1..2..3", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an 'n' value '1..2..3' that is not "
+            "a range lo..hi of integers",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "n = 2..10", "n = 5", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an 'n' value '5' that is not "
+            "a range lo..hi of integers",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "n_codim = 1..10", "n_codim = 1-3",
+            ["codim", "--case", "M(n+1,n):h0m1=0", "--n", "3"],
+            "registry case 'M(n+1,n):h0m1=0' has an 'n_codim' value '1-3' that is not "
+            "a range lo..hi of integers",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "extra_constraints = 0", "extra_constraints = x", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an 'extra_constraints' value 'x' "
+            "that is not an integer",
+        ),
     ],
     ids=["no-resolution", "resolution-off-euler", "quadratic-h1om", "negative-stabilizer",
-         "empty-n", "empty-n_codim", "wide-n", "wide-n_codim"],
+         "empty-n", "empty-n_codim", "wide-n", "wide-n_codim", "dotted-n", "single-n",
+         "dashed-n_codim", "word-extra_constraints"],
 )
 def test_registry_block_refused_at_load_is_one_error_line(
     case_id, old, new, argv, message, tmp_path, monkeypatch, capsys

@@ -749,7 +749,7 @@ def test_minors_reach_the_slot_bound():
 def test_packed_minors_refuse_inconsistent_degrees():
     # X*Y - Y*X^2 mixes degrees 2 and 3, which no typed matrix does
     with pytest.raises(ValueError, match="inconsistent degrees"):
-        polymatrix._det_grid([[X, Y], [X * X, Y]])
+        polymatrix._minors([[X, Y], [X * X, Y]], [range(2)])
 
 
 def test_kernel_check_rejects_one_unit_off(monkeypatch):
@@ -791,11 +791,11 @@ def test_kernel_check_slot_is_wide_enough(monkeypatch):
 
 def test_minors_of_the_empty_and_one_by_one_grids():
     one = HomogeneousPoly.constant(1)
-    assert polymatrix._det_grid([]) == one
+    assert polymatrix._minors([], [[]]) == [one]
     assert polymatrix._minors([], [[], []]) == [one, one]
     p = parse_poly("1/2*X - 2/3*Y")
-    assert polymatrix._det_grid([[p]]) == p
-    assert polymatrix._det_grid([[zero]]) == zero
+    assert polymatrix._minors([[p]], [[0]]) == [p]
+    assert polymatrix._minors([[zero]], [[0]]) == [zero]
     assert polymatrix._minors([[p, -p.scale(F(3, 5))]], [[0], [1]]) == [p, p.scale(F(-3, 5))]
 
 

@@ -12,7 +12,6 @@ from sheafmod.regions import (
     classify_shapes,
     dual_polarization,
     enumerate_shapes,
-    shape_inequality,
     solve_halfplanes,
 )
 from sheafmod.registry import load_registry, case_by_id
@@ -29,15 +28,29 @@ def test_enumerate_shapes_counts():
     assert len(set(shapes)) == len(shapes)
 
 
+def _margin(s, t, p):
+    """rhs - lhs of the weak inequality of shape s, sum(b_l mu_l) <=
+    sum((m_i - a_i) lambda_i), on Fractions: the oracle for the integer-scaled
+    comparison in classify_shapes.  The shape destabilizes when it is < 0."""
+    lhs = sum(b * mu for b, mu in zip(s.rows, p.mus))
+    rhs = sum((m - a) * l for a, (_, m), l in zip(s.cols, t.source.summands, p.lambdas))
+    return rhs - lhs
+
+
 def test_shape_inequality_forms():
     t = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
-    c = shape_inequality(Shape((1,), (0, 1)), t, strict=True)
-    assert str(c) == "1*m1 < 1*l1 + 1*l2"
-    # a full-column shape can never satisfy its inequality
-    c = shape_inequality(Shape((1,), (1, 2)), t, strict=True)
-    assert c.lambda_coeffs == (0, 0)
     p = Polarization([F(1, 6), F(5, 12)], [F(1, 3)])
-    assert not c.holds(p)
+    l1, l2 = p.lambdas
+    (m1,) = p.mus
+    # rows (1,) against the complementary columns (1, 1): m1 <= l1 + l2
+    assert _margin(Shape((1,), (0, 1)), t, p) == l1 + l2 - m1
+    # a full-column shape has no complementary columns, so it always
+    # destabilizes
+    s = Shape((1,), (1, 2))
+    assert _margin(s, t, p) == -m1 < 0
+    assert classify_shapes(t, p)[s]
+    # as a forbidden shape it empties the region
+    assert admissible_region(t, [s], []).empty
 
 
 @pytest.mark.parametrize(
@@ -58,7 +71,7 @@ def test_shape_validate_for_rejects(shape, message):
     with pytest.raises(ValueError, match=message):
         shape.validate_for(t)
     with pytest.raises(ValueError, match=message):
-        shape_inequality(shape, t, strict=True)
+        admissible_region(t, [shape], [])
 
 
 def test_full_row_shape_always_destabilizing():
@@ -76,16 +89,21 @@ def test_classify_endpoint_flip():
     n = 3
     t = MorphismType.make([(-2, 1), (-1, n - 1)], [(0, n)])
     p = Polarization([F(1, n), F(1, n)], [F(1, n)])
+    labels = classify_shapes(t, p)
     for m in range(1, n):
-        c = shape_inequality(Shape((m,), (1, n - 1 - m)), t, strict=False)
-        assert c.margin(p) == 0  # boundary: weak holds, strict fails
-        assert c.holds(p)
-        assert not shape_inequality(Shape((m,), (1, n - 1 - m)), t, True).holds(p)
+        s = Shape((m,), (1, n - 1 - m))
+        assert _margin(s, t, p) == 0  # boundary: weak holds, strict fails
+        assert not labels[s]
+        # a hair past the boundary, outside the region l1 < 1/n, the shape
+        # destabilizes
+        eps = F(1, 1000)
+        q = Polarization([F(1, n) + eps, F(1, n) - eps / (n - 1)], [F(1, n)])
+        assert _margin(s, t, q) < 0 and classify_shapes(t, q)[s]
 
 
 def test_classify_matches_the_shape_inequality():
-    # classify_shapes compares integer-scaled weights; Constraint.holds is
-    # the Fraction reference, also at a polarization on shapes' boundaries
+    # classify_shapes compares integer-scaled weights; _margin is the
+    # Fraction reference, also at a polarization on shapes' boundaries
     t3 = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
     cases = [(t3, Polarization([F(1, 3), F(1, 3)], [F(1, 3)]))]
     for case in load_registry():
@@ -95,7 +113,26 @@ def test_classify_matches_the_shape_inequality():
         labels = classify_shapes(t, p)
         assert list(labels) == enumerate_shapes(t)
         for s, destabilizing in labels.items():
-            assert destabilizing == (not shape_inequality(s, t, strict=False).holds(p))
+            assert destabilizing == (_margin(s, t, p) < 0)
+
+
+def test_catalog_facets_agree_with_classify_at_every_sample_point():
+    # the region is built from the catalog's facets and the verdicts from
+    # classify_shapes; at each row's sample polarization, inside the region,
+    # no forbidden shape destabilizes and every allowed shape holds weakly
+    # (it destabilizes, or sits on its boundary)
+    checked = 0
+    for case in load_registry():
+        for n in case.ns():
+            t, p = case.resolution(n), case.sample_polarization(n)
+            labels = classify_shapes(t, p)
+            sys = case.region_system(n)
+            for s in sys.forbidden:
+                assert not labels[s], (case.id, n, s)
+            for s in sys.allowed:
+                assert labels[s] or _margin(s, t, p) == 0, (case.id, n, s)
+            checked += len(sys.forbidden) + len(sys.allowed)
+    assert checked > 0
 
 
 def test_region_golden_442():
