@@ -168,15 +168,16 @@ def _parse_point(text: str) -> list[Fraction]:
     return [_rational(x, "--point") for x in coords]
 
 
-def _case(case_id: str, n: int | None):
+def _case(case_id: str, n: int | None, codim: bool = False):
     """The registry case named ``--case``; an unknown name, or an ``n`` (when
-    given) outside the case's range, is a usage error."""
+    given) outside the case's range (its ``n_codim`` range when ``codim``),
+    is a usage error."""
     try:
         case = case_by_id(case_id)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-    if n is not None and not case.admits(n):
-        lo, hi = case.n_range
+    lo, hi = case.n_codim_range if codim else case.n_range
+    if n is not None and not lo <= n <= hi:
         raise UsageError(f"case {case.id} covers n = {lo}..{hi}, not n = {n}")
     return case
 
@@ -192,7 +193,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_codim(args) -> int:
-    case = _case(args.case, args.n)
+    case = _case(args.case, args.n, codim=True)
     print(case.codim(args.n))
     return 0
 

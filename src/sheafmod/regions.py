@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bundles import MorphismType
-from .linalg import inverse, rank
+from .linalg import rank
 
 __all__ = [
     "Polarization",
@@ -183,7 +183,7 @@ class Facet:
 
 @dataclass
 class Region:
-    """Exact polytope (possibly half-open) in the plot coordinates.
+    """Exact polytope (possibly half-open) in the named weight coordinates.
 
     ``vertices`` lists the vertices of the closure, sorted lexicographically;
     ``affine_dim`` is the dimension of the affine hull (-1 when empty).
@@ -337,54 +337,47 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
 # From shape catalogs to regions
 # ---------------------------------------------------------------------------
 
-Form = tuple[tuple[int | Fraction, ...], int | Fraction]  # (coeffs, const)
-
-
-def _affine_sum(const, terms: Iterable[tuple[int | Fraction, Form]], dim: int) -> Form:
-    """The affine form const + sum(w * form) over the (w, form) in ``terms``."""
-    vec = [0] * dim
-    for w, (coeffs, c) in terms:
-        if w:
-            for j, x in enumerate(coeffs):
-                vec[j] += w * x
-            const += w * c
-    return tuple(vec), const
+Form = tuple[tuple[int, ...], int]  # (coeffs, const)
 
 
 class _AffineSpace:
     """Affine coordinates for the normalized weights of a morphism type.
 
-    The last source-type lambda and the last target-type mu are solved out of
-    the normalization; the remaining weights are the free variables.  Each
-    weight is kept as the integer affine form of ``scale`` times it, with
-    scale = lcm of the two last multiplicities, so every facet built from
-    these forms has integer coefficients.
+    The weights are named l1, l2, ... (source types) and m1, m2, ... (target
+    types).  On each side the last weight that ``coords`` does not name is
+    solved out of the normalization (the last weight when ``coords`` names
+    them all); the remaining weights are the free variables.  Each weight is
+    kept as the integer affine form of ``scale`` times it, with scale = lcm
+    of the two solved-out multiplicities, so every facet built from these
+    forms has integer coefficients.
     """
 
-    def __init__(self, t: MorphismType):
-        self.t = t
-        sm = t.source.mults()
-        tm = t.target.mults()
+    def __init__(self, t: MorphismType, coords: Sequence[str] = ()):
+        sides = []  # (prefix, multiplicities, index of the solved-out weight)
+        for prefix, mults in (("l", t.source.mults()), ("m", t.target.mults())):
+            unnamed = [i for i in range(len(mults)) if f"{prefix}{i + 1}" not in coords]
+            sides.append((prefix, mults, unnamed[-1] if unnamed else len(mults) - 1))
         self.var_names = tuple(
-            [f"l{i + 1}" for i in range(len(sm) - 1)]
-            + [f"m{l + 1}" for l in range(len(tm) - 1)]
+            f"{prefix}{i + 1}" for prefix, mults, s in sides for i in range(len(mults)) if i != s
         )
         self.dim = len(self.var_names)
-        self.scale = lcm(sm[-1], tm[-1])
+        self.scale = lcm(*(mults[s] for _, mults, s in sides))
+        free = iter(range(self.dim))
 
-        def forms(mults, first: int) -> list[Form]:
-            # free weights x_i for i = first, ..., and the last one
-            # (1 - sum(mults * x)) / mults[-1], from the normalization
-            free = range(first, first + len(mults) - 1)
-            k = self.scale // mults[-1]
-            out = [(tuple(self.scale * (i == j) for j in range(self.dim)), 0) for i in free]
-            last = [0] * self.dim
-            for i, m in zip(free, mults):
-                last[i] = -k * m
-            return out + [(tuple(last), k)]
+        def forms(mults, s: int) -> list[Form]:
+            # free weights x_i for i != s, and x_s = (1 - sum(mults * x)) /
+            # mults[s] from the normalization
+            k = self.scale // mults[s]
+            out, solved = [], [0] * self.dim
+            for i, m in enumerate(mults):
+                if i != s:
+                    j = next(free)
+                    out.append((tuple(self.scale * (j == v) for v in range(self.dim)), 0))
+                    solved[j] = -k * m
+            out.insert(s, (tuple(solved), k))
+            return out
 
-        self.lambda_forms = forms(sm, 0)
-        self.mu_forms = forms(tm, len(sm) - 1)
+        self.lambda_forms, self.mu_forms = (forms(mults, s) for _, mults, s in sides)
 
     def polarization_at(self, pt: Sequence[Fraction]) -> Polarization:
         def weight(form: Form) -> Fraction:
@@ -401,7 +394,7 @@ def admissible_region(
     *,
     extra_facets: Iterable[tuple[tuple[int, ...], int, bool]] = (),
     clip_positivity: bool = True,
-    plot: Sequence[tuple[str, Mapping[str, Fraction], Fraction]] | None = None,
+    coords: Sequence[str] = (),
 ) -> Region:
     """Polytope of polarizations separating forbidden from allowed shapes.
 
@@ -410,16 +403,27 @@ def admissible_region(
     ``sum_M mu >= sum_{J^c} lambda``.  Positivity of all weights is added
     unless ``clip_positivity`` is off.  ``extra_facets`` are raw total-weight
     bounds ((mu row counts), bound numerator over 1, strict) of the form
-    ``sum_M mu < bound``; ``plot`` re-expresses the answer in published
-    coordinates via an invertible affine change of the free variables.
+    ``sum_M mu < bound``.  ``coords`` names the weights the region is solved
+    in (``_AffineSpace``); when the type has free weights they must be
+    exactly those, and when it has none the nonempty region is the single
+    point of the named weights, which the normalization pins.
     """
-    space = _AffineSpace(t)
-    dim = space.dim
+    coords = tuple(coords)
+    space = _AffineSpace(t, coords)
+    if space.dim and coords not in ((), space.var_names):
+        raise ValueError(f"coords {coords} are not the free weights {space.var_names} of {t}")
+    if not space.dim and not set(coords) <= {"l1", "m1"}:
+        raise ValueError(f"coords {coords} are not weights of {t}")
 
     def facet(const, lambda_ws, mu_ws, strict: bool) -> Facet:
         # scale * (const + sum(w * weight)): the same half-space, integer
-        terms = [*zip(lambda_ws, space.lambda_forms), *zip(mu_ws, space.mu_forms)]
-        return Facet(*_affine_sum(space.scale * const, terms, dim), strict)
+        vec, const = [0] * space.dim, space.scale * const
+        for w, (coeffs, c) in (*zip(lambda_ws, space.lambda_forms), *zip(mu_ws, space.mu_forms)):
+            if w:
+                for j, x in enumerate(coeffs):
+                    vec[j] += w * x
+                const += w * c
+        return Facet(tuple(vec), const, strict)
 
     def shape_facet(s: Shape, strict: bool) -> Facet:
         # lhs = sum(b_l * mu_l) over the rows, rhs = sum((m_i - a_i) * lambda_i)
@@ -437,26 +441,10 @@ def admissible_region(
     if clip_positivity:
         facets.extend(Facet(*form, True) for form in space.lambda_forms + space.mu_forms)
 
-    names = space.var_names
-    if plot is not None:
-        names = tuple(name for name, _, _ in plot)
-        if dim == 0:
-            # nothing to invert: the plot forms are constants pinned by the
-            # normalization, and the region is that single point
-            return Region(names, (), (tuple(_frac(c) for _, _, c in plot),), 0)
-        # plot coordinate k is y_k = P[k] . x + p_k, so each free variable is
-        # x_j = sum_k inv(P)[j][k] * (y_k - p_k), an affine form in the y
-        try:
-            inv = inverse([[cs.get(v, 0) for v in space.var_names] for _, cs, _ in plot])
-        except ValueError:
-            raise ValueError("plot transform is not invertible") from None
-        xs = [(row, -sum(a * p for a, (_, _, p) in zip(row, plot))) for row in inv]
-        # den * x_j is an integer affine form for the positive lcm den of the
-        # denominators, so den * facet is too
-        den = lcm(*(x.denominator for row, p in xs for x in (*row, p)))
-        xs = [(_integers(row, den), *_integers((p,), den)) for row, p in xs]
-        k = len(plot)
-        facets = [
-            Facet(*_affine_sum(den * f.const, zip(f.coeffs, xs), k), f.strict) for f in facets
-        ]
-    return solve_halfplanes(names, facets)
+    region = solve_halfplanes(space.var_names, facets)
+    if space.dim or not coords or region.empty:
+        return region
+    # one type on each side: the normalization pins l1 and m1
+    p = space.polarization_at(())
+    pinned = {"l1": p.lambdas[0], "m1": p.mus[0]}
+    return Region(coords, region.facets, (tuple(pinned[x] for x in coords),), 0)

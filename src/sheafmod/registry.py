@@ -16,7 +16,6 @@ import operator
 import os
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Mapping
@@ -48,7 +47,7 @@ class RegionSystem:
     allowed: tuple[Shape, ...]
     extra_facets: tuple[tuple[tuple[int, ...], int, bool], ...] = ()
     clip_positivity: bool = True
-    plot: tuple[tuple[str, Mapping[str, Fraction], Fraction], ...] | None = None
+    coords: tuple[str, ...] = ()
 
 
 _TOKEN = re.compile(r"\d+|n|//|[=!<>]=|[-+*%()<>]|\S", re.ASCII)
@@ -157,7 +156,7 @@ class CaseSpec:
             sys.allowed,
             extra_facets=sys.extra_facets,
             clip_positivity=sys.clip_positivity,
-            plot=sys.plot,
+            coords=sys.coords,
         )
 
     def codim(self, n: int) -> int:
@@ -257,14 +256,9 @@ def _tri_two(n: int) -> RegionSystem:
     return RegionSystem(tuple(forb), tuple(allo))
 
 
-def _pt_half(n: int) -> RegionSystem:
-    # 2O(-2) -> 2O: the normalization pins l1 = 1/2
-    return RegionSystem((), (), plot=(("l1", {}, Fraction(1, 2)),))
-
-
-def _pt_third(n: int) -> RegionSystem:
-    # 3O(-2) -> 3O: the normalization pins l1 = 1/3
-    return RegionSystem((), (), plot=(("l1", {}, Fraction(1, 3)),))
+def _pt(n: int) -> RegionSystem:
+    # kO(-2) -> kO: the normalization pins l1 = 1/k
+    return RegionSystem((), (), coords=("l1",))
 
 
 def _quad_fourtwo(n: int) -> RegionSystem:
@@ -327,14 +321,10 @@ def _iv_cubic(n: int) -> RegionSystem:
 
 
 def _iv_dual63(n: int) -> RegionSystem:
-    # 4O(-2) -> 3O(-1) + O(1); open interval (0, 1/4) plotted in m2
+    # 4O(-2) -> 3O(-1) + O(1); open interval (0, 1/4) in m2
     forb = [Shape((3 - m, 1), (m,)) for m in (1, 2, 3)]
     allo = [Shape((4 - m, 0), (m,)) for m in (1, 2, 3)]
-    return RegionSystem(
-        tuple(forb),
-        tuple(allo),
-        plot=(("m2", {"m1": Fraction(-3)}, Fraction(1)),),
-    )
+    return RegionSystem(tuple(forb), tuple(allo), coords=("m2",))
 
 
 def _tri_n3(n: int) -> RegionSystem:
@@ -354,8 +344,7 @@ REGION_SYSTEMS: dict[str, Callable[[int], RegionSystem]] = {
     "iv_two": _iv_two,
     "iv_three": _iv_three,
     "tri_two": _tri_two,
-    "pt_half": _pt_half,
-    "pt_third": _pt_third,
+    "pt": _pt,
     "quad_fourtwo": _quad_fourtwo,
     "seg_or_tri_omega1": _seg_or_tri_omega1,
     "quad_74": _quad_74,
@@ -440,6 +429,11 @@ _REQUIRED_KEYS = (
     "extra_constraints", "region", "quotient",
 )
 _KNOWN_KEYS = (*_REQUIRED_KEYS, "n_codim", "resolution", "checks")
+# the membership flags ``stability.check_case`` computes
+_CHECK_TAGS = (
+    "scalars_zero", "det_nonzero", "phi11_li", "phi11_span2", "phi11_stable2x3",
+    "phi22_li", "phi21_nonzero", "phi22_koszul",
+)
 
 
 def _parse_case(block: list[str]) -> CaseSpec:
@@ -465,6 +459,10 @@ def _parse_case(block: list[str]) -> CaseSpec:
             f"registry case {case_id!r} has an 'extra_constraints' value {extra!r} "
             f"that is not an integer"
         )
+    checks = tuple(c.strip() for c in fields.get("checks", "").split(",") if c.strip())
+    for tag in checks:
+        if tag not in _CHECK_TAGS:
+            raise ValueError(f"registry case {case_id!r} has an unknown 'checks' tag {tag!r}")
     table_known = {}
     for part in fields["table"].split(","):
         k, _, v = part.partition("=")
@@ -490,9 +488,7 @@ def _parse_case(block: list[str]) -> CaseSpec:
         extra_constraints=int(extra),
         region_ref=fields["region"],
         quotient=tuple(quotient),
-        checks=tuple(
-            c.strip() for c in fields.get("checks", "").split(",") if c.strip()
-        ),
+        checks=checks,
     )
     return replace(case, resolution_spec=_resolution_spec(case))
 

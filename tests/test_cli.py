@@ -177,6 +177,12 @@ def test_console_script_runs():
     assert proc.returncode == 0 and proc.stdout.strip() == "3"
 
 
+def test_codim_reads_the_n_codim_range(capsys):
+    # n = 1 lies outside the case's table range 2..10 but inside its
+    # n_codim range 1..10
+    assert run_cli(["codim", "--case", "M(n+1,n):h0m1=0", "--n", "1"], capsys) == (0, "0\n", "")
+
+
 def test_registry_env_override(tmp_path, monkeypatch):
     import sheafmod.registry as registry
 
@@ -186,7 +192,7 @@ def test_registry_env_override(tmp_path, monkeypatch):
         "r = 2\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = 0\nextra_constraints = 0\nregion = pt_half\n"
+        "stabilizer = 0\nextra_constraints = 0\nregion = pt\n"
         "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -219,7 +225,7 @@ def test_registry_rejects_expressions_outside_the_grammar(
         f"r = {expr}\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = 0\nextra_constraints = 0\nregion = pt_half\n"
+        "stabilizer = 0\nextra_constraints = 0\nregion = pt\n"
         "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -389,10 +395,15 @@ _CODIM_63 = ["codim", "--case", "M(6,3):h1=1", "--n", "3"]
             "registry case 'M(n+1,n):h0m1=0' has an 'extra_constraints' value 'x' "
             "that is not an integer",
         ),
+        # a misspelled tag once loaded, and only ``check`` refused it
+        (
+            "M(n+1,n):h0m1=0", "checks = det_nonzero", "checks = det_nonzer", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an unknown 'checks' tag 'det_nonzer'",
+        ),
     ],
     ids=["no-resolution", "resolution-off-euler", "quadratic-h1om", "negative-stabilizer",
          "empty-n", "empty-n_codim", "wide-n", "wide-n_codim", "dotted-n", "single-n",
-         "dashed-n_codim", "word-extra_constraints"],
+         "dashed-n_codim", "word-extra_constraints", "unknown-check"],
 )
 def test_registry_block_refused_at_load_is_one_error_line(
     case_id, old, new, argv, message, tmp_path, monkeypatch, capsys

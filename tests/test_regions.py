@@ -404,9 +404,57 @@ def test_dual_region_of_linear_family():
 
         forb = [dualize(s) for s in sysd.forbidden]
         allo = [dualize(s) for s in sysd.allowed]
-        plot = (("m2", {"m1": F(-(n - 1))}, F(1)),)
-        r = admissible_region(td, forb, allo, plot=plot)
+        r = admissible_region(td, forb, allo, coords=("m2",))
+        assert r.free_vars == ("m2",)
         assert r.vertices == ((F(0),), (F(1, n),))
+
+
+def test_region_barycenter_is_the_sample_polarization():
+    """A region solved in its catalog's coordinates and the sample
+    polarization solved in the default ones are the same polytope: the
+    barycenter of every registry row that clips positivity, read through the
+    row's coordinates, is the row's sample polarization."""
+    from sheafmod.regions import _AffineSpace
+
+    rows = 0
+    for case in load_registry():
+        for n in case.ns():
+            sys = case.region_system(n)
+            if not sys.clip_positivity:
+                continue
+            space = _AffineSpace(case.resolution(n), sys.coords)
+            pt = case.region(n).interior_point()
+            assert space.polarization_at(pt if space.dim else ()) == case.sample_polarization(n)
+            rows += 1
+    assert rows == 44
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_pinned_weight_is_derived_from_the_type(k):
+    # kO(-2) -> kO has no free weight: the normalization k * l1 = 1 pins it
+    t = MorphismType.make([(-2, k)], [(0, k)])
+    r = admissible_region(t, [], [], coords=("l1",))
+    assert (r.free_vars, r.vertices, r.affine_dim) == (("l1",), ((F(1, k),),), 0)
+    r = admissible_region(t, [], [], coords=("m1",))
+    assert r.vertices == ((F(1, k),),)
+
+
+@pytest.mark.parametrize(
+    "t, coords",
+    [
+        (MorphismType.make([(-2, 2)], [(0, 2)]), ("x1",)),
+        (MorphismType.make([(-2, 2)], [(0, 2)]), ("l2",)),
+        (MorphismType.make([(-2, 1), (-1, 1)], [(0, 2)]), ("x1",)),
+        # both weights of a two-type side leave none to solve out
+        (MorphismType.make([(-2, 1), (-1, 1)], [(0, 2)]), ("l1", "l2")),
+        (MorphismType.make([(-2, 4)], [(-1, 3), (1, 1)]), ("m1", "m2")),
+    ],
+    ids=["unknown-pinned", "absent-pinned", "unknown-free", "both-lambdas", "both-mus"],
+)
+def test_coords_that_are_not_the_free_weights_are_refused(t, coords):
+    with pytest.raises(ValueError, match="^coords ") as exc:
+        admissible_region(t, [], [], coords=coords)
+    assert "\n" not in str(exc.value)
 
 
 from hypothesis import given, settings, strategies as st

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain, combinations, product
 from math import comb, lcm, prod
@@ -16,7 +17,7 @@ from sheafmod.polymatrix import (
     transpose_dual,
 )
 from sheafmod.regions import Polarization, Shape, classify_shapes, enumerate_shapes
-from sheafmod.registry import case_by_id
+from sheafmod.registry import _CHECK_TAGS, case_by_id, load_registry
 from sheafmod.stability import (
     _SUBSET_CAP,
     KoszulClass,
@@ -341,6 +342,27 @@ def test_check_case_scalar_flag():
     report = check_case(m, case, 3, budget=10, seed=0)
     assert report.flags["scalars_zero"] is False
     assert not report.in_wo
+
+
+@pytest.mark.parametrize("tag", _CHECK_TAGS)
+def test_check_case_computes_every_tag_the_registry_accepts(tag):
+    # the load refuses a tag outside _CHECK_TAGS, so check_case must have a
+    # branch for each one inside it
+    case = next(c for c in load_registry() if tag in c.checks)
+    n = case.n_range[0]
+    t = case.resolution(n)
+    rnd = random.Random(5)
+    m = PolyMatrix(t, [
+        [
+            zero if t.is_zeroed(i, l) or e < d else random_poly(rnd, e - d, -2, 2)
+            for i, (d, mi) in enumerate(t.source.summands)
+            for _ in range(mi)
+        ]
+        for l, (e, nl) in enumerate(t.target.summands)
+        for _ in range(nl)
+    ])
+    report = check_case(m, replace(case, checks=(tag,)), n, budget=0)
+    assert list(report.flags) == [tag]
 
 
 def test_check_case_rejects_wrong_type():
