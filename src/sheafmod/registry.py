@@ -24,6 +24,7 @@ from .bundles import MorphismType, aut_group_dim, hom_space_dim, parse_resolutio
 from .cohomology import CohomologyTable, beilinson_terms, complete_table
 from .hilbert import LinearClass, hilbert_of_resolution
 from .regions import Polarization, Region, Shape, admissible_region, _AffineSpace
+from .stability import FLAGS
 
 __all__ = [
     "CaseSpec",
@@ -429,11 +430,6 @@ _REQUIRED_KEYS = (
     "extra_constraints", "region", "quotient",
 )
 _KNOWN_KEYS = (*_REQUIRED_KEYS, "n_codim", "resolution", "checks")
-# the membership flags ``stability.check_case`` computes
-_CHECK_TAGS = (
-    "scalars_zero", "det_nonzero", "phi11_li", "phi11_span2", "phi11_stable2x3",
-    "phi22_li", "phi21_nonzero", "phi22_koszul",
-)
 
 
 def _parse_case(block: list[str]) -> CaseSpec:
@@ -461,7 +457,7 @@ def _parse_case(block: list[str]) -> CaseSpec:
         )
     checks = tuple(c.strip() for c in fields.get("checks", "").split(",") if c.strip())
     for tag in checks:
-        if tag not in _CHECK_TAGS:
+        if tag not in FLAGS:
             raise ValueError(f"registry case {case_id!r} has an unknown 'checks' tag {tag!r}")
     table_known = {}
     for part in fields["table"].split(","):

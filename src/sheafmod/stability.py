@@ -71,7 +71,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, isqrt, lcm, prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .bundles import MorphismType
 from .linalg import complete_basis, rank, rank_exceeds, right_kernel
@@ -89,7 +89,9 @@ from .polymatrix import (
     _positions,
 )
 from .regions import Polarization, Shape, classify_shapes
-from .registry import CaseSpec
+
+if TYPE_CHECKING:
+    from .registry import CaseSpec
 
 __all__ = [
     "VerdictKind",
@@ -100,6 +102,7 @@ __all__ = [
     "check_case",
     "CaseReport",
     "koszul_test",
+    "FLAGS",
 ]
 
 _SUBSET_CAP = 4096
@@ -719,10 +722,40 @@ class CaseReport:
         return all(self.flags.values())
 
 
-def _block(m: PolyMatrix, src_type: int, tgt_type: int) -> list[list[HomogeneousPoly]]:
-    rows = _positions(m.type.target)[tgt_type]
-    cols = _positions(m.type.source)[src_type]
-    return [[m.entries[r][c] for c in cols] for r in rows]
+def _block(m: PolyMatrix, i: int, l: int) -> PolyMatrix:
+    """The block of source type i and target type l, typed by its own twists."""
+    rows, cols = _positions(m.type.target)[l], _positions(m.type.source)[i]
+    t = MorphismType.make([m.type.source.summands[i]], [m.type.target.summands[l]])
+    return PolyMatrix(t, [[m.entries[r][c] for c in cols] for r in rows])
+
+
+def _entries(m: PolyMatrix) -> list[HomogeneousPoly]:
+    return [e for row in m.entries for e in row]
+
+
+# The membership flags: tag -> (block, test).  The block is the 0-based
+# (source type, target type) pair whose ``_block`` the test reads, or None
+# for a test of the whole matrix.  The tests look up the polymatrix and
+# Koszul routines by module name when they run.
+FLAGS: dict[str, tuple[tuple[int, int] | None, Callable[[PolyMatrix], bool]]] = {
+    # a nonzero entry of degree 0 lies in a scalar (equal-twist) block
+    "scalars_zero": (None, lambda m: all(e.degree != 0 for e in _entries(m))),
+    "det_nonzero": (None, lambda m: m.nrows == m.ncols and not determinant(m).is_zero),
+    "phi11_li": ((0, 0), lambda b: linearly_independent(_entries(b))[0]),
+    "phi11_span2": (
+        (0, 0),
+        lambda b: linearly_independent([e for e in _entries(b) if not e.is_zero])[1] >= 2,
+    ),
+    "phi11_stable2x3": ((0, 0), lambda b: linearly_independent(maximal_minors(b))[0]),
+    "phi22_li": ((1, 1), lambda b: linearly_independent(_entries(b))[0]),
+    "phi21_nonzero": ((0, 1), lambda b: any(not e.is_zero for e in _entries(b))),
+    "phi22_koszul": ((1, 1), lambda b: koszul_test(b) is KoszulClass.KOSZUL),
+}
+
+
+def _flag(m: PolyMatrix, tag: str) -> bool:
+    block, test = FLAGS[tag]
+    return test(m if block is None else _block(m, *block))
 
 
 def check_case(
@@ -737,50 +770,6 @@ def check_case(
         or m.type.target.summands != expected.target.summands
     ):
         raise ValueError("matrix type does not match the case resolution")
-    flags: dict[str, bool] = {}
-    for tag in case.checks:
-        if tag == "scalars_zero":
-            ok = True
-            for (i, l) in expected.zeroed:
-                for row in _block(m, i, l):
-                    for e in row:
-                        if not e.is_zero:
-                            ok = False
-            flags[tag] = ok
-        elif tag == "det_nonzero":
-            flags[tag] = (
-                m.nrows == m.ncols and not determinant(m).is_zero
-            )
-        elif tag == "phi11_li":
-            entries = [e for row in _block(m, 0, 0) for e in row]
-            flags[tag] = linearly_independent(entries)[0]
-        elif tag == "phi11_span2":
-            entries = [e for row in _block(m, 0, 0) for e in row]
-            _, span = linearly_independent([e for e in entries if not e.is_zero])
-            flags[tag] = span >= 2
-        elif tag == "phi11_stable2x3":
-            grid = _block(m, 0, 0)
-            sub = PolyMatrix(
-                MorphismType.make(
-                    [(-2, len(grid[0]))], [(-1, len(grid))]
-                ),
-                grid,
-            )
-            minors = maximal_minors(sub)
-            flags[tag] = linearly_independent(minors)[0]
-        elif tag == "phi22_li":
-            entries = [e for row in _block(m, 1, 1) for e in row]
-            flags[tag] = linearly_independent(entries)[0]
-        elif tag == "phi21_nonzero":
-            entries = [e for row in _block(m, 0, 1) for e in row]
-            flags[tag] = any(not e.is_zero for e in entries)
-        elif tag == "phi22_koszul":
-            grid = _block(m, 1, 1)
-            sub = PolyMatrix(
-                MorphismType.make([(-1, 3)], [(0, 3)]), grid
-            )
-            flags[tag] = koszul_test(sub) is KoszulClass.KOSZUL
-        else:
-            raise ValueError(f"unknown check tag {tag!r}")
+    flags = {tag: _flag(m, tag) for tag in case.checks}
     verdict = search_destabilizer(m, case.sample_polarization(n), budget, seed)
     return CaseReport(verdict, flags)

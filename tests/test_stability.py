@@ -17,9 +17,10 @@ from sheafmod.polymatrix import (
     transpose_dual,
 )
 from sheafmod.regions import Polarization, Shape, classify_shapes, enumerate_shapes
-from sheafmod.registry import _CHECK_TAGS, case_by_id, load_registry
+from sheafmod.registry import case_by_id, load_registry
 from sheafmod.stability import (
     _SUBSET_CAP,
+    FLAGS,
     KoszulClass,
     Verdict,
     VerdictKind,
@@ -344,10 +345,10 @@ def test_check_case_scalar_flag():
     assert not report.in_wo
 
 
-@pytest.mark.parametrize("tag", _CHECK_TAGS)
+@pytest.mark.parametrize("tag", FLAGS)
 def test_check_case_computes_every_tag_the_registry_accepts(tag):
-    # the load refuses a tag outside _CHECK_TAGS, so check_case must have a
-    # branch for each one inside it
+    # the load refuses a tag outside FLAGS, so check_case must compute each
+    # one inside it
     case = next(c for c in load_registry() if tag in c.checks)
     n = case.n_range[0]
     t = case.resolution(n)
