@@ -395,8 +395,18 @@ def _multiplicity(case_id: str, d: int, ns: list[int], values: list[int]) -> str
 def _resolution_spec(case: CaseSpec) -> str:
     """The case's resolution line, checked against r*t + chi at every n that
     reads it; without one, the spec of the Beilinson monad C^-1 -> C^0 of the
-    case's tables, with its equal-twist block zero."""
+    case's tables, with its equal-twist block zero.  Either way the table
+    must complete at every such n."""
     ns = sorted({*case.ns(), *range(case.n_codim_range[0], case.n_codim_range[1] + 1)})
+    tables = []
+    for n in ns:
+        try:
+            tables.append(case.cohomology_table(n))
+        except ValueError as exc:
+            raise ValueError(
+                f"registry case {case.id!r} has a 'table' that does not complete "
+                f"at n={n}: {exc}"
+            ) from None
     if case.resolution_spec:
         for n in ns:
             t, kernel = parse_resolution_spec(_instantiate(case.resolution_spec, n))
@@ -408,8 +418,8 @@ def _resolution_spec(case: CaseSpec) -> str:
                 )
         return case.resolution_spec
     sides: tuple[dict, dict] = ({}, {})  # twist -> multiplicity at each n, in C^-1 and C^0
-    for j, n in enumerate(ns):
-        _, c_m1, c_0, c_1 = beilinson_terms(case.cohomology_table(n))
+    for j, (n, table) in enumerate(zip(ns, tables)):
+        _, c_m1, c_0, c_1 = beilinson_terms(table)
         if c_1 is not None:
             raise ValueError(
                 f"registry case {case.id!r} needs a 'resolution' line: h1(F) = "
@@ -486,7 +496,17 @@ def _parse_case(block: list[str]) -> CaseSpec:
         quotient=tuple(quotient),
         checks=checks,
     )
-    return replace(case, resolution_spec=_resolution_spec(case))
+    case = replace(case, resolution_spec=_resolution_spec(case))
+    blocks = [(tag, FLAGS[tag][0]) for tag in checks if FLAGS[tag][0] is not None]
+    for n in case.ns() if blocks else ():
+        t = case.resolution(n)
+        for tag, (i, l) in blocks:
+            if i >= t.source.ntypes or l >= t.target.ntypes:
+                raise ValueError(
+                    f"registry case {case_id!r} has a 'checks' tag {tag!r} on block "
+                    f"({i + 1},{l + 1}), which its resolution lacks at n={n}"
+                )
+    return case
 
 
 @lru_cache(maxsize=None)

@@ -400,10 +400,30 @@ _CODIM_63 = ["codim", "--case", "M(6,3):h1=1", "--n", "3"]
             "M(n+1,n):h0m1=0", "checks = det_nonzero", "checks = det_nonzer", ["table"],
             "registry case 'M(n+1,n):h0m1=0' has an unknown 'checks' tag 'det_nonzer'",
         ),
+        # a tag on a block the type lacks once loaded, and ``check`` ended in
+        # an IndexError
+        (
+            "M(n+1,n):h0m1=0", "checks = det_nonzero", "checks = phi22_li", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has a 'checks' tag 'phi22_li' on block "
+            "(2,2), which its resolution lacks at n=2",
+        ),
+        # a record with a resolution line once never read its table, and a
+        # derived record's table refusal named no case
+        (
+            "M(6,3):h1=1", "table = h0m1=0, h1=1,", "table = h0m1=0, bogus=7,", ["table"],
+            "registry case 'M(6,3):h1=1' has a 'table' that does not complete at n=3: "
+            "unknown table entry 'bogus'",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "table = h0m1=0, h1=0,", "table = h1=0,", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has a 'table' that does not complete at n=1: "
+            "pair (h0m1,h1m1) is underdetermined",
+        ),
     ],
     ids=["no-resolution", "resolution-off-euler", "quadratic-h1om", "negative-stabilizer",
          "empty-n", "empty-n_codim", "wide-n", "wide-n_codim", "dotted-n", "single-n",
-         "dashed-n_codim", "word-extra_constraints", "unknown-check"],
+         "dashed-n_codim", "word-extra_constraints", "unknown-check", "tag-without-block",
+         "unknown-table-entry", "underdetermined-table"],
 )
 def test_registry_block_refused_at_load_is_one_error_line(
     case_id, old, new, argv, message, tmp_path, monkeypatch, capsys
