@@ -149,16 +149,18 @@ class CaseSpec:
     def region_system(self, n: int) -> RegionSystem:
         return REGION_SYSTEMS[self.region_ref](n)
 
-    def region(self, n: int) -> Region:
-        sys = self.region_system(n)
-        return admissible_region(
-            self.resolution(n),
-            sys.forbidden,
-            sys.allowed,
-            extra_facets=sys.extra_facets,
-            clip_positivity=sys.clip_positivity,
-            coords=sys.coords,
+    def _solve(self, n: int, positive: bool) -> tuple[MorphismType, RegionSystem, Region]:
+        """The type, the catalog and the region at n, clipped to positive
+        weights when the catalog or ``positive`` asks for it."""
+        t, sys = self.resolution(n), self.region_system(n)
+        region = admissible_region(
+            t, sys.forbidden, sys.allowed, extra_facets=sys.extra_facets,
+            clip_positivity=sys.clip_positivity or positive, coords=sys.coords,
         )
+        return t, sys, region
+
+    def region(self, n: int) -> Region:
+        return self._solve(n, positive=False)[2]
 
     def codim(self, n: int) -> int:
         """Codimension of the stratum inside its moduli space.
@@ -190,16 +192,11 @@ class CaseSpec:
         """An interior admissible polarization with all weights positive;
         solved once per n for this spec."""
         if n not in self._polarizations:
-            t = self.resolution(n)
-            sys = self.region_system(n)
-            clipped = admissible_region(
-                t, sys.forbidden, sys.allowed,
-                extra_facets=sys.extra_facets, clip_positivity=True,
-            )
+            t, sys, clipped = self._solve(n, positive=True)
             if clipped.empty:
                 raise ValueError(f"case {self.id} has no positive admissible weights")
             pt = clipped.interior_point()
-            self._polarizations[n] = _AffineSpace(t).polarization_at(pt)
+            self._polarizations[n] = _AffineSpace(t, sys.coords).polarization_at(pt)
         return self._polarizations[n]
 
 
