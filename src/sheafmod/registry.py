@@ -397,6 +397,7 @@ def _resolution_spec(case: CaseSpec) -> str:
     ns = sorted({*case.ns(), *range(case.n_codim_range[0], case.n_codim_range[1] + 1)})
     tables = []
     for n in ns:
+        case.moduli(n)  # a bad r or chi is refused as itself, not as the table
         try:
             tables.append(case.cohomology_table(n))
         except ValueError as exc:
