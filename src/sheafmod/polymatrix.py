@@ -22,10 +22,10 @@ Each memoized sub-determinant carries its degree, since Z is not packed, and
 each minor is unpacked at that degree by balanced digits and made primitive
 once, with content g / (product of the row scales).  The m . beta = 0 check of
 ``kernel_line`` packs beta once and sums one weighted product per entry of a
-row.  ``_addmul`` now serves only ``_mul``.  With wide coefficients the
-packed products cost more than term-by-term products would, since every slot
-is padded up to the bound: the 6 maximal minors of a 5 x 6 grid of cubics
-with 80-digit coefficients take about ten times as long as on maps.
+row.  With wide coefficients the packed products cost more than
+term-by-term products would, since every slot is padded up to the bound: the
+6 maximal minors of a 5 x 6 grid of cubics with 80-digit coefficients take
+about ten times as long as on maps.
 
 The gcd first tries a coprimality certificate: restrict both forms to a fixed
 line, reduce mod a prime and run Euclid there.  A common factor of positive
@@ -274,17 +274,24 @@ def _coprime_on_line(a: Coeffs, b: Coeffs) -> bool:
     f, g = _restrict_mod_p(a, da), _restrict_mod_p(b, db)
     if not (f[-1] or g[-1]):
         return False
-    for p in (f, g):
-        while p and not p[-1]:
-            p.pop()
+    return _coprime_mod(f, g, _P)
+
+
+def _coprime_mod(f: list[int], g: list[int], p: int) -> bool:
+    """True when the polynomials over F_p with the coefficient lists f and g
+    (reduced mod the prime p, lowest power first) are both nonzero and have a
+    constant gcd.  Runs Euclid in place on both lists."""
+    for h in (f, g):
+        while h and not h[-1]:
+            h.pop()
     if not f or not g:
         return False
-    while len(g) > 1:  # Euclid over F_P on lists of coefficients
-        inv = pow(g[-1], -1, _P)
+    while len(g) > 1:
+        inv = pow(g[-1], -1, p)
         while len(f) >= len(g):
-            q, shift = f[-1] * inv % _P, len(f) - len(g)
+            q, shift = f[-1] * inv % p, len(f) - len(g)
             for m in range(len(g) - 1):
-                f[shift + m] = (f[shift + m] - q * g[m]) % _P
+                f[shift + m] = (f[shift + m] - q * g[m]) % p
             f.pop()
             while f and not f[-1]:
                 f.pop()

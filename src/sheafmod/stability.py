@@ -82,8 +82,10 @@ from .polymatrix import (
     kernel_line,
     linearly_independent,
     maximal_minors,
+    poly_gcd,
     poly_gcd_list,
     transpose_dual,
+    _coprime_mod,
     _dual_order,
     _minors,
     _positions,
@@ -325,7 +327,17 @@ def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | Non
 
 
 def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | None:
-    """A rational projective zero (k1 : k2) of a binary form in X, Y."""
+    """A rational projective zero (k1 : k2) of a binary form in X, Y: (1 : 0)
+    when Y divides g, else (0 : 1) when X does, else (t : 1) for the rational
+    root t of g(t, 1) of least |numerator|, then least denominator, positive
+    first; None when g(t, 1) has no rational root.
+
+    The roots are those of the square-free part s of degree d and leading
+    coefficient a: t is one exactly when y = a*t is an integer root of the
+    monic F(y) = a^(d-1) s(y/a), bounded by 1 + max|F_e| (Cauchy), which
+    Newton's iteration lifts from each root modulo a prime p that keeps F
+    square-free until p^k passes twice the bound (Loos 1983).  Each lift is
+    checked exactly."""
     ints: dict[int, int] = {}
     deg = g.degree or 0
     for (a, b, c), v in g.coeffs.items():
@@ -336,22 +348,40 @@ def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | Non
         return (Fraction(1), Fraction(0))
     if 0 not in ints:  # X divides g -> root (0 : 1)
         return (Fraction(0), Fraction(1))
-    # a rational root p/q of g(t, 1) in lowest terms has p dividing the
-    # constant and q the leading coefficient of the primitive integer form
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[deg]):
-            for sign in (1, -1):
-                t = Fraction(sign * p, q)
-                if sum(v * t**e for e, v in ints.items()) == 0:
-                    return (t, Fraction(1))
-    return None
+    dx = HomogeneousPoly({(a - 1, b, 0): a * v for (a, b, _), v in g.coeffs.items() if a})
+    s = g.divexact(poly_gcd(g, dx)).coeffs
+    d = max(a for a, _, _ in s)
+    lead = s[(d, 0, 0)]
+    F = [s.get((e, d - e, 0), 0) * lead ** (d - 1 - e) for e in range(d)] + [1]
+    dF = [e * c for e, c in enumerate(F)][1:]
+    bound = 1 + max(map(abs, F[:-1]))
+    p = next(
+        p for p in itertools.count(2)
+        if all(p % q for q in range(2, isqrt(p) + 1))
+        and _coprime_mod([c % p for c in F], [c % p for c in dF], p)
+    )
+    roots = []
+    for r in range(p):
+        if _horner(F, r, p):
+            continue
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _horner(F, r, mod) * pow(_horner(dF, r, mod), -1, mod)) % mod
+        t = Fraction(r if 2 * r <= mod else r - mod, lead)
+        if sum(v * t**e for e, v in ints.items()) == 0:
+            roots.append(t)
+    if not roots:
+        return None
+    return (min(roots, key=lambda t: (abs(t.numerator), t.denominator, t < 0)), Fraction(1))
 
 
-def _divisors(x: int) -> list[int]:
-    """All positive divisors of a nonzero integer, ascending."""
-    x = abs(x)
-    small = [d for d in range(1, isqrt(x) + 1) if x % d == 0]
-    return small + [x // d for d in reversed(small) if d * d != x]
+def _horner(coeffs: list[int], x: int, mod: int) -> int:
+    """The polynomial with the coefficient list (lowest power first) at x, mod ``mod``."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 def _witness_with_row_combos(

@@ -1,10 +1,12 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain, combinations, product
 from math import comb, lcm, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sheafmod.bundles import MorphismType, parse_resolution_spec
 from sheafmod.polymatrix import (
@@ -28,6 +30,7 @@ from sheafmod.stability import (
     _CoefficientView,
     _dual_shape,
     _pull_back_transpose_witness,
+    _rational_root_binary,
     _row_subset_sweep,
     check_case,
     koszul_test,
@@ -518,8 +521,7 @@ def test_quartic_section_lands_in_koszul_family(rnd):
 
 
 def test_pencil_finds_non_integer_rational_root():
-    # the pencil gcd is X + 1/2*Y: its root (-1/2 : 1) shows up among the
-    # divisor ratios only once the form is cleared to 2*X + Y
+    # the pencil gcd is X + 1/2*Y, with the root (-1/2 : 1)
     from sheafmod.polymatrix import parse_matrix_file
 
     m = parse_matrix_file(
@@ -534,6 +536,61 @@ def test_pencil_finds_non_integer_rational_root():
     assert v.note == ""
     (combo,) = v.witness.col_combos
     assert combo[0] == -combo[1] / 2
+
+
+def _root_by_divisors(g):
+    """The brute-force oracle: every ratio of a divisor of the constant term to
+    one of the leading coefficient of g(t, 1), least |numerator|, then least
+    denominator, positive first."""
+    c = {a: v for (a, _, _), v in g.coeffs.items()}
+    d = g.degree
+    if d not in c:
+        return (F(1), F(0))
+    if 0 not in c:
+        return (F(0), F(1))
+    divisors = lambda x: [k for k in range(1, abs(x) + 1) if x % k == 0]
+    roots = [
+        F(sign * p, q)
+        for p in divisors(c[0]) for q in divisors(c[d]) for sign in (1, -1)
+        if sum(v * F(sign * p, q) ** e for e, v in c.items()) == 0
+    ]
+    if not roots:
+        return None
+    return min(roots, key=lambda t: (abs(t.numerator), t.denominator, t < 0)), F(1)
+
+
+_binary_factor = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any).map(
+        lambda ab: HomogeneousPoly({(1, 0, 0): ab[0], (0, 1, 0): ab[1]})
+    ),
+    st.tuples(st.integers(1, 4), st.integers(-4, 4), st.integers(1, 4)).map(
+        lambda abc: HomogeneousPoly({(2, 0, 0): abc[0], (1, 1, 0): abc[1], (0, 2, 0): abc[2]})
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_binary_factor, st.integers(1, 2)), min_size=1, max_size=3))
+@example([(X - Y.scale(2), 1), (X.scale(2) + Y, 2), (X + Y.scale(2), 1)])  # roots 2, -1/2, -2
+def test_pencil_rational_root_matches_divisor_oracle(factors):
+    # repeated linear factors, irrational quadratics and rational ones
+    g = prod((f for f, k in factors for _ in range(k)), start=HomogeneousPoly({(0, 0, 0): 1}))
+    assert _rational_root_binary(g) == _root_by_divisors(g)
+
+
+def test_pencil_root_with_thirty_one_digits_is_fast():
+    # the gcd's root -N once cost time in sqrt(N) to find
+    from sheafmod.polymatrix import parse_matrix_file
+
+    n = 10**30 + 57
+    m = parse_matrix_file(
+        f"type: src=(-1)x2 tgt=(0)x3\nX | {n}*X + Z\nY | {n}*Y + 2*Z\nZ | {n + 3}*Z\n"
+    )
+    start = time.perf_counter()
+    v = search_destabilizer(m, Polarization([F(1, 2)], [F(1, 3)]), 0)
+    assert time.perf_counter() - start < 1
+    assert v.kind is VerdictKind.DESTABILIZED and verify_witness(m, v.witness)
+    assert v.witness.col_combos == ((F(-n), F(1)),)
 
 
 def _hidden_two_by_two(rnd):
