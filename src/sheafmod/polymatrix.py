@@ -272,15 +272,12 @@ def _coprime_on_line(a: Coeffs, b: Coeffs) -> bool:
         # dense restrictions of sparse maps of high degree cost more than the PRS
         return False
     f, g = _restrict_mod_p(a, da), _restrict_mod_p(b, db)
-    if not (f[-1] or g[-1]):
-        return False
-    return _coprime_mod(f, g, _P)
+    return bool(f[-1] or g[-1]) and _coprime_mod(f, g, _P)
 
 
 def _coprime_mod(f: list[int], g: list[int], p: int) -> bool:
     """True when the polynomials over F_p with the coefficient lists f and g
-    (reduced mod the prime p, lowest power first) are both nonzero and have a
-    constant gcd.  Runs Euclid in place on both lists."""
+    (lowest power first) are nonzero and coprime; runs Euclid on them in place."""
     for h in (f, g):
         while h and not h[-1]:
             h.pop()

@@ -153,11 +153,10 @@ class CaseSpec:
         """The type, the catalog and the region at n, clipped to positive
         weights when the catalog or ``positive`` asks for it."""
         t, sys = self.resolution(n), self.region_system(n)
-        region = admissible_region(
+        return t, sys, admissible_region(
             t, sys.forbidden, sys.allowed, extra_facets=sys.extra_facets,
             clip_positivity=sys.clip_positivity or positive, coords=sys.coords,
         )
-        return t, sys, region
 
     def region(self, n: int) -> Region:
         return self._solve(n, positive=False)[2]
@@ -397,7 +396,14 @@ def _resolution_spec(case: CaseSpec) -> str:
     ns = sorted({*case.ns(), *range(case.n_codim_range[0], case.n_codim_range[1] + 1)})
     tables = []
     for n in ns:
-        case.moduli(n)  # a bad r or chi is refused as itself, not as the table
+        want = case.moduli(n).polynomial()  # a bad r or chi is refused as itself
+        if case.resolution_spec:
+            t, kernel = parse_resolution_spec(_instantiate(case.resolution_spec, n))
+            if (p := hilbert_of_resolution(t, kernel)) != want:
+                raise ValueError(
+                    f"registry case {case.id!r} has a resolution with Hilbert "
+                    f"polynomial {p} at n={n}, not {want}"
+                )
         try:
             tables.append(case.cohomology_table(n))
         except ValueError as exc:
@@ -406,14 +412,6 @@ def _resolution_spec(case: CaseSpec) -> str:
                 f"at n={n}: {exc}"
             ) from None
     if case.resolution_spec:
-        for n in ns:
-            t, kernel = parse_resolution_spec(_instantiate(case.resolution_spec, n))
-            p, want = hilbert_of_resolution(t, kernel), case.moduli(n).polynomial()
-            if p != want:
-                raise ValueError(
-                    f"registry case {case.id!r} has a resolution with Hilbert "
-                    f"polynomial {p} at n={n}, not {want}"
-                )
         return case.resolution_spec
     sides: tuple[dict, dict] = ({}, {})  # twist -> multiplicity at each n, in C^-1 and C^0
     for j, (n, table) in enumerate(zip(ns, tables)):

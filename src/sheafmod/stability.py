@@ -328,16 +328,13 @@ def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | Non
 
 def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | None:
     """A rational projective zero (k1 : k2) of a binary form in X, Y: (1 : 0)
-    when Y divides g, else (0 : 1) when X does, else (t : 1) for the rational
-    root t of g(t, 1) of least |numerator|, then least denominator, positive
-    first; None when g(t, 1) has no rational root.
+    when Y divides g, else (0 : 1) when X does, else the root (t : 1) of least
+    |numerator|, then least denominator, positive first, or None.
 
-    The roots are those of the square-free part s of degree d and leading
-    coefficient a: t is one exactly when y = a*t is an integer root of the
-    monic F(y) = a^(d-1) s(y/a), bounded by 1 + max|F_e| (Cauchy), which
-    Newton's iteration lifts from each root modulo a prime p that keeps F
-    square-free until p^k passes twice the bound (Loos 1983).  Each lift is
-    checked exactly."""
+    The roots t of the square-free part s of g(t, 1), of leading coefficient
+    a, give the integer roots y = a*t of the monic F(y) = a^(d-1) s(y/a).
+    Newton's iteration lifts each root of F modulo a prime that keeps F
+    square-free past twice its Cauchy bound (Loos 1983); each lift is checked."""
     ints: dict[int, int] = {}
     deg = g.degree or 0
     for (a, b, c), v in g.coeffs.items():
@@ -355,33 +352,23 @@ def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | Non
     F = [s.get((e, d - e, 0), 0) * lead ** (d - 1 - e) for e in range(d)] + [1]
     dF = [e * c for e, c in enumerate(F)][1:]
     bound = 1 + max(map(abs, F[:-1]))
-    p = next(
-        p for p in itertools.count(2)
-        if all(p % q for q in range(2, isqrt(p) + 1))
-        and _coprime_mod([c % p for c in F], [c % p for c in dF], p)
-    )
+
+    def at(f: list[int], x: int, mod: int) -> int:
+        return sum(c * pow(x, e, mod) for e, c in enumerate(f)) % mod
+
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, isqrt(p) + 1)))
+    p = next(p for p in primes if _coprime_mod([c % p for c in F], [c % p for c in dF], p))
     roots = []
-    for r in range(p):
-        if _horner(F, r, p):
-            continue
+    for r in (r for r in range(p) if not at(F, r, p)):
         mod = p
         while mod <= 2 * bound:
             mod *= mod
-            r = (r - _horner(F, r, mod) * pow(_horner(dF, r, mod), -1, mod)) % mod
+            r = (r - at(F, r, mod) * pow(at(dF, r, mod), -1, mod)) % mod
         t = Fraction(r if 2 * r <= mod else r - mod, lead)
         if sum(v * t**e for e, v in ints.items()) == 0:
             roots.append(t)
-    if not roots:
-        return None
-    return (min(roots, key=lambda t: (abs(t.numerator), t.denominator, t < 0)), Fraction(1))
-
-
-def _horner(coeffs: list[int], x: int, mod: int) -> int:
-    """The polynomial with the coefficient list (lowest power first) at x, mod ``mod``."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % mod
-    return acc
+    best = min(roots, key=lambda t: (abs(t.numerator), t.denominator, t < 0), default=None)
+    return None if best is None else (best, Fraction(1))
 
 
 def _witness_with_row_combos(
@@ -764,9 +751,8 @@ def _entries(m: PolyMatrix) -> list[HomogeneousPoly]:
 
 
 # The membership flags: tag -> (block, test).  The block is the 0-based
-# (source type, target type) pair whose ``_block`` the test reads, or None
-# for a test of the whole matrix.  The tests look up the polymatrix and
-# Koszul routines by module name when they run.
+# (source type, target type) pair whose ``_block`` the test reads, or None for
+# the whole matrix.  The tests look up the routines they call when they run.
 FLAGS: dict[str, tuple[tuple[int, int] | None, Callable[[PolyMatrix], bool]]] = {
     # a nonzero entry of degree 0 lies in a scalar (equal-twist) block
     "scalars_zero": (None, lambda m: all(e.degree != 0 for e in _entries(m))),
