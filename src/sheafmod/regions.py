@@ -8,10 +8,14 @@ weights and complementary column weights.  Forbidden shapes contribute strict
 inequalities, allowed shapes weak ones, and the admissible region is the
 exact rational polytope cut out by the resulting half-planes.
 
-The half-planes stay on primitive integer rows from the facets to the
-vertices: a vertex is the point where d facets are tight, taken as the
-vector of signed d x d minors of their d x (d+1) rows (Cramer's rule), and
-Fractions are built only for the vertices that survive.
+The half-planes stay on primitive integer rows from the shape catalog to
+the vertices: each catalog shape becomes one row, made primitive by its gcd,
+and the rows are deduplicated once.  A vertex is the point where d facets
+are tight, taken as the vector of signed d x d minors of their d x (d+1)
+rows (Cramer's rule); Fractions are built only for the vertices that
+survive, and ``Facet`` tuples only for the facets a ``Region`` returns.
+``solve_halfplanes`` takes Fraction facets and runs the same core after
+making each one a primitive integer row.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ def _frac(x) -> Fraction:
 def _integers(vals: Iterable[int | Fraction], den: int) -> list[int]:
     """den * vals as ints, for a den that every denominator divides."""
     return [x.numerator * (den // x.denominator) for x in vals]
+
+
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries (a zero row stays)."""
+    g = gcd(*row) or 1
+    return tuple(x // g for x in row)
 
 
 @dataclass(frozen=True)
@@ -153,9 +163,12 @@ def dual_polarization(p: Polarization, t: MorphismType) -> Polarization:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Facet:
-    """Affine inequality sum(coeffs * x) + const >= 0 (or > 0 when strict)."""
+class Facet(NamedTuple):
+    """Affine inequality sum(coeffs * x) + const >= 0 (or > 0 when strict).
+
+    ``solve_halfplanes`` takes Fraction facets and normalizes them on entry;
+    every facet a ``Region`` returns holds a primitive integer row.
+    """
 
     coeffs: tuple[int | Fraction, ...]
     const: int | Fraction
@@ -164,9 +177,8 @@ class Facet:
     def normalized(self) -> "Facet":
         """The same half-space with primitive integer coefficients."""
         vals = (*self.coeffs, self.const)
-        ints = _integers(vals, lcm(*(x.denominator for x in vals)))
-        g = gcd(*ints) or 1
-        return Facet(tuple(x // g for x in ints[:-1]), ints[-1] // g, self.strict)
+        *coeffs, const = _primitive(_integers(vals, lcm(*(x.denominator for x in vals))))
+        return Facet(tuple(coeffs), const, self.strict)
 
     def value(self, pt: Sequence[Fraction]) -> Fraction:
         return sum(c * x for c, x in zip(self.coeffs, pt)) + self.const
@@ -218,22 +230,26 @@ class Region:
         }
 
 
-def _dedupe_facets(facets: list[Facet]) -> list[Facet]:
-    seen: dict[tuple, Facet] = {}
-    for f in map(Facet.normalized, facets):
-        if f.strict or (f.coeffs, f.const) not in seen:  # the strict copy wins
-            seen[f.coeffs, f.const] = f
-    return list(seen.values())
+Row = tuple[int, ...]  # a primitive integer row (coeffs..., const) of an affine form
 
 
-def _recession_rays(facets: list[Facet], d: int) -> list[tuple[int, ...]]:
+def _dedupe(facets: Iterable[tuple[Row, bool]]) -> dict[Row, bool]:
+    """Each distinct row with its strictness, in first-seen order; the strict
+    copy wins."""
+    seen: dict[Row, bool] = {}
+    for row, strict in facets:
+        seen[row] = strict or seen.get(row, False)
+    return seen
+
+
+def _recession_rays(rows: Sequence[Row], d: int) -> list[Row]:
     """Nonzero directions along which every half-space is unbounded, none
     when the closure is bounded.  With normals of rank d these directions
     form a pointed cone, and each extreme ray spans the kernel of d - 1 of
     the normals: it is +-1 when d = 1 and +-(-b, a) for a nonzero normal
     (a, b) when d = 2.  Every extreme ray is returned, so the sum of the
     returned directions lies inside the cone."""
-    normals = [f.coeffs for f in facets]
+    normals = [r[:-1] for r in rows]
     rays = [(1,)] if d == 1 else [(-b, a) for a, b in normals if a or b]
     return [
         direction
@@ -243,7 +259,7 @@ def _recession_rays(facets: list[Facet], d: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _tight_point(rows: Sequence[Sequence[int]], d: int) -> tuple[int, ...] | None:
+def _tight_point(rows: Sequence[Row], d: int) -> Row | None:
     """The point where d integer rows (a, c) of affine forms a . x + c are
     tight, as the primitive integer h = q * (x, 1) with q > 0, or None when
     they do not meet in exactly one point.
@@ -269,6 +285,18 @@ def _tight_point(rows: Sequence[Sequence[int]], d: int) -> tuple[int, ...] | Non
 def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     """Intersect half-spaces exactly in 0, 1 or 2 free variables.
 
+    Each facet is normalized to a primitive integer row on entry, and the
+    rows go to the one solver core that ``admissible_region`` uses.
+    """
+    return _solve_rows(tuple(names), _dedupe(
+        ((*f.coeffs, f.const), f.strict) for f in map(Facet.normalized, facets)
+    ))
+
+
+def _solve_rows(names: tuple[str, ...], facets: dict[Row, bool]) -> Region:
+    """The solver core, on distinct primitive integer rows with their
+    strictness.
+
     The vertices of the closure are the points where d facets are tight and
     every facet holds weakly.  A nonempty closure whose normals have rank d
     has a vertex, so a system without one is empty when its normals have
@@ -276,41 +304,42 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     the 1-variable problem along the common normal is; otherwise it is
     unbounded.  A system with a vertex is empty exactly when a strict facet
     vanishes at a point inside its closure, bounded or not, so emptiness is
-    decided before unboundedness.  A failing constant facet empties it.  The
-    facets are normalized to primitive integer rows once, and every sign
-    test is an integer dot product with a tight point's vector h.
+    decided before unboundedness.  A failing constant facet empties it.
+    Every sign test is an integer dot product with a tight point's vector h,
+    and ``Facet`` objects are built only for the facets returned.
     """
-    names = tuple(names)
     d = len(names)
     if d > 2:
         raise ValueError("only 0, 1 or 2 free variables are supported")
-    fs = _dedupe_facets(list(facets))
-    empty = Region(names, tuple(fs), (), -1, empty=True)
-    if not all(any(f.coeffs) or f.admits(()) for f in fs):
-        return empty
-    rows = [(*f.coeffs, f.const) for f in fs]
+    rows = list(facets)
+
+    def region(kept: Iterable[Row], verts=(), dim: int = -1) -> Region:
+        # dim -1 is the empty region, returned with every row
+        facet_tuples = tuple(Facet(r[:-1], r[-1], facets[r]) for r in kept)
+        return Region(names, facet_tuples, tuple(verts), dim, empty=dim < 0)
+
+    if any(not any(r[:-1]) and (r[-1] <= 0 if facets[r] else r[-1] < 0) for r in rows):
+        return region(rows)
     tight = {_tight_point(combo, d) for combo in itertools.combinations(rows, d)}
     tight.discard(None)
     hs = [h for h in tight if all(sum(map(mul, r, h)) >= 0 for r in rows)]
     if not hs:
-        normals = [f.coeffs for f in fs if any(f.coeffs)]
+        normals = [r[:-1] for r in rows if any(r[:-1])]
         if rank(normals) == d:
-            return empty
+            return region(rows)
         if normals and d == 2:
-            # every normal is a multiple of one primitive n, so the system is
-            # the 1-variable one in t = n . x, and empty exactly when that is
-            n = normals[0]
+            # every normal is an integer multiple of one primitive n, so the
+            # system is the 1-variable one in t = n . x, on primitive rows,
+            # and empty exactly when that is
+            n = _primitive(normals[0])
             j = 0 if n[0] else 1
-            along = [
-                Facet((Fraction(f.coeffs[j], n[j]),), f.const, f.strict) for f in fs
-            ]
             try:
-                if solve_halfplanes(("t",), along).empty:
-                    return empty
+                if _solve_rows(("t",), {(r[j] // n[j], r[-1]): s for r, s in facets.items()}).empty:
+                    return region(rows)
             except ValueError:
                 pass
         raise ValueError("unbounded region; the constraint system is incomplete")
-    rays = _recession_rays(fs, d) if d else []
+    rays = _recession_rays(rows, d) if d else []
     # strictness check at a point inside the closure: the barycenter of the
     # vertices, as the positive multiple sum(h * q / h[-1]) of (center, 1)
     # with q = lcm(h[-1]), moved along every recession ray
@@ -319,18 +348,18 @@ def solve_halfplanes(names: Sequence[str], facets: Iterable[Facet]) -> Region:
     for ray in rays:
         for j, x in enumerate(ray):
             center[j] += x
-    if any(f.strict and sum(map(mul, r, center)) <= 0 for f, r in zip(fs, rows)):
-        return empty
+    if any(facets[r] and sum(map(mul, r, center)) <= 0 for r in rows):
+        return region(rows)
     if rays:
         raise ValueError("unbounded region; the constraint system is incomplete")
     # each h is a vertex, as d independent facets are tight there; the
     # homogeneous vectors span one more dimension than the vertices
     dim = rank(hs) - 1
-    # drop half-spaces whose boundary misses the closure
-    active = [f for f, r in zip(fs, rows) if any(not sum(map(mul, r, h)) for h in hs)]
-    active.sort(key=lambda f: (f.coeffs, f.const, f.strict))
+    # drop half-spaces whose boundary misses the closure; rows are distinct,
+    # so sorting them sorts the facets by (coeffs, const)
+    active = sorted(r for r in rows if any(not sum(map(mul, r, h)) for h in hs))
     verts = sorted(tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in hs)
-    return Region(names, tuple(active), tuple(verts), dim)
+    return region(active, verts, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -415,33 +444,34 @@ def admissible_region(
     if not space.dim and not set(coords) <= {"l1", "m1"}:
         raise ValueError(f"coords {coords} are not weights of {t}")
 
-    def facet(const, lambda_ws, mu_ws, strict: bool) -> Facet:
-        # scale * (const + sum(w * weight)): the same half-space, integer
+    def facet(const, lambda_ws, mu_ws) -> Row:
+        # scale * (const + sum(w * weight)): the same half-space, as a
+        # primitive integer row
         vec, const = [0] * space.dim, space.scale * const
         for w, (coeffs, c) in (*zip(lambda_ws, space.lambda_forms), *zip(mu_ws, space.mu_forms)):
             if w:
                 for j, x in enumerate(coeffs):
                     vec[j] += w * x
                 const += w * c
-        return Facet(tuple(vec), const, strict)
+        return _primitive((*vec, const))
 
-    def shape_facet(s: Shape, strict: bool) -> Facet:
+    def shape_facet(s: Shape, strict: bool) -> tuple[Row, bool]:
         # lhs = sum(b_l * mu_l) over the rows, rhs = sum((m_i - a_i) * lambda_i)
         # over the complementary columns
         s.validate_for(t)
         rhs = [m - a for a, (_, m) in zip(s.cols, t.source.summands)]
         if strict:  # forbidden: rhs - lhs > 0
-            return facet(0, rhs, [-b for b in s.rows], True)
-        return facet(0, [-c for c in rhs], s.rows, False)  # allowed: lhs - rhs >= 0
+            return facet(0, rhs, [-b for b in s.rows]), True
+        return facet(0, [-c for c in rhs], s.rows), False  # allowed: lhs - rhs >= 0
 
     facets = [shape_facet(s, True) for s in forbidden]
     facets += [shape_facet(s, False) for s in allowed]
     for rows, bound, strict in extra_facets:  # bound - sum(rows * mu) REL 0
-        facets.append(facet(bound, (), [-b for b in rows], strict))
+        facets.append((facet(bound, (), [-b for b in rows]), strict))
     if clip_positivity:
-        facets.extend(Facet(*form, True) for form in space.lambda_forms + space.mu_forms)
+        facets += [(_primitive((*vec, k)), True) for vec, k in space.lambda_forms + space.mu_forms]
 
-    region = solve_halfplanes(space.var_names, facets)
+    region = _solve_rows(space.var_names, _dedupe(facets))
     if space.dim or not coords or region.empty:
         return region
     # one type on each side: the normalization pins l1 and m1

@@ -7,7 +7,11 @@ for the codimension formula, and presentation metadata.  The block records
 live in ``data/registry.txt``; the shape catalogs are registered here by name.
 The resolution is derived at load from the cohomology tables (the Beilinson
 monad C^-1 -> C^0) unless the record gives one, whose Hilbert polynomial must
-then be r*t + chi at every n.
+then be r*t + chi at every n.  The load keeps the resolution type of every n
+it reads (the n and n_codim ranges) on the case, so ``resolution(n)`` is a
+lookup and ``resolution_spec`` only its printed form.  Calls outside a
+case's range raise ValueError: ``resolution`` outside both ranges,
+``region`` and ``sample_polarization`` outside n, ``codim`` outside n_codim.
 """
 
 from __future__ import annotations
@@ -124,6 +128,9 @@ class CaseSpec:
     region_ref: str
     quotient: tuple[tuple[str, str], ...]
     checks: tuple[str, ...]
+    # the resolution type at every n of n_range and n_codim_range, as the
+    # load built and checked it
+    resolutions: Mapping[int, MorphismType] = field(repr=False, compare=False)
     # sample_polarization per n, kept for the life of this spec
     _polarizations: dict[int, Polarization] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -139,8 +146,10 @@ class CaseSpec:
         return LinearClass(_ev(self.r_expr, n), _ev(self.chi_expr, n))
 
     def resolution(self, n: int) -> MorphismType:
-        t, _ = parse_resolution_spec(_instantiate(self.resolution_spec, n))
-        return t
+        try:
+            return self.resolutions[n]
+        except KeyError:
+            raise ValueError(f"case {self.id} does not admit n={n}") from None
 
     def cohomology_table(self, n: int) -> CohomologyTable:
         known = {k: _ev(v, n) for k, v in self.table_known.items()}
@@ -152,6 +161,8 @@ class CaseSpec:
     def _solve(self, n: int, positive: bool) -> tuple[MorphismType, RegionSystem, Region]:
         """The type, the catalog and the region at n, clipped to positive
         weights when the catalog or ``positive`` asks for it."""
+        if not self.admits(n):
+            raise ValueError(f"case {self.id} does not admit n={n}")
         t, sys = self.resolution(n), self.region_system(n)
         return t, sys, admissible_region(
             t, sys.forbidden, sys.allowed, extra_facets=sys.extra_facets,
@@ -388,13 +399,14 @@ def _multiplicity(case_id: str, d: int, ns: list[int], values: list[int]) -> str
     )
 
 
-def _resolution_spec(case: CaseSpec) -> str:
-    """The case's resolution line, checked against r*t + chi at every n that
-    reads it; without one, the spec of the Beilinson monad C^-1 -> C^0 of the
-    case's tables, with its equal-twist block zero.  Either way the table
-    must complete at every such n."""
+def _resolutions(case: CaseSpec) -> tuple[str, dict[int, MorphismType]]:
+    """The case's resolution line and its type at every n that reads it (the
+    n and n_codim ranges).  A given line is checked against r*t + chi at
+    each such n; without one, the line is the spec of the Beilinson monad
+    C^-1 -> C^0 of the case's tables, with its equal-twist blocks zero.
+    Either way the table must complete at every such n."""
     ns = sorted({*case.ns(), *range(case.n_codim_range[0], case.n_codim_range[1] + 1)})
-    tables = []
+    tables, types = [], {}
     for n in ns:
         want = case.moduli(n).polynomial()  # a bad r or chi is refused as itself
         if case.resolution_spec:
@@ -404,6 +416,7 @@ def _resolution_spec(case: CaseSpec) -> str:
                     f"registry case {case.id!r} has a resolution with Hilbert "
                     f"polynomial {p} at n={n}, not {want}"
                 )
+            types[n] = t
         try:
             tables.append(case.cohomology_table(n))
         except ValueError as exc:
@@ -412,7 +425,7 @@ def _resolution_spec(case: CaseSpec) -> str:
                 f"at n={n}: {exc}"
             ) from None
     if case.resolution_spec:
-        return case.resolution_spec
+        return case.resolution_spec, types
     sides: tuple[dict, dict] = ({}, {})  # twist -> multiplicity at each n, in C^-1 and C^0
     for j, (n, table) in enumerate(zip(ns, tables)):
         _, c_m1, c_0, c_1 = beilinson_terms(table)
@@ -428,7 +441,8 @@ def _resolution_spec(case: CaseSpec) -> str:
     spec = "src={} tgt={}".format(*(",".join(f"({d})x{m}" for d, m in s) for s in (src, tgt)))
     zero = [f"({i},{l})" for i, (d, _) in enumerate(src, 1) for l, (e, _) in enumerate(tgt, 1)
             if d == e]
-    return spec + (" zero=" + ",".join(zero) if zero else "")
+    spec += " zero=" + ",".join(zero) if zero else ""
+    return spec, {n: parse_resolution_spec(_instantiate(spec, n))[0] for n in ns}
 
 
 _REQUIRED_KEYS = (
@@ -491,8 +505,10 @@ def _parse_case(block: list[str]) -> CaseSpec:
         region_ref=fields["region"],
         quotient=tuple(quotient),
         checks=checks,
+        resolutions={},
     )
-    case = replace(case, resolution_spec=_resolution_spec(case))
+    spec, types = _resolutions(case)
+    case = replace(case, resolution_spec=spec, resolutions=types)
     blocks = [(tag, FLAGS[tag][0]) for tag in checks if FLAGS[tag][0] is not None]
     for n in case.ns() if blocks else ():
         t = case.resolution(n)

@@ -10,7 +10,7 @@ from sheafmod.bundles import (
     hom_space_dim,
     parse_resolution_spec,
 )
-from sheafmod.registry import case_by_id, load_registry
+from sheafmod.registry import _instantiate, case_by_id, load_registry
 
 
 def test_hom_dim():
@@ -183,6 +183,18 @@ def test_registry_types_roundtrip():
             t = case.resolution(n)
             assert parse_resolution_spec(format_resolution_spec(t)) == (t, None)
 
+
+
+def test_kept_resolution_types_match_the_printed_spec():
+    # the load keeps one type per n of both ranges; the printed spec must
+    # still parse to each of them
+    for case in load_registry():
+        lo, hi = case.n_codim_range
+        ns = {*case.ns(), *range(lo, hi + 1)}
+        assert set(case.resolutions) == ns
+        for n in ns:
+            spec = _instantiate(case.resolution_spec, n)
+            assert case.resolution(n) == parse_resolution_spec(spec)[0]
 
 @st.composite
 def _sums(draw):

@@ -1,4 +1,6 @@
 import operator
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -408,6 +410,52 @@ def test_dual_region_of_linear_family():
         assert r.free_vars == ("m2",)
         assert r.vertices == ((F(0),), (F(1, n),))
 
+
+
+def test_fraction_entry_meets_the_table_path_in_one_core():
+    """Every table row's facets, each scaled by a seeded positive Fraction
+    and shuffled, give solve_halfplanes the row's own region back: the public
+    Fraction entry normalizes onto the integer rows that admissible_region
+    solves."""
+    from sheafmod.regions import _AffineSpace
+
+    rnd = random.Random(26)
+    rows = 0
+    for case in load_registry():
+        for n in case.ns():
+            r = case.region(n)
+            facets = []
+            for f in r.facets:
+                k = F(rnd.randint(1, 99), rnd.randint(1, 99))
+                facets.append(Facet(tuple(k * c for c in f.coeffs), k * f.const, f.strict))
+            rnd.shuffle(facets)
+            # a type with no free weight is solved in no variable, and
+            # admissible_region then names the point the normalization pins
+            names = _AffineSpace(case.resolution(n), case.region_system(n).coords).var_names
+            got = solve_halfplanes(names, facets)
+            assert got.facets == r.facets
+            assert got.affine_dim == r.affine_dim
+            assert got.vertices == (r.vertices if names else ((),))
+            rows += 1
+    assert rows == 45
+
+
+@pytest.mark.parametrize(
+    "case_id, call, n",
+    [
+        ("M(n+2,n):omega0", "region", 40),
+        ("M(n+2,n):omega0", "sample_polarization", 40),
+        ("M(4,2):omega1", "resolution", 9),
+        # n = 1 is in this case's n_codim range alone: its type is loaded
+        # for codim, but the table has no region for it
+        ("M(n+1,n):h0m1=0", "region", 1),
+        ("M(n+1,n):h0m1=0", "sample_polarization", 1),
+    ],
+)
+def test_library_refuses_n_outside_the_case_range(case_id, call, n):
+    case = case_by_id(case_id)
+    with pytest.raises(ValueError, match=rf"^case {re.escape(case_id)} does not admit n={n}$"):
+        getattr(case, call)(n)
 
 def test_region_barycenter_is_the_sample_polarization():
     """A region solved in its catalog's coordinates and the sample

@@ -354,9 +354,14 @@ def test_check_case_computes_every_tag_the_registry_accepts(tag):
     # one inside it
     case = next(c for c in load_registry() if tag in c.checks)
     n = case.n_range[0]
-    t = case.resolution(n)
-    rnd = random.Random(5)
-    m = PolyMatrix(t, [
+    m = random_member(random.Random(5), case.resolution(n))
+    report = check_case(m, replace(case, checks=(tag,)), n, budget=0)
+    assert list(report.flags) == [tag]
+
+
+def random_member(rnd, t):
+    """A matrix of type t with random entries in every block it allows."""
+    return PolyMatrix(t, [
         [
             zero if t.is_zeroed(i, l) or e < d else random_poly(rnd, e - d, -2, 2)
             for i, (d, mi) in enumerate(t.source.summands)
@@ -365,8 +370,15 @@ def test_check_case_computes_every_tag_the_registry_accepts(tag):
         for l, (e, nl) in enumerate(t.target.summands)
         for _ in range(nl)
     ])
-    report = check_case(m, replace(case, checks=(tag,)), n, budget=0)
-    assert list(report.flags) == [tag]
+
+
+def test_check_case_refuses_n_outside_the_case():
+    # M(4,2):omega1 is published for n = 2 alone, and its resolution does not
+    # depend on n: only the case's range tells n = 9 apart
+    case = case_by_id("M(4,2):omega1")
+    m = random_member(random.Random(5), case.resolution(2))
+    with pytest.raises(ValueError, match=r"^case M\(4,2\):omega1 does not admit n=9$"):
+        check_case(m, case, 9, budget=0)
 
 
 def test_check_case_rejects_wrong_type():
