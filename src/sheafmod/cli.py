@@ -45,9 +45,8 @@ def region_text(region: Region) -> str:
     if region.empty:
         return "empty"
     if region.affine_dim == 0:
-        name = region.free_vars[0] if region.free_vars else "point"
         if region.free_vars:
-            return f"{name} = {region.vertices[0][0]}"
+            return f"{region.free_vars[0]} = {region.vertices[0][0]}"
         return "point"
     if len(region.free_vars) == 1:
         (lo,), (hi,) = region.vertices

@@ -1,8 +1,8 @@
 """Exact Hilbert-polynomial arithmetic for sheaves on the projective plane.
 
-Everything is carried out over ``fractions.Fraction``; no floating point
-enters at any stage.  Polynomials are stored in the monomial basis (lists of
-coefficients of t^0, t^1, t^2).
+Polynomial arithmetic runs over ``fractions.Fraction`` and block classes over
+integers; no floating point enters at any stage.  Polynomials are stored in
+the monomial basis (lists of coefficients of t^0, t^1, t^2).
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ from typing import Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bundles import MorphismType
+    from .regions import Shape
 
 __all__ = [
     "HilbertPolynomial",
     "LinearClass",
     "hilbert_of_twist",
     "hilbert_of_resolution",
+    "hilbert_of_shape",
 ]
 
 
@@ -79,9 +81,6 @@ class HilbertPolynomial:
         return HilbertPolynomial(
             self.coefficient(i) - other.coefficient(i) for i in range(n)
         )
-
-    def __neg__(self) -> "HilbertPolynomial":
-        return HilbertPolynomial(-c for c in self.coeffs)
 
     def scale(self, k) -> "HilbertPolynomial":
         k = _as_fraction(k)
@@ -153,3 +152,15 @@ def hilbert_of_resolution(
     if kernel_twist is not None:
         acc = acc + hilbert_of_twist(kernel_twist)
     return acc
+
+
+def hilbert_of_shape(res: "MorphismType", shape: "Shape") -> tuple[int, int]:
+    """(r', chi') of the block of ``shape``, which maps its columns to the rows
+    outside its rows: ``hilbert_of_resolution`` of the block's own type, on
+    integers, with O(d) read as (d, (d+1)(d+2)/2).  The block must be square."""
+    rows, cols = shape
+    summands = [(e, n - b) for b, (e, n) in zip(rows, res.target.summands)]
+    summands += [(d, -a) for a, (d, _) in zip(cols, res.source.summands)]
+    if sum(m for _, m in summands):
+        raise ValueError(f"the block of {shape} in {res} is not square")
+    return sum(m * d for d, m in summands), sum(m * (d + 1) * (d + 2) // 2 for d, m in summands)

@@ -23,11 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .bundles import MorphismType
+from .hilbert import LinearClass, hilbert_of_shape
 from .linalg import rank
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "Facet",
     "Region",
     "enumerate_shapes",
+    "slope_shapes",
     "classify_shapes",
     "admissible_region",
     "dual_polarization",
@@ -116,6 +118,18 @@ class Shape(NamedTuple):
         return f"rows{self.rows}xcols{self.cols}"
 
 
+def _lower_neighbours(shape: Shape) -> list[Shape]:
+    """The nonempty shapes one row, or one column, of a single type below
+    ``shape``."""
+    rows, cols = shape
+    out = []
+    if sum(rows) > 1:
+        out += [Shape(rows[:l] + (b - 1,) + rows[l + 1:], cols) for l, b in enumerate(rows) if b]
+    if sum(cols) > 1:
+        out += [Shape(rows, cols[:i] + (a - 1,) + cols[i + 1:]) for i, a in enumerate(cols) if a]
+    return out
+
+
 def enumerate_shapes(t: MorphismType) -> list[Shape]:
     """All shapes with nonempty row and column sets, in lexicographic order."""
     row_ranges = [range(n + 1) for _, n in t.target.summands]
@@ -129,6 +143,38 @@ def enumerate_shapes(t: MorphismType) -> list[Shape]:
                 continue
             out.append(Shape(rows, cols))
     return out
+
+
+def slope_shapes(t: MorphismType, k: LinearClass) -> tuple[tuple[Shape, ...], tuple[Shape, ...]]:
+    """The forbidden and allowed shapes of an N x N type whose cokernel has
+    Hilbert polynomial r t + chi (the class ``k``), read from the sheaf side.
+
+    A shape of b rows and a columns with b + a = N has a square block whose
+    cokernel r' t + chi' (``hilbert_of_shape``) is a subsheaf of the cokernel.
+    With 0 < r' < r it is forbidden when chi'/r' < chi/r, and allowed
+    otherwise, an equal slope (a wall) included.  A b + a = N + 1 shape forces
+    det = 0 and is allowed, unless a lower neighbour is an allowed b + a = N
+    shape, whose weak inequality implies its own.
+    """
+    size = t.source.rank
+    # a bound on the shapes read: the region solve is cubic in the facets they
+    # give, and the registry's slope rows stay at 220
+    bound = prod(m + 1 for _, m in t.source.summands + t.target.summands)
+    if t.target.rank != size or bound > 10**4:
+        raise ValueError(f"the slope rule needs a square type of at most 10^4 shapes, not {t}")
+    forbidden, allowed = [], []
+    shapes = enumerate_shapes(t)
+    for s in shapes:
+        if sum(s.rows) + sum(s.cols) == size:
+            r, chi = hilbert_of_shape(t, s)
+            if 0 < r < k.r:
+                (forbidden if chi * k.r < k.chi * r else allowed).append(s)
+    weak = set(allowed)
+    allowed += [
+        s for s in shapes
+        if sum(s.rows) + sum(s.cols) == size + 1 and weak.isdisjoint(_lower_neighbours(s))
+    ]
+    return tuple(forbidden), tuple(allowed)
 
 
 def classify_shapes(t: MorphismType, p: Polarization) -> dict[Shape, bool]:
@@ -435,7 +481,7 @@ def admissible_region(
     ``sum_M mu < bound``.  ``coords`` names the weights the region is solved
     in (``_AffineSpace``); when the type has free weights they must be
     exactly those, and when it has none the nonempty region is the single
-    point of the named weights, which the normalization pins.
+    point of the named weights, which the normalization pins, with no facets.
     """
     coords = tuple(coords)
     space = _AffineSpace(t, coords)
@@ -477,4 +523,4 @@ def admissible_region(
     # one type on each side: the normalization pins l1 and m1
     p = space.polarization_at(())
     pinned = {"l1": p.lambdas[0], "m1": p.mus[0]}
-    return Region(coords, region.facets, (tuple(pinned[x] for x in coords),), 0)
+    return Region(coords, (), (tuple(pinned[x] for x in coords),), 0)

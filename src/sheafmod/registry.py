@@ -4,7 +4,9 @@ Each case binds a moduli class (r, chi as functions of n), the cohomology
 conditions cutting out the stratum, a resolution type, a shape catalog for
 the polarization-region solver, a stabilizer dimension and constraint count
 for the codimension formula, and presentation metadata.  The block records
-live in ``data/registry.txt``; the shape catalogs are registered here by name.
+live in ``data/registry.txt``.  ``region = slope [coords]`` reads the catalog
+off the sheaf side (``regions.slope_shapes``), once per n, in the named
+weights; the catalogs that rule misses are registered here by name.
 The resolution is derived at load from the cohomology tables (the Beilinson
 monad C^-1 -> C^0) unless the record gives one, whose Hilbert polynomial must
 then be r*t + chi at every n.  The load keeps the resolution type of every n
@@ -27,7 +29,7 @@ from typing import Callable, Mapping
 from .bundles import MorphismType, aut_group_dim, hom_space_dim, parse_resolution_spec
 from .cohomology import CohomologyTable, beilinson_terms, complete_table
 from .hilbert import LinearClass, hilbert_of_resolution
-from .regions import Polarization, Region, Shape, admissible_region, _AffineSpace
+from .regions import Polarization, Region, Shape, admissible_region, slope_shapes, _AffineSpace
 from .stability import FLAGS
 
 __all__ = [
@@ -131,7 +133,10 @@ class CaseSpec:
     # the resolution type at every n of n_range and n_codim_range, as the
     # load built and checked it
     resolutions: Mapping[int, MorphismType] = field(repr=False, compare=False)
-    # sample_polarization per n, kept for the life of this spec
+    # region_system and sample_polarization per n, kept for the life of this spec
+    _systems: dict[int, RegionSystem] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _polarizations: dict[int, Polarization] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -156,7 +161,15 @@ class CaseSpec:
         return complete_table(self.moduli(n), known)
 
     def region_system(self, n: int) -> RegionSystem:
-        return REGION_SYSTEMS[self.region_ref](n)
+        """The shape catalog at n, from the slope rule or by name, built once per n."""
+        if n not in self._systems:
+            name, *coords = self.region_ref.split()
+            if name == "slope":
+                shapes = slope_shapes(self.resolution(n), self.moduli(n))
+                self._systems[n] = RegionSystem(*shapes, coords=tuple(coords))
+            else:
+                self._systems[n] = REGION_SYSTEMS[name](n)
+        return self._systems[n]
 
     def _solve(self, n: int, positive: bool) -> tuple[MorphismType, RegionSystem, Region]:
         """The type, the catalog and the region at n, clipped to positive
@@ -224,35 +237,6 @@ def _instantiate(spec: str, n: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _iv_linear(n: int) -> RegionSystem:
-    # source O(-2) + (n-1)O(-1) -> nO; open interval (0, 1/n)
-    forb = [Shape((m,), (1, n - 1 - m)) for m in range(1, n)]
-    allo = [Shape((m,), (0, n - m)) for m in range(1, n)]
-    return RegionSystem(tuple(forb), tuple(allo))
-
-
-def _iv_two(n: int) -> RegionSystem:
-    # 2O(-2) + (n-2)O(-1) -> nO; half-open [1/(2n), 1/n)
-    forb = [Shape((m,), (2, n - 2 - m)) for m in range(1, n - 1)]
-    forb += [Shape((m,), (1, n - m - 1)) for m in range(n // 2 + 1, n)]
-    allo = [Shape((m,), (2, n - m - 1)) for m in range(n // 2 + 1, n)]
-    allo += [Shape((m,), (1, n - m - 1)) for m in range(1, n // 2 + 1)]
-    allo += [Shape((m,), (0, n - m)) for m in range(2, n)]
-    return RegionSystem(tuple(forb), tuple(allo))
-
-
-def _iv_three(n: int) -> RegionSystem:
-    # 3O(-2) + (n-3)O(-1) -> nO; half-open [2/(3n), 1/n)
-    forb = [Shape((m,), (3, n - 3 - m)) for m in range(1, n - 2)]
-    forb += [Shape((m,), (2, n - m - 2)) for m in range(n // 3 + 1, n - 1)]
-    forb += [Shape((m,), (1, n - m - 1)) for m in range(2 * n // 3 + 1, n)]
-    allo = [Shape((m,), (3, n - m - 2)) for m in range(1, n - 1)]
-    allo += [Shape((m,), (2, n - m - 2)) for m in range(1, n // 3 + 1)]
-    allo += [Shape((m,), (1, n - m - 1)) for m in range(2, 2 * n // 3 + 1)]
-    allo += [Shape((m,), (0, n - m)) for m in range(3, n)]
-    return RegionSystem(tuple(forb), tuple(allo))
-
-
 def _tri_two(n: int) -> RegionSystem:
     # 2O(-2) + (n-1)O(-1) -> O(-1) + nO; open triangle in (l1, m1)
     forb = [Shape((1, 0), (0, n - 1))]
@@ -264,16 +248,9 @@ def _tri_two(n: int) -> RegionSystem:
     return RegionSystem(tuple(forb), tuple(allo))
 
 
-def _pt(n: int) -> RegionSystem:
-    # kO(-2) -> kO: the normalization pins l1 = 1/k
-    return RegionSystem((), (), coords=("l1",))
-
-
 def _quad_fourtwo(n: int) -> RegionSystem:
     # 2O(-2) + O(-1) -> O(-1) + 2O; open quadrilateral
-    return RegionSystem(
-        (Shape((0, 2), (1, 0)), Shape((0, 1), (2, 0))), ()
-    )
+    return RegionSystem((Shape((0, 2), (1, 0)), Shape((0, 1), (2, 0))), ())
 
 
 def _seg_or_tri_omega1(n: int) -> RegionSystem:
@@ -315,50 +292,24 @@ def _quad_74(n: int) -> RegionSystem:
 
 def _tri_63(n: int) -> RegionSystem:
     # 3O(-2) + 2O(-1) -> 2O(-1) + 3O; open triangle
-    return RegionSystem(
-        (Shape((0, 3), (2, 0)), Shape((0, 1), (3, 1)), Shape((2, 0), (0, 2))),
-        (),
-    )
-
-
-def _iv_cubic(n: int) -> RegionSystem:
-    # O(-3) + nO(-1) -> (n+1)O; open interval (0, 1/(n+1))
-    forb = [Shape((m,), (1, n - m)) for m in range(1, n + 1)]
-    allo = [Shape((m,), (0, n - m + 1)) for m in range(1, n + 1)]
-    return RegionSystem(tuple(forb), tuple(allo))
-
-
-def _iv_dual63(n: int) -> RegionSystem:
-    # 4O(-2) -> 3O(-1) + O(1); open interval (0, 1/4) in m2
-    forb = [Shape((3 - m, 1), (m,)) for m in (1, 2, 3)]
-    allo = [Shape((4 - m, 0), (m,)) for m in (1, 2, 3)]
-    return RegionSystem(tuple(forb), tuple(allo), coords=("m2",))
+    forbidden = (Shape((0, 3), (2, 0)), Shape((0, 1), (3, 1)), Shape((2, 0), (0, 2)))
+    return RegionSystem(forbidden, ())
 
 
 def _tri_n3(n: int) -> RegionSystem:
     # (n-2)O(-2) + 3O(-1) -> (n-3)O(-1) + 3O; open triangle
     return RegionSystem(
-        (
-            Shape((max(n - 4, 0), 3), (1, 0)),
-            Shape((n - 3, 0), (0, 3)),
-            Shape((0, 2), (n - 2, 0)),
-        ),
+        (Shape((max(n - 4, 0), 3), (1, 0)), Shape((n - 3, 0), (0, 3)), Shape((0, 2), (n - 2, 0))),
         (),
     )
 
 
 REGION_SYSTEMS: dict[str, Callable[[int], RegionSystem]] = {
-    "iv_linear": _iv_linear,
-    "iv_two": _iv_two,
-    "iv_three": _iv_three,
     "tri_two": _tri_two,
-    "pt": _pt,
     "quad_fourtwo": _quad_fourtwo,
     "seg_or_tri_omega1": _seg_or_tri_omega1,
     "quad_74": _quad_74,
     "tri_63": _tri_63,
-    "iv_cubic": _iv_cubic,
-    "iv_dual63": _iv_dual63,
     "tri_n3": _tri_n3,
 }
 
@@ -479,18 +430,19 @@ def _parse_case(block: list[str]) -> CaseSpec:
     for tag in checks:
         if tag not in FLAGS:
             raise ValueError(f"registry case {case_id!r} has an unknown 'checks' tag {tag!r}")
+    name, *coords = fields["region"].split() or [""]
+    if name != "slope" and (coords or name not in REGION_SYSTEMS):
+        raise ValueError(
+            f"registry case {case_id!r} has an unknown region reference {fields['region']!r}"
+        )
     table_known = {}
     for part in fields["table"].split(","):
         k, _, v = part.partition("=")
         table_known[k.strip()] = v.strip()
     quotient = []
     for part in fields["quotient"].split(";"):
-        part = part.strip()
-        if ":" in part:
-            kind, _, cond = part.partition(":")
-            quotient.append((kind.strip(), cond.strip()))
-        else:
-            quotient.append((part, ""))
+        kind, _, cond = part.partition(":")
+        quotient.append((kind.strip(), cond.strip()))
     case = CaseSpec(
         id=case_id,
         r_expr=fields["r"],
@@ -510,8 +462,13 @@ def _parse_case(block: list[str]) -> CaseSpec:
     spec, types = _resolutions(case)
     case = replace(case, resolution_spec=spec, resolutions=types)
     blocks = [(tag, FLAGS[tag][0]) for tag in checks if FLAGS[tag][0] is not None]
-    for n in case.ns() if blocks else ():
+    for n in case.ns() if blocks or name == "slope" else ():
         t = case.resolution(n)
+        if name == "slope" and t.source.rank != t.target.rank:
+            raise ValueError(
+                f"registry case {case_id!r} has 'region = slope' on a resolution "
+                f"that is not square at n={n}"
+            )
         for tag, (i, l) in blocks:
             if i >= t.source.ntypes or l >= t.target.ntypes:
                 raise ValueError(
@@ -550,9 +507,6 @@ def load_registry(path: str | None = None) -> tuple[CaseSpec, ...]:
     ids = [c.id for c in cases]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate case ids in the registry")
-    for c in cases:
-        if c.region_ref not in REGION_SYSTEMS:
-            raise ValueError(f"unknown region reference {c.region_ref!r}")
     return tuple(cases)
 
 

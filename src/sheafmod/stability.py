@@ -90,7 +90,7 @@ from .polymatrix import (
     _minors,
     _positions,
 )
-from .regions import Polarization, Shape, classify_shapes
+from .regions import Polarization, Shape, _lower_neighbours, classify_shapes
 
 if TYPE_CHECKING:
     from .registry import CaseSpec
@@ -571,18 +571,6 @@ def _tests(view: _CoefficientView, shape: Shape) -> Iterator[tuple[Shape, int, b
 
 def _unit(k: int, size: int) -> tuple[int, ...]:
     return tuple(int(j == k) for j in range(size))
-
-
-def _lower_neighbours(shape: Shape) -> list[Shape]:
-    """The nonempty shapes one row, or one column, of a single type below
-    ``shape``."""
-    rows, cols = shape
-    out = []
-    if sum(rows) > 1:
-        out += [Shape(rows[:l] + (b - 1,) + rows[l + 1:], cols) for l, b in enumerate(rows) if b]
-    if sum(cols) > 1:
-        out += [Shape(rows, cols[:i] + (a - 1,) + cols[i + 1:]) for i, a in enumerate(cols) if a]
-    return out
 
 
 class _ExactPasses:

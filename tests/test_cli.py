@@ -192,7 +192,7 @@ def test_registry_env_override(tmp_path, monkeypatch):
         "r = 2\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = 0\nextra_constraints = 0\nregion = pt\n"
+        "stabilizer = 0\nextra_constraints = 0\nregion = slope l1\n"
         "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -225,7 +225,7 @@ def test_registry_rejects_expressions_outside_the_grammar(
         f"r = {expr}\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
         "table = h0m1=0, h1=0, h1om=0\n"
         "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = 0\nextra_constraints = 0\nregion = pt\n"
+        "stabilizer = 0\nextra_constraints = 0\nregion = slope l1\n"
         "quotient = geometric\nchecks = det_nonzero\n"
     )
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -305,7 +305,7 @@ def test_table_mismatches_are_one_stderr_line(tmp_path, monkeypatch, capsys):
     text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
     start = text.index("[case M(6,3):h1=1]")
     block = text[start:].replace("extra_constraints = 0", "extra_constraints = 1", 1)
-    text = text[:start] + block.replace("region = iv_cubic", "region = iv_linear", 1)
+    text = text[:start] + block.replace("region = slope", "region = slope l2", 1)
     path = tmp_path / "reg.txt"
     path.write_text(text)
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
@@ -419,11 +419,27 @@ _CODIM_63 = ["codim", "--case", "M(6,3):h1=1", "--n", "3"]
             "registry case 'M(n+1,n):h0m1=0' has a 'table' that does not complete at n=1: "
             "pair (h0m1,h1m1) is underdetermined",
         ),
+        # the slope rule reads square types only, and other region values
+        # name a catalog
+        (
+            "M(n,3):h0m1=1", "region = tri_n3", "region = slope", ["table"],
+            "registry case 'M(n,3):h0m1=1' has 'region = slope' on a resolution "
+            "that is not square at n=4",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "region = slope", "region = tri_two l1", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an unknown region reference 'tri_two l1'",
+        ),
+        (
+            "M(n+1,n):h0m1=0", "region = slope", "region = iv_linear", ["table"],
+            "registry case 'M(n+1,n):h0m1=0' has an unknown region reference 'iv_linear'",
+        ),
     ],
     ids=["no-resolution", "resolution-off-euler", "quadratic-h1om", "negative-stabilizer",
          "empty-n", "empty-n_codim", "wide-n", "wide-n_codim", "dotted-n", "single-n",
          "dashed-n_codim", "word-extra_constraints", "unknown-check", "tag-without-block",
-         "unknown-table-entry", "underdetermined-table"],
+         "unknown-table-entry", "underdetermined-table", "slope-not-square",
+         "catalog-with-coords", "deleted-catalog"],
 )
 def test_registry_block_refused_at_load_is_one_error_line(
     case_id, old, new, argv, message, tmp_path, monkeypatch, capsys
@@ -448,6 +464,26 @@ def test_registry_block_refused_at_load_is_one_error_line(
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "argv", [["table", "--n", "3"], ["region", "--case", "M(n+1,n):h0m1=0", "--n", "3"]]
+)
+def test_slope_in_weights_the_type_lacks_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    import sheafmod.registry as registry
+
+    text = resources.files("sheafmod").joinpath("data/registry.txt").read_text()
+    path = tmp_path / "reg.txt"
+    path.write_text(text.replace("region = slope\n", "region = slope x9\n", 1))
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(argv, capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: coords ('x9',) are not the free weights ('l1',) of "
+        "1O(-2)+2O(-1) -> 3O(0)\n"
+    )
 from hypothesis import given, settings, strategies as st
 
 _arith = st.recursive(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sheafmod.bundles import parse_resolution_spec
-from sheafmod.hilbert import HilbertPolynomial, hilbert_of_resolution, hilbert_of_twist
+from sheafmod.hilbert import HilbertPolynomial, hilbert_of_resolution, hilbert_of_shape, hilbert_of_twist
 
 
 def res(spec):
@@ -83,3 +83,40 @@ def test_resolution_against_binomial_oracle():
             + twist_val(-2, tt)
         )
         assert p(tt) == want
+
+
+def test_shape_class_is_the_hilbert_polynomial_of_the_block():
+    # oracle: hilbert_of_resolution of the block's own type, the shape's
+    # columns S -> the rows outside its rows T, for every b + a = N shape of
+    # every square table row
+    from sheafmod.bundles import MorphismType
+    from sheafmod.regions import enumerate_shapes
+    from sheafmod.registry import load_registry
+
+    rows = shapes = 0
+    for case in load_registry():
+        for n in case.ns():
+            t = case.resolution(n)
+            size = t.source.rank
+            if t.target.rank != size:
+                continue
+            rows += 1
+            for s in enumerate_shapes(t):
+                if sum(s.rows) + sum(s.cols) != size:
+                    continue
+                src = [(d, a) for a, (d, _) in zip(s.cols, t.source.summands) if a]
+                tgt = [(e, m - b) for b, (e, m) in zip(s.rows, t.target.summands) if m > b]
+                r, chi = hilbert_of_shape(t, s)
+                want = hilbert_of_resolution(MorphismType.make(src, tgt))
+                assert want == HilbertPolynomial.linear(r, chi), (case.id, n, s)
+                shapes += 1
+    assert (rows, shapes) == (33, 435)
+
+
+def test_shape_class_refuses_a_block_that_is_not_square():
+    from sheafmod.regions import Shape
+
+    t, _ = res("src=(-2)x1,(-1)x2 tgt=(0)x3")
+    assert hilbert_of_shape(t, Shape((1,), (1, 1))) == (3, 2)
+    with pytest.raises(ValueError, match="not square"):
+        hilbert_of_shape(t, Shape((1,), (1, 0)))

@@ -505,6 +505,101 @@ def test_coords_that_are_not_the_free_weights_are_refused(t, coords):
     assert "\n" not in str(exc.value)
 
 
+def test_a_pinned_point_has_no_facets():
+    # the slope rule gives the point rows their walls (allowed shapes of
+    # slope chi/r); a type with no free weight returns the point alone
+    for cid in ("M(4,2):omega0", "M(6,3):omega0"):
+        case = case_by_id(cid)
+        (n,) = case.ns()
+        assert case.region_system(n).allowed
+        r = case.region(n)
+        assert (r.free_vars, r.facets, r.affine_dim) == (("l1",), (), 0)
+
+
+def test_the_dropped_n_plus_1_shapes_leave_every_slope_region_unchanged():
+    # a b + a = N + 1 shape above an allowed b + a = N shape is implied by it
+    # at positive weights, so the rule drops it
+    rows = 0
+    for case in load_registry():
+        if case.region_ref.split()[0] != "slope":
+            continue
+        for n in case.ns():
+            t, sys = case.resolution(n), case.region_system(n)
+            size = t.source.rank
+            every = [s for s in enumerate_shapes(t) if sum(s.rows) + sum(s.cols) == size + 1]
+            assert set(sys.allowed) < set(sys.allowed) | set(every)
+            region = admissible_region(t, sys.forbidden, [*sys.allowed, *every], coords=sys.coords)
+            assert region == case.region(n), (case.id, n)
+            rows += 1
+    assert rows == 22
+
+
+def test_the_slope_rule_refuses_a_type_past_its_shape_bound():
+    # h1om=90 in place of h1om=0 on M(n+2,n):omega0 gives this type at n = 3:
+    # about 10^5 shapes, whose region solve is cubic in the facets
+    from sheafmod.hilbert import LinearClass
+    from sheafmod.regions import slope_shapes
+
+    t = MorphismType.make([(-2, 2), (-1, 91)], [(-1, 90), (0, 3)], [(1, 0)])
+    with pytest.raises(ValueError, match=r"square type of at most 10\^4 shapes"):
+        slope_shapes(t, LinearClass(5, 3))
+    t = MorphismType.make([(-2, 2), (-1, 21)], [(-1, 20), (0, 3)], [(1, 0)])
+    forbidden, allowed = slope_shapes(t, LinearClass(5, 3))
+    assert forbidden and allowed
+
+
+def _matches_golden(case_id, n, r):
+    """Whether a region has the published kind, vertices and, for an
+    interval, endpoint strictness."""
+    from sheafmod.cli import _endpoint_strict
+    from sheafmod.goldens import expected_region, expected_region_vertices
+
+    golden = expected_region(case_id, n)
+    if r.empty or r.vertices != expected_region_vertices(case_id, n):
+        return False
+    if golden[0] == "interval":
+        _, lo, hi, lo_strict, hi_strict = golden
+        return (_endpoint_strict(r, (lo,)), _endpoint_strict(r, (hi,))) == (lo_strict, hi_strict)
+    return r.affine_dim == {"point": 0, "segment": 1, "polygon": 2}[golden[0]]
+
+
+# each catalog the slope rule does not replace, with why, as measured on the
+# rows that use it
+_KEPT_CATALOGS = {
+    "tri_two": "the rule misses at every n",
+    "quad_fourtwo": "the b + a = N + 1 shapes cut the published quadrilateral (ROADMAP item 1)",
+    "seg_or_tri_omega1": "the rule misses at n = 4 and 5 (it matches at n = 3 and 6)",
+    "quad_74": "the rule misses; the published region runs beyond the positive weights",
+    "tri_63": "the rule misses",
+    "tri_n3": "the resolution is not square",
+}
+
+
+def test_every_kept_catalog_is_one_the_slope_rule_misses():
+    # when the rule catches up with a catalog on all of its rows, this fails,
+    # and the catalog is due for deletion
+    from dataclasses import replace
+
+    from sheafmod.registry import REGION_SYSTEMS
+
+    assert set(REGION_SYSTEMS) == set(_KEPT_CATALOGS)
+    misses = dict.fromkeys(REGION_SYSTEMS, 0)
+    for case in load_registry():
+        if case.region_ref not in REGION_SYSTEMS:
+            continue
+        rule = replace(case, region_ref="slope")
+        for n in case.ns():
+            assert _matches_golden(case.id, n, case.region(n)), (case.id, n)
+            if case.region_ref == "tri_n3":
+                with pytest.raises(ValueError, match="needs a square type"):
+                    rule.region(n)
+                misses["tri_n3"] += 1
+            else:
+                misses[case.region_ref] += not _matches_golden(case.id, n, rule.region(n))
+    assert all(misses.values()), misses
+    assert misses["tri_two"] == 4 and misses["seg_or_tri_omega1"] == 2, misses
+
+
 from hypothesis import given, settings, strategies as st
 
 

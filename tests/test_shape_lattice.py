@@ -414,7 +414,8 @@ WIDE_TYPE = MorphismType.make([(-2, 2), (-1, 3)], [(-1, 2), (0, 3)])
 
 def test_a_pass_that_fails_below_a_shape_fails_on_it():
     from sheafmod.polymatrix import transpose_dual
-    from sheafmod.stability import _CoefficientView, _lower_neighbours, _over_cap, _row_subset_sweep
+    from sheafmod.regions import _lower_neighbours
+    from sheafmod.stability import _CoefficientView, _over_cap, _row_subset_sweep
 
     rnd = random.Random(9090)
     failed_below = found = 0
