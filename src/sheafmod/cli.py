@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bundles import format_resolution_spec, parse_resolution_spec
 from .cohomology import CohomologyTable, serre_dual_table
-from .goldens import expected_codim, expected_region_vertices
+from .goldens import expected_codim, expected_quotient, expected_region_vertices
 from .hilbert import LinearClass, hilbert_of_resolution
 from .polymatrix import (
     adapt_to_point,
@@ -88,7 +88,7 @@ def cmd_table(args) -> int:
                 mismatches.append(f"{case.id} n={n}: codim {codim} != published")
             if verts != expected_region_vertices(case.id, n):
                 mismatches.append(f"{case.id} n={n}: region != published")
-            rows.append((n, codim, region, case.quotient_kind(n)))
+            rows.append((n, codim, region, expected_quotient(case.id, n)))
         out_rows.append((case, rows))
     if args.json:
         doc = []

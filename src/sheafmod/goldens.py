@@ -1,5 +1,9 @@
-"""Golden summary-table data: the published codimensions and polarization
-regions for every block, as exact formulas in n.
+"""Golden summary-table data: the published codimensions, polarization
+regions and quotient kinds for every block, as exact formulas in n.
+
+``expected_quotient`` answers whether the moduli space is a good quotient of
+the semistable monads: "geometric", "good" or "unknown".  ``table`` prints
+it beside each row; nothing in the package computes it.
 
 ``expected_region`` returns ("point", value), ("interval", lo, hi, lo_strict,
 hi_strict), ("segment", (v, w)) or ("polygon", vertices); vertices are
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-__all__ = ["expected_codim", "expected_region", "expected_region_vertices"]
+__all__ = ["expected_codim", "expected_quotient", "expected_region", "expected_region_vertices"]
 
 
 def expected_codim(case_id: str, n: int) -> int:
@@ -32,6 +36,29 @@ def expected_codim(case_id: str, n: int) -> int:
         "M(6,3):h0m1=1": 4,
         "M(n,3):h0m1=1": n - 2,
         "M(n,3):h0m1=1+ker": n - 2,
+    }
+    return table[case_id]
+
+
+def expected_quotient(case_id: str, n: int) -> str:
+    table = {
+        "M(n+1,n):h0m1=0": "geometric",
+        "M(n+2,n):omega0": "geometric" if n % 2 else "good",
+        "M(n+2,n):omega1": "geometric" if n % 2 else "unknown",
+        "M(4,2):omega0": "good",
+        "M(4,2):omega1": "unknown",
+        "M(n+3,n):omega0": "geometric" if n <= 5 else "unknown",
+        "M(6,3):omega0": "good",
+        "M(n+3,n):omega1": "geometric" if n <= 5 else "unknown",
+        "M(6,3):omega1": "unknown",
+        "M(7,4):omega2": "geometric",
+        "M(6,3):omega2": "unknown",
+        "M(6,3):h1=1": "geometric",
+        "M(4,1):h1=1": "geometric",
+        "M(5,2):h1=1": "geometric",
+        "M(6,3):h0m1=1": "geometric",
+        "M(n,3):h0m1=1": "geometric" if n % 3 else "unknown",
+        "M(n,3):h0m1=1+ker": "geometric" if n % 3 else "unknown",
     }
     return table[case_id]
 

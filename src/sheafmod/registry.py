@@ -4,7 +4,10 @@ Each case binds a moduli class (r, chi as functions of n), the cohomology
 conditions cutting out the stratum, a resolution type, a shape catalog for
 the polarization-region solver, a stabilizer dimension and constraint count
 for the codimension formula, and presentation metadata.  The block records
-live in ``data/registry.txt``.  ``region = slope [coords]`` reads the catalog
+live in ``data/registry.txt``.  Every expression in n is affine (terms
+``c``, ``n`` or ``c*n`` joined by ``+`` or ``-``, after an optional ``-``);
+the load refuses any other, and reads the stabilizer at every n of n_codim.
+``region = slope [coords]`` reads the catalog
 off the sheaf side (``regions.slope_shapes``), once per n, in the named
 weights; the catalogs that rule misses are registered here by name.
 The resolution is derived at load from the cohomology tables (the Beilinson
@@ -18,7 +21,6 @@ case's range raise ValueError: ``resolution`` outside both ranges,
 
 from __future__ import annotations
 
-import operator
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -57,60 +59,19 @@ class RegionSystem:
     coords: tuple[str, ...] = ()
 
 
-_TOKEN = re.compile(r"\d+|n|//|[=!<>]=|[-+*%()<>]|\S", re.ASCII)
-_SUM = {"+": operator.add, "-": operator.sub}
-_PRODUCT = {"*": operator.mul, "//": operator.floordiv, "%": operator.mod}
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# an optional leading "-", then terms c, n or c*n joined by "+" or "-"
+_AFFINE = re.compile(r"-?(?:\d+(?:\*n)?|n)(?:[-+](?:\d+(?:\*n)?|n))*", re.ASCII)
+_TERM = re.compile(r"([-+]?)(?:(\d+)(\*n)?|n)", re.ASCII)
+_PLACEHOLDER = re.compile(r"\[([^]]*)\]")
 
 
 def _ev(expr: str, n: int) -> int:
-    """Value of a registry expression at n, by recursive descent: ``n``,
-    integers, unary ``-``, ``+ - * // %`` with Python's precedence,
-    parentheses, and at most one comparison on top (valued 1 or 0).
-    Anything else, or nesting deeper than Python's recursion limit, raises
-    ValueError."""
-    tokens = _TOKEN.findall(expr) + [""]  # "" marks the end
-    pos = 0
-
-    def chain(ops, operand) -> int:
-        nonlocal pos
-        value = operand()
-        while tokens[pos] in ops:
-            pos += 1
-            value = ops[tokens[pos - 1]](value, operand())
-        return value
-
-    def total() -> int:
-        return chain(_SUM, lambda: chain(_PRODUCT, factor))
-
-    def factor() -> int:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok == "-":
-            return -factor()
-        if tok == "n":
-            return n
-        if tok.isascii() and tok.isdigit():
-            return int(tok)
-        if tok == "(":
-            value = total()
-            if tokens[pos] == ")":
-                pos += 1
-                return value
+    """Value of a registry expression at n; anything outside the grammar
+    raises ValueError."""
+    if not _AFFINE.fullmatch(expr):
         raise ValueError(f"bad registry expression {expr!r}")
-
-    try:
-        value = total()
-        if tokens[pos] in _COMPARE:
-            pos += 1
-            value = _COMPARE[tokens[pos - 1]](value, total())
-    except RecursionError:
-        raise ValueError(f"bad registry expression {expr!r}: nested too deeply") from None
-    if tokens[pos]:
-        raise ValueError(f"bad registry expression {expr!r}")
-    return int(value)
+    return sum(int(sign + (c or "1")) * (n if times_n or not c else 1)
+               for sign, c, times_n in _TERM.findall(expr))
 
 
 @dataclass(frozen=True)
@@ -125,10 +86,10 @@ class CaseSpec:
     conditions: str
     table_known: Mapping[str, str]
     resolution_spec: str
-    stabilizer: str
+    # the stabilizer dimension at every n of n_codim_range, read at load
+    stabilizers: Mapping[int, int]
     extra_constraints: int
     region_ref: str
-    quotient: tuple[tuple[str, str], ...]
     checks: tuple[str, ...]
     # the resolution type at every n of n_range and n_codim_range, as the
     # load built and checked it
@@ -196,20 +157,11 @@ class CaseSpec:
             raise ValueError(f"case {self.id} does not admit n={n}")
         t = self.resolution(n)
         dim_w = hom_space_dim(t) - self.extra_constraints
-        stab = _ev(self.stabilizer, n)
-        if stab < 0:
-            raise ValueError(f"stabilizer {self.stabilizer} of case {self.id} is negative at n={n}")
-        dim_x = dim_w - aut_group_dim(t) + stab
+        dim_x = dim_w - aut_group_dim(t) + self.stabilizers[n]
         codim = self.moduli(n).moduli_dim() - dim_x
         if codim < 0:
             raise ValueError(f"negative codimension for {self.id} at n={n}")
         return codim
-
-    def quotient_kind(self, n: int) -> str:
-        for kind, cond in self.quotient:
-            if cond == "" or _ev(cond, n):
-                return kind
-        raise ValueError(f"no quotient entry applies at n={n}")
 
     def sample_polarization(self, n: int) -> Polarization:
         """An interior admissible polarization with all weights positive;
@@ -229,7 +181,7 @@ def _instantiate(spec: str, n: int) -> str:
     it, so it is refused."""
     if re.search(r"[\d\]]\[|\]\d", spec):
         raise ValueError(f"a placeholder touches a digit or a placeholder in {spec!r}")
-    return re.sub(r"\[([^]]*)\]", lambda m: str(_ev(m[1], n)), spec)
+    return _PLACEHOLDER.sub(lambda m: str(_ev(m[1], n)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +311,17 @@ def _resolutions(case: CaseSpec) -> tuple[str, dict[int, MorphismType]]:
     ns = sorted({*case.ns(), *range(case.n_codim_range[0], case.n_codim_range[1] + 1)})
     tables, types = [], {}
     for n in ns:
-        want = case.moduli(n).polynomial()  # a bad r or chi is refused as itself
+        k = case.moduli(n)  # an r below 1 is refused as itself
         if case.resolution_spec:
             t, kernel = parse_resolution_spec(_instantiate(case.resolution_spec, n))
-            if (p := hilbert_of_resolution(t, kernel)) != want:
+            if (p := hilbert_of_resolution(t, kernel)) != (want := k.polynomial()):
                 raise ValueError(
                     f"registry case {case.id!r} has a resolution with Hilbert "
                     f"polynomial {p} at n={n}, not {want}"
                 )
             types[n] = t
         try:
-            tables.append(case.cohomology_table(n))
+            tables.append(complete_table(k, {e: _ev(v, n) for e, v in case.table_known.items()}))
         except ValueError as exc:
             raise ValueError(
                 f"registry case {case.id!r} has a 'table' that does not complete "
@@ -397,8 +349,7 @@ def _resolutions(case: CaseSpec) -> tuple[str, dict[int, MorphismType]]:
 
 
 _REQUIRED_KEYS = (
-    "r", "chi", "n", "conditions", "table", "stabilizer",
-    "extra_constraints", "region", "quotient",
+    "r", "chi", "n", "conditions", "table", "stabilizer", "extra_constraints", "region",
 )
 _KNOWN_KEYS = (*_REQUIRED_KEYS, "n_codim", "resolution", "checks")
 
@@ -439,10 +390,21 @@ def _parse_case(block: list[str]) -> CaseSpec:
     for part in fields["table"].split(","):
         k, _, v = part.partition("=")
         table_known[k.strip()] = v.strip()
-    quotient = []
-    for part in fields["quotient"].split(";"):
-        kind, _, cond = part.partition(":")
-        quotient.append((kind.strip(), cond.strip()))
+    exprs = [(key, fields[key]) for key in ("r", "chi", "stabilizer")]
+    exprs += [("table", v) for v in table_known.values()]
+    exprs += [("resolution", e) for e in _PLACEHOLDER.findall(fields.get("resolution", ""))]
+    for key, expr in exprs:
+        if not _AFFINE.fullmatch(expr):
+            raise ValueError(
+                f"registry case {case_id!r} has an expression {expr!r} in {key!r} that "
+                f"is not terms c, n or c*n joined by + or -"
+            )
+    stabilizers = {n: _ev(fields["stabilizer"], n) for n in range(n_codim[0], n_codim[1] + 1)}
+    for n, stab in stabilizers.items():
+        if stab < 0:
+            raise ValueError(
+                f"stabilizer {fields['stabilizer']} of case {case_id} is negative at n={n}"
+            )
     case = CaseSpec(
         id=case_id,
         r_expr=fields["r"],
@@ -452,10 +414,9 @@ def _parse_case(block: list[str]) -> CaseSpec:
         conditions=fields["conditions"],
         table_known=table_known,
         resolution_spec=fields.get("resolution", ""),
-        stabilizer=fields["stabilizer"],
+        stabilizers=stabilizers,
         extra_constraints=int(extra),
         region_ref=fields["region"],
-        quotient=tuple(quotient),
         checks=checks,
         resolutions={},
     )
