@@ -32,7 +32,10 @@ the output: equal digests mean the same results.  The sections are
   ``kernel_line`` (k x (k+1)) text on seeded matrices from 2 x 1 to 6 x 7 of
   forms of degree up to 3 with coefficients of up to 1, 2 or 80 digits, mixed
   signs, fraction contents and zero entries, a quarter of them with a row
-  planted as a rational multiple of another, so that minors cancel to zero.
+  planted as a rational multiple of another, so that minors cancel to zero;
+* ``hilbert``: the exit code and stdout of ``sheafmod hilbert`` on seeded
+  random specs of one to three twists in -6..3 per side with multiplicities
+  1..4, about three in ten with a ``ker=`` twist.
 
 A verdict repr holds its kind, witness, trials used, open shapes and note.
 ``--lines`` prints every line that goes into a digest, for diffing.
@@ -79,6 +82,8 @@ LATTICE_BUDGETS = (0, 20)
 LATTICE_CASES = (("M(n,3):h0m1=1+ker", 8), ("M(7,4):omega2", 4))
 KRONECKER_SEED = 60
 KRONECKER_MATRICES = 100
+HILBERT_SEED = 29
+HILBERT_SPECS = 500
 
 
 def table_lines() -> list[str]:
@@ -372,6 +377,25 @@ def kronecker_lines() -> list[str]:
     return out
 
 
+def random_sum(rnd: random.Random) -> str:
+    twists = sorted(rnd.sample(range(-6, 4), rnd.randint(1, 3)))
+    return ",".join(f"({d})x{rnd.randint(1, 4)}" for d in twists)
+
+
+def hilbert_lines() -> list[str]:
+    rnd = random.Random(HILBERT_SEED)
+    out = []
+    for _ in range(HILBERT_SPECS):
+        spec = f"src={random_sum(rnd)} tgt={random_sum(rnd)}"
+        if rnd.random() < 0.3:
+            spec += f" ker=({rnd.randint(-6, 3)})"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["hilbert", spec])
+        out.append(f"{spec}: exit {code} {buf.getvalue()}")
+    return out
+
+
 SECTIONS = {
     "table": table_lines,
     "verdicts": verdicts_lines,
@@ -381,6 +405,7 @@ SECTIONS = {
     "witness": witness_lines,
     "lattice": lattice_lines,
     "kronecker": kronecker_lines,
+    "hilbert": hilbert_lines,
 }
 
 

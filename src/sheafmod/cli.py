@@ -17,7 +17,7 @@ from fractions import Fraction
 from .bundles import format_resolution_spec, parse_resolution_spec
 from .cohomology import CohomologyTable, serre_dual_table
 from .goldens import expected_codim, expected_quotient, expected_region_vertices
-from .hilbert import LinearClass, hilbert_of_resolution
+from .hilbert import LinearClass, format_hilbert, hilbert_of_resolution
 from .polymatrix import (
     adapt_to_point,
     adapt_to_span,
@@ -328,7 +328,7 @@ def cmd_classify(args) -> int:
 
 def cmd_hilbert(args) -> int:
     t, kernel = parse_resolution_spec(args.resolution)
-    print(hilbert_of_resolution(t, kernel))
+    print(format_hilbert(hilbert_of_resolution(t, kernel)))
     return 0
 
 

@@ -29,8 +29,8 @@ from importlib import resources
 from typing import Callable, Mapping
 
 from .bundles import MorphismType, aut_group_dim, hom_space_dim, parse_resolution_spec
-from .cohomology import CohomologyTable, beilinson_terms, complete_table
-from .hilbert import LinearClass, hilbert_of_resolution
+from .cohomology import beilinson_terms, complete_table
+from .hilbert import LinearClass, format_hilbert, hilbert_of_resolution
 from .regions import Polarization, Region, Shape, admissible_region, slope_shapes, _AffineSpace
 from .stability import FLAGS
 
@@ -116,10 +116,6 @@ class CaseSpec:
             return self.resolutions[n]
         except KeyError:
             raise ValueError(f"case {self.id} does not admit n={n}") from None
-
-    def cohomology_table(self, n: int) -> CohomologyTable:
-        known = {k: _ev(v, n) for k, v in self.table_known.items()}
-        return complete_table(self.moduli(n), known)
 
     def region_system(self, n: int) -> RegionSystem:
         """The shape catalog at n, from the slope rule or by name, built once per n."""
@@ -314,10 +310,10 @@ def _resolutions(case: CaseSpec) -> tuple[str, dict[int, MorphismType]]:
         k = case.moduli(n)  # an r below 1 is refused as itself
         if case.resolution_spec:
             t, kernel = parse_resolution_spec(_instantiate(case.resolution_spec, n))
-            if (p := hilbert_of_resolution(t, kernel)) != (want := k.polynomial()):
+            if (p := hilbert_of_resolution(t, kernel)) != (want := (0, k.r, k.chi)):
                 raise ValueError(
-                    f"registry case {case.id!r} has a resolution with Hilbert "
-                    f"polynomial {p} at n={n}, not {want}"
+                    f"registry case {case.id!r} has a resolution with Hilbert polynomial "
+                    f"{format_hilbert(p)} at n={n}, not {format_hilbert(want)}"
                 )
             types[n] = t
         try:

@@ -5,6 +5,8 @@ import pytest
 
 from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, monomial_basis
 from sheafmod.bundles import MorphismType
+from sheafmod.cohomology import CohomologyTable, complete_table
+from sheafmod.registry import _ev
 
 
 def random_poly(rnd: random.Random, degree: int, lo: int = -3, hi: int = 3) -> HomogeneousPoly:
@@ -26,6 +28,11 @@ def uniform_matrix(rnd: random.Random, rows: int, cols: int, degree: int) -> Pol
     return PolyMatrix(
         t, [[random_poly(rnd, degree) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def cohomology_table(case, n: int) -> CohomologyTable:
+    """The completed cohomology table of a registry case at n."""
+    return complete_table(case.moduli(n), {k: _ev(v, n) for k, v in case.table_known.items()})
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from sheafmod.regions import Polarization, dual_polarization
 from sheafmod.registry import case_by_id, load_registry
 from sheafmod.stability import VerdictKind, search_destabilizer
 
-from conftest import random_poly, random_nonzero_poly, uniform_matrix
+from conftest import cohomology_table, random_poly, random_nonzero_poly, uniform_matrix
 from test_bundles import quotient_dim_crosscheck
 from test_cohomology import random_table, random_type
 from test_polymatrix import kernel_oracle, proportional
@@ -294,13 +294,14 @@ def test_criterion_8_euler_beilinson():
             if case.id not in explicit:
                 # the derived resolution is the Beilinson monad C^-1 -> C^0;
                 # the two M(n,3) cases keep C^-2 = O(-2) as its kernel
-                c_m2, c_m1, c_0, c_1 = beilinson_terms(case.cohomology_table(n))
+                c_m2, c_m1, c_0, c_1 = beilinson_terms(cohomology_table(case, n))
                 if c_1 is not None or (c_m1, c_0) != (res.source, res.target):
                     ok = False
                 if c_m2 != (BundleSum([(-2, 1)]) if case.id.startswith("M(n,3)") else None):
                     ok = False
                 kernel_twist = c_m2.summands[0][0] if c_m2 else None
-            if hilbert_of_resolution(res, kernel_twist) != case.moduli(n).polynomial():
+            k = case.moduli(n)
+            if hilbert_of_resolution(res, kernel_twist) != (0, k.r, k.chi):
                 ok = False
     # proof values for the first family at n = 2..8
     for n in range(2, 9):

@@ -21,8 +21,16 @@ def run_cli(args, capsys):
 
 
 def test_hilbert_command(capsys):
-    code, out, _ = run_cli(["hilbert", "src=(-2)x1,(-1)x2 tgt=(0)x3"], capsys)
-    assert code == 0 and out.strip() == "4*t + 3"
+    # degree 2 (coefficients 1/2 and -1), the zero class, and ker= terms
+    for spec, text in [
+        ("src=(-2)x1,(-1)x2 tgt=(0)x3", "4*t + 3"),
+        ("src=(-1)x1 tgt=(0)x2", "1/2*t^2 + 5/2*t + 2"),
+        ("src=(0)x3 tgt=(-1)x1", "-1*t^2 - 4*t - 3"),
+        ("src=(-2)x1,(0)x1 tgt=(-2)x1,(0)x1", "0"),
+        ("src=(-3)x2 tgt=(0)x1 ker=(-5)", "1*t + 5"),
+        ("src=(-3)x1 tgt=(-2)x1,(1)x1 ker=(-1)", "1*t^2 + 4*t + 2"),
+    ]:
+        assert run_cli(["hilbert", spec], capsys) == (0, text + "\n", ""), spec
 
 
 def test_region_command(capsys):
@@ -183,18 +191,21 @@ def test_codim_reads_the_n_codim_range(capsys):
     assert run_cli(["codim", "--case", "M(n+1,n):h0m1=0", "--n", "1"], capsys) == (0, "0\n", "")
 
 
+TINY_REGISTRY = (
+    "[case M(2,1):tiny]\n"
+    "r = 2\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
+    "table = h0m1=0, h1=0, h1om=0\n"
+    "resolution = src=(-2)x1 tgt=(0)x1\n"
+    "stabilizer = 0\nextra_constraints = 0\nregion = slope l1\n"
+    "checks = det_nonzero\n"
+)
+
+
 def test_registry_env_override(tmp_path, monkeypatch):
     import sheafmod.registry as registry
 
     path = tmp_path / "reg.txt"
-    path.write_text(
-        "[case M(2,1):tiny]\n"
-        "r = 2\nchi = 1\nn = 1..1\nconditions = h0(F(-1))=0\n"
-        "table = h0m1=0, h1=0, h1om=0\n"
-        "resolution = src=(-2)x1 tgt=(0)x1\n"
-        "stabilizer = 0\nextra_constraints = 0\nregion = slope l1\n"
-        "checks = det_nonzero\n"
-    )
+    path.write_text(TINY_REGISTRY)
     monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
     registry.load_registry.cache_clear()
     try:
@@ -202,6 +213,21 @@ def test_registry_env_override(tmp_path, monkeypatch):
         assert len(cases) == 1 and cases[0].id == "M(2,1):tiny"
     finally:
         registry.load_registry.cache_clear()
+
+
+def test_table_refuses_a_case_the_published_table_lacks(tmp_path, monkeypatch, capsys):
+    import sheafmod.registry as registry
+
+    path = tmp_path / "reg.txt"
+    path.write_text(TINY_REGISTRY)
+    monkeypatch.setenv(registry.REGISTRY_ENV_VAR, str(path))
+    registry.load_registry.cache_clear()
+    try:
+        code, out, err = run_cli(["table"], capsys)
+    finally:
+        registry.load_registry.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == "error: the published table has no row for case 'M(2,1):tiny'\n"
 
 
 @pytest.mark.parametrize(

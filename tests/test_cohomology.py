@@ -9,8 +9,10 @@ from sheafmod.cohomology import (
     complete_table,
     serre_dual_table,
 )
-from sheafmod.hilbert import HilbertPolynomial, LinearClass, hilbert_of_twist
+from sheafmod.hilbert import LinearClass, hilbert_class
 from sheafmod.registry import load_registry
+
+from conftest import cohomology_table
 
 
 def test_complete_table_examples():
@@ -44,21 +46,20 @@ def test_beilinson_terms_examples():
     assert terms[3] == BundleSum([(0, 1)])
 
 
-def _poly(b):
-    acc = HilbertPolynomial.zero()
-    if b is not None:
-        for d, m in b.summands:
-            acc = acc + hilbert_of_twist(d).scale(m)
-    return acc
+def _signed(b, sign):
+    return [] if b is None else [(d, sign * m) for d, m in b.summands]
 
 
 def test_euler_consistency_all_registry_cases():
     # P(C^0) - P(C^-1) + P(C^-2) - P(C^1) = r*t + chi for every registry row
     for case in load_registry():
         for n in case.ns():
-            c_m2, c_m1, c_0, c_1 = beilinson_terms(case.cohomology_table(n))
-            total = _poly(c_0) - _poly(c_m1) + _poly(c_m2) - _poly(c_1)
-            assert total == case.moduli(n).polynomial()
+            c_m2, c_m1, c_0, c_1 = beilinson_terms(cohomology_table(case, n))
+            total = hilbert_class(
+                _signed(c_0, 1) + _signed(c_m1, -1) + _signed(c_m2, 1) + _signed(c_1, -1)
+            )
+            k = case.moduli(n)
+            assert total == (0, k.r, k.chi)
 
 
 def test_serre_dual_examples():

@@ -18,6 +18,7 @@ kernel: 315 items, sha256 9382ca425cefaebf
 witness: 910 items, sha256 c77c364b33dcc869
 lattice: 48 items, sha256 fe5556fd52ec23c6
 kronecker: 173 items, sha256 5036a7c68354daa9
+hilbert: 500 items, sha256 1ccdb5745dd49ff9
 """
 
 
