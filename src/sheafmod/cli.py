@@ -31,7 +31,7 @@ from .polymatrix import (
     quartic_section,
     transpose_dual,
 )
-from .regions import Polarization, Region, classify_shapes, dual_polarization, enumerate_shapes
+from .regions import Polarization, Region, classify_shapes, dual_polarization
 from .registry import case_by_id, load_registry
 from .stability import check_case
 
@@ -321,8 +321,8 @@ def cmd_classify(args) -> int:
     destab = sum(1 for v in labels.values() if v)
     print(f"polarization: {p}")
     print(f"{len(labels)} shapes, {destab} destabilizing")
-    for s in enumerate_shapes(t):
-        print(f"{'D' if labels[s] else '.'} {s}")
+    for s, d in labels.items():
+        print(f"{'D' if d else '.'} {s}")
     return 0
 
 
@@ -460,6 +460,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, TypeError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
         return 1
 
 

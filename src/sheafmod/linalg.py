@@ -6,11 +6,9 @@ its own, which changes neither the row space nor the kernel, and is inserted
 into an echelon basis: the row is reduced against the existing pivots by
 integer cross-multiplication and divided by its content, so entries stay
 small and no Fraction appears inside the loop.  Insertion stops as soon as
-the rank reaches the width, or, for a kernel that must have some number of
-vectors, as soon as the rank rules that out.  Kernel vectors and inverses
-come from back-substitution to the reduced row echelon form, which is
-unique, so the result does not depend on the order or the scaling of the
-rows.
+the rank reaches the width.  Kernel vectors and inverses come from
+back-substitution to the reduced row echelon form, which is unique, so the
+result does not depend on the order or the scaling of the rows.
 
 ``rank_exceeds`` is the rank-only early stop of the same elimination: it
 keeps its basis rows in insertion order, which is sound because each basis
@@ -54,16 +52,13 @@ def _eliminate(v: list[int], b: list[int], p: int) -> list[int]:
     return [lead // g * x - a // g * y for x, y in zip(v, b)]
 
 
-def _echelon(
-    rows: Iterable[Row], width: int, stop: int | None = None
-) -> tuple[list[int], dict[int, list[int]]]:
+def _echelon(rows: Iterable[Row], width: int) -> tuple[list[int], dict[int, list[int]]]:
     """Pivot columns (ascending) and their primitive integer rows.
 
     Every basis row has its first nonzero entry in its pivot column and a
     zero in each earlier pivot column.  Stops early, without reading further
-    rows, once the rank reaches ``stop`` (default: full rank ``width``).
+    rows, once the rank reaches the width.
     """
-    stop = width if stop is None else stop
     pivots: list[int] = []
     basis: dict[int, list[int]] = {}
     for row in rows:
@@ -78,7 +73,7 @@ def _echelon(
             continue
         basis[lead_col] = _primitive(v)
         insort(pivots, lead_col)
-        if len(pivots) == stop:
+        if len(pivots) == width:
             break
     return pivots, basis
 
@@ -132,20 +127,14 @@ def complete_basis(vectors: Sequence[Row], dim: int) -> list[list[Fraction]]:
     return rows
 
 
-def right_kernel(
-    rows: Iterable[Row], width: int, need: int = 1
-) -> list[list[Fraction]]:
+def right_kernel(rows: Iterable[Row], width: int) -> list[list[Fraction]]:
     """Canonical basis of {k : row . k = 0 for every row}.
 
     One vector per free column, in ascending order: a 1 in the free slot,
     -a/b in each pivot slot where a/b is the reduced row echelon entry, and
-    0 elsewhere.  Empty when the kernel has fewer than ``need`` vectors: the
-    elimination stops, and reads no further rows, as soon as the rank
-    exceeds ``width - need``.
+    0 elsewhere.  The elimination reads no row past full rank.
     """
-    pivots, basis = _echelon(rows, width, width - need + 1)
-    if len(pivots) > width - need:
-        return []
+    pivots, basis = _echelon(rows, width)
     _back_substitute(pivots, basis)
     out = []
     for fc in range(width):

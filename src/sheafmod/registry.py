@@ -467,8 +467,8 @@ def load_registry(path: str | None = None) -> tuple[CaseSpec, ...]:
     return tuple(cases)
 
 
-def case_by_id(case_id: str, path: str | None = None) -> CaseSpec:
-    for c in load_registry(path):
+def case_by_id(case_id: str) -> CaseSpec:
+    for c in load_registry():
         if c.id == case_id:
             return c
     raise KeyError(f"no case {case_id!r} in the registry")

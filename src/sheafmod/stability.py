@@ -9,13 +9,14 @@ a complete exact decision of every destabilizing shape gives
 CertifiedSemistable, anything else stays Undetermined.
 
 The criterion is invariant under duality, so the sweep and the pencil are
-written once and run on the matrix and on its dual transpose; a witness
-found on the transpose is pulled back in one place, an involution that
-swaps its lists of row and column combinations.  A literal zero block needs
-no pass of its own: its columns are a row subset of the transpose whose
-kernels hold the unit vectors of its rows, so the transposed sweep finds it,
-under the same subset cap.  Each search reads both sides once into integer
-coefficient views; all rank and kernel work goes through
+written once and run on two integer coefficient views of the matrix, built
+once per search from its entries (``_views``): the matrix, and its
+transpose in the dual type's order but the matrix's positions.  A witness
+found on the transpose is pulled back by swapping its lists of row and
+column combinations, an involution.  A literal zero block needs no pass of
+its own: its columns are a row subset of the transpose whose kernels hold
+the unit vectors of its rows, so the transposed sweep finds it, under the
+same subset cap.  All rank and kernel work goes through
 :mod:`sheafmod.linalg`.
 
 "Absent" propagates upward through the shape lattice: a zero block of shape
@@ -44,26 +45,25 @@ some column kernel of the prefix rows is too small, since a row added can
 only shrink a kernel.  Every subset skipped would have failed, so the first
 subset accepted, and the witness built from it, is the one a flat
 enumeration finds.  The test reads a kernel's dimension from an exact rank;
-the kernel basis is built only for the subset accepted.  Shapes with more
+the kernel basis is built only for the subset accepted, by the completion
+the random pass shares (``_witness``).  Shapes with more
 than 4 096 row subsets stay undecided by the sweep.
 
 The random pass builds one trial plan per open shape before its trials
-start (``_TrialPlan``): the row positions and width of each block row's
-type, and per source type i the shape needs, its column positions, the
-refusal bound w_i - a_i and the layout of each block row's type against i,
-which the view builds once per search.  A trial then only draws and ranks:
-per block row, a combination of its type's rows with weights in [-3, 3], and
-per needed type the stack of the coefficients of these virtual rows, refused
-by rank alone (``linalg.rank_exceeds``) as soon as its rank leaves fewer
-kernel vectors than the shape needs, with no further rows built.  Only a
-trial that no source type refuses builds its stacks again and takes their
-exact kernels for the witness.  The weights are drawn from the stream of
+start (``_TrialPlan``): the width of each block row's type, and per source
+type i the shape needs, the refusal bound w_i - a_i and the layout of each
+block row's type against i, which the view builds once per search.  A trial
+then only draws and ranks: per block row, a combination of its type's rows
+with weights in [-3, 3], and per needed type the stack of the coefficients
+of these virtual rows, refused by rank alone (``linalg.rank_exceeds``) as
+soon as its rank leaves fewer kernel vectors than the shape needs, with no
+further rows built.  Only a trial that no source type refuses builds its
+stacks again and takes their exact kernels for the witness.  The weights are drawn from the stream of
 ``randint(-3, 3)``, so a seed gives the same trials, refusals and witnesses.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -84,9 +84,7 @@ from .polymatrix import (
     maximal_minors,
     poly_gcd,
     poly_gcd_list,
-    transpose_dual,
     _coprime_mod,
-    _dual_order,
     _minors,
     _positions,
 )
@@ -188,11 +186,12 @@ def _first_subset(groups, counts, accepts) -> tuple[int, ...] | None:
 
 
 class _CoefficientView:
-    """Integer coefficient slices of one matrix, built once per search.
+    """Integer coefficient slices of a grid of forms, built once per search.
 
-    ``slices[r][i]`` lists, per monomial of the block of row r's type and
-    source type i (sorted), the coefficients of row r's entries in the
-    columns of type i.  Each entry's integer map is weighted by its content
+    The grid's rows and columns fall into the given groups of positions, one
+    per type.  ``slices[r][i]`` lists, per monomial of the block of row r's
+    type and column type i (sorted), the coefficients of row r's entries in
+    the columns of type i.  Each entry's integer map is weighted by its content
     times one scale per block that clears the contents' denominators, so a
     combination of rows within a type is the same combination of their
     slices.  The dimensions of the column kernels of literal row subsets,
@@ -201,32 +200,26 @@ class _CoefficientView:
     (row type, source type).
     """
 
-    def __init__(self, m: PolyMatrix):
-        self.m = m
-        self.row_groups = _positions(m.type.target)
-        self.col_groups = _positions(m.type.source)
-        self.slices: list[list[list[list[int]]]] = [[] for _ in range(m.nrows)]
-        for g in self.row_groups:
-            for cols in self.col_groups:
-                block = [m.entries[r][c] for r in g for c in cols]
+    def __init__(self, grid, row_groups: list[list[int]], col_groups: list[list[int]]):
+        self.row_groups, self.col_groups = row_groups, col_groups
+        self.nrows, self.ncols = sum(map(len, row_groups)), sum(map(len, col_groups))
+        self.slices: list[list[list[list[int]]]] = [[] for _ in range(self.nrows)]
+        for g in row_groups:
+            for cols in col_groups:
+                block = [grid[r][c] for r in g for c in cols]
                 monos = sorted({mono for e in block for mono in e.coeffs})
                 scale = lcm(*(e.content.denominator for e in block))
                 for r in g:
-                    row = [m.entries[r][c] for c in cols]
+                    row = [grid[r][c] for c in cols]
                     w = [e.content.numerator * (scale // e.content.denominator) for e in row]
                     per_mono = [[x * e.coeffs.get(t, 0) for x, e in zip(w, row)] for t in monos]
                     self.slices[r].append(per_mono)
         self._nullities: dict[tuple[tuple[int, ...], int], int] = {}
         self._layouts: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
 
-    def kernel(self, rows: tuple[int, ...], i: int) -> list[list[Fraction]]:
-        """Constant combinations of the type-i columns that vanish on ``rows``."""
-        return right_kernel(
-            (v for r in rows for v in self.slices[r][i]), len(self.col_groups[i])
-        )
-
     def nullity(self, rows: tuple[int, ...], i: int) -> int:
-        """The dimension of ``kernel(rows, i)``, without building its basis."""
+        """The dimension of the constant combinations of the type-i columns
+        that vanish on ``rows``, read from one exact rank."""
         key = (rows, i)
         if key not in self._nullities:
             stack = [v for r in rows for v in self.slices[r][i]]
@@ -242,6 +235,17 @@ class _CoefficientView:
             slices = (self.slices[r][i] for r in self.row_groups[l])
             self._layouts[key] = [list(zip(*mono_rows)) for mono_rows in zip(*slices)]
         return self._layouts[key]
+
+
+def _views(m: PolyMatrix) -> tuple[_CoefficientView, _CoefficientView]:
+    """The views of m and of its transpose, both in m's positions: the
+    transpose's rows are m's column groups and its columns m's row groups,
+    each list in the dual type's (reversed) order, as ``transpose_dual``."""
+    rows, cols = _positions(m.type.target), _positions(m.type.source)
+    return (
+        _CoefficientView(m.entries, rows, cols),
+        _CoefficientView(list(zip(*m.entries)), cols[::-1], rows[::-1]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +276,9 @@ def _row_subset_sweep(
     )
     if rows is None:
         return None, decided
-    combos = tuple(
-        _embed(view.col_groups[i], k, view.m.ncols)
-        for i, a in enumerate(shape.cols)
-        if a
-        for k in view.kernel(rows, i)[:a]
-    )
-    return Witness(shape, tuple(_embed((r,), (1,), view.m.nrows) for r in rows), combos), decided
+    # the accepted rows, as unit weights on the rows of their types
+    units = [[int(p == r) for p in g] for r in rows for g in row_groups if r in g]
+    return _witness(view, shape, units), decided
 
 
 def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | None, str]:
@@ -377,7 +377,6 @@ def _witness_with_row_combos(
     """Complete one column combination (weights on the columns of source
     type i) to a witness by solving for the row-combination kernel per
     target type (exact)."""
-    m = view.m
     row_combos: list[tuple[Fraction, ...]] = []
     for l, b in enumerate(shape.rows):
         if b == 0:
@@ -389,11 +388,11 @@ def _witness_with_row_combos(
             [sum(v * x for v, x in zip(weights, row)) for row in view.slices[r][i]]
             for r in g
         ]
-        kernel = right_kernel(zip(*combined), len(g), need=b)
-        if not kernel:
+        kernel = right_kernel(zip(*combined), len(g))
+        if len(kernel) < b:
             return None
-        row_combos.extend(_embed(g, k, m.nrows) for k in kernel[:b])
-    combo = _embed(view.col_groups[i], weights, m.ncols)
+        row_combos.extend(_embed(g, k, view.nrows) for k in kernel[:b])
+    combo = _embed(view.col_groups[i], weights, view.ncols)
     return Witness(shape, tuple(row_combos), (combo,))
 
 
@@ -419,21 +418,40 @@ def _virtual_rows(draws: list[list[int]], layouts) -> Iterator[list[int]]:
     )
 
 
+def _block_row_types(shape: Shape) -> list[int]:
+    """The target type of each block row, type-major."""
+    return [l for l, b in enumerate(shape.rows) for _ in range(b)]
+
+
+def _witness(view: _CoefficientView, shape: Shape, draws: list[list[int]]) -> Witness:
+    """Complete block rows, given type-major as weights on the rows of their
+    types, to a witness: per source type i the shape uses, the first a_i
+    vectors of the exact kernel of their virtual rows."""
+    types = _block_row_types(shape)
+    row_combos = tuple(_embed(view.row_groups[l], w, view.nrows) for l, w in zip(types, draws))
+    col_combos = tuple(
+        _embed(g, k, view.ncols)
+        for i, (a, g) in enumerate(zip(shape.cols, view.col_groups)) if a
+        for k in right_kernel(_virtual_rows(draws, [view.layout(l, i) for l in types]), len(g))[:a]
+    )
+    return Witness(shape, row_combos, col_combos)
+
+
 class _TrialPlan:
     """The random trials of one shape, with what they share built once.
 
-    ``rows`` holds (row positions, width) of the type of each block row.
-    ``needs`` holds, per source type i the shape uses: its column positions,
-    the refusal bound w_i - a_i on the rank of its virtual rows, and the
-    layout of each block row's type against i.
+    ``widths`` holds the width of the type of each block row.  ``needs``
+    holds, per source type i the shape uses: the refusal bound w_i - a_i on
+    the rank of its virtual rows, and the layout of each block row's type
+    against i.
     """
 
     def __init__(self, view: _CoefficientView, shape: Shape):
-        self.m, self.shape = view.m, shape
-        types = [l for l, b in enumerate(shape.rows) for _ in range(b)]
-        self.rows = [(view.row_groups[l], len(view.row_groups[l])) for l in types]
+        self.view, self.shape = view, shape
+        types = _block_row_types(shape)
+        self.widths = [len(view.row_groups[l]) for l in types]
         self.needs = [
-            (cols, len(cols) - a, [view.layout(l, i) for l in types])
+            (len(cols) - a, [view.layout(l, i) for l in types])
             for i, (a, cols) in enumerate(zip(shape.cols, view.col_groups))
             if a
         ]
@@ -444,22 +462,15 @@ class _TrialPlan:
         fewer kernel vectors than the shape needs there, and take the exact
         kernels only for a trial that no type refuses."""
         draws = []
-        for _, n in self.rows:
+        for n in self.widths:
             coeffs = _draw_coeffs(rng, n)
             if not any(coeffs):
                 coeffs[rng.randrange(n)] = 1
             draws.append(coeffs)
-        for _, bound, layouts in self.needs:
+        for bound, layouts in self.needs:
             if rank_exceeds(_virtual_rows(draws, layouts), bound):
                 return None
-        m = self.m
-        combos = [
-            _embed(cols, k, m.ncols)
-            for cols, bound, layouts in self.needs
-            for k in right_kernel(_virtual_rows(draws, layouts), len(cols))[: len(cols) - bound]
-        ]
-        row_combos = [_embed(g, coeffs, m.nrows) for (g, _), coeffs in zip(self.rows, draws)]
-        return Witness(self.shape, tuple(row_combos), tuple(combos))
+        return _witness(self.view, self.shape, draws)
 
 
 def _combine(forms: Sequence[HomogeneousPoly], weights) -> HomogeneousPoly:
@@ -532,18 +543,11 @@ def _dual_shape(shape: Shape) -> Shape:
     return Shape(tuple(reversed(shape.cols)), tuple(reversed(shape.rows)))
 
 
-def _pull_back_transpose_witness(m: PolyMatrix, wt: Witness) -> Witness:
-    """Translate a witness found on ``transpose_dual(m)`` back to ``m``.
-
-    The row combinations of the transpose become the column combinations of
-    m and vice versa, each permuted back through the dual position order of
-    its side.  The dual orders are involutions, so pulling the result back
-    through ``transpose_dual(m)`` gives ``wt`` again.
-    """
-    row_order, col_order = _dual_order(m.type.target), _dual_order(m.type.source)
-    row_combos = tuple(_embed(row_order, cc, m.nrows) for cc in wt.col_combos)
-    col_combos = tuple(_embed(col_order, rc, m.ncols) for rc in wt.row_combos)
-    return Witness(_dual_shape(wt.shape), row_combos, col_combos)
+def _pull_back_transpose_witness(wt: Witness) -> Witness:
+    """Translate a witness found on the transposed view back to m: its
+    combinations are already in m's positions, so the row and column lists
+    swap; an involution."""
+    return Witness(_dual_shape(wt.shape), wt.col_combos, wt.row_combos)
 
 
 def _tests(view: _CoefficientView, shape: Shape) -> Iterator[tuple[Shape, int, bool]]:
@@ -582,12 +586,13 @@ class _ExactPasses:
     """
 
     def __init__(self, m: PolyMatrix):
-        self.view = _CoefficientView(m)
-        tview = _CoefficientView(transpose_dual(m))
-        pull_back = functools.partial(_pull_back_transpose_witness, m)
+        self.view, tview = _views(m)
         # a zero block of shape (rows, cols) on m is one of the dual shape on
         # its transpose
-        self.sides = ((self.view, lambda s: s, lambda w: w), (tview, _dual_shape, pull_back))
+        self.sides = (
+            (self.view, lambda s: s, lambda w: w),
+            (tview, _dual_shape, _pull_back_transpose_witness),
+        )
         self.absent: dict[Shape, bool] = {}
 
     def run(self, shape: Shape, k: int, pencil: bool) -> tuple[Witness | None, bool, str]:
@@ -693,9 +698,8 @@ def koszul_test(m: PolyMatrix) -> KoszulClass:
     # transpose (all rows against one column of some type), then a literal
     # thin block, which holds a literal 1x2 or 2x1 block: a row or a column
     # with two zero entries
-    for side in (m, transpose_dual(m)):
-        view = _CoefficientView(side)
-        rows = tuple(range(side.nrows))
+    for view in _views(m):
+        rows = tuple(range(view.nrows))
         if any(view.nullity(rows, i) for i in range(len(view.col_groups))):
             return KoszulClass.DEGENERATE
     if any(sum(e.is_zero for e in line) >= 2 for line in (*m.entries, *zip(*m.entries))):

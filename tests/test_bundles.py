@@ -57,6 +57,57 @@ def test_stratum_codim_examples():
     assert case_by_id("M(n,3):h0m1=1+ker").codim(8) == 6
 
 
+def _koszul_orbit_codim() -> int:
+    """The codimension of the orbit of K = [[0, Z, -Y], [-Z, 0, X], [Y, -X, 0]]
+    under (A, B) -> B K A^-1 in the 27-dimensional space of 3x3 matrices of
+    linear forms: 27 less the rank of the tangent maps BK - KA over constant
+    3x3 matrices A and B, as vectors of coefficients of X, Y, Z per entry."""
+    from sheafmod.linalg import rank
+    from sheafmod.polymatrix import HomogeneousPoly, X, Y, Z
+
+    o = HomogeneousPoly.zero()
+    K = [
+        [[e.coefficient(t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for e in row]
+        for row in ([o, Z, -Y], [-Z, o, X], [Y, -X, o])
+    ]
+    units = [
+        [[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+        for i in range(3)
+        for j in range(3)
+    ]
+    none = [[0] * 3 for _ in range(3)]
+
+    def tangent(A, B):
+        return [
+            sum(B[r][k] * K[k][c][v] - K[r][k][v] * A[k][c] for k in range(3))
+            for r in range(3)
+            for c in range(3)
+            for v in range(3)
+        ]
+
+    rows = [tangent(U, none) for U in units] + [tangent(none, U) for U in units]
+    return 27 - rank(rows)
+
+
+def test_extra_constraints_is_the_koszul_orbit_codimension():
+    # the hand-entered field: the codimension of the Koszul orbit in the
+    # phi22 block on every case that asks for a Koszul phi22, and 0 elsewhere
+    codim = _koszul_orbit_codim()
+    assert codim == 10
+    koszul = 0
+    for case in load_registry():
+        if "phi22_koszul" in case.checks:
+            koszul += 1
+            assert case.extra_constraints == codim, case.id
+            for n in range(case.n_range[0], case.n_range[1] + 1):
+                t = case.resolution(n)
+                (d, mi), (e, ml) = t.source.summands[1], t.target.summands[1]
+                assert (mi, ml, e - d) == (3, 3, 1), (case.id, n)
+        else:
+            assert case.extra_constraints == 0, case.id
+    assert koszul == 2
+
+
 def test_codim_zero_family():
     case = case_by_id("M(n+1,n):h0m1=0")
     for n in range(1, 11):

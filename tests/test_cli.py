@@ -839,6 +839,21 @@ def test_kernel_relation_failure_is_one_error_line(tmp_path, monkeypatch, capsys
     assert err == "error: kernel relation failed; inconsistent twists\n"
 
 
+def test_running_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a valid matrix file whose packed products exhaust memory; the products
+    # are not built here, kernel_line raises as they would
+    import sheafmod.cli as cli
+
+    def exhausted(m):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "kernel_line", exhausted)
+    f = tmp_path / "m.mat"
+    f.write_text("type: src=(-1)x2 tgt=(0)x1\nX | Y\n")
+    code, out, err = run_cli(["kernel", str(f)], capsys)
+    assert (code, out, err) == (1, "", "error: ran out of memory\n")
+
+
 # Hypothesis over the kernel command: matrix-file text in, exit 0, 1 or 2 out,
 # at most one line on stderr and never a traceback.
 

@@ -215,41 +215,62 @@ def test_inverse_sympy_differential(rnd):
 
 
 # ---------------------------------------------------------------------------
-# early stop: a kernel that must have ``need`` vectors
+# early stop: no row is read past full rank
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.integers(1, 7), square_matrices())
-def test_kernel_with_need_is_the_full_kernel_or_empty(case, need, square):
+def test_kernel_of_a_row_stream_is_the_full_kernel(case, need, square):
     rows, width = case
     full = right_kernel(rows, width)
     assert full == reference_kernel(rows, width)
-    expected = full if len(full) >= need else []
-    assert right_kernel(rows, width, need=need) == expected
-    assert right_kernel(iter(rows), width, need=need) == expected
-    # the stop leaves rank and inverse, which never pass one, unchanged
+    assert right_kernel(iter(rows), width) == full
+    # a caller that needs ``need`` vectors refuses exactly the smaller kernels
+    assert (len(full) < need) == (len(reference_rref(rows, width)[1]) > width - need)
+    # the stop leaves rank and inverse unchanged
     assert rank(rows) == width - len(full)
     if reference_inverse(square) is not None:
         assert inverse(square) == reference_inverse(square)
 
 
-def test_kernel_with_need_reads_no_row_past_the_stop():
-    # width 4 and need 2: the kernel is refused once the rank reaches 3
+def test_kernel_reads_no_row_past_full_rank():
+    # width 4: the kernel is empty once the rank reaches 4, and a stream that
+    # would fail past that row shows the early exit
     def rows():
         yield [1, 0, 0, 0]
         yield [2, 0, 0, 0]
         yield [0, 1, 0, 0]
         yield [0, 0, 1, 0]
-        raise AssertionError("read past the stop rank")
+        yield [1, 1, 1, 1]
+        raise AssertionError("read past full rank")
 
-    assert right_kernel(rows(), 4, need=2) == []
-    assert right_kernel([[1, 0, 0, 0], [0, 1, 0, 0]], 4, need=2) == [
+    assert right_kernel(rows(), 4) == []
+    assert right_kernel([[1, 0, 0, 0], [0, 1, 0, 0]], 4) == [
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ]
-    # more vectors than the width allows is always refused
-    assert right_kernel([], 2, need=3) == []
-    assert right_kernel([], 2, need=2) == [[1, 0], [0, 1]]
+    assert right_kernel([], 2) == [[1, 0], [0, 1]]
+    # on seeded streams, the rows read are those up to the first prefix of
+    # full rank, or all of them
+    rnd = random.Random(4343)
+    stopped = 0
+    for width in range(1, 9):
+        for _ in range(20):
+            stream = _seeded_integer_rows(rnd, width)
+            reads = []
+
+            def counted():
+                for row in stream:
+                    reads.append(row)
+                    yield row
+
+            assert right_kernel(counted(), width) == reference_kernel(stream, width)
+            full = next(
+                (k + 1 for k in range(len(stream)) if rank(stream[: k + 1]) == width), None
+            )
+            assert len(reads) == (len(stream) if full is None else full)
+            stopped += len(reads) < len(stream)
+    assert stopped > 10, stopped
 
 
 # ---------------------------------------------------------------------------

@@ -413,9 +413,8 @@ WIDE_TYPE = MorphismType.make([(-2, 2), (-1, 3)], [(-1, 2), (0, 3)])
 
 
 def test_a_pass_that_fails_below_a_shape_fails_on_it():
-    from sheafmod.polymatrix import transpose_dual
     from sheafmod.regions import _lower_neighbours
-    from sheafmod.stability import _CoefficientView, _over_cap, _row_subset_sweep
+    from sheafmod.stability import _over_cap, _row_subset_sweep, _views
 
     rnd = random.Random(9090)
     failed_below = found = 0
@@ -423,8 +422,8 @@ def test_a_pass_that_fails_below_a_shape_fails_on_it():
         for k in range(6):
             plant = rnd.choice(enumerate_shapes(t)) if k % 2 else None
             m = _matrix(rnd, t, plant)
-            for view in (_CoefficientView(m), _CoefficientView(transpose_dual(m))):
-                shapes = enumerate_shapes(view.m.type)
+            for view, side_type in zip(_views(m), (t, t.dual())):
+                shapes = enumerate_shapes(side_type)
                 sweep = {(s.rows, s.cols): _row_subset_sweep(view, s)[0] for s in shapes}
                 for s in shapes:
                     for below in _lower_neighbours(s):
@@ -490,28 +489,29 @@ def _types_of(vec, groups) -> list[int]:
 
 def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
     """Every witness holds one combination per block row and column, each on
-    one summand type and as many on each type as the shape names; pulling it
-    back through the transpose twice gives it again.  The witnesses come from
-    verdicts, from the row sweep on either side of every shape, and from
+    one summand type and as many on each type as the shape names; swapped to
+    the transpose, and read in the positions of ``transpose_dual``, it is a
+    witness there, and swapping it back gives it again.  The witnesses come
+    from verdicts, from the row sweep on either side of every shape, and from
     random trials on a planted shape."""
-    from sheafmod.polymatrix import transpose_dual
+    from sheafmod.polymatrix import _dual_order, transpose_dual
     from sheafmod.stability import (
-        _CoefficientView,
         _dual_shape,
         _pull_back_transpose_witness,
         _row_subset_sweep,
         _TrialPlan,
+        _views,
     )
 
     rnd = random.Random(9393)
     found = {"verdict": [], "sweep": [], "trial": []}
 
     def sweeps(m):
-        view, tview = _CoefficientView(m), _CoefficientView(transpose_dual(m))
+        view, tview = _views(m)
         for s in enumerate_shapes(m.type):
             found["sweep"].append((m, _row_subset_sweep(view, s)[0]))
             wt = _row_subset_sweep(tview, _dual_shape(s))[0]
-            found["sweep"].append((m, wt and _pull_back_transpose_witness(m, wt)))
+            found["sweep"].append((m, wt and _pull_back_transpose_witness(wt)))
 
     for case in load_registry():
         for n in case.ns()[:2]:
@@ -525,7 +525,7 @@ def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
             m = _matrix(rnd, t, plant)
             found["verdict"].append((m, search_destabilizer(m, p, 20, seed=k).witness))
             sweeps(m)
-            plan = _TrialPlan(_CoefficientView(m), plant)
+            plan = _TrialPlan(_views(m)[0], plant)
             for _ in range(30):
                 w = plan.trial(rnd)
                 # the search keeps a trial's witness only once it verifies
@@ -539,7 +539,14 @@ def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
             assert all(len(ts) == 1 for ts in types), w
             assert [sum(ts == [l] for ts in types) for l in range(len(counts))] == list(counts)
         assert verify_witness(m, w)
-        wt = _pull_back_transpose_witness(transpose_dual(m), w)
-        assert _pull_back_transpose_witness(m, wt) == w
+        wt = _pull_back_transpose_witness(w)
+        rows, cols = _dual_order(m.type.source), _dual_order(m.type.target)
+        on_dual = Witness(
+            wt.shape,
+            tuple(tuple(v[p] for p in rows) for v in wt.row_combos),
+            tuple(tuple(v[p] for p in cols) for v in wt.col_combos),
+        )
+        assert verify_witness(transpose_dual(m), on_dual)
+        assert _pull_back_transpose_witness(wt) == w
     count = {k: sum(w is not None for _, w in pairs) for k, pairs in found.items()}
     assert count["verdict"] > 20 and count["sweep"] > 500 and count["trial"] > 100, count

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sheafmod.bundles import MorphismType, parse_resolution_spec
+from sheafmod.linalg import right_kernel
 from sheafmod.polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
     X,
     Y,
     Z,
+    _dual_order,
+    _positions,
     determinant,
     transpose_dual,
 )
@@ -27,11 +30,11 @@ from sheafmod.stability import (
     Verdict,
     VerdictKind,
     Witness,
-    _CoefficientView,
     _dual_shape,
     _pull_back_transpose_witness,
     _rational_root_binary,
     _row_subset_sweep,
+    _views,
     check_case,
     koszul_test,
     search_destabilizer,
@@ -50,14 +53,14 @@ PSI1 = PolyMatrix(T33, [[X, Y, zero], [Z, zero, Y], [zero, -Z, X]])
 
 def _col_witness(m, shape):
     """The row sweep's witness for ``shape`` on m itself."""
-    return _row_subset_sweep(_CoefficientView(m), shape)[0]
+    return _row_subset_sweep(_views(m)[0], shape)[0]
 
 
 def _row_witness(m, shape):
-    """The row sweep's witness for ``shape`` found on the transpose of m and
-    pulled back to m."""
-    wt = _row_subset_sweep(_CoefficientView(transpose_dual(m)), _dual_shape(shape))[0]
-    return None if wt is None else _pull_back_transpose_witness(m, wt)
+    """The row sweep's witness for ``shape`` found on the transposed view of
+    m and pulled back to m."""
+    wt = _row_subset_sweep(_views(m)[1], _dual_shape(shape))[0]
+    return None if wt is None else _pull_back_transpose_witness(wt)
 
 
 def test_col1_no_witness_when_stack_full():
@@ -789,7 +792,6 @@ def _kernel_only_trial(view, shape, rng):
     of the type, and ``randrange`` for a draw of all zeros), the virtual rows
     read from the coefficient slices, and a type refused when its kernel has
     fewer vectors than the shape needs."""
-    from sheafmod.linalg import right_kernel
 
     def embed(positions, values, width):
         vec = [F(0)] * width
@@ -797,7 +799,6 @@ def _kernel_only_trial(view, shape, rng):
             vec[p] = F(v)
         return tuple(vec)
 
-    m = view.m
     samples = []
     for l, b in enumerate(shape.rows):
         g = view.row_groups[l]
@@ -816,11 +817,11 @@ def _kernel_only_trial(view, shape, rng):
             for g, coeffs in samples
             for t in range(len(view.slices[g[0]][i]))
         ]
-        kernel = right_kernel(stack, len(cols), need=a)
-        if not kernel:
+        kernel = right_kernel(stack, len(cols))
+        if len(kernel) < a:
             return None
-        col_combos += [embed(cols, k, m.ncols) for k in kernel[:a]]
-    row_combos = tuple(embed(g, coeffs, m.nrows) for g, coeffs in samples)
+        col_combos += [embed(cols, k, view.ncols) for k in kernel[:a]]
+    row_combos = tuple(embed(g, coeffs, view.nrows) for g, coeffs in samples)
     return Witness(shape, row_combos, tuple(col_combos))
 
 
@@ -854,7 +855,7 @@ def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
         inputs.append((_random_verdicts_matrix(rnd, t), [s for s, d in labels.items() if d]))
     refused = accepted = 0
     for k, (m, destab) in enumerate(inputs):
-        view = _CoefficientView(m)
+        view = _views(m)[0]
         for shape in destab:
             fast, slow = random.Random(k), random.Random(k)
             plan = _TrialPlan(view, shape)
@@ -960,27 +961,31 @@ def _flat_sweep(view, shape):
         return None, False
     decided = all(b in (0, len(g)) for b, g in zip(shape.rows, view.row_groups))
     for rows in subsets:
-        kernels = [(i, view.kernel(rows, i)[:a]) for i, a in enumerate(shape.cols) if a]
+        kernels = [
+            (i, right_kernel([v for r in rows for v in view.slices[r][i]], len(g))[:a])
+            for i, (a, g) in enumerate(zip(shape.cols, view.col_groups))
+            if a
+        ]
         if all(len(k) == shape.cols[i] for i, k in kernels):
             combos = []
             for i, kernel in kernels:
                 for vec in kernel:
-                    full = [F(0)] * view.m.ncols
+                    full = [F(0)] * view.ncols
                     for c, v in zip(view.col_groups[i], vec):
                         full[c] = F(v)
                     combos.append(tuple(full))
-            units = tuple(_unit(r, view.m.nrows) for r in rows)
+            units = tuple(_unit(r, view.nrows) for r in rows)
             return Witness(shape, units, tuple(combos)), decided
     return None, decided
 
 
-def _flat_literal(view, shape):
+def _flat_literal(m, shape):
     """The first literal zero block of the shape, by trying every column
     subset in order."""
-    m = view.m
-    for cols in _flat_subsets(view.col_groups, shape.cols) or ():
+    row_groups, col_groups = _positions(m.type.target), _positions(m.type.source)
+    for cols in _flat_subsets(col_groups, shape.cols) or ():
         rows = []
-        for g, b in zip(view.row_groups, shape.rows):
+        for g, b in zip(row_groups, shape.rows):
             rows += [r for r in g if all(m.entries[r][c].is_zero for c in cols)][:b]
         if len(rows) == sum(shape.rows):
             units = tuple(_unit(r, m.nrows) for r in sorted(rows))
@@ -991,8 +996,6 @@ def _flat_literal(view, shape):
 def _as_dict_slices(m):
     """The coefficient slices read through Fraction maps: ``as_dict`` per
     entry and, per block, the lcm of all term denominators as the scale."""
-    from sheafmod.polymatrix import _positions
-
     coeffs = [[e.as_dict() for e in row] for row in m.entries]
     slices = [[] for _ in range(m.nrows)]
     for g in _positions(m.type.target):
@@ -1024,7 +1027,7 @@ def test_coefficient_slices_read_the_integer_maps(spec):
             for row in m.entries
         ]
         m = PolyMatrix(t, grid)
-        assert _CoefficientView(m).slices == _as_dict_slices(m)
+        assert _views(m)[0].slices == _as_dict_slices(m)
 
 
 def _sparse_matrix(rnd, t, zero_share):
@@ -1063,8 +1066,8 @@ def test_pruned_walk_finds_the_first_witness_of_the_flat_order(spec, zero_share)
     found = 0
     for _ in range(3):
         m = _sparse_matrix(rnd, t, zero_share)
-        for view in (_CoefficientView(m), _CoefficientView(transpose_dual(m))):
-            for shape in enumerate_shapes(view.m.type):
+        for view, side_type in zip(_views(m), (t, t.dual())):
+            for shape in enumerate_shapes(side_type):
                 want = _flat_sweep(view, shape)
                 assert _row_subset_sweep(view, shape) == want
                 found += want[0] is not None
@@ -1075,7 +1078,7 @@ def test_pruned_walk_keeps_the_subset_cap(rnd):
     """Past 4 096 row subsets the sweep gives up undecided; under the cap it
     matches the flat enumeration."""
     t = MorphismType.make([(-1, 15)], [(0, 15)])
-    view = _CoefficientView(_sparse_matrix(rnd, t, 0.6))
+    view = _views(_sparse_matrix(rnd, t, 0.6))[0]
     for shape in (Shape((7,), (7,)), Shape((7,), (1,)), Shape((1,), (7,)), Shape((2,), (2,))):
         assert _row_subset_sweep(view, shape) == _flat_sweep(view, shape)
     assert _row_subset_sweep(view, Shape((7,), (1,))) == (None, False)
@@ -1091,16 +1094,78 @@ def test_the_transposed_sweep_finds_every_literal_block(spec, zero_share):
     found = 0
     for _ in range(3):
         m = _sparse_matrix(rnd, t, zero_share)
-        for view, tview in (
-            (_CoefficientView(m), _CoefficientView(transpose_dual(m))),
-            (_CoefficientView(transpose_dual(m)), _CoefficientView(m)),
-        ):
-            for shape in enumerate_shapes(view.m.type):
-                if _flat_literal(view, shape) is not None:
+        for side in (m, transpose_dual(m)):
+            tview = _views(side)[1]
+            for shape in enumerate_shapes(side.type):
+                if _flat_literal(side, shape) is not None:
                     w, _ = _row_subset_sweep(tview, _dual_shape(shape))
                     assert w is not None and w.shape == _dual_shape(shape), (spec, shape)
                     found += 1
     assert found >= 20
+
+
+def _pull_back_through_dual_orders(m, wt):
+    """A witness on ``transpose_dual(m)`` read back on m: its row
+    combinations become m's column combinations and its column combinations
+    m's row combinations, each permuted through the dual position order."""
+
+    def embed(order, combo):
+        vec = [F(0)] * len(order)
+        for p, v in zip(order, combo):
+            vec[p] = v
+        return tuple(vec)
+
+    rows, cols = _dual_order(m.type.target), _dual_order(m.type.source)
+    return Witness(
+        _dual_shape(wt.shape),
+        tuple(embed(rows, c) for c in wt.col_combos),
+        tuple(embed(cols, c) for c in wt.row_combos),
+    )
+
+
+def test_the_transposed_view_is_the_view_of_the_dual_transpose():
+    """The transposed view, built from m's own entries, holds the groups and
+    slices of the view of ``transpose_dual(m)`` read through the dual
+    position orders; on every shape its sweep, and its pencil where one
+    applies, swapped back to m, give the witness (and the decided flag) of
+    that view pulled back through the dual orders."""
+    from sheafmod.stability import _pencil_decides
+    from test_shape_lattice import TINY_TYPES, WIDE_TYPE, _matrix, _random_verdicts_matrix
+
+    rnd = random.Random(3737)
+    inputs = [
+        _random_verdicts_matrix(rnd, case.resolution(n))
+        for case in load_registry()
+        for n in case.ns()[:2]
+        for _ in range(2)
+    ]
+    for t in [*TINY_TYPES, WIDE_TYPE]:
+        for k in range(10):
+            inputs.append(_matrix(rnd, t, rnd.choice(enumerate_shapes(t)) if k % 2 else None))
+    found = pencils = 0
+    for m in inputs:
+        tview, dview = _views(m)[1], _views(transpose_dual(m))[0]
+        rows, cols = _dual_order(m.type.source), _dual_order(m.type.target)
+        assert tview.row_groups == [[rows[p] for p in g] for g in dview.row_groups]
+        assert tview.col_groups == [[cols[p] for p in g] for g in dview.col_groups]
+        assert [tview.slices[r] for r in rows] == dview.slices
+        for s in enumerate_shapes(m.type):
+            ds = _dual_shape(s)
+            w, decided = _row_subset_sweep(tview, ds)
+            wd, decided_d = _row_subset_sweep(dview, ds)
+            assert decided == decided_d
+            assert (w and _pull_back_transpose_witness(w)) == (
+                wd and _pull_back_through_dual_orders(m, wd)
+            ), (m.entries, s)
+            found += w is not None
+            if sum(ds.cols) == 1 and len(tview.col_groups[ds.cols.index(1)]) == 2:
+                (w, note), (wd, note_d) = _pencil_decides(tview, ds), _pencil_decides(dview, ds)
+                assert note == note_d
+                assert (w and _pull_back_transpose_witness(w)) == (
+                    wd and _pull_back_through_dual_orders(m, wd)
+                ), (m.entries, s)
+                pencils += w is not None
+    assert found > 500 and pencils > 80, (found, pencils)
 
 
 def _singular_linear_3x3(rnd):
@@ -1141,7 +1206,7 @@ def test_koszul_thin_blocks_are_lines_with_two_zeros():
     thin_only = 0
     for _ in range(300):
         m = _singular_linear_3x3(rnd)
-        literal = any(_flat_literal(_CoefficientView(m), s) is not None for s in thin)
+        literal = any(_flat_literal(m, s) is not None for s in thin)
         two_zeros = any(sum(e.is_zero for e in line) >= 2 for line in (*m.entries, *zip(*m.entries)))
         assert literal == two_zeros, m.entries
         kernel = any(
