@@ -51,14 +51,20 @@ than 4 096 row subsets stay undecided by the sweep.
 
 The random pass builds one trial plan per open shape before its trials
 start (``_TrialPlan``): the width of each block row's type, and per source
-type i the shape needs, the refusal bound w_i - a_i and the layout of each
-block row's type against i, which the view builds once per search.  A trial
-then only draws and ranks: per block row, a combination of its type's rows
-with weights in [-3, 3], and per needed type the stack of the coefficients
-of these virtual rows, refused by rank alone (``linalg.rank_exceeds``) as
-soon as its rank leaves fewer kernel vectors than the shape needs, with no
-further rows built.  Only a trial that no source type refuses builds its
-stacks again and takes their exact kernels for the witness.  The weights are drawn from the stream of
+type i the shape needs, the refusal bound w_i - a_i and the packed rows of
+each block row's type against i (``_Packed``), which the view builds once
+per search.  A packed row holds a row's coefficients against type i in one
+int, one signed slot per (monomial, column), wide enough for any
+combination of the type's rows with weights in [-3, 3].  A trial then only
+draws and ranks: per block row, such a combination of its type's rows, and
+one big-int product of its weights with the packed rows, which packs the
+block row's virtual rows.  A block row whose product is 0 adds nothing; a
+type with bound 0 is refused at the first nonzero product; any other type
+has its virtual rows unpacked one at a time into ``linalg.rank_exceeds``,
+refused as soon as their rank leaves fewer kernel vectors than the shape
+needs, with no further rows unpacked.  Only a trial that no source type
+refuses builds its virtual rows from the layouts and takes their exact
+kernels for the witness.  The weights are drawn from the stream of
 ``randint(-3, 3)``, so a seed gives the same trials, refusals and witnesses.
 """
 
@@ -196,8 +202,8 @@ class _CoefficientView:
     combination of rows within a type is the same combination of their
     slices.  The dimensions of the column kernels of literal row subsets,
     which the sweep reads from one exact rank, are memoized by (rows, source
-    type).  The layouts of the random pass are built on first use, once per
-    (row type, source type).
+    type).  The layouts and packed rows of the random pass are built on first
+    use, once per (row type, source type).
     """
 
     def __init__(self, grid, row_groups: list[list[int]], col_groups: list[list[int]]):
@@ -216,6 +222,7 @@ class _CoefficientView:
                     self.slices[r].append(per_mono)
         self._nullities: dict[tuple[tuple[int, ...], int], int] = {}
         self._layouts: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
+        self._packs: dict[tuple[int, int], _Packed] = {}
 
     def nullity(self, rows: tuple[int, ...], i: int) -> int:
         """The dimension of the constant combinations of the type-i columns
@@ -235,6 +242,49 @@ class _CoefficientView:
             slices = (self.slices[r][i] for r in self.row_groups[l])
             self._layouts[key] = [list(zip(*mono_rows)) for mono_rows in zip(*slices)]
         return self._layouts[key]
+
+    def packed(self, l: int, i: int) -> _Packed:
+        """The slices of type l's rows against source type i, one int per
+        row (``_Packed``), built on first use."""
+        key = (l, i)
+        if key not in self._packs:
+            slices = [self.slices[r][i] for r in self.row_groups[l]]
+            self._packs[key] = _Packed(slices, len(self.col_groups[i]))
+        return self._packs[key]
+
+
+class _Packed:
+    """The rows of one target type against one source type of width w, each
+    packed into one int: the coefficient at monomial t and column c sits in
+    the signed slot of k bits at bit k*(t*w + c).  Every weight vector in
+    [-3, 3] keeps each slot of its combination below 2^(k-1) in absolute
+    value, since k - 1 is the bit length of 3 * (rows) * (the largest
+    |coefficient|), so ``sum(map(mul, weights, ints))`` packs the
+    combination's virtual rows, which ``rows`` reads back exactly.
+    """
+
+    __slots__ = ("ints", "k", "_offset", "_shifts")
+
+    def __init__(self, slices: list[list[list[int]]], w: int):
+        top = max((abs(v) for row in slices for mono in row for v in mono), default=0)
+        self.k = k = (3 * len(slices) * top).bit_length() + 1
+        self.ints = [
+            sum([v << k * s for s, v in enumerate(itertools.chain.from_iterable(row))])
+            for row in slices
+        ]
+        nmono = len(slices[0])
+        # adding 2^(k-1) at each slot makes every slot a digit in [0, 2^k),
+        # read by shift and mask as in ``polymatrix._unpack``
+        self._offset = sum([1 << (k - 1 + k * s) for s in range(nmono * w)])
+        self._shifts = [range(k * w * t, k * w * (t + 1), k) for t in range(nmono)]
+
+    def rows(self, n: int) -> Iterator[list[int]]:
+        """The virtual rows packed in n, one per monomial, each unpacked only
+        when it is read."""
+        n += self._offset
+        half = 1 << (self.k - 1)
+        mask = 2 * half - 1
+        return ([(n >> b & mask) - half for b in mono] for mono in self._shifts)
 
 
 def _views(m: PolyMatrix) -> tuple[_CoefficientView, _CoefficientView]:
@@ -437,13 +487,22 @@ def _witness(view: _CoefficientView, shape: Shape, draws: list[list[int]]) -> Wi
     return Witness(shape, row_combos, col_combos)
 
 
+def _packed_rows(draws: list[list[int]], packs: list[_Packed]) -> Iterator[list[int]]:
+    """The virtual rows of the drawn block rows, from one big-int product per
+    block row: a block row whose product is 0 adds none."""
+    for coeffs, pack in zip(draws, packs):
+        n = sum(map(mul, coeffs, pack.ints))
+        if n:
+            yield from pack.rows(n)
+
+
 class _TrialPlan:
     """The random trials of one shape, with what they share built once.
 
     ``widths`` holds the width of the type of each block row.  ``needs``
     holds, per source type i the shape uses: the refusal bound w_i - a_i on
-    the rank of its virtual rows, and the layout of each block row's type
-    against i.
+    the rank of its virtual rows, and the packed rows (``_Packed``) of each
+    block row's type against i, which the view builds once per search.
     """
 
     def __init__(self, view: _CoefficientView, shape: Shape):
@@ -451,7 +510,7 @@ class _TrialPlan:
         types = _block_row_types(shape)
         self.widths = [len(view.row_groups[l]) for l in types]
         self.needs = [
-            (len(cols) - a, [view.layout(l, i) for l in types])
+            (len(cols) - a, [view.packed(l, i) for l in types])
             for i, (a, cols) in enumerate(zip(shape.cols, view.col_groups))
             if a
         ]
@@ -460,15 +519,21 @@ class _TrialPlan:
         """One trial: draw a combination of its type's rows per block row,
         refuse it by rank alone as soon as a source type's virtual rows leave
         fewer kernel vectors than the shape needs there, and take the exact
-        kernels only for a trial that no type refuses."""
+        kernels only for a trial that no type refuses.  A type with bound 0
+        is refused at the first block row whose product is nonzero, with no
+        row unpacked."""
         draws = []
         for n in self.widths:
             coeffs = _draw_coeffs(rng, n)
             if not any(coeffs):
                 coeffs[rng.randrange(n)] = 1
             draws.append(coeffs)
-        for bound, layouts in self.needs:
-            if rank_exceeds(_virtual_rows(draws, layouts), bound):
+        for bound, packs in self.needs:
+            if bound:
+                refused = rank_exceeds(_packed_rows(draws, packs), bound)
+            else:
+                refused = any(sum(map(mul, c, p.ints)) for c, p in zip(draws, packs))
+            if refused:
                 return None
         return _witness(self.view, self.shape, draws)
 

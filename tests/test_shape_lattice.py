@@ -194,15 +194,20 @@ def _elementary(rnd: random.Random, groups, size: int) -> list[list[int]]:
 def _matrix(
     rnd: random.Random, t: MorphismType, plant: Shape | None, shears=(True, True)
 ) -> PolyMatrix:
-    """Random small-integer entries, some zero; with a literal zero block of
-    the planted shape hidden by random within-type row and column shears, or
-    by those of one side only."""
+    """Random small-integer entries, some zero, and zero on every zeroed
+    block (which draws nothing); with a literal zero block of the planted
+    shape hidden by random within-type row and column shears, or by those of
+    one side only."""
     rgroups, cgroups = _positions(t.target), _positions(t.source)
-    degs = [e for e, n in t.target.summands for _ in range(n)]
-    srcs = [d for d, n in t.source.summands for _ in range(n)]
+    degs = [(l, e) for l, (e, n) in enumerate(t.target.summands) for _ in range(n)]
+    srcs = [(i, d) for i, (d, n) in enumerate(t.source.summands) for _ in range(n)]
     grid = [
-        [random_poly(rnd, e - d, -2, 2) if rnd.random() < 0.8 else zero for d in srcs]
-        for e in degs
+        [
+            zero if t.is_zeroed(i, l)
+            else random_poly(rnd, e - d, -2, 2) if rnd.random() < 0.8 else zero
+            for i, d in srcs
+        ]
+        for l, e in degs
     ]
     if plant is None:
         return PolyMatrix(t, grid)
@@ -266,6 +271,33 @@ def test_planted_destabilizing_blocks_are_never_certified():
                 assert verify_witness(m, v.witness)
             else:
                 assert v.kind is VerdictKind.UNDETERMINED or v.note
+
+
+def _zeroed_registry_types() -> list[tuple[str, int, MorphismType, Polarization]]:
+    """(case id, n, resolution type, sample polarization) of every registry
+    resolution type with a zeroed block, at the first two n of its case."""
+    return [
+        (case.id, n, case.resolution(n), case.sample_polarization(n))
+        for case in load_registry()
+        for n in case.ns()[:2]
+        if case.resolution(n).zeroed
+    ]
+
+
+def test_planted_members_of_zeroed_registry_types_are_destabilized():
+    # _matrix draws zero on a zeroed block (PolyMatrix refuses anything
+    # else there), so the registry types with one, M(4,2):omega1 at n = 2
+    # among them, get members with a hidden block too
+    rnd = random.Random(7171)
+    drawn = []
+    for case_id, n, t, p in _zeroed_registry_types():
+        plant = rnd.choice([s for s, d in classify_shapes(t, p).items() if d])
+        m = _matrix(rnd, t, plant)
+        v = search_destabilizer(m, p, 20, seed=n)
+        assert v.kind is VerdictKind.DESTABILIZED, (case_id, n, plant)
+        assert verify_witness(m, v.witness)
+        drawn.append((case_id, n))
+    assert ("M(4,2):omega1", 2) in drawn and len(drawn) == 12
 
 
 def test_brute_force_oracle_finds_hidden_blocks():

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain, combinations, product
 from math import comb, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from sheafmod.polymatrix import (
     _dual_order,
     _positions,
     determinant,
+    monomial_basis,
     transpose_dual,
 )
 from sheafmod.regions import Polarization, Shape, classify_shapes, enumerate_shapes
@@ -825,11 +827,29 @@ def _kernel_only_trial(view, shape, rng):
     return Witness(shape, row_combos, tuple(col_combos))
 
 
+def _widened(rnd, m):
+    """G.m.H for diagonal G and H whose entries are rationals of up to 40
+    digits above and below the bar, of either sign: every block of m, hidden
+    or not, is kept, and its coefficients get up to 80 digits, mixed signs
+    and fraction contents, so the coefficient slices pass 64 bits by far."""
+
+    def big():
+        num, den = (rnd.randint(1, 10 ** rnd.randint(1, 40)) for _ in range(2))
+        return F(rnd.choice((-1, 1)) * num, den)
+
+    a, b = [big() for _ in range(m.nrows)], [big() for _ in range(m.ncols)]
+    return PolyMatrix(
+        m.type, [[e.scale(x * y) for e, y in zip(row, b)] for row, x in zip(m.entries, a)]
+    )
+
+
 def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
     # trial for trial on the same seeded stream: the same witness or refusal,
     # and the same generator state after it, on every destabilizing shape of
-    # tiny and wide types (some with a planted block) and of registry types;
-    # one trial plan per shape serves all of its trials, as in the search
+    # tiny and wide types (some with a planted block), of registry types, of
+    # planted members of the registry types with a zeroed block, and of
+    # members with coefficients of up to 80 digits; one trial plan per shape
+    # serves all of its trials, as in the search
     from sheafmod.registry import load_registry
     from sheafmod.stability import _TrialPlan
     from test_shape_lattice import (
@@ -838,6 +858,7 @@ def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
         _matrix,
         _random_polarization,
         _random_verdicts_matrix,
+        _zeroed_registry_types,
     )
 
     rnd = random.Random(5151)
@@ -853,7 +874,19 @@ def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
         t = case.resolution(n)
         labels = classify_shapes(t, case.sample_polarization(n))
         inputs.append((_random_verdicts_matrix(rnd, t), [s for s, d in labels.items() if d]))
-    refused = accepted = 0
+    family = ["kept"] * len(inputs)
+    for _, _, t, p in _zeroed_registry_types():
+        destab = [s for s, d in classify_shapes(t, p).items() if d]
+        inputs.append((_matrix(rnd, t, rnd.choice(destab)), destab))
+        family.append("zeroed")
+    for t in [*TINY_TYPES, WIDE_TYPE]:
+        for k in range(2):
+            p = _random_polarization(rnd, t)
+            destab = [s for s, d in classify_shapes(t, p).items() if d]
+            plant = rnd.choice(destab) if k else None
+            inputs.append((_widened(rnd, _matrix(rnd, t, plant)), destab))
+            family.append("wide")
+    count = {(f, w): 0 for f in ("kept", "zeroed", "wide") for w in (False, True)}
     for k, (m, destab) in enumerate(inputs):
         view = _views(m)[0]
         for shape in destab:
@@ -863,9 +896,10 @@ def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
                 w = plan.trial(fast)
                 assert w == _kernel_only_trial(view, shape, slow), (m.entries, shape)
                 assert fast.getstate() == slow.getstate()
-                refused += w is None
-                accepted += w is not None
-    assert refused > 4000 and accepted > 150, (refused, accepted)
+                count[family[k], w is not None] += 1
+    refused, accepted = count["kept", False], count["kept", True]
+    assert refused > 4000 and accepted > 150, count
+    assert all(n > 0 for n in count.values()), count
 
 
 def test_search_builds_one_trial_plan_per_open_shape(monkeypatch):
@@ -896,6 +930,87 @@ def test_search_builds_one_trial_plan_per_open_shape(monkeypatch):
     v = search_destabilizer(_five_by_five(), p, 5, seed=11)
     assert [plan.shape for plan in plans] == list(v.undecided[:5])
     assert [plan.trials for plan in plans] == [1] * 5 and v.budget_used == 5
+
+
+def _formula_matrix(t, coeff):
+    """The member of type t whose entry (r, c) has the coefficient
+    ``coeff(r, c, j)`` at its j-th monomial, and is zero on a zeroed block."""
+    srcs = [(i, d) for i, (d, mi) in enumerate(t.source.summands) for _ in range(mi)]
+    tgts = [(l, e) for l, (e, nl) in enumerate(t.target.summands) for _ in range(nl)]
+    return PolyMatrix(t, [
+        [
+            zero if t.is_zeroed(i, l) or e < d
+            else HomogeneousPoly({mono: coeff(r, c, j) for j, mono in enumerate(monomial_basis(e - d))})
+            for c, (i, d) in enumerate(srcs)
+        ]
+        for r, (l, e) in enumerate(tgts)
+    ])
+
+
+def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights():
+    # no random stream: on both views of members with coefficients of 70 to
+    # 80 digits (equal ones, which reach the slot bound 3 * rows * top; mixed
+    # signs over fraction contents; and ones that grow down the rows, so the
+    # largest is not in the first row), and of the registry types with a
+    # zeroed block, every pack unpacks to the virtual rows of the layout at
+    # weights all +3, all -3, alternating in sign, and at each unit vector
+    from sheafmod.stability import _virtual_rows
+    from test_shape_lattice import TINY_TYPES, WIDE_TYPE, _zeroed_registry_types
+
+    top = 10**80 - 1
+    formulas = [
+        lambda r, c, j: top,
+        lambda r, c, j: F((-1) ** (r + c + j) * (top - 7 * r - 11 * c - 13 * j), r + c + 2),
+        lambda r, c, j: (-1) ** j * 10 ** (70 + r),
+    ]
+    members = [
+        _formula_matrix(t, f)
+        for t in [*TINY_TYPES, WIDE_TYPE, *(t for _, _, t, _ in _zeroed_registry_types())]
+        for f in formulas
+    ]
+    checked, widths = 0, []
+    for m in members:
+        for view in _views(m):
+            for l, g in enumerate(view.row_groups):
+                size = len(g)
+                weights = [
+                    [3] * size,
+                    [-3] * size,
+                    [3 * (-1) ** r for r in range(size)],
+                    [-3 * (-1) ** r for r in range(size)],
+                    *([int(r == u) for r in range(size)] for u in range(size)),
+                ]
+                for i in range(len(view.col_groups)):
+                    pack, layout = view.packed(l, i), view.layout(l, i)
+                    widths.append(pack.k)
+                    for w in weights:
+                        got = list(pack.rows(sum(map(mul, w, pack.ints))))
+                        assert got == list(_virtual_rows([w], [layout])), (m.entries, l, i, w)
+                        checked += 1
+    # some layouts are all zero (a zeroed block, or a block of negative degree)
+    assert checked > 1500 and min(widths) == 1 and max(widths) > 256, (checked, max(widths))
+
+
+def test_search_packs_each_row_type_once_per_source_type(monkeypatch):
+    # the 5x5 at budget 10^4 has one row type and two source types: its 12
+    # trial plans share two packs, built once per search
+    import sheafmod.stability as stability
+
+    built = []
+
+    class Counted(stability._Packed):
+        __slots__ = ()
+
+        def __init__(self, slices, w):
+            super().__init__(slices, w)
+            built.append(w)
+
+    monkeypatch.setattr(stability, "_Packed", Counted)
+    p = Polarization([F(1, 10), F(9, 40)], [F(1, 5)])
+    v = search_destabilizer(_five_by_five(), p, 10**4, seed=11)
+    assert len(v.undecided) == 12 and sorted(built) == [1, 4]
+    search_destabilizer(_five_by_five(), p, 10**4, seed=11)
+    assert sorted(built) == [1, 1, 4, 4]
 
 
 @pytest.mark.parametrize(
