@@ -60,12 +60,15 @@ draws and ranks: per block row, such a combination of its type's rows, and
 one big-int product of its weights with the packed rows, which packs the
 block row's virtual rows.  A block row whose product is 0 adds nothing; a
 type with bound 0 is refused at the first nonzero product; any other type
-has its virtual rows unpacked one at a time into ``linalg.rank_exceeds``,
-refused as soon as their rank leaves fewer kernel vectors than the shape
-needs, with no further rows unpacked.  Only a trial that no source type
-refuses builds its virtual rows from the layouts and takes their exact
-kernels for the witness.  The weights are drawn from the stream of
-``randint(-3, 3)``, so a seed gives the same trials, refusals and witnesses.
+has each nonzero product unpacked row by row as ``linalg.rank_exceeds``
+reads it, and is refused as soon as the rank leaves fewer kernel vectors
+than the shape needs, with no further product taken.  Only a trial that no
+source type refuses builds its virtual rows from the layouts and takes their
+exact kernels for the witness.  The weights are the stream of
+``randint(-3, 3)``, with ``randrange(n)`` for a block row of zeros, read from
+the seeded generator's words in bulk by one weight source per search
+(``_Weights``), built only when trials run; so a seed gives the same trials,
+refusals and witnesses.
 """
 
 from __future__ import annotations
@@ -260,10 +263,16 @@ class _Packed:
     [-3, 3] keeps each slot of its combination below 2^(k-1) in absolute
     value, since k - 1 is the bit length of 3 * (rows) * (the largest
     |coefficient|), so ``sum(map(mul, weights, ints))`` packs the
-    combination's virtual rows, which ``rows`` reads back exactly.
+    combination's virtual rows exactly.
+
+    ``offset`` holds 2^(k-1) at every slot: added to a product, it makes each
+    slot a digit in [0, 2^k), and the virtual row of monomial t is read back
+    as ``[(n >> s & mask) - half for s in shifts[t]]`` with n the product
+    plus ``offset``, as in ``polymatrix._unpack``.  ``sum(map(mul, weights,
+    ints), offset)`` is ``offset`` exactly when the combination is 0.
     """
 
-    __slots__ = ("ints", "k", "_offset", "_shifts")
+    __slots__ = ("ints", "k", "offset", "mask", "half", "shifts")
 
     def __init__(self, slices: list[list[list[int]]], w: int):
         top = max((abs(v) for row in slices for mono in row for v in mono), default=0)
@@ -273,18 +282,10 @@ class _Packed:
             for row in slices
         ]
         nmono = len(slices[0])
-        # adding 2^(k-1) at each slot makes every slot a digit in [0, 2^k),
-        # read by shift and mask as in ``polymatrix._unpack``
-        self._offset = sum([1 << (k - 1 + k * s) for s in range(nmono * w)])
-        self._shifts = [range(k * w * t, k * w * (t + 1), k) for t in range(nmono)]
-
-    def rows(self, n: int) -> Iterator[list[int]]:
-        """The virtual rows packed in n, one per monomial, each unpacked only
-        when it is read."""
-        n += self._offset
-        half = 1 << (self.k - 1)
-        mask = 2 * half - 1
-        return ([(n >> b & mask) - half for b in mono] for mono in self._shifts)
+        self.offset = sum([1 << (k - 1 + k * s) for s in range(nmono * w)])
+        self.half = 1 << (k - 1)
+        self.mask = (1 << k) - 1
+        self.shifts = [range(k * w * t, k * w * (t + 1), k) for t in range(nmono)]
 
 
 def _views(m: PolyMatrix) -> tuple[_CoefficientView, _CoefficientView]:
@@ -446,18 +447,6 @@ def _witness_with_row_combos(
     return Witness(shape, tuple(row_combos), (combo,))
 
 
-def _draw_coeffs(rng: random.Random, n: int) -> list[int]:
-    """``[rng.randint(-3, 3) for _ in range(n)]``, drawn from the same stream
-    at a fraction of the cost: randint(-3, 3) adds -3 to the first draw of
-    ``getrandbits(3)`` below 7."""
-    out: list[int] = []
-    while len(out) < n:
-        r = rng.getrandbits(3)
-        if r < 7:
-            out.append(r - 3)
-    return out
-
-
 def _virtual_rows(draws: list[list[int]], layouts) -> Iterator[list[int]]:
     """Per drawn block row and monomial, the virtual row's coefficient per
     column: the row's weights against each column of its type's layout."""
@@ -487,13 +476,92 @@ def _witness(view: _CoefficientView, shape: Shape, draws: list[list[int]]) -> Wi
     return Witness(shape, row_combos, col_combos)
 
 
-def _packed_rows(draws: list[list[int]], packs: list[_Packed]) -> Iterator[list[int]]:
-    """The virtual rows of the drawn block rows, from one big-int product per
-    block row: a block row whose product is 0 adds none."""
-    for coeffs, pack in zip(draws, packs):
-        n = sum(map(mul, coeffs, pack.ints))
-        if n:
-            yield from pack.rows(n)
+# a word's top byte b gives ``getrandbits(3)`` = b >> 5, and ``randint(-3, 3)``
+# takes it as the weight (b >> 5) - 3 unless it is 7 (b >= 224); the table
+# maps b to that weight as a signed byte
+_SEVENS = bytes(range(224, 256))
+_WEIGHT_OF_TOP = bytes((b >> 5) - 3 & 0xFF for b in range(256))
+
+
+class _Weights:
+    """The draws ``randint(-3, 3)`` and ``randrange(n)`` of a
+    ``random.Random``, in the order they are asked for, read from its 32-bit
+    words in bulk.
+
+    Both go through ``_randbelow``: ``randint(-3, 3)`` takes the top three
+    bits of the next words until one is below 7, and ``randrange(n)`` the top
+    ``n.bit_length()`` bits until one is below n.  ``getrandbits(32 * k)``
+    returns k successive words, least significant first.  So the source reads
+    chunks of words, 64 at first and doubling up to 2 048, and one
+    ``bytes.translate`` turns the top byte of each word of a chunk into its
+    weight and deletes the 7s; a draw of n weights is then a list slice.  A
+    ``randrange`` finds the word after the last weight drawn, reads its words
+    from there, and moves the draws past the weights of the words it read.
+    ``_mark`` is a weight and the word it starts the search from: the chunk's
+    first weight and word, or the first after the last ``randrange``, so
+    each ``randrange`` counts only the words read since the one before.
+    """
+
+    __slots__ = ("_rng", "_size", "_words", "_tops", "_weights", "_pos", "_mark")
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._size = 64
+        self._words = self._tops = b""
+        self._weights: list[int] = []
+        self._pos = 0
+        self._mark = (0, 0)
+
+    def _fetch(self) -> None:
+        """Read the next chunk and start the draws at its first word."""
+        size = self._size
+        self._words = self._rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        self._tops = self._words[3::4]
+        kept = self._tops.translate(_WEIGHT_OF_TOP, _SEVENS)
+        self._weights = memoryview(kept).cast("b").tolist()
+        self._pos, self._mark = 0, (0, 0)
+        self._size = min(2 * size, 2048)
+
+    def draw(self, n: int) -> list[int]:
+        """``[rng.randint(-3, 3) for _ in range(n)]``."""
+        end = self._pos + n
+        out = self._weights[self._pos:end]
+        while len(out) < n:
+            self._fetch()
+            end = n - len(out)
+            out += self._weights[:end]
+        self._pos = end
+        return out
+
+    def _word(self) -> int:
+        """The index in the chunk of the first word after the weights drawn:
+        from the mark on, the fewest words that hold the weights drawn since,
+        found by counting the words that are not 7s."""
+        tops, pos = self._tops, self._pos
+        kept, word = self._mark
+        while kept < pos:
+            # each word holds at most one weight, so all of these are read
+            step = pos - kept
+            kept += len(tops[word:word + step].translate(None, _SEVENS))
+            word += step
+        return word
+
+    def randrange(self, n: int) -> int:
+        """``rng.randrange(n)``, for 0 < n < 2^32."""
+        k = n.bit_length()
+        start = word = self._word()
+        pos, words = self._pos, self._words
+        while True:
+            if 4 * word == len(words):
+                self._fetch()
+                start = word = pos = 0
+                words = self._words
+            r = int.from_bytes(words[4 * word:4 * word + 4], "little") >> 32 - k
+            word += 1
+            if r < n:
+                pos += len(self._tops[start:word].translate(None, _SEVENS))
+                self._pos, self._mark = pos, (pos, word)
+                return r
 
 
 class _TrialPlan:
@@ -502,7 +570,9 @@ class _TrialPlan:
     ``widths`` holds the width of the type of each block row.  ``needs``
     holds, per source type i the shape uses: the refusal bound w_i - a_i on
     the rank of its virtual rows, and the packed rows (``_Packed``) of each
-    block row's type against i, which the view builds once per search.
+    block row's type against i, which the view builds once per search.  A
+    trial takes its weights from the search's one weight source
+    (``_Weights``), so the plans of a search draw from one stream.
     """
 
     def __init__(self, view: _CoefficientView, shape: Shape):
@@ -515,22 +585,33 @@ class _TrialPlan:
             if a
         ]
 
-    def trial(self, rng: random.Random) -> Witness | None:
+    def trial(self, weights: _Weights) -> Witness | None:
         """One trial: draw a combination of its type's rows per block row,
         refuse it by rank alone as soon as a source type's virtual rows leave
         fewer kernel vectors than the shape needs there, and take the exact
         kernels only for a trial that no type refuses.  A type with bound 0
         is refused at the first block row whose product is nonzero, with no
-        row unpacked."""
+        row unpacked; for any other type each nonzero product is unpacked
+        row by row as ``linalg.rank_exceeds`` reads its rows, and no product
+        is taken after the row that refuses."""
         draws = []
         for n in self.widths:
-            coeffs = _draw_coeffs(rng, n)
+            coeffs = weights.draw(n)
             if not any(coeffs):
-                coeffs[rng.randrange(n)] = 1
+                coeffs[weights.randrange(n)] = 1
             draws.append(coeffs)
         for bound, packs in self.needs:
             if bound:
-                refused = rank_exceeds(_packed_rows(draws, packs), bound)
+                refused = rank_exceeds(
+                    (
+                        [(n >> s & p.mask) - p.half for s in shifts]
+                        for c, p in zip(draws, packs)
+                        for n in [sum(map(mul, c, p.ints), p.offset)]
+                        if n != p.offset
+                        for shifts in p.shifts
+                    ),
+                    bound,
+                )
             else:
                 refused = any(sum(map(mul, c, p.ints)) for c, p in zip(draws, packs))
             if refused:
@@ -692,7 +773,6 @@ def search_destabilizer(
     destab = [s for s, d in classify_shapes(m.type, p).items() if d]
     undecided: list[Shape] = []
     used = 0
-    rng = random.Random(seed)
     passes = _ExactPasses(m)
     view = passes.view
     for shape in destab:
@@ -714,13 +794,14 @@ def search_destabilizer(
             undecided.append(shape)
     if undecided and budget > 0:
         per_shape = max(1, budget // len(undecided))
+        weights = _Weights(random.Random(seed))
         for shape in undecided:
             if used == budget:
                 break
             plan = _TrialPlan(view, shape)
             for _ in range(min(per_shape, budget - used)):
                 used += 1
-                w = plan.trial(rng)
+                w = plan.trial(weights)
                 if w is not None and verify_witness(m, w):
                     return Verdict(
                         VerdictKind.DESTABILIZED, w, used, tuple(undecided)

@@ -305,6 +305,34 @@ def test_rank_exceeds_is_rank_above_the_bound():
     assert rank_exceeds([], -1) and rank_exceeds([[0, 0]], -1)
 
 
+def test_rank_exceeds_on_80_digit_rows_whose_pivots_share_large_factors():
+    # each cross-multiplication is divided by the gcd of the two pivots; rows
+    # of 80-digit entries built from three shared 40-digit factors, so that
+    # pivots share large factors, with combinations of them mixed in so that
+    # every rank occurs, are checked against ``rank``
+    rnd = random.Random(4444)
+    factors = [rnd.randint(10**39, 10**40) for _ in range(3)]
+    ranks = set()
+    for width in range(1, 7):
+        for _ in range(60):
+            base = [
+                [rnd.choice(factors) * rnd.choice(factors) * rnd.randint(-3, 3) for _ in range(width)]
+                for _ in range(rnd.randint(1, width))
+            ]
+            rows = base + [
+                [sum(rnd.choice(factors) * rnd.randint(-2, 2) * b[c] for b in base) for c in range(width)]
+                for _ in range(rnd.randint(0, width))
+            ]
+            rnd.shuffle(rows)
+            r = rank(rows)
+            assert r == len(reference_rref(rows, width)[1])
+            ranks.add((width, r))
+            for b in range(-1, width + 1):
+                assert rank_exceeds(rows, b) == (r > b), (rows, b)
+    missing = [(w, r) for w in range(1, 7) for r in range(1, w + 1) if (w, r) not in ranks]
+    assert not missing, missing
+
+
 def test_rank_exceeds_stops_at_the_first_row_past_the_bound():
     rnd = random.Random(4242)
     for width in range(1, 9):

@@ -533,7 +533,9 @@ def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
         _row_subset_sweep,
         _TrialPlan,
         _views,
+        _Weights,
     )
+    from test_stability import _CountingRandom, _words_used
 
     rnd = random.Random(9393)
     found = {"verdict": [], "sweep": [], "trial": []}
@@ -558,10 +560,16 @@ def test_witnesses_are_combinations_that_round_trip_through_the_transpose():
             found["verdict"].append((m, search_destabilizer(m, p, 20, seed=k).witness))
             sweeps(m)
             plan = _TrialPlan(_views(m)[0], plant)
+            # the trials draw from a copy of rnd, which then moves on by the
+            # words they used, as if they had drawn from rnd itself
+            copy = _CountingRandom()
+            copy.setstate(rnd.getstate())
+            weights = _Weights(copy)
             for _ in range(30):
-                w = plan.trial(rnd)
+                w = plan.trial(weights)
                 # the search keeps a trial's witness only once it verifies
                 found["trial"].append((m, w if w and verify_witness(m, w) else None))
+            rnd.getrandbits(32 * _words_used(weights, copy.bits // 32))
     for m, w in (mw for pairs in found.values() for mw in pairs if mw[1] is not None):
         for combos, groups, counts in (
             (w.row_combos, _positions(m.type.target), w.shape.rows),

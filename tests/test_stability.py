@@ -2,7 +2,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, lcm, prod
 from operator import mul
 
@@ -750,16 +750,145 @@ def test_random_pass_is_pinned_draw_for_draw(build, budget, seed, expected):
     assert search_destabilizer(build(), p, budget, seed) == expected
 
 
-def test_draw_coeffs_is_the_randint_stream():
-    from sheafmod.stability import _draw_coeffs
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts the bits asked of its ``getrandbits``."""
 
+    bits = 0
+
+    def getrandbits(self, k):
+        self.bits += k
+        return super().getrandbits(k)
+
+
+def _words_used(weights, read):
+    """The words that a weight source's draws so far would take one call at
+    a time, given the words it has read: those of the chunks before its
+    current one, and those of the current one up to the word after the last
+    draw."""
+    return read - len(weights._words) // 4 + weights._word()
+
+
+def _advance(rng, words):
+    """Move a generator on by 32-bit words, as ``words`` draws of
+    ``getrandbits(k)`` with k <= 32 would, and return it."""
+    rng.getrandbits(32 * words)
+    return rng
+
+
+def test_weights_are_the_randint_and_randrange_stream():
+    """``_Weights`` reads its generator's words in bulk, yet gives, call for
+    call, what a plain ``random.Random`` of the same seed gives: ``draw(n)``
+    is ``[randint(-3, 3) for _ in range(n)]`` and ``randrange(n)`` is
+    ``randrange(n)``, and ``_words_used`` is where the plain generator stands
+    after them.  This pins CPython behaviour that the random pass relies on:
+    ``getrandbits(32 * k)`` returns k successive 32-bit words, least
+    significant first, and ``randint`` and ``randrange`` go through
+    ``_randbelow``, which takes the top ``n.bit_length()`` bits of one word
+    per try until they are below n, so ``randrange(1)`` tries until a top bit
+    is 0.  Interleaved widths 1 to 9 run past several chunk boundaries; the
+    cases counted below must all occur."""
+    from sheafmod.stability import _Weights
+
+    chunk_ends = set(accumulate(min(64 << j, 2048) for j in range(12)))
+    seen = {"straddle": 0, "randrange(1)": 0, "zero row at a chunk end": 0}
     for seed in range(300):
-        fast, slow = random.Random(seed), random.Random(seed)
-        for n in (1, 2, 3, 5, 9, 1, 4):
-            assert _draw_coeffs(fast, n) == [slow.randint(-3, 3) for _ in range(n)]
-            # the pass interleaves randrange when a draw is all zeros
-            assert fast.randrange(n) == slow.randrange(n)
-        assert fast.getstate() == slow.getstate()
+        rng, slow, widths = _CountingRandom(seed), random.Random(seed), random.Random(seed + 10**6)
+        fast = _Weights(rng)
+        for _ in range(600):
+            before = _words_used(fast, rng.bits // 32)
+            # single weights near a chunk's end, so that some zero row ends
+            # on its last word
+            n = 1 if any(0 < e - before < 9 for e in chunk_ends) else widths.randint(1, 9)
+            got = fast.draw(n)
+            assert got == [slow.randint(-3, 3) for _ in range(n)], (seed, n)
+            after = _words_used(fast, rng.bits // 32)
+            seen["straddle"] += any(before < e < after for e in chunk_ends)
+            # the pass takes randrange(n) after a row of zeros; add more, and
+            # some in a row, each read on from where the one before stopped
+            if not any(got) or widths.random() < 0.05:
+                seen["randrange(1)"] += n == 1
+                seen["zero row at a chunk end"] += not any(got) and after in chunk_ends
+                for _ in range(widths.choice((1, 1, 1, 2, 3))):
+                    assert fast.randrange(n) == slow.randrange(n), (seed, n)
+        end = _words_used(fast, rng.bits // 32)
+        assert end > 2048
+        assert _advance(random.Random(seed), end).getstate() == slow.getstate()
+    assert all(count > 10 for count in seen.values()), seen
+
+
+def _counted_reads(monkeypatch):
+    """Count the weight sources the search builds, in a list, and the bits
+    asked of any generator's ``getrandbits``, in another."""
+    import sheafmod.stability as stability
+
+    built, bits = [], []
+
+    class Counted(stability._Weights):
+        def __init__(self, rng):
+            super().__init__(rng)
+            built.append(self)
+
+    getrandbits = random.Random.getrandbits
+
+    def counted(self, k):
+        bits.append(k)
+        return getrandbits(self, k)
+
+    monkeypatch.setattr(stability, "_Weights", Counted)
+    monkeypatch.setattr(random.Random, "getrandbits", counted)
+    return built, bits
+
+
+def test_a_search_with_no_trial_reads_no_word(monkeypatch):
+    # a budget-0 search, and the acceptance-3 3x3 and 2x2 at budget 10^4,
+    # which decide every shape exactly, build no weight source and read no
+    # generator word
+    built, bits = _counted_reads(monkeypatch)
+    t3 = MorphismType.make([(-2, 1), (-1, 2)], [(0, 3)])
+    t2 = MorphismType.make([(-2, 2)], [(0, 2)])
+    p5 = Polarization([F(1, 10), F(9, 40)], [F(1, 5)])
+    cases = [
+        (_five_by_five(), p5, 0, VerdictKind.UNDETERMINED),
+        (
+            PolyMatrix(t3, [[zero, X, Y], [X * Y, Z, zero], [-(X * X), zero, Z]]),
+            sample_polarization_42(3),
+            10**4,
+            VerdictKind.CERTIFIED_SEMISTABLE,
+        ),
+        (
+            PolyMatrix(t2, [[X * (X + Y), X * Z], [Y * (X + Y), Y * Z]]),
+            Polarization([F(1, 2)], [F(1, 2)]),
+            10**4,
+            VerdictKind.CERTIFIED_SEMISTABLE,
+        ),
+    ]
+    for m, p, budget, kind in cases:
+        v = search_destabilizer(m, p, budget, seed=11)
+        assert v.kind is kind and v.budget_used == 0
+    assert built == [] and bits == []
+    # chunks of 64 words, doubling up to 2 048
+    search_destabilizer(_five_by_five(), p5, 10**4, seed=11)
+    assert len(built) == 1 and len(bits) > 8
+    assert bits[:6] == [32 * (64 << j) for j in range(6)] and set(bits[6:]) == {32 * 2048}
+
+
+@pytest.mark.parametrize(
+    "build, budget, seed, expected",
+    [c[1:] for c in PINNED_RANDOM_PASS if c[-1].kind is VerdictKind.DESTABILIZED],
+    ids=[c[0] for c in PINNED_RANDOM_PASS if c[-1].kind is VerdictKind.DESTABILIZED],
+)
+def test_a_search_that_ends_early_reads_about_twice_the_words_it_used(
+    build, budget, seed, expected, monkeypatch
+):
+    # chunks double from 64 words, and one is read only when a draw needs
+    # it, so the words read stay below twice the words used, plus 64
+    m = build()
+    built, bits = _counted_reads(monkeypatch)
+    assert search_destabilizer(m, Polarization([F(1, 3)], [F(1, 3)]), budget, seed) == expected
+    (weights,) = built
+    read = sum(bits) // 32
+    used = _words_used(weights, read)
+    assert used <= read <= 2 * used + 64, (used, read)
 
 
 def test_negative_budget_is_refused():
@@ -845,13 +974,13 @@ def _widened(rnd, m):
 
 def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
     # trial for trial on the same seeded stream: the same witness or refusal,
-    # and the same generator state after it, on every destabilizing shape of
+    # and the same stream position after it, on every destabilizing shape of
     # tiny and wide types (some with a planted block), of registry types, of
     # planted members of the registry types with a zeroed block, and of
     # members with coefficients of up to 80 digits; one trial plan per shape
     # serves all of its trials, as in the search
     from sheafmod.registry import load_registry
-    from sheafmod.stability import _TrialPlan
+    from sheafmod.stability import _TrialPlan, _Weights
     from test_shape_lattice import (
         TINY_TYPES,
         WIDE_TYPE,
@@ -890,12 +1019,18 @@ def test_rank_only_refusal_keeps_every_trial_of_the_kernel_only_pass():
     for k, (m, destab) in enumerate(inputs):
         view = _views(m)[0]
         for shape in destab:
-            fast, slow = random.Random(k), random.Random(k)
+            rng, slow = _CountingRandom(k), random.Random(k)
+            fast = _Weights(rng)
+            # a generator moved word by word to where the trials stand
+            at, used = random.Random(k), 0
             plan = _TrialPlan(view, shape)
             for _ in range(4):
                 w = plan.trial(fast)
                 assert w == _kernel_only_trial(view, shape, slow), (m.entries, shape)
-                assert fast.getstate() == slow.getstate()
+                now = _words_used(fast, rng.bits // 32)
+                _advance(at, now - used)
+                used = now
+                assert at.getstate() == slow.getstate()
                 count[family[k], w is not None] += 1
     refused, accepted = count["kept", False], count["kept", True]
     assert refused > 4000 and accepted > 150, count
@@ -947,16 +1082,41 @@ def _formula_matrix(t, coeff):
     ])
 
 
-def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights():
+class _FixedWeights:
+    """A weight source whose every draw is the given weights."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def draw(self, n):
+        assert n == len(self.weights)
+        return list(self.weights)
+
+    def randrange(self, n):
+        raise AssertionError("no draw is all zeros")
+
+
+def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights(monkeypatch):
     # no random stream: on both views of members with coefficients of 70 to
     # 80 digits (equal ones, which reach the slot bound 3 * rows * top; mixed
     # signs over fraction contents; and ones that grow down the rows, so the
     # largest is not in the first row), and of the registry types with a
-    # zeroed block, every pack unpacks to the virtual rows of the layout at
-    # weights all +3, all -3, alternating in sign, and at each unit vector
-    from sheafmod.stability import _virtual_rows
+    # zeroed block, a trial of one block row of type l against one column of
+    # source type i hands ``rank_exceeds`` exactly the virtual rows of the
+    # layout, and none for a zero combination, at weights all +3, all -3,
+    # alternating in sign, and at each unit vector; a source type of width
+    # one (bound 0) unpacks nothing and refuses exactly a nonzero combination
+    import sheafmod.stability as stability
+    from sheafmod.stability import _TrialPlan, _unit, _virtual_rows
     from test_shape_lattice import TINY_TYPES, WIDE_TYPE, _zeroed_registry_types
 
+    unpacked = []
+
+    def read_all(rows, bound):
+        unpacked.extend(rows)
+        return True
+
+    monkeypatch.setattr(stability, "rank_exceeds", read_all)
     top = 10**80 - 1
     formulas = [
         lambda r, c, j: top,
@@ -971,6 +1131,7 @@ def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights():
     checked, widths = 0, []
     for m in members:
         for view in _views(m):
+            ntypes = len(view.col_groups)
             for l, g in enumerate(view.row_groups):
                 size = len(g)
                 weights = [
@@ -980,12 +1141,19 @@ def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights():
                     [-3 * (-1) ** r for r in range(size)],
                     *([int(r == u) for r in range(size)] for u in range(size)),
                 ]
-                for i in range(len(view.col_groups)):
-                    pack, layout = view.packed(l, i), view.layout(l, i)
-                    widths.append(pack.k)
+                for i in range(ntypes):
+                    plan = _TrialPlan(view, Shape(_unit(l, len(view.row_groups)), _unit(i, ntypes)))
+                    layout = view.layout(l, i)
+                    widths.append(view.packed(l, i).k)
                     for w in weights:
-                        got = list(pack.rows(sum(map(mul, w, pack.ints))))
-                        assert got == list(_virtual_rows([w], [layout])), (m.entries, l, i, w)
+                        unpacked.clear()
+                        expected = list(_virtual_rows([w], [layout]))
+                        refused = plan.trial(_FixedWeights(w)) is None
+                        if len(view.col_groups[i]) == 1:
+                            assert not unpacked and refused == any(map(any, expected))
+                        else:
+                            assert refused
+                            assert unpacked == (expected if any(map(any, expected)) else [])
                         checked += 1
     # some layouts are all zero (a zeroed block, or a block of negative degree)
     assert checked > 1500 and min(widths) == 1 and max(widths) > 256, (checked, max(widths))
