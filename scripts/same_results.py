@@ -35,7 +35,15 @@ the output: equal digests mean the same results.  The sections are
   planted as a rational multiple of another, so that minors cancel to zero;
 * ``hilbert``: the exit code and stdout of ``sheafmod hilbert`` on seeded
   random specs of one to three twists in -6..3 per side with multiplicities
-  1..4, about three in ten with a ``ker=`` twist.
+  1..4, about three in ten with a ``ker=`` twist;
+* ``passes``: every exact pass that applies to every shape of seeded random
+  matrices of the registry types, 4 per (case, n) for the first two n of
+  each case, all but the first with a random shape planted behind
+  within-type shears: the row sweep on both sides, and the pencil on m where the shape
+  has one column of a source type of width two and on the transpose where it
+  has one row of a target type of width two, each through
+  ``stability._ExactPasses.run``; per run the decided flag, the note and the
+  witness, its combinations grouped by type in m's type order.
 
 A verdict repr holds its kind, witness, trials used, open shapes and note.
 ``--lines`` prints every line that goes into a digest, for diffing.
@@ -59,9 +67,10 @@ import workloads  # noqa: E402  (the benchmark's input generators)
 from random_verdicts import random_matrix  # noqa: E402
 from sheafmod import cli, polymatrix  # noqa: E402
 from sheafmod.bundles import MorphismType  # noqa: E402
-from sheafmod.regions import classify_shapes  # noqa: E402
+from sheafmod.regions import classify_shapes, enumerate_shapes  # noqa: E402
 from sheafmod.registry import case_by_id, load_registry  # noqa: E402
 from sheafmod.stability import (  # noqa: E402
+    _ExactPasses,
     apply_transforms,
     check_case,
     koszul_test,
@@ -84,6 +93,8 @@ KRONECKER_SEED = 60
 KRONECKER_MATRICES = 100
 HILBERT_SEED = 29
 HILBERT_SPECS = 500
+PASSES_SEED = 70
+PASSES_MATRICES = 4
 
 
 def table_lines() -> list[str]:
@@ -396,6 +407,49 @@ def hilbert_lines() -> list[str]:
     return out
 
 
+def by_type(groups, combos) -> str:
+    """The combinations, each as its entries, grouped by the type of their
+    support in the groups' order and kept in order within a type."""
+
+    def kind(vec):
+        return next((t for t, g in enumerate(groups) if any(vec[p] for p in g)), -1)
+
+    return " ; ".join(" ".join(map(str, v)) for v in sorted(combos, key=kind))
+
+
+def passes_lines() -> list[str]:
+    rnd = random.Random(PASSES_SEED)
+    out = []
+    for case in load_registry():
+        for n in case.ns()[:2]:
+            t = case.resolution(n)
+            rgroups = polymatrix._positions(t.target)
+            cgroups = polymatrix._positions(t.source)
+            shapes = enumerate_shapes(t)
+            for k in range(PASSES_MATRICES):
+                m = random_matrix(rnd, t)
+                plant = rnd.choice(shapes) if k else None
+                if plant is not None:
+                    m = hidden_block(rnd, m, plant)
+                passes = _ExactPasses(m)
+                for s in shapes:
+                    runs = [(0, False), (1, False)]
+                    if sum(s.cols) == 1 and len(cgroups[s.cols.index(1)]) == 2:
+                        runs.append((0, True))
+                    if sum(s.rows) == 1 and len(rgroups[s.rows.index(1)]) == 2:
+                        runs.append((1, True))
+                    for side, pencil in runs:
+                        w, decided, note = passes.run(s, side, pencil)
+                        text = "None" if w is None else (
+                            f"{w.shape} rows {by_type(rgroups, w.row_combos)}"
+                            f" cols {by_type(cgroups, w.col_combos)}"
+                        )
+                        label = f"{case.id} n={n} #{k} plant={plant} {s} side={side}"
+                        kind = "pencil" if pencil else "sweep"
+                        out.append(f"{label} {kind}: {decided} {note!r} {text}")
+    return out
+
+
 SECTIONS = {
     "table": table_lines,
     "verdicts": verdicts_lines,
@@ -406,6 +460,7 @@ SECTIONS = {
     "lattice": lattice_lines,
     "kronecker": kronecker_lines,
     "hilbert": hilbert_lines,
+    "passes": passes_lines,
 }
 
 

@@ -39,14 +39,20 @@ witness that verifies, or a note of a block over the closure, ends the
 search, and a witness that fails to verify decides nothing.  A lower shape's
 outcome is memoized per search, keyed by the shape itself.
 
+Every witness is completed in one place (``_witness``): given its block rows
+as weights on the rows of their types, it takes per source type the exact
+kernel of their virtual rows, read from the coefficient slices.  The sweep
+passes unit weights on the rows it accepted, a random trial its draws, and
+the pencil, which finds the weights of one column combination, has it
+completed on the other side, where that combination is one block row.
+
 The row sweep walks its row subsets depth first, in product order
 (lexicographic within a type, type-major), and drops a branch as soon as
 some column kernel of the prefix rows is too small, since a row added can
 only shrink a kernel.  Every subset skipped would have failed, so the first
 subset accepted, and the witness built from it, is the one a flat
 enumeration finds.  The test reads a kernel's dimension from an exact rank;
-the kernel basis is built only for the subset accepted, by the completion
-the random pass shares (``_witness``).  Shapes with more
+the kernel basis is built only for the subset accepted.  Shapes with more
 than 4 096 row subsets stay undecided by the sweep.
 
 The random pass builds one trial plan per open shape before its trials
@@ -63,8 +69,7 @@ type with bound 0 is refused at the first nonzero product; any other type
 has each nonzero product unpacked row by row as ``linalg.rank_exceeds``
 reads it, and is refused as soon as the rank leaves fewer kernel vectors
 than the shape needs, with no further product taken.  Only a trial that no
-source type refuses builds its virtual rows from the layouts and takes their
-exact kernels for the witness.  The weights are the stream of
+source type refuses is completed to a witness.  The weights are the stream of
 ``randint(-3, 3)``, with ``randrange(n)`` for a block row of zeros, read from
 the seeded generator's words in bulk by one weight source per search
 (``_Weights``), built only when trials run; so a seed gives the same trials,
@@ -203,10 +208,12 @@ class _CoefficientView:
     the columns of type i.  Each entry's integer map is weighted by its content
     times one scale per block that clears the contents' denominators, so a
     combination of rows within a type is the same combination of their
-    slices.  The dimensions of the column kernels of literal row subsets,
-    which the sweep reads from one exact rank, are memoized by (rows, source
-    type).  The layouts and packed rows of the random pass are built on first
-    use, once per (row type, source type).
+    slices; ``_witness`` completes every witness from them, the pencil's
+    column combination as one block row of the other side's view.
+    The dimensions of the column kernels of literal row subsets, which the
+    sweep reads from one exact rank, are memoized by (rows, source type).
+    The packed rows of the random pass are built on first use, once per
+    (row type, source type).
     """
 
     def __init__(self, grid, row_groups: list[list[int]], col_groups: list[list[int]]):
@@ -224,7 +231,6 @@ class _CoefficientView:
                     per_mono = [[x * e.coeffs.get(t, 0) for x, e in zip(w, row)] for t in monos]
                     self.slices[r].append(per_mono)
         self._nullities: dict[tuple[tuple[int, ...], int], int] = {}
-        self._layouts: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
         self._packs: dict[tuple[int, int], _Packed] = {}
 
     def nullity(self, rows: tuple[int, ...], i: int) -> int:
@@ -235,16 +241,6 @@ class _CoefficientView:
             stack = [v for r in rows for v in self.slices[r][i]]
             self._nullities[key] = len(self.col_groups[i]) - rank(stack)
         return self._nullities[key]
-
-    def layout(self, l: int, i: int) -> list[list[tuple[int, ...]]]:
-        """Per monomial of block (l, i) and per type-i column, the tuple of the
-        coefficients of type l's rows there: the combination of those rows
-        with weights ``w`` has the coefficient ``sum(map(mul, w, col))``."""
-        key = (l, i)
-        if key not in self._layouts:
-            slices = (self.slices[r][i] for r in self.row_groups[l])
-            self._layouts[key] = [list(zip(*mono_rows)) for mono_rows in zip(*slices)]
-        return self._layouts[key]
 
     def packed(self, l: int, i: int) -> _Packed:
         """The slices of type l's rows against source type i, one int per
@@ -332,15 +328,18 @@ def _row_subset_sweep(
     return _witness(view, shape, units), decided
 
 
-def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | None, str]:
+def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[tuple | None, str]:
     """Exact decision for a one-column block over a source type of width two.
 
     The combination (k1 : k2) of the two columns gives a matrix pencil: the
     row-rank drops demanded by the shape are minor conditions, binary forms
     in (k1, k2), and a common zero exists exactly when their gcd is
-    nonconstant.  Rational roots give explicit witnesses; a nonconstant gcd
-    without rational roots still certifies a destabilizer over the algebraic
-    closure, which the returned note says.  No witness and no note: no block.
+    nonconstant.  Returns the column weights of a block and a note: (1, 0)
+    when every minor vanishes, else the rational root of the gcd
+    (``_rational_root_binary``).  A nonconstant gcd without rational roots
+    still certifies a destabilizer over the algebraic closure, which the
+    note says.  No weights and no note: no block.  The weights are completed
+    to a witness on the other side (``_ExactPasses.run``).
     """
     i = shape.cols.index(1)
     forms: list[HomogeneousPoly] = []
@@ -367,14 +366,14 @@ def _pencil_decides(view: _CoefficientView, shape: Shape) -> tuple[Witness | Non
             forms += _minors([stack[r] for r in rsel], csels)
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
-        return _witness_with_row_combos(view, shape, i, (1, 0)), ""
+        return (1, 0), ""
     g = poly_gcd_list(nonzero)
     if g.degree == 0:
         return None, ""
     root = _rational_root_binary(g)
     if root is None:
         return None, "destabilizer exists over the closure; no rational witness"
-    return _witness_with_row_combos(view, shape, i, root), ""
+    return root, ""
 
 
 def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | None:
@@ -422,58 +421,28 @@ def _rational_root_binary(g: HomogeneousPoly) -> tuple[Fraction, Fraction] | Non
     return None if best is None else (best, Fraction(1))
 
 
-def _witness_with_row_combos(
-    view: _CoefficientView, shape: Shape, i: int, weights: Sequence
-) -> Witness | None:
-    """Complete one column combination (weights on the columns of source
-    type i) to a witness by solving for the row-combination kernel per
-    target type (exact)."""
-    row_combos: list[tuple[Fraction, ...]] = []
-    for l, b in enumerate(shape.rows):
-        if b == 0:
-            continue
-        g = view.row_groups[l]
-        # one kernel equation per monomial: the combined column's coefficient
-        # there, as a function of the row weights
-        combined = [
-            [sum(v * x for v, x in zip(weights, row)) for row in view.slices[r][i]]
-            for r in g
-        ]
-        kernel = right_kernel(zip(*combined), len(g))
-        if len(kernel) < b:
-            return None
-        row_combos.extend(_embed(g, k, view.nrows) for k in kernel[:b])
-    combo = _embed(view.col_groups[i], weights, view.ncols)
-    return Witness(shape, tuple(row_combos), (combo,))
-
-
-def _virtual_rows(draws: list[list[int]], layouts) -> Iterator[list[int]]:
-    """Per drawn block row and monomial, the virtual row's coefficient per
-    column: the row's weights against each column of its type's layout."""
-    return (
-        [sum(map(mul, coeffs, col)) for col in mono]
-        for coeffs, layout in zip(draws, layouts)
-        for mono in layout
-    )
-
-
 def _block_row_types(shape: Shape) -> list[int]:
     """The target type of each block row, type-major."""
     return [l for l, b in enumerate(shape.rows) for _ in range(b)]
 
 
-def _witness(view: _CoefficientView, shape: Shape, draws: list[list[int]]) -> Witness:
-    """Complete block rows, given type-major as weights on the rows of their
-    types, to a witness: per source type i the shape uses, the first a_i
-    vectors of the exact kernel of their virtual rows."""
+def _witness(view: _CoefficientView, shape: Shape, draws: Sequence[Sequence]) -> Witness:
+    """Complete block rows, given type-major as weights (integers or
+    Fractions) on the rows of their types, to a witness: per source type i
+    the shape uses, the first a_i vectors of the exact kernel of their
+    virtual rows, one per block row and monomial of its block against i."""
     types = _block_row_types(shape)
     row_combos = tuple(_embed(view.row_groups[l], w, view.nrows) for l, w in zip(types, draws))
-    col_combos = tuple(
-        _embed(g, k, view.ncols)
-        for i, (a, g) in enumerate(zip(shape.cols, view.col_groups)) if a
-        for k in right_kernel(_virtual_rows(draws, [view.layout(l, i) for l in types]), len(g))[:a]
-    )
-    return Witness(shape, row_combos, col_combos)
+    col_combos: list[tuple[Fraction, ...]] = []
+    for i, (a, g) in enumerate(zip(shape.cols, view.col_groups)):
+        if a:
+            rows = (
+                [sum(map(mul, w, col)) for col in zip(*monos)]
+                for l, w in zip(types, draws)
+                for monos in zip(*(view.slices[r][i] for r in view.row_groups[l]))
+            )
+            col_combos += (_embed(g, k, view.ncols) for k in right_kernel(rows, len(g))[:a])
+    return Witness(shape, row_combos, tuple(col_combos))
 
 
 # a word's top byte b gives ``getrandbits(3)`` = b >> 5, and ``randint(-3, 3)``
@@ -672,12 +641,22 @@ def apply_transforms(
 
 
 def verify_witness(m: PolyMatrix, w: Witness) -> bool:
-    """Recompute the claimed block exactly: the row combinations and the
+    """Recompute the claimed block exactly against its shape: each row and
+    column combination must lie on exactly one type, and each type must
+    carry as many of them as the shape names; the row combinations and the
     column combinations must each be independent, which is independence
-    within each type as the types have disjoint supports, and every (row
+    within each type as the types have disjoint supports; and every (row
     combination, column combination) pairing must vanish."""
-    for combos in (w.row_combos, w.col_combos):
-        if rank(combos) < len(combos):
+    for groups, combos, counts in (
+        (_positions(m.type.target), w.row_combos, w.shape.rows),
+        (_positions(m.type.source), w.col_combos, w.shape.cols),
+    ):
+        types = [{t for t, g in enumerate(groups) if any(vec[p] for p in g)} for vec in combos]
+        if (
+            any(len(ts) != 1 for ts in types)
+            or [types.count({t}) for t in range(len(groups))] != list(counts)
+            or rank(combos) < len(combos)
+        ):
             return False
     cols = list(zip(*m.entries))
     rows = [[_combine(col, rc) for col in cols] for rc in w.row_combos]
@@ -743,10 +722,13 @@ class _ExactPasses:
 
     def run(self, shape: Shape, k: int, pencil: bool) -> tuple[Witness | None, bool, str]:
         """(witness pulled back to m, decided, note) of the pencil or the row
-        sweep on side k."""
+        sweep on side k.  The pencil's column combination is one block row
+        on the other side, where ``_witness`` completes it."""
         side, on_side, back = self.sides[k]
         if pencil:
-            w, note = _pencil_decides(side, on_side(shape))
+            weights, note = _pencil_decides(side, on_side(shape))
+            other, on_other, back = self.sides[1 - k]
+            w = None if weights is None else _witness(other, on_other(shape), [weights])
             decided = True
         else:
             (w, decided), note = _row_subset_sweep(side, on_side(shape)), ""

@@ -19,6 +19,7 @@ witness: 910 items, sha256 c77c364b33dcc869
 lattice: 48 items, sha256 fe5556fd52ec23c6
 kronecker: 173 items, sha256 5036a7c68354daa9
 hilbert: 500 items, sha256 1ccdb5745dd49ff9
+passes: 22652 items, sha256 ca3e821320669a8f
 """
 
 

@@ -450,6 +450,34 @@ def test_verify_witness_rejects_dependent_combinations():
     assert (v.kind, v.budget_used, v.undecided) == (VerdictKind.UNDETERMINED, 300, (shape,))
 
 
+@pytest.mark.parametrize(
+    "rows, shape, row_combos, col_combos, holds",
+    [
+        # two block rows named, one given
+        ("type: src=(-1)x2 tgt=(0)x2\n0 | Y\nX | Z\n", ((2,), (1,)), [(1, 0)], [(1, 0)], False),
+        ("type: src=(-1)x2 tgt=(0)x2\n0 | Y\nX | Z\n", ((1,), (1,)), [(1, 0)], [(1, 0)], True),
+        # the column combination on the other source type than the shape names
+        ("type: src=(-2)x1,(-1)x1 tgt=(0)x1\nX^2 | 0\n", ((1,), (1, 0)), [(1,)], [(0, 1)], False),
+        ("type: src=(-2)x1,(-1)x1 tgt=(0)x1\nX^2 | 0\n", ((1,), (0, 1)), [(1,)], [(0, 1)], True),
+        # a column combination across two source types
+        ("type: src=(-2)x1,(-1)x1 tgt=(0)x1\n0 | 0\n", ((1,), (1, 0)), [(1,)], [(1, 1)], False),
+        ("type: src=(-2)x1,(-1)x1 tgt=(0)x1\n0 | 0\n", ((1,), (1, 1)), [(1,)], [(1, 0), (0, 1)], True),
+    ],
+)
+def test_verify_witness_checks_the_combinations_against_the_shape(
+    rows, shape, row_combos, col_combos, holds
+):
+    from sheafmod.polymatrix import parse_matrix_file
+
+    m = parse_matrix_file(rows)
+    w = Witness(
+        Shape(*shape),
+        tuple(tuple(map(F, c)) for c in row_combos),
+        tuple(tuple(map(F, c)) for c in col_combos),
+    )
+    assert verify_witness(m, w) is holds
+
+
 def test_budget_zero_with_undecided_is_undetermined():
     t = MorphismType.make([(-2, 1), (-1, 4)], [(0, 5)])
     m = _five_by_five()
@@ -917,19 +945,20 @@ def test_random_pass_on_the_five_by_five_is_pinned():
     assert v == _pinned(VerdictKind.UNDETERMINED, 9996, open_shapes)
 
 
+def _embed_fractions(positions, values, width):
+    """The zero vector of the given width with the values at the positions."""
+    vec = [F(0)] * width
+    for p, v in zip(positions, values):
+        vec[p] = F(v)
+    return tuple(vec)
+
+
 def _kernel_only_trial(view, shape, rng):
     """One random trial refused by ``right_kernel`` alone, as the pass ran
     before its rank-only refusal: the same draws (``randint(-3, 3)`` per row
     of the type, and ``randrange`` for a draw of all zeros), the virtual rows
     read from the coefficient slices, and a type refused when its kernel has
     fewer vectors than the shape needs."""
-
-    def embed(positions, values, width):
-        vec = [F(0)] * width
-        for p, v in zip(positions, values):
-            vec[p] = F(v)
-        return tuple(vec)
-
     samples = []
     for l, b in enumerate(shape.rows):
         g = view.row_groups[l]
@@ -951,8 +980,8 @@ def _kernel_only_trial(view, shape, rng):
         kernel = right_kernel(stack, len(cols))
         if len(kernel) < a:
             return None
-        col_combos += [embed(cols, k, view.ncols) for k in kernel[:a]]
-    row_combos = tuple(embed(g, coeffs, view.nrows) for g, coeffs in samples)
+        col_combos += [_embed_fractions(cols, k, view.ncols) for k in kernel[:a]]
+    row_combos = tuple(_embed_fractions(g, coeffs, view.nrows) for g, coeffs in samples)
     return Witness(shape, row_combos, tuple(col_combos))
 
 
@@ -1102,12 +1131,13 @@ def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights(monkeyp
     # signs over fraction contents; and ones that grow down the rows, so the
     # largest is not in the first row), and of the registry types with a
     # zeroed block, a trial of one block row of type l against one column of
-    # source type i hands ``rank_exceeds`` exactly the virtual rows of the
-    # layout, and none for a zero combination, at weights all +3, all -3,
-    # alternating in sign, and at each unit vector; a source type of width
-    # one (bound 0) unpacks nothing and refuses exactly a nonzero combination
+    # source type i hands ``rank_exceeds`` exactly the virtual rows read
+    # from the coefficient slices, and none for a zero combination, at
+    # weights all +3, all -3, alternating in sign, and at each unit vector; a
+    # source type of width one (bound 0) unpacks nothing and refuses exactly
+    # a nonzero combination
     import sheafmod.stability as stability
-    from sheafmod.stability import _TrialPlan, _unit, _virtual_rows
+    from sheafmod.stability import _TrialPlan, _unit
     from test_shape_lattice import TINY_TYPES, WIDE_TYPE, _zeroed_registry_types
 
     unpacked = []
@@ -1143,19 +1173,23 @@ def test_packed_virtual_rows_are_the_virtual_rows_at_the_extreme_weights(monkeyp
                 ]
                 for i in range(ntypes):
                     plan = _TrialPlan(view, Shape(_unit(l, len(view.row_groups)), _unit(i, ntypes)))
-                    layout = view.layout(l, i)
+                    slices = [view.slices[r][i] for r in g]
+                    width = len(view.col_groups[i])
                     widths.append(view.packed(l, i).k)
                     for w in weights:
                         unpacked.clear()
-                        expected = list(_virtual_rows([w], [layout]))
+                        expected = [
+                            [sum(x * row[t][c] for x, row in zip(w, slices)) for c in range(width)]
+                            for t in range(len(slices[0]))
+                        ]
                         refused = plan.trial(_FixedWeights(w)) is None
-                        if len(view.col_groups[i]) == 1:
+                        if width == 1:
                             assert not unpacked and refused == any(map(any, expected))
                         else:
                             assert refused
                             assert unpacked == (expected if any(map(any, expected)) else [])
                         checked += 1
-    # some layouts are all zero (a zeroed block, or a block of negative degree)
+    # some blocks are all zero (a zeroed block, or one of negative degree)
     assert checked > 1500 and min(widths) == 1 and max(widths) > 256, (checked, max(widths))
 
 
@@ -1406,13 +1440,31 @@ def _pull_back_through_dual_orders(m, wt):
     )
 
 
+def _grouped(m, w):
+    """The witness's shape and its row and column combinations, each list
+    grouped by the type of their support in m's type order and kept in order
+    within a type; None for no witness."""
+    if w is None:
+        return None
+
+    def by_type(groups, combos):
+        return sorted(combos, key=lambda v: next(t for t, g in enumerate(groups) if any(v[p] for p in g)))
+
+    return (
+        w.shape,
+        by_type(_positions(m.type.target), w.row_combos),
+        by_type(_positions(m.type.source), w.col_combos),
+    )
+
+
 def test_the_transposed_view_is_the_view_of_the_dual_transpose():
     """The transposed view, built from m's own entries, holds the groups and
     slices of the view of ``transpose_dual(m)`` read through the dual
-    position orders; on every shape its sweep, and its pencil where one
-    applies, swapped back to m, give the witness (and the decided flag) of
-    that view pulled back through the dual orders."""
-    from sheafmod.stability import _pencil_decides
+    position orders; on every shape its sweep, swapped back to m, gives the
+    witness (and the decided flag) of that view pulled back through the dual
+    orders.  Where a pencil applies, both views find the same column weights
+    and note, and the witnesses completed from them agree type by type."""
+    from sheafmod.stability import _ExactPasses, _pencil_decides
     from test_shape_lattice import TINY_TYPES, WIDE_TYPE, _matrix, _random_verdicts_matrix
 
     rnd = random.Random(3737)
@@ -1428,6 +1480,7 @@ def test_the_transposed_view_is_the_view_of_the_dual_transpose():
     found = pencils = 0
     for m in inputs:
         tview, dview = _views(m)[1], _views(transpose_dual(m))[0]
+        passes, dpasses = _ExactPasses(m), _ExactPasses(transpose_dual(m))
         rows, cols = _dual_order(m.type.source), _dual_order(m.type.target)
         assert tview.row_groups == [[rows[p] for p in g] for g in dview.row_groups]
         assert tview.col_groups == [[cols[p] for p in g] for g in dview.col_groups]
@@ -1442,13 +1495,72 @@ def test_the_transposed_view_is_the_view_of_the_dual_transpose():
             ), (m.entries, s)
             found += w is not None
             if sum(ds.cols) == 1 and len(tview.col_groups[ds.cols.index(1)]) == 2:
-                (w, note), (wd, note_d) = _pencil_decides(tview, ds), _pencil_decides(dview, ds)
-                assert note == note_d
-                assert (w and _pull_back_transpose_witness(w)) == (
-                    wd and _pull_back_through_dual_orders(m, wd)
+                assert _pencil_decides(tview, ds) == _pencil_decides(dview, ds)
+                w = passes.run(s, 1, True)[0]
+                wd = dpasses.run(ds, 0, True)[0]
+                assert _grouped(m, w) == _grouped(
+                    m, wd and _pull_back_through_dual_orders(m, wd)
                 ), (m.entries, s)
                 pencils += w is not None
     assert found > 500 and pencils > 80, (found, pencils)
+
+
+def _combined_column_witness(view, shape, weights):
+    """The reference completion of a pencil's column weights on the pencil's
+    own side: per target type l the shape uses, the first b_l vectors of the
+    exact kernel of the combined column's coefficients, one equation per
+    monomial, as functions of the weights on that type's rows; None when a
+    kernel is too small."""
+    i = shape.cols.index(1)
+    row_combos = []
+    for l, b in enumerate(shape.rows):
+        if b == 0:
+            continue
+        g = view.row_groups[l]
+        combined = [
+            [sum(v * x for v, x in zip(weights, row)) for row in view.slices[r][i]] for r in g
+        ]
+        kernel = right_kernel(zip(*combined), len(g))
+        if len(kernel) < b:
+            return None
+        row_combos += [_embed_fractions(g, k, view.nrows) for k in kernel[:b]]
+    combo = _embed_fractions(view.col_groups[i], weights, view.ncols)
+    return Witness(shape, tuple(row_combos), (combo,))
+
+
+def test_the_pencil_completes_its_column_on_the_other_side_as_the_combined_column_kernel():
+    # on both sides of seeded registry draws and of planted matrices of the
+    # tiny, wide and registry types, every pencil that applies, run through
+    # the exact passes, gives per type exactly the combinations of the
+    # combined column's kernel on the pencil's own side, and the same note
+    from sheafmod.stability import _ExactPasses, _pencil_decides
+    from test_shape_lattice import TINY_TYPES, WIDE_TYPE, _matrix, _random_verdicts_matrix
+
+    rnd = random.Random(4848)
+    types = [case.resolution(n) for case in load_registry() for n in case.ns()[:2]]
+    inputs = [_random_verdicts_matrix(rnd, t) for t in types for _ in range(2)]
+    for t in [*TINY_TYPES, WIDE_TYPE, *types]:
+        for _ in range(4):
+            inputs.append(_matrix(rnd, t, rnd.choice(enumerate_shapes(t))))
+    found = spanning = notes = 0
+    for m in inputs:
+        passes = _ExactPasses(m)
+        for s in enumerate_shapes(m.type):
+            for k, (view, on_side, back) in enumerate(passes.sides):
+                vs = on_side(s)
+                if sum(vs.cols) != 1 or len(view.col_groups[vs.cols.index(1)]) != 2:
+                    continue
+                weights, note = _pencil_decides(view, vs)
+                w, decided, run_note = passes.run(s, k, True)
+                assert decided and run_note == note
+                expected = None if weights is None else _combined_column_witness(view, vs, weights)
+                assert _grouped(m, w) == _grouped(m, expected and back(expected)), (m.entries, s, k)
+                found += w is not None
+                spanning += w is not None and sum(map(bool, vs.rows)) > 1
+                notes += bool(note)
+    # 520 witnesses, 172 with block rows of two types, whose kernels the
+    # other side lists in its own type order, and 19 notes over the closure
+    assert found > 400 and spanning > 120 and notes > 10, (found, spanning, notes)
 
 
 def _singular_linear_3x3(rnd):
