@@ -10,11 +10,13 @@ the rank reaches the width.  Kernel vectors and inverses come from
 back-substitution to the reduced row echelon form, which is unique, so the
 result does not depend on the order or the scaling of the rows.
 
-``rank_exceeds`` is the rank-only early stop of the same elimination: it
-keeps its basis rows in insertion order, which is sound because each basis
-row is zero in the pivot of every row inserted before it, and answers as
-soon as the rank passes a bound, with no Fraction, no pivot map, no
-back-substitution and no normalization of the rows by their content.
+``rank_exceeds`` is the rank-only early stop, on rows packed into ints: a
+row of w entries x_c is the int sum x_c 2^(k c), one signed slot of k bits
+per entry, and slot widths come from ``slot_width``.  It runs fraction-free
+elimination with exact division (Bareiss, Math. Comp. 22, 1968) on the whole
+ints, with its basis rows in insertion order, and answers as soon as the
+rank passes a bound: no row is unpacked into a list, and there is no
+Fraction, no gcd, no pivot map and no back-substitution.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-__all__ = ["right_kernel", "rank", "rank_exceeds", "inverse", "complete_basis"]
+__all__ = ["right_kernel", "rank", "rank_exceeds", "slot_width", "inverse", "complete_basis"]
 
 Row = Sequence[int | Fraction]
 
@@ -95,22 +97,51 @@ def rank(rows: Sequence[Row]) -> int:
     return len(_echelon(rows, width)[0])
 
 
-def rank_exceeds(rows: Iterable[Sequence[int]], bound: int) -> bool:
-    """Whether integer rows have rank over the rationals above ``bound``; no
-    row is read after the first that takes the rank past it."""
+def slot_width(top: int, w: int) -> int:
+    """The slot width k, in bits, with which ``rank_exceeds`` ranks packed
+    rows of w entries of absolute value at most ``top``.
+
+    Every s x s minor of such rows, s <= w, is at most (top * sqrt(s))^s <=
+    (top * sqrt(w))^w <= M = top^w * (isqrt(w^w) + 1) in absolute value
+    (Hadamard), and a k-bit slot holds every value below 2^(k-1) = 2^bits(M)
+    > M in absolute value, so k = bits(M) + 1 holds every minor.
+    """
+    return (top**w * (isqrt(w**w) + 1)).bit_length() + 1
+
+
+def rank_exceeds(rows: Iterable[int], bound: int, k: int, offset: int) -> bool:
+    """Whether rows packed into ints have rank over the rationals above
+    ``bound``; no row is read after the first that takes the rank past it.
+
+    A row of w entries x_c is the int sum x_c 2^(k c), with k the
+    ``slot_width`` of the rows, and ``offset`` holds 2^(k-1) in each of the w
+    slots: adding it makes every slot a digit in [0, 2^k), so slot c of v is
+    ``((v + offset) >> k*c & mask) - 2^(k-1)``.  Each row v is reduced
+    against the basis rows b_1, b_2, ... in insertion order by the Bareiss
+    step v = (d_j v - a b_j) // d_(j-1), where a is v's slot at the pivot of
+    b_j, d_j that pivot's entry in b_j, and d_0 = 1.  After j steps each
+    slot of v is a (j+1)-minor of the rows read (Sylvester's identity), so
+    the division is exact in every slot, hence on the whole int, and every
+    row kept and every slot read is a minor, which fits its slot.  The
+    value d_j v - a b_j is never read by slot: a packed int is its entries'
+    polynomial at 2^k, which sums and products keep exactly.  A row that
+    does not reduce to 0 joins the basis with its lowest nonzero slot as
+    pivot; that slot holds the row's lowest set bit.
+    """
     if bound < 0:
         return True
-    basis: list[tuple[int, Sequence[int]]] = []
+    half, mask = 1 << k - 1, (1 << k) - 1
+    basis: list[tuple[int, int, int]] = []
     for v in rows:
-        for p, b in basis:
-            if v[p]:
-                v = _eliminate(v, b, p)
-        for lead_col, x in enumerate(v):
-            if x:
-                basis.append((lead_col, v))
-                if len(basis) > bound:
-                    return True
-                break
+        last = 1
+        for b, s, d in basis:
+            v = (d * v - (((v + offset) >> s & mask) - half) * b) // last
+            last = d
+        if v:
+            s = ((v & -v).bit_length() - 1) // k * k
+            basis.append((v, s, ((v + offset) >> s & mask) - half))
+            if len(basis) > bound:
+                return True
     return False
 
 

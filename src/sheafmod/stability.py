@@ -60,20 +60,23 @@ start (``_TrialPlan``): the width of each block row's type, and per source
 type i the shape needs, the refusal bound w_i - a_i and the packed rows of
 each block row's type against i (``_Packed``), which the view builds once
 per search.  A packed row holds a row's coefficients against type i in one
-int, one signed slot per (monomial, column), wide enough for any
-combination of the type's rows with weights in [-3, 3].  A trial then only
-draws and ranks: per block row, such a combination of its type's rows, and
-one big-int product of its weights with the packed rows, which packs the
-block row's virtual rows.  A block row whose product is 0 adds nothing; a
-type with bound 0 is refused at the first nonzero product; any other type
-has each nonzero product unpacked row by row as ``linalg.rank_exceeds``
-reads it, and is refused as soon as the rank leaves fewer kernel vectors
-than the shape needs, with no further product taken.  Only a trial that no
-source type refuses is completed to a witness.  The weights are the stream of
-``randint(-3, 3)``, with ``randrange(n)`` for a block row of zeros, read from
-the seeded generator's words in bulk by one weight source per search
-(``_Weights``), built only when trials run; so a seed gives the same trials,
-refusals and witnesses.
+int, one signed slot per (monomial, column), and every target type shares
+the slot width of type i, which holds any combination of a type's rows with
+weights in [-3, 3] and every minor of such combinations
+(``linalg.slot_width``).  A trial then only draws and ranks: per block row,
+such a combination of its type's rows, and one big-int product of its
+weights with the packed rows, which packs the block row's virtual rows.  A
+block row whose product is 0 adds nothing; a type with bound 0 is refused
+at the first nonzero product; any other type hands each nonzero product's
+virtual rows, cut out of the product by shift and mask and still packed, to
+``linalg.rank_exceeds``, which eliminates them as whole ints, and is
+refused as soon as the rank leaves fewer kernel vectors than the shape
+needs, with no further product taken.  No virtual row is unpacked into a
+list.  Only a trial that no source type refuses is completed to a witness.
+The weights are the stream of ``randint(-3, 3)``, with ``randrange(n)`` for
+a block row of zeros, read from the seeded generator's words in bulk by one
+weight source per search (``_Weights``), built only when trials run; so a
+seed gives the same trials, refusals and witnesses.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .bundles import MorphismType
-from .linalg import complete_basis, rank, rank_exceeds, right_kernel
+from .linalg import complete_basis, rank, rank_exceeds, right_kernel, slot_width
 from .polymatrix import (
     HomogeneousPoly,
     PolyMatrix,
@@ -244,44 +247,54 @@ class _CoefficientView:
 
     def packed(self, l: int, i: int) -> _Packed:
         """The slices of type l's rows against source type i, one int per
-        row (``_Packed``), built on first use."""
+        row (``_Packed``), built on first use, in a slot width read from all
+        rows against i, so every target type gets the same one."""
         key = (l, i)
         if key not in self._packs:
+            w = len(self.col_groups[i])
+            top = max((abs(v) for row in self.slices for mono in row[i] for v in mono), default=0)
+            k = slot_width(3 * max(map(len, self.row_groups)) * top, w)
             slices = [self.slices[r][i] for r in self.row_groups[l]]
-            self._packs[key] = _Packed(slices, len(self.col_groups[i]))
+            self._packs[key] = _Packed(slices, w, k)
         return self._packs[key]
 
 
 class _Packed:
     """The rows of one target type against one source type of width w, each
     packed into one int: the coefficient at monomial t and column c sits in
-    the signed slot of k bits at bit k*(t*w + c).  Every weight vector in
-    [-3, 3] keeps each slot of its combination below 2^(k-1) in absolute
-    value, since k - 1 is the bit length of 3 * (rows) * (the largest
-    |coefficient|), so ``sum(map(mul, weights, ints))`` packs the
-    combination's virtual rows exactly.
+    the signed slot of k bits at bit k*(t*w + c).  The view gives every
+    target type the same k against a source type, so that block rows of any
+    types stack in one ``linalg.rank_exceeds``: k is the ``slot_width`` of
+    entries up to B = 3 * (the largest row count of a target type) * (the
+    largest |coefficient| against the source type).  A weight vector in
+    [-3, 3] gives virtual rows with entries of at most B, so
+    ``sum(map(mul, weights, ints))`` packs them exactly.  Their elimination
+    stores and reads only minors of at most w virtual rows, each at most
+    (B sqrt(w))^w in absolute value by Hadamard's bound, which a slot of
+    that width holds; the value before each exact division is never read
+    by slot (``linalg.rank_exceeds``).
 
-    ``offset`` holds 2^(k-1) at every slot: added to a product, it makes each
-    slot a digit in [0, 2^k), and the virtual row of monomial t is read back
-    as ``[(n >> s & mask) - half for s in shifts[t]]`` with n the product
-    plus ``offset``, as in ``polymatrix._unpack``.  ``sum(map(mul, weights,
-    ints), offset)`` is ``offset`` exactly when the combination is 0.
+    ``rowoff`` holds 2^(k-1) at each of a row's w slots and ``offset`` at
+    every slot: added to a product, it makes each slot a digit in [0, 2^k),
+    and the virtual row of monomial t is read back, still packed, as
+    ``(n >> s & rowmask) - rowoff`` with n the product plus ``offset`` and
+    s = ``shifts[t]`` = k*w*t.  ``sum(map(mul, weights, ints), offset)`` is
+    ``offset`` exactly when the combination is 0.
     """
 
-    __slots__ = ("ints", "k", "offset", "mask", "half", "shifts")
+    __slots__ = ("ints", "k", "offset", "shifts", "rowmask", "rowoff")
 
-    def __init__(self, slices: list[list[list[int]]], w: int):
-        top = max((abs(v) for row in slices for mono in row for v in mono), default=0)
-        self.k = k = (3 * len(slices) * top).bit_length() + 1
+    def __init__(self, slices: list[list[list[int]]], w: int, k: int):
+        self.k = k
         self.ints = [
             sum([v << k * s for s, v in enumerate(itertools.chain.from_iterable(row))])
             for row in slices
         ]
         nmono = len(slices[0])
-        self.offset = sum([1 << (k - 1 + k * s) for s in range(nmono * w)])
-        self.half = 1 << (k - 1)
-        self.mask = (1 << k) - 1
-        self.shifts = [range(k * w * t, k * w * (t + 1), k) for t in range(nmono)]
+        self.rowoff = sum([1 << (k - 1 + k * c) for c in range(w)])
+        self.rowmask = (1 << k * w) - 1
+        self.shifts = range(0, k * w * nmono, k * w)
+        self.offset = sum([self.rowoff << s for s in self.shifts])
 
 
 def _views(m: PolyMatrix) -> tuple[_CoefficientView, _CoefficientView]:
@@ -559,10 +572,10 @@ class _TrialPlan:
         refuse it by rank alone as soon as a source type's virtual rows leave
         fewer kernel vectors than the shape needs there, and take the exact
         kernels only for a trial that no type refuses.  A type with bound 0
-        is refused at the first block row whose product is nonzero, with no
-        row unpacked; for any other type each nonzero product is unpacked
-        row by row as ``linalg.rank_exceeds`` reads its rows, and no product
-        is taken after the row that refuses."""
+        is refused at the first block row whose product is nonzero; for any
+        other type each nonzero product is cut into its virtual rows, one
+        packed int per monomial, as ``linalg.rank_exceeds`` reads them, and
+        no product is taken after the row that refuses."""
         draws = []
         for n in self.widths:
             coeffs = weights.draw(n)
@@ -571,15 +584,18 @@ class _TrialPlan:
             draws.append(coeffs)
         for bound, packs in self.needs:
             if bound:
+                k, mask, off = packs[0].k, packs[0].rowmask, packs[0].rowoff
                 refused = rank_exceeds(
                     (
-                        [(n >> s & p.mask) - p.half for s in shifts]
+                        (n >> s & mask) - off
                         for c, p in zip(draws, packs)
                         for n in [sum(map(mul, c, p.ints), p.offset)]
                         if n != p.offset
-                        for shifts in p.shifts
+                        for s in p.shifts
                     ),
                     bound,
+                    k,
+                    off,
                 )
             else:
                 refused = any(sum(map(mul, c, p.ints)) for c, p in zip(draws, packs))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafmod.linalg import inverse, rank, rank_exceeds, right_kernel
+from sheafmod.linalg import inverse, rank, rank_exceeds, right_kernel, slot_width
 
 
 def reference_rref(rows, width):
@@ -291,6 +291,17 @@ def _seeded_integer_rows(rnd, width):
     return rows
 
 
+def _packed(rows, width, top=None):
+    """The rows as ints for ``rank_exceeds``, entry c in the signed slot at
+    bit k*c, with k the ``slot_width`` of entries up to ``top`` (by default
+    the largest |entry|), and that k and the offset of 2^(k-1) per slot."""
+    if top is None:
+        top = max((abs(x) for row in rows for x in row), default=0)
+    k = slot_width(top, width)
+    offset = sum(1 << k * c + k - 1 for c in range(width))
+    return [sum(x << k * c for c, x in enumerate(row)) for row in rows], k, offset
+
+
 def test_rank_exceeds_is_rank_above_the_bound():
     rnd = random.Random(4141)
     for width in range(1, 9):
@@ -298,18 +309,19 @@ def test_rank_exceeds_is_rank_above_the_bound():
             rows = _seeded_integer_rows(rnd, width)
             r = len(reference_rref(rows, width)[1])
             assert rank(rows) == r
+            packed, k, offset = _packed(rows, width)
             for b in range(width + 1):
-                assert rank_exceeds(rows, b) == (r > b), (rows, b)
-                assert rank_exceeds(iter(rows), b) == (r > b)
+                assert rank_exceeds(packed, b, k, offset) == (r > b), (rows, b)
+                assert rank_exceeds(iter(packed), b, k, offset) == (r > b)
     # every rank, the empty one included, exceeds a negative bound
-    assert rank_exceeds([], -1) and rank_exceeds([[0, 0]], -1)
+    assert rank_exceeds([], -1, 1, 1) and rank_exceeds([0], -1, 2, 10)
 
 
 def test_rank_exceeds_on_80_digit_rows_whose_pivots_share_large_factors():
-    # each cross-multiplication is divided by the gcd of the two pivots; rows
-    # of 80-digit entries built from three shared 40-digit factors, so that
-    # pivots share large factors, with combinations of them mixed in so that
-    # every rank occurs, are checked against ``rank``
+    # each Bareiss step divides by the pivot before it; rows of 80-digit
+    # entries built from three shared 40-digit factors, so that pivots share
+    # large factors, with combinations of them mixed in so that every rank
+    # occurs, are checked against ``rank``
     rnd = random.Random(4444)
     factors = [rnd.randint(10**39, 10**40) for _ in range(3)]
     ranks = set()
@@ -327,10 +339,48 @@ def test_rank_exceeds_on_80_digit_rows_whose_pivots_share_large_factors():
             r = rank(rows)
             assert r == len(reference_rref(rows, width)[1])
             ranks.add((width, r))
+            packed, k, offset = _packed(rows, width)
             for b in range(-1, width + 1):
-                assert rank_exceeds(rows, b) == (r > b), (rows, b)
+                assert rank_exceeds(packed, b, k, offset) == (r > b), (rows, b)
     missing = [(w, r) for w in range(1, 7) for r in range(1, w + 1) if (w, r) not in ranks]
     assert not missing, missing
+
+
+def _sylvester(order):
+    """The Sylvester-Hadamard matrix of a power-of-two order: +-1 entries and
+    determinant order^(order/2) in absolute value, Hadamard's bound."""
+    h = [[1]]
+    while len(h) < order:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
+def test_rank_exceeds_at_the_hadamard_bound():
+    # +-B Sylvester-Hadamard rows of order w reach the largest minor that
+    # ``slot_width(B, w)`` must hold, B^w w^(w/2); with a combination row at
+    # every position, every prefix is ranked against ``rank`` at every bound,
+    # in slots of exactly the width of the rule.  The combination rows are
+    # means of two or four signed rows, so their entries stay in [-B, B]
+    rnd = random.Random(4545)
+    for order in (2, 4, 8):
+        h = _sylvester(order)
+        for top in range(1, 12):
+            rows = [[top * rnd.choice((-1, 1)) * x for x in r] for r in h]
+            combinations = []
+            while len(combinations) < 4:
+                picked = rnd.sample(range(order), rnd.choice([n for n in (2, 4) if n <= order]))
+                signed = [[rnd.choice((-1, 1)) * x for x in rows[i]] for i in picked]
+                total = [sum(col) for col in zip(*signed)]
+                if any(total) and not any(x % len(picked) for x in total):
+                    combinations.append([x // len(picked) for x in total])
+            for combination in combinations:
+                for at in range(order + 1):
+                    stack = rows[:at] + [combination] + rows[at:]
+                    packed, k, offset = _packed(stack, order, top)
+                    for n in range(1, len(stack) + 1):
+                        r = rank(stack[:n])
+                        for b in range(-1, order + 1):
+                            assert rank_exceeds(packed[:n], b, k, offset) == (r > b), (order, top, at, n, b)
 
 
 def test_rank_exceeds_stops_at_the_first_row_past_the_bound():
@@ -338,16 +388,17 @@ def test_rank_exceeds_stops_at_the_first_row_past_the_bound():
     for width in range(1, 9):
         for _ in range(20):
             rows = _seeded_integer_rows(rnd, width)
-            prefix_ranks = [rank(rows[: k + 1]) for k in range(len(rows))]
+            prefix_ranks = [rank(rows[: n + 1]) for n in range(len(rows))]
+            packed, k, offset = _packed(rows, width)
             for b in range(width + 1):
                 reads = []
 
                 def counted():
-                    for row in rows:
+                    for row in packed:
                         reads.append(row)
                         yield row
 
-                passed = rank_exceeds(counted(), b)
-                first = next((k + 1 for k, r in enumerate(prefix_ranks) if r > b), None)
+                passed = rank_exceeds(counted(), b, k, offset)
+                first = next((n + 1 for n, r in enumerate(prefix_ranks) if r > b), None)
                 assert passed == (first is not None)
                 assert len(reads) == (len(rows) if first is None else first)
