@@ -65,9 +65,9 @@ def _endpoint_strict(region: Region, v) -> bool:
 
 def cmd_table(args) -> int:
     cases = load_registry()
-    if args.case:
+    if args.case is not None:
         cases = (_case(args.case, args.n),)
-    if args.n is not None and not args.case:
+    if args.n is not None and args.case is None:
         covered = [n for c in cases for n in c.n_range]
         cases = tuple(c for c in cases if c.admits(args.n))
         if not cases:
@@ -200,6 +200,8 @@ def cmd_codim(args) -> int:
 def cmd_check(args) -> int:
     case = _case(args.case, args.n)
     n = args.n if args.n is not None else case.n_range[0]
+    if args.witness_out == "":
+        raise UsageError("--witness-out needs a file name")
     with open(args.matrix, "r", encoding="utf-8") as fh:
         m = parse_matrix_file(fh.read())
     report = check_case(m, case, n, budget=args.budget, seed=args.seed)
@@ -207,7 +209,7 @@ def cmd_check(args) -> int:
         print(f"{name}: {'ok' if ok else 'FAIL'}")
     print(f"verdict: {report.verdict}")
     w = report.verdict.witness
-    if w is not None and args.witness_out:
+    if w is not None and args.witness_out is not None:
         from .stability import realize_witness
 
         g, h, transformed = realize_witness(m, w)
@@ -237,14 +239,14 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    if not (args.type or args.polarization or args.matrix or args.table):
+    if (args.type, args.polarization, args.matrix, args.table) == (None,) * 4:
         raise UsageError("dual needs one of --type/--polarization/--matrix/--table")
-    if args.polarization and not args.type:
+    if args.polarization is not None and args.type is None:
         raise UsageError("--polarization needs --type for the arity")
     # parse and validate every argument before anything is printed
-    if args.polarization:
+    if args.polarization is not None:
         p = _parse_polarization(args.polarization)
-    if args.table:
+    if args.table is not None:
         try:
             vals = [int(x) for x in args.table.split(",")]
         except ValueError:
@@ -254,27 +256,27 @@ def cmd_dual(args) -> int:
                 "--table needs 8 comma-separated integers "
                 f"r,chi,h0m1,h1m1,h0,h1,h0om,h1om, not {args.table!r}"
             )
-    if args.type:
+    if args.type is not None:
         t, _ = parse_resolution_spec(args.type)
-    if args.polarization:
+    if args.polarization is not None:
         q = dual_polarization(p, t)
-    if args.matrix:
+    if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             m = parse_matrix_file(fh.read())
-    if args.table:
+    if args.table is not None:
         r, chi, *hs = vals
         d = serre_dual_table(CohomologyTable(LinearClass(r, chi), *hs))
-    if args.type:
+    if args.type is not None:
         print(format_resolution_spec(t.dual()))
-    if args.polarization:
+    if args.polarization is not None:
         print(
             ",".join(str(x) for x in q.lambdas)
             + ";"
             + ",".join(str(x) for x in q.mus)
         )
-    if args.matrix:
+    if args.matrix is not None:
         sys.stdout.write(format_matrix_file(transpose_dual(m)))
-    if args.table:
+    if args.table is not None:
         print(f"class: r={d.klass.r}, chi={d.klass.chi}")
         for label, h0, h1 in d.rows():
             print(f"{label:<14s} h0={h0:<3d} h1={h1}")
@@ -313,7 +315,7 @@ def cmd_section(args) -> int:
 def cmd_classify(args) -> int:
     case = _case(args.case, args.n)
     t = case.resolution(args.n)
-    if args.polarization:
+    if args.polarization is not None:
         p = _parse_polarization(args.polarization)
     else:
         p = case.sample_polarization(args.n)

@@ -34,6 +34,7 @@ from .linalg import rank
 __all__ = [
     "Polarization",
     "Shape",
+    "ShapeIndex",
     "Facet",
     "Region",
     "enumerate_shapes",
@@ -177,24 +178,70 @@ def slope_shapes(t: MorphismType, k: LinearClass) -> tuple[tuple[Shape, ...], tu
     return tuple(forbidden), tuple(allowed)
 
 
+class ShapeIndex:
+    """The shapes of a morphism type as mixed-radix integer codes.
+
+    The digits of a code are the row counts, one per target type, then the
+    column counts, one per source type; digit j runs over 0..n_j, its
+    multiplicity, and its stride is the product of n_k + 1 over the digits k
+    after it.  So the codes, in increasing order, are the shapes in the order
+    of ``enumerate_shapes``, once the codes are left out whose row part
+    (code // col_codes) or column part (code % col_codes) is 0; and a shape
+    less one row, or one column, of a single type is its code less that
+    digit's stride.
+    """
+
+    def __init__(self, t: MorphismType):
+        self.nrows = t.target.ntypes
+        self.radices = [n + 1 for _, n in t.target.summands + t.source.summands]
+        self.strides = [prod(self.radices[j + 1:]) for j in range(len(self.radices))]
+        self.size = prod(self.radices)
+        self.col_codes = prod(self.radices[self.nrows:])
+
+    def code(self, s: Shape) -> int:
+        return sum(map(mul, (*s.rows, *s.cols), self.strides))
+
+    def shape(self, code: int) -> Shape:
+        digits = [code // s % r for s, r in zip(self.strides, self.radices)]
+        return Shape(tuple(digits[:self.nrows]), tuple(digits[self.nrows:]))
+
+    def is_shape(self, code: int) -> bool:
+        return code >= self.col_codes and code % self.col_codes != 0
+
+    def lower(self, code: int) -> list[int]:
+        """The codes one row, or one column, of a single type below ``code``;
+        one that empties a side is not a shape."""
+        return [code - s for s, r in zip(self.strides, self.radices) if code // s % r]
+
+    def weights(self, p: Polarization) -> tuple[list[int], int]:
+        """The weight sum(b_l mu_l) + sum(a_i lambda_i) of every code, with
+        the weights scaled to integers by one common denominator, and that
+        denominator, the scale.  The source weights total the scale, by the
+        normalization, so a shape destabilizes exactly when its weight
+        exceeds the scale (``classify_shapes``); a code that is not a shape
+        has the weights of one side only, which total at most the scale."""
+        scale = lcm(*(x.denominator for x in (*p.lambdas, *p.mus)))
+        weights = [0]
+        for x, r in zip(_integers((*p.mus, *p.lambdas), scale), self.radices):
+            weights = [v + d * x for v in weights for d in range(r)]
+        return weights, scale
+
+
 def classify_shapes(t: MorphismType, p: Polarization) -> dict[Shape, bool]:
     """Label every shape: True when it destabilizes under ``p``.
 
     A shape (b, a) destabilizes when its row weights strictly exceed its
     complementary column weights: sum(b_l mu_l) > sum((m_i - a_i) lambda_i).
-    This is the one place that inequality is evaluated at a polarization;
-    ``admissible_region`` turns the same inequality into facets.
+    This is the one place that inequality is evaluated at a polarization,
+    for every code of the type's ``ShapeIndex`` at once (``weights``), and
+    the destabilizer search reads the same values; ``admissible_region``
+    turns the same inequality into facets.
     """
     p.validate_for(t)
-    # the weights scaled to integers by one common denominator; the source
-    # weights then total that denominator, by the normalization
-    scale = lcm(*(x.denominator for x in (*p.lambdas, *p.mus)))
-    lambdas = _integers(p.lambdas, scale)
-    mus = _integers(p.mus, scale)
-    return {
-        s: sum(map(mul, s.rows, mus)) > scale - sum(map(mul, s.cols, lambdas))
-        for s in enumerate_shapes(t)
-    }
+    index = ShapeIndex(t)
+    weights, scale = index.weights(p)
+    labels = [w > scale for c, w in enumerate(weights) if index.is_shape(c)]
+    return dict(zip(enumerate_shapes(t), labels))
 
 
 def dual_polarization(p: Polarization, t: MorphismType) -> Polarization:

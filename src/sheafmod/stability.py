@@ -21,23 +21,28 @@ same subset cap.  All rank and kernel work goes through
 
 "Absent" propagates upward through the shape lattice: a zero block of shape
 (b, a) contains one of every smaller nonempty shape, so once some T <= S is
-proven to have no block, neither has S.  The search closes a destabilizing
-shape S with no test run when a lower neighbour of S (S less one row, or one
-column, of a single type) is already proven absent; shapes come in
-lexicographic order, so every lower neighbour is seen before S and the
-closures chain upward.  Every other destabilizing shape S runs one
-ordered list of exact tests (``_tests``), each a row sweep or a pencil on one
-side, of S or of a lower shape whether or not it destabilizes: the row sweep
-on all rows of the types S fills against S's columns, and on its transposed
-twin; S's own sweep on either side; then the pencil on S's rows against one
-column of each source type of width two that S uses, and on one row of each
-target type of width two against S's columns (S itself when S has one such
-column, or row).  A type of width one needs no pencil: one column of it is
-all of its columns, which the transposed sweep decides.  The first test that
-decides with no witness and no note proves S absent.  On S itself, a
-witness that verifies, or a note of a block over the closure, ends the
-search, and a witness that fails to verify decides nothing.  A lower shape's
-outcome is memoized per search, keyed by the shape itself.
+proven to have no block, neither has S.  The search walks the shapes as the
+integer codes of the type's ``regions.ShapeIndex``, takes the destabilizing
+ones from the King weight of every code, and keeps one byte per code for
+"proven absent" and one for "tested".  A lower neighbour of S (S less one
+row, or one column, of a single type) is S's code less one digit's stride,
+so S closes with no test run when one of those codes is absent; one that
+empties a side is a code that is not a shape, which is never marked.  Codes
+come in increasing order, so every lower neighbour is seen before S and the
+closures chain upward.  Only a code that runs its tests gets a ``Shape``.
+Every other destabilizing shape S runs one ordered list of exact tests
+(``_tests``), each a row sweep or a pencil on one side, of S or of a lower
+shape whether or not it destabilizes: the row sweep on all rows of the types
+S fills against S's columns, and on its transposed twin; S's own sweep on
+either side; then the pencil on S's rows against one column of each source
+type of width two that S uses, and on one row of each target type of width
+two against S's columns (S itself when S has one such column, or row).  A
+type of width one needs no pencil: one column of it is all of its columns,
+which the transposed sweep decides.  The first test that decides with no
+witness and no note proves S absent.  On S itself, a witness that verifies,
+or a note of a block over the closure, ends the search, and a witness that
+fails to verify decides nothing.  A lower shape's outcome is memoized per
+search by its code.
 
 Every witness is completed in one place (``_witness``): given its block rows
 as weights on the rows of their types, it takes per source type the exact
@@ -105,7 +110,7 @@ from .polymatrix import (
     _minors,
     _positions,
 )
-from .regions import Polarization, Shape, _lower_neighbours, classify_shapes
+from .regions import Polarization, Shape, ShapeIndex
 
 if TYPE_CHECKING:
     from .registry import CaseSpec
@@ -719,12 +724,8 @@ def _unit(k: int, size: int) -> tuple[int, ...]:
 
 
 class _ExactPasses:
-    """The exact passes of one search, on m and on its transpose, with what
-    they proved memoized per shape, in m's coordinates.
-
-    ``absent[shape]`` is True when the shape is proven to have no block, and
-    False when a block exists or it stayed open.
-    """
+    """The exact passes of one search, on m and on its transpose, each run
+    on a shape in m's coordinates."""
 
     def __init__(self, m: PolyMatrix):
         self.view, tview = _views(m)
@@ -734,7 +735,6 @@ class _ExactPasses:
             (self.view, lambda s: s, lambda w: w),
             (tview, _dual_shape, _pull_back_transpose_witness),
         )
-        self.absent: dict[Shape, bool] = {}
 
     def run(self, shape: Shape, k: int, pencil: bool) -> tuple[Witness | None, bool, str]:
         """(witness pulled back to m, decided, note) of the pencil or the row
@@ -768,25 +768,32 @@ def search_destabilizer(
     if seed < 0:
         raise ValueError(f"the seed must be nonnegative, not {seed}")
     p.validate_for(m.type)
-    destab = [s for s, d in classify_shapes(m.type, p).items() if d]
+    index = ShapeIndex(m.type)
+    king, scale = index.weights(p)
     undecided: list[Shape] = []
     used = 0
     passes = _ExactPasses(m)
     view = passes.view
-    for shape in destab:
-        # the lower neighbours come first in the canonical order
-        if any(passes.absent.get(t) for t in _lower_neighbours(shape)):
-            passes.absent[shape] = True
+    # per code: proven to have no block, and tested
+    absent, tested = bytearray(index.size), bytearray(index.size)
+    for c in [c for c, x in enumerate(king) if x > scale]:
+        # the lower neighbours come first in code order; one that empties a
+        # side is a code that is not a shape, which is never marked absent
+        if any(absent[n] for n in index.lower(c)):
+            absent[c] = 1
             continue
+        shape = index.shape(c)
         for t, k, pencil in _tests(view, shape):
-            # a lower shape is tested once per search; the shape itself always
-            if t == shape or t not in passes.absent:
+            tc = index.code(t)
+            # a lower shape is tested once per search, and not once proven
+            # absent; the shape itself always
+            if tc == c or not (tested[tc] or absent[tc]):
                 w, decided, note = passes.run(t, k, pencil)
-                if t == shape and (note or w is not None and verify_witness(m, w)):
+                if tc == c and (note or w is not None and verify_witness(m, w)):
                     return Verdict(VerdictKind.DESTABILIZED, w, used, note=note)
-                passes.absent[t] = decided and w is None and not note
-            if passes.absent[t]:
-                passes.absent[shape] = True
+                absent[tc], tested[tc] = decided and w is None and not note, 1
+            if absent[tc]:
+                absent[c] = 1
                 break
         else:
             undecided.append(shape)

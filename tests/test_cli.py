@@ -644,6 +644,29 @@ def test_witness_out_has_literal_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, needed",
+    [
+        (["table", "--case", ""], "no case '' in the registry"),
+        (["classify", "--case", "M(4,2):omega1", "--n", "2", "--polarization", ""],
+         "--polarization"),
+        (["check", "--case", "M(n+1,n):h0m1=0", "--n", "3", "--witness-out", "", "planted.mat"],
+         "--witness-out"),
+        (["dual", "--type", "src=(-1)x1 tgt=(0)x1", "--polarization", ""], "--polarization"),
+    ],
+)
+def test_an_empty_flag_value_is_a_usage_error(args, needed, tmp_path, monkeypatch, capsys):
+    # an empty value is a value: no full table, no sample polarization, and
+    # no witness found on the planted member and left unwritten
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "planted.mat").write_text(
+        "type: src=(-2)x1,(-1)x2 tgt=(0)x3\nX^2 | X | X\nY^2 | Y | Y\nZ^2 | Z | Z\n"
+    )
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needed in err
+
+
+@pytest.mark.parametrize(
     "args, covered",
     [
         (["region", "--case", "M(n+2,n):omega1", "--n", "99"], "3..6"),

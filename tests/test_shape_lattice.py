@@ -15,7 +15,14 @@ from math import gcd
 
 from sheafmod.bundles import MorphismType
 from sheafmod.polymatrix import HomogeneousPoly, PolyMatrix, X, Y, Z, _positions
-from sheafmod.regions import Polarization, Shape, classify_shapes, enumerate_shapes
+from sheafmod.regions import (
+    Polarization,
+    Shape,
+    ShapeIndex,
+    _lower_neighbours,
+    classify_shapes,
+    enumerate_shapes,
+)
 from sheafmod.registry import load_registry
 from sheafmod.stability import (
     VerdictKind,
@@ -444,8 +451,41 @@ def test_a_block_over_the_closure_closes_nothing(monkeypatch):
 WIDE_TYPE = MorphismType.make([(-2, 2), (-1, 3)], [(-1, 2), (0, 3)])
 
 
+def test_the_shape_index_codes_the_shape_lattice():
+    # the codes of every type decode to its shapes in enumeration order, a
+    # code less one digit's stride is a lower neighbour, and the weights pick
+    # out the destabilizing shapes by the King inequality read in Fractions
+    rnd = random.Random(9191)
+    types = [(t, []) for t in [*TINY_TYPES, WIDE_TYPE]]
+    types += [
+        (case.resolution(n), [case.sample_polarization(n)])
+        for case in load_registry()
+        for n in case.ns()[:2]
+    ]
+    polarizations = 0
+    for t, samples in types:
+        index = ShapeIndex(t)
+        codes = [c for c in range(index.size) if index.is_shape(c)]
+        shapes = enumerate_shapes(t)
+        assert [index.shape(c) for c in codes] == shapes
+        assert [index.code(s) for s in shapes] == codes
+        for c, s in zip(codes, shapes):
+            below = [index.shape(n) for n in index.lower(c) if index.is_shape(n)]
+            assert below == _lower_neighbours(s), (t, s)
+        for p in [*samples, *(_random_polarization(rnd, t) for _ in range(3))]:
+            weights, scale = index.weights(p)
+            destab = [index.shape(c) for c, w in enumerate(weights) if w > scale]
+            king = [
+                s for s in shapes
+                if sum(b * mu for b, mu in zip(s.rows, p.mus))
+                > sum((m - a) * l for a, (_, m), l in zip(s.cols, t.source.summands, p.lambdas))
+            ]
+            assert destab == king == [s for s, d in classify_shapes(t, p).items() if d], (t, p)
+            polarizations += 1
+    assert polarizations > 100
+
+
 def test_a_pass_that_fails_below_a_shape_fails_on_it():
-    from sheafmod.regions import _lower_neighbours
     from sheafmod.stability import _over_cap, _row_subset_sweep, _views
 
     rnd = random.Random(9090)
@@ -492,7 +532,9 @@ def test_the_upward_rule_changes_no_verdict(monkeypatch):
     with_rule = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
     runs_with_rule = len(runs)
     runs.clear()
-    monkeypatch.setattr(stability, "_lower_neighbours", lambda shape: [])
+    # the search reads a code's lower neighbours from ShapeIndex.lower alone,
+    # so with none the rule never closes a shape
+    monkeypatch.setattr(ShapeIndex, "lower", lambda index, code: [])
     without = [search_destabilizer(m, p, 20, seed=k) for m, p, k in inputs]
     assert with_rule == without
     assert runs_with_rule < len(runs)
